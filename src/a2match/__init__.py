@@ -3,15 +3,10 @@
 __version__ = "0.1.0"
 
 from .geometry import (  # noqa: F401
-    BearingVector,
     CameraIntrinsics,
     CorrespondenceSet,
-    Keypoint2D,
     PointBehindCamera,
     RigidPose,
-    ScenePoint3D,
-    bearing_from_pixel,
-    bearing_from_world,
     label_ground_truth,
     neighbor_cosine,
     project,

@@ -120,14 +120,6 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def backward(loss: Tensor):
-    """Run backward on the innermost active tape."""
-    tape = _active_tape()
-    if tape is None:
-        raise RuntimeError("backward() requires an active Tape context")
-    tape.backward(loss)
-
-
 def _accum(t: Tensor, g):
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
@@ -286,10 +278,6 @@ def scale(a, s: float) -> Tensor:
         return bw
 
     return _make(out_data, (a,), build)
-
-
-def neg(a) -> Tensor:
-    return scale(a, -1.0)
 
 
 def concat_last_axis(*tensors) -> Tensor:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .network import ModelWeights, NetworkConfig
+from .network import ModelWeights, NetworkConfig, TooFewPoints
 from .pipeline import localize_scene, match_scene
 from .posemetrics import outlier_sweep
 from .runconfig import InvalidConfig, load_run_config, worker_count
@@ -239,10 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidConfig, WeightsFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidConfig, WeightsFormatError, TooFewPoints, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

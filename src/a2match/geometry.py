@@ -3,14 +3,14 @@
 Bearing vectors put 2D pixels and 3D world points into the same 2D
 normalized-plane representation: pixels through the inverse intrinsics,
 world points through the camera pose followed by perspective division.
-All geometry runs in float64; the scalar operations and their vectorized
-batch counterparts use identical arithmetic so both paths agree bitwise.
+Points travel as float64 arrays, one row per point: (N,2) pixels, (N,3)
+world coordinates, (N,2) bearings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,11 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
+        if not (0.0 < self.fx < math.inf and 0.0 < self.fy < math.inf):
+            raise ValueError(f"focal lengths must be positive and finite, "
+                             f"got fx={self.fx} fy={self.fy}")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise ValueError(f"principal point must be finite, got ({self.cx}, {self.cy})")
 
 
 @dataclass(frozen=True)
@@ -46,46 +49,12 @@ class RigidPose:
         t = np.array(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
+        if not (np.isfinite(R).all() and np.isfinite(t).all()):
+            raise ValueError("pose must be finite")
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9:
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not 1 within 1e-9")
-
-
-def _check_color(color):
-    c = np.array(color, dtype=np.float64).reshape(3)
-    if np.any(c < 0.0) or np.any(c > 1.0):
-        raise ValueError(f"color components must lie in [0,1], got {c}")
-    return c
-
-
-@dataclass(frozen=True)
-class Keypoint2D:
-    u: float
-    v: float
-    color: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        object.__setattr__(self, "color", _check_color(self.color))
-
-
-@dataclass(frozen=True)
-class ScenePoint3D:
-    position: np.ndarray
-    color: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.array(self.position, dtype=np.float64).reshape(3))
-        object.__setattr__(self, "color", _check_color(self.color))
-
-
-@dataclass(frozen=True)
-class BearingVector:
-    bx: float
-    by: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.bx, self.by], dtype=np.float64)
 
 
 @dataclass
@@ -108,29 +77,6 @@ class CorrespondenceSet:
 
     def pair_set(self):
         return {(i, j) for i, j, _ in self.pairs}
-
-
-def bearing_from_pixel(k: CameraIntrinsics, kp: Keypoint2D) -> BearingVector:
-    """Remove the intrinsics from a pixel: ((u-cx)/fx, (v-cy)/fy)."""
-    return BearingVector((kp.u - k.cx) / k.fx, (kp.v - k.cy) / k.fy)
-
-
-def bearing_from_world(pose: RigidPose, p: ScenePoint3D) -> BearingVector:
-    """Transform a world point into the camera and divide by depth."""
-    R, t = pose.rotation, pose.translation
-    x, y, z = p.position
-    px = R[0, 0] * x + R[0, 1] * y + R[0, 2] * z + t[0]
-    py = R[1, 0] * x + R[1, 1] * y + R[1, 2] * z + t[1]
-    pz = R[2, 0] * x + R[2, 1] * y + R[2, 2] * z + t[2]
-    if pz <= EPS_DEPTH:
-        raise PointBehindCamera(f"camera-frame depth {pz:.3e} <= {EPS_DEPTH}")
-    return BearingVector(px / pz, py / pz)
-
-
-def project(k: CameraIntrinsics, pose: RigidPose, p: ScenePoint3D):
-    """Pixel coordinates of a world point; raises PointBehindCamera."""
-    b = bearing_from_world(pose, p)
-    return (k.fx * b.bx + k.cx, k.fy * b.by + k.cy)
 
 
 def unit_vectors(vecs) -> np.ndarray:
@@ -158,22 +104,19 @@ def neighbor_cosine(a, b) -> float:
     return min(1.0, max(-1.0, ax * bx + ay * by))
 
 
-def pixel_bearings(k: CameraIntrinsics, keypoints) -> np.ndarray:
-    """(N,2) bearings for a list of Keypoint2D; matches bearing_from_pixel bitwise."""
-    uv = np.array([[kp.u, kp.v] for kp in keypoints], dtype=np.float64).reshape(-1, 2)
-    out = np.empty_like(uv)
-    out[:, 0] = (uv[:, 0] - k.cx) / k.fx
-    out[:, 1] = (uv[:, 1] - k.cy) / k.fy
-    return out
+def pixel_bearings(k: CameraIntrinsics, uv) -> np.ndarray:
+    """(N,2) bearings of (N,2) pixels: ((u-cx)/fx, (v-cy)/fy)."""
+    return (np.asarray(uv, dtype=np.float64).reshape(-1, 2) - (k.cx, k.cy)) / (k.fx, k.fy)
 
 
-def world_bearings(pose: RigidPose, points, allow_behind=False):
-    """(N,2) bearings plus visibility mask for a list of ScenePoint3D.
+def world_bearings(pose: RigidPose, xyz, allow_behind=False):
+    """(N,2) bearings plus visibility mask of (N,3) world points.
 
-    With allow_behind=False any point at depth <= EPS_DEPTH raises; with
-    allow_behind=True such points get a False mask entry and zero bearing.
+    With allow_behind=False any point at depth <= EPS_DEPTH raises
+    PointBehindCamera; with allow_behind=True such points get a False mask
+    entry and zero bearing.
     """
-    P = np.array([p.position for p in points], dtype=np.float64).reshape(-1, 3)
+    P = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     R, t = pose.rotation, pose.translation
     x, y, z = P[:, 0], P[:, 1], P[:, 2]
     px = R[0, 0] * x + R[0, 1] * y + R[0, 2] * z + t[0]
@@ -189,26 +132,34 @@ def world_bearings(pose: RigidPose, points, allow_behind=False):
     return out, visible
 
 
-def label_ground_truth(keypoints, points, pose: RigidPose, k: CameraIntrinsics,
+def project(k: CameraIntrinsics, pose: RigidPose, xyz):
+    """(N,2) pixel coordinates of (N,3) world points plus the visibility mask.
+
+    Points at depth <= EPS_DEPTH have no image; their rows hold the
+    principal point and their mask entries are False.
+    """
+    b, visible = world_bearings(pose, xyz, allow_behind=True)
+    return b * (k.fx, k.fy) + (k.cx, k.cy), visible
+
+
+def label_ground_truth(uv, xyz, pose: RigidPose, k: CameraIntrinsics,
                        tol: float = 1e-3) -> CorrespondenceSet:
-    """Label (i,j) pairs whose bearing distance is below tol.
+    """Label (i,j) pairs of pixel rows and world-point rows whose bearing
+    distance is below tol.
 
     Each keypoint takes its nearest in-tolerance 3D point (smaller index on
     exact ties); points behind the camera are never matched.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if not keypoints or not points:
+    if len(uv) == 0 or len(xyz) == 0:
         return CorrespondenceSet([])
-    bk = pixel_bearings(k, keypoints)
-    bp, visible = world_bearings(pose, points, allow_behind=True)
+    bk = pixel_bearings(k, uv)
+    bp, visible = world_bearings(pose, xyz, allow_behind=True)
     dx = bk[:, 0][:, None] - bp[:, 0][None, :]
     dy = bk[:, 1][:, None] - bp[:, 1][None, :]
     dist = np.sqrt(dx * dx + dy * dy)
     dist[:, ~visible] = np.inf
-    pairs = []
-    for i in range(len(keypoints)):
-        j = int(np.argmin(dist[i]))
-        if dist[i, j] < tol:
-            pairs.append((i, j, 1.0))
-    return CorrespondenceSet(pairs)
+    nearest = np.argmin(dist, axis=1)
+    rows = np.flatnonzero(dist[np.arange(len(nearest)), nearest] < tol)
+    return CorrespondenceSet([(int(i), int(nearest[i]), 1.0) for i in rows])

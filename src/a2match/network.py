@@ -366,9 +366,7 @@ def scene_inputs(pair: ScenePair):
     """Bearing and color arrays for both sides of a scene pair."""
     bp = pixel_bearings(pair.intrinsics, pair.keypoints)
     bq, _ = world_bearings(pair.query_pose, pair.points)
-    cp = np.array([kp.color for kp in pair.keypoints], dtype=np.float64)
-    cq = np.array([pt.color for pt in pair.points], dtype=np.float64)
-    return bp, cp, bq, cq
+    return bp, pair.kp_colors, bq, pair.pt_colors
 
 
 def forward(pair: ScenePair, w: ModelWeights, cfg: NetworkConfig = None,

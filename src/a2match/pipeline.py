@@ -58,30 +58,23 @@ def match_scene(pair: ScenePair, weights: ModelWeights, net_cfg: NetworkConfig =
 
 def _localize_from_pairs(pair: ScenePair, corrs: CorrespondenceSet,
                          ransac_cfg: RansacConfig, n_initial: int) -> LocalizeResult:
+    uv = pair.keypoints[np.array(corrs.indices_2d(), dtype=np.intp)]
+    xyz = pair.points[np.array(corrs.indices_3d(), dtype=np.intp)]
     try:
-        est = pnp_ransac(
-            [(pair.keypoints[i], pair.points[j]) for i, j, _ in corrs],
-            pair.intrinsics, ransac_cfg)
+        est = pnp_ransac(uv, xyz, pair.intrinsics, ransac_cfg)
     except TooFewCorrespondences:
         est = PoseEstimate(None, np.zeros(len(corrs), dtype=bool), False)
     if not est.success:
         return LocalizeResult(est, n_initial, len(corrs), np.inf, np.inf, np.inf, True)
 
-    errs = []
-    for i, j, _ in corrs:
-        try:
-            u, v = project(pair.intrinsics, est.pose, pair.points[j])
-        except Exception:
-            errs.append(np.inf)
-            continue
-        kp = pair.keypoints[i]
-        errs.append(float(np.hypot(u - kp.u, v - kp.v)))
-    mean_px = float(np.mean(errs)) if errs else np.inf
+    # A point behind the estimated camera has no image: its error is inf.
+    proj, visible = project(pair.intrinsics, est.pose, xyz)
+    errs = np.where(visible, np.hypot(proj[:, 0] - uv[:, 0], proj[:, 1] - uv[:, 1]), np.inf)
     return LocalizeResult(
         est, n_initial, len(corrs),
         rotation_error(est.pose, pair.query_pose),
         translation_error(est.pose, pair.query_pose),
-        mean_px, False)
+        float(np.mean(errs)), False)
 
 
 def localize_scene(pair: ScenePair, weights: ModelWeights, net_cfg: NetworkConfig = None,

@@ -54,16 +54,6 @@ class PoseEstimate:
     success: bool
 
 
-@dataclass
-class EvalSummary:
-    auc_1px: float
-    auc_5px: float
-    auc_10px: float
-    rotation_quantiles: tuple
-    translation_quantiles: tuple
-    mean_query_seconds: float
-
-
 def _poly_add(a, b):
     n = max(len(a), len(b))
     out = np.zeros(n)
@@ -158,7 +148,10 @@ def _reproj_errors(R, t, world, bearings):
 
 
 def _skew(q):
-    return np.array([[0.0, -q[2], q[1]], [q[2], 0.0, -q[0]], [-q[1], q[0], 0.0]])
+    """(...,3,3) cross-product matrices of (...,3) vectors."""
+    zero = np.zeros(q.shape[:-1])
+    return np.stack([zero, -q[..., 2], q[..., 1], q[..., 2], zero, -q[..., 0],
+                     -q[..., 1], q[..., 0], zero], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def _exp_so3(w):
@@ -181,12 +174,13 @@ def _refine_pose(R, t, world, bearings, iterations):
         x, y = cam[:, 0], cam[:, 1]
         r = np.stack([x * inv_z - bearings[:, 0], y * inv_z - bearings[:, 1]], axis=1)
         n = len(world)
-        J = np.zeros((2 * n, 6))
-        for i in range(n):
-            d_pi = np.array([[inv_z[i], 0.0, -x[i] * inv_z[i] ** 2],
-                             [0.0, inv_z[i], -y[i] * inv_z[i] ** 2]])
-            J[2 * i:2 * i + 2, :3] = d_pi @ (-_skew(rot[i]))
-            J[2 * i:2 * i + 2, 3:] = d_pi
+        # Per point: d(projection)/d(camera point), a (2,3) block, times
+        # d(camera point)/d(rotation) = -skew(rotated point) and d/dt = I.
+        d_pi = np.zeros((n, 2, 3))
+        d_pi[:, 0, 0] = d_pi[:, 1, 1] = inv_z
+        d_pi[:, 0, 2] = -x * inv_z ** 2
+        d_pi[:, 1, 2] = -y * inv_z ** 2
+        J = np.concatenate([d_pi @ -_skew(rot), d_pi], axis=2).reshape(2 * n, 6)
         rhs = -J.T @ r.reshape(-1)
         A = J.T @ J
         try:
@@ -203,13 +197,16 @@ def _refine_pose(R, t, world, bearings, iterations):
     return R, t
 
 
-def pnp_ransac(corrs, k: CameraIntrinsics, cfg: RansacConfig) -> PoseEstimate:
-    """Robust pose from (Keypoint2D, ScenePoint3D) correspondences."""
-    n = len(corrs)
+def pnp_ransac(uv, xyz, k: CameraIntrinsics, cfg: RansacConfig) -> PoseEstimate:
+    """Robust pose from correspondences: row i of (n,2) pixels `uv` images
+    row i of (n,3) world points `xyz`."""
+    bearings = pixel_bearings(k, uv)
+    world = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    n = len(bearings)
+    if len(world) != n:
+        raise ValueError(f"{n} pixels for {len(world)} world points")
     if n < 4:
         raise TooFewCorrespondences(f"need at least 4 correspondences, got {n}")
-    bearings = pixel_bearings(k, [kp for kp, _ in corrs])
-    world = np.array([pt.position for _, pt in corrs], dtype=np.float64)
     rays = np.concatenate([bearings, np.ones((n, 1))], axis=1)
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
 

@@ -38,12 +38,12 @@ class CandidateBatch:
 
 def candidate_batch(pair, corrs: CorrespondenceSet) -> CandidateBatch:
     """Assemble classifier inputs for a correspondence set of a scene pair."""
-    bp = pixel_bearings(pair.intrinsics, pair.keypoints)
-    bq, _ = world_bearings(pair.query_pose, pair.points)
     idx_p = np.array(corrs.indices_2d(), dtype=np.intp)
     idx_q = np.array(corrs.indices_3d(), dtype=np.intp)
+    bp = pixel_bearings(pair.intrinsics, pair.keypoints[idx_p])
+    bq, _ = world_bearings(pair.query_pose, pair.points[idx_q])
     scores = np.array([s for _, _, s in corrs], dtype=np.float64)
-    return CandidateBatch(bp[idx_p], bq[idx_q], scores)
+    return CandidateBatch(bp, bq, scores)
 
 
 def context_norm(x: Tensor, eps: float = CONTEXT_EPS) -> Tensor:

@@ -10,6 +10,7 @@ rule cannot accidentally pair them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -19,9 +20,7 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     CorrespondenceSet,
-    Keypoint2D,
     RigidPose,
-    ScenePoint3D,
     label_ground_truth,
     world_bearings,
 )
@@ -30,8 +29,8 @@ MIN_POINTS = 10
 MAX_POINTS = 1024
 
 
-class InvalidConfig(Exception):
-    pass
+class InvalidConfig(ValueError):
+    """A configuration or scene file the program cannot run on."""
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,10 @@ class SynthConfig:
 class ScenePair:
     intrinsics: CameraIntrinsics
     query_pose: RigidPose
-    keypoints: list
-    points: list
+    keypoints: np.ndarray    # (M,2) pixels
+    kp_colors: np.ndarray    # (M,3) RGB in [0,1]
+    points: np.ndarray       # (N,3) world coordinates
+    pt_colors: np.ndarray    # (N,3) RGB in [0,1]
     gt_matches: CorrespondenceSet
 
 
@@ -181,11 +182,11 @@ def generate_scene(cfg: SynthConfig) -> ScenePair:
     # Shuffle both sides so inliers are not a prefix.
     perm_k = rng.permutation(n)
     perm_p = rng.permutation(n)
-    keypoints = [Keypoint2D(uv[i, 0], uv[i, 1], kp_colors[i]) for i in perm_k]
-    points = [ScenePoint3D(world[j], pt_colors[j]) for j in perm_p]
+    uv, kp_colors = uv[perm_k], kp_colors[perm_k]
+    world, pt_colors = world[perm_p], pt_colors[perm_p]
 
-    gt = label_ground_truth(keypoints, points, pose, k, cfg.gt_tolerance)
-    return ScenePair(k, pose, keypoints, points, gt)
+    gt = label_ground_truth(uv, world, pose, k, cfg.gt_tolerance)
+    return ScenePair(k, pose, uv, kp_colors, world, pt_colors, gt)
 
 
 def inject_outliers(pair: ScenePair, ratio: float, seed: int,
@@ -211,7 +212,7 @@ def inject_outliers(pair: ScenePair, ratio: float, seed: int,
     pt_bearings = pt_bearings[visible]
     guard = 2.0 * gt_tolerance
 
-    keypoints = list(pair.keypoints)
+    uv, kp_colors = pair.keypoints.copy(), pair.kp_colors.copy()
     for i in sorted(replace_idx):
         for _ in range(1000):
             u = rng.uniform(0.0, width)
@@ -222,43 +223,82 @@ def inject_outliers(pair: ScenePair, ratio: float, seed: int,
                 break
         else:
             raise RuntimeError("could not place a replacement keypoint clear of all points")
-        keypoints[i] = Keypoint2D(u, v, rng.uniform(0.0, 1.0, 3))
+        uv[i] = (u, v)
+        kp_colors[i] = rng.uniform(0.0, 1.0, 3)
 
-    gt = label_ground_truth(keypoints, pair.points, pair.query_pose, k, gt_tolerance)
-    return ScenePair(pair.intrinsics, pair.query_pose, keypoints, pair.points, gt)
+    gt = label_ground_truth(uv, pair.points, pair.query_pose, k, gt_tolerance)
+    return dataclasses.replace(pair, keypoints=uv, kp_colors=kp_colors, gt_matches=gt)
 
 
-# --- scene file format (see docs/FORMATS.md) ---------------------------------
+# --- scene file format ---------------------------------------------------------
 
 
 def scene_to_dict(pair: ScenePair) -> dict:
+    """The scene as a JSON-ready dict.
+
+    Keys: "intrinsics" {fx, fy, cx, cy}; "pose" {rotation: 9 numbers, row
+    major, translation: 3 numbers}, the world-to-camera transform; "keypoints"
+    rows [u, v, r, g, b]; "points" rows [x, y, z, r, g, b]; "gt_matches" rows
+    [keypoint index, point index]. scene_from_dict accepts a scene when every
+    number is finite, fx and fy are positive, the rotation is orthonormal,
+    colours lie in [0,1], each side has MIN_POINTS to MAX_POINTS rows and
+    every gt match indexes existing rows.
+    """
     return {
         "intrinsics": {"fx": pair.intrinsics.fx, "fy": pair.intrinsics.fy,
                        "cx": pair.intrinsics.cx, "cy": pair.intrinsics.cy},
-        "pose": {"rotation": [float(x) for x in pair.query_pose.rotation.reshape(-1)],
-                 "translation": [float(x) for x in pair.query_pose.translation]},
-        "keypoints": [[kp.u, kp.v, float(kp.color[0]), float(kp.color[1]), float(kp.color[2])]
-                      for kp in pair.keypoints],
-        "points": [[float(p.position[0]), float(p.position[1]), float(p.position[2]),
-                    float(p.color[0]), float(p.color[1]), float(p.color[2])]
-                   for p in pair.points],
+        "pose": {"rotation": pair.query_pose.rotation.reshape(-1).tolist(),
+                 "translation": pair.query_pose.translation.tolist()},
+        "keypoints": np.concatenate([pair.keypoints, pair.kp_colors], axis=1).tolist(),
+        "points": np.concatenate([pair.points, pair.pt_colors], axis=1).tolist(),
         "gt_matches": [[int(i), int(j)] for i, j, _ in pair.gt_matches],
     }
 
 
+def _rows(obj: dict, key: str, width: int) -> np.ndarray:
+    """obj[key] as a finite float64 array of rows of exactly `width` numbers."""
+    try:
+        rows = np.array(obj[key], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"scene {key} must be rows of {width} numbers: {exc}") from exc
+    if rows.shape == (0,):
+        rows = rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise InvalidConfig(f"scene {key} must be rows of exactly {width} numbers")
+    if not np.isfinite(rows).all():
+        raise InvalidConfig(f"scene {key} hold a non-finite value")
+    return rows
+
+
+def _colored_points(obj: dict, key: str, width: int):
+    """Positions and colours of the rows of obj[key], each ending in RGB."""
+    rows = _rows(obj, key, width)
+    if not MIN_POINTS <= len(rows) <= MAX_POINTS:
+        raise InvalidConfig(
+            f"scene has {len(rows)} {key}, outside [{MIN_POINTS},{MAX_POINTS}]")
+    colors = rows[:, width - 3:]
+    if np.any(colors < 0.0) or np.any(colors > 1.0):
+        raise InvalidConfig(f"scene {key} colours must lie in [0,1]")
+    return rows[:, :width - 3].copy(), colors.copy()
+
+
 def scene_from_dict(obj: dict) -> ScenePair:
-    k = CameraIntrinsics(**obj["intrinsics"])
-    pose = RigidPose(np.array(obj["pose"]["rotation"]).reshape(3, 3),
-                     np.array(obj["pose"]["translation"]))
-    keypoints = [Keypoint2D(row[0], row[1], row[2:5]) for row in obj["keypoints"]]
-    points = [ScenePoint3D(row[0:3], row[3:6]) for row in obj["points"]]
-    n_k, n_p = len(keypoints), len(points)
-    pairs = []
-    for i, j in obj["gt_matches"]:
-        if not (0 <= i < n_k and 0 <= j < n_p):
-            raise ValueError(f"gt match ({i},{j}) out of bounds")
-        pairs.append((int(i), int(j), 1.0))
-    return ScenePair(k, pose, keypoints, points, CorrespondenceSet(pairs))
+    """Inverse of scene_to_dict; raises InvalidConfig on a scene it rejects."""
+    try:
+        k = CameraIntrinsics(**obj["intrinsics"])
+        pose = RigidPose(np.array(obj["pose"]["rotation"]).reshape(3, 3),
+                         np.array(obj["pose"]["translation"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"scene camera is invalid: {exc}") from exc
+    uv, kp_colors = _colored_points(obj, "keypoints", 5)
+    xyz, pt_colors = _colored_points(obj, "points", 6)
+    gt = _rows(obj, "gt_matches", 2)
+    bad = ~((gt >= 0) & (gt < (len(uv), len(xyz))) & (gt == np.floor(gt))).all(axis=1)
+    if bad.any():
+        i, j = gt[bad][0]
+        raise InvalidConfig(f"gt match ({i:g},{j:g}) out of bounds")
+    pairs = [(i, j, 1.0) for i, j in gt.astype(np.int64).tolist()]
+    return ScenePair(k, pose, uv, kp_colors, xyz, pt_colors, CorrespondenceSet(pairs))
 
 
 def dump_scene(pair: ScenePair) -> str:
@@ -272,4 +312,8 @@ def save_scene(path, pair: ScenePair):
 
 def load_scene(path) -> ScenePair:
     with open(path, "r", encoding="utf-8") as f:
-        return scene_from_dict(json.load(f))
+        try:
+            obj = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"scene file {path} is not valid JSON: {exc}") from exc
+    return scene_from_dict(obj)

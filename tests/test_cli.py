@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from a2match.cli import main
 from a2match.network import ModelWeights, NetworkConfig
 from a2match.runconfig import InvalidConfig, load_run_config, parse_run_config
-from a2match.synth import SynthConfig, generate_scene, save_scene
+from a2match.synth import SynthConfig, generate_scene, save_scene, scene_to_dict
 from a2match.weights_io import (
     VersionMismatch,
     WeightsFormatError,
@@ -59,12 +60,12 @@ def test_weights_round_trip_float32_exact(tmp_path):
 def test_weights_save_deterministic(tmp_path):
     p1, _ = make_weights_file(tmp_path, seed=3, name="a.a2w")
     p2, _ = make_weights_file(tmp_path, seed=3, name="b.a2w")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_weights_magic_and_version_checks(tmp_path):
     path, _ = make_weights_file(tmp_path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     bad = tmp_path / "bad.a2w"
     bad.write_bytes(b"XXXX" + bytes(blob[4:]))
     with pytest.raises(WeightsFormatError):
@@ -237,9 +238,54 @@ def test_cmd_localize_all_outliers_never_crashes(tmp_path):
     assert payload["localization_failed"] in (True, False)
 
 
+def _corrupted_scene_file(tmp_path, edit):
+    obj = scene_to_dict(generate_scene(SynthConfig(n_points=16, seed=9)))
+    edit(obj)
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def _keep_five_keypoints(obj):
+    obj["keypoints"] = obj["keypoints"][:5]
+    obj["gt_matches"] = [[i, j] for i, j in obj["gt_matches"] if i < 5]
+
+
+def _short_point_row(obj):
+    obj["points"][0] = obj["points"][0][:4]
+
+
+def _set_keypoint_value(col, value):
+    def edit(obj):
+        obj["keypoints"][2][col] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_keep_five_keypoints, "5 keypoints, outside [10,1024]"),
+    (_short_point_row, "points must be rows of 6"),
+    (_set_keypoint_value(3, 1.5), "keypoints colours must lie in [0,1]"),
+    (_set_keypoint_value(0, float("nan")), "keypoints hold a non-finite"),
+])
+def test_cmd_localize_invalid_scene_exits_2(tmp_path, capsys, edit, message):
+    wpath, _ = make_weights_file(tmp_path)
+    spath = _corrupted_scene_file(tmp_path, edit)
+    assert main(["localize", "--weights", wpath, "--scene", spath]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_cmd_localize_scene_not_above_k_exits_2(tmp_path, capsys):
+    wpath, _ = make_weights_file(tmp_path, cfg=NetworkConfig(d=8, k=12, g=3))
+    spath, _ = scene_file(tmp_path, seed=10, n=12)
+    assert main(["localize", "--weights", wpath, "--scene", spath]) == 2
+    assert "must exceed k=12" in capsys.readouterr().err
+
+
 def test_cmd_match_rejects_wrong_weights_version(tmp_path, capsys):
     wpath, _ = make_weights_file(tmp_path)
-    blob = bytearray(open(wpath, "rb").read())
+    blob = bytearray(Path(wpath).read_bytes())
     blob[4:6] = struct.pack("<H", 3)
     bad = tmp_path / "bad.a2w"
     bad.write_bytes(bytes(blob))

@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from a2match.geometry import (
     CameraIntrinsics,
-    Keypoint2D,
     PointBehindCamera,
     RigidPose,
-    ScenePoint3D,
-    bearing_from_pixel,
-    bearing_from_world,
     label_ground_truth,
     neighbor_cosine,
     pixel_bearings,
     project,
+    world_bearings,
 )
 
 IDENTITY = RigidPose(np.eye(3), np.zeros(3))
@@ -37,14 +34,12 @@ def random_pose(rng):
 
 def test_bearing_identity_intrinsics():
     k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
-    b = bearing_from_pixel(k, Keypoint2D(0.5, 0.5))
-    assert (b.bx, b.by) == (0.5, 0.5)
+    assert pixel_bearings(k, [[0.5, 0.5]]).tolist() == [[0.5, 0.5]]
 
 
 def test_bearing_principal_point_maps_to_origin():
     k = CameraIntrinsics(2.0, 2.0, 1.0, 1.0)
-    b = bearing_from_pixel(k, Keypoint2D(1.0, 1.0))
-    assert (b.bx, b.by) == (0.0, 0.0)
+    assert pixel_bearings(k, [[1.0, 1.0]]).tolist() == [[0.0, 0.0]]
 
 
 def test_bearing_matches_inverse_intrinsics_oracle():
@@ -53,33 +48,46 @@ def test_bearing_matches_inverse_intrinsics_oracle():
     K = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]])
     hom = np.linalg.inv(K) @ np.array([3.0, 5.0, 1.0])
     assert np.allclose(hom[:2] / hom[2], [1.0, 2.0], atol=1e-15)
-    b = bearing_from_pixel(k, Keypoint2D(3.0, 5.0))
-    assert (b.bx, b.by) == (1.0, 2.0)
+    assert pixel_bearings(k, [[3.0, 5.0]]).tolist() == [[1.0, 2.0]]
 
 
 def test_bearing_from_world_optical_axis():
-    b = bearing_from_world(IDENTITY, ScenePoint3D([0.0, 0.0, 2.0]))
-    assert (b.bx, b.by) == (0.0, 0.0)
+    b, visible = world_bearings(IDENTITY, [[0.0, 0.0, 2.0]])
+    assert b.tolist() == [[0.0, 0.0]] and visible.tolist() == [True]
 
 
 def test_bearing_from_world_hand_computed():
     # p_cam = I*(0,0,1) + (1,0,0) = (1,0,1) -> (1,0).
     pose = RigidPose(np.eye(3), [1.0, 0.0, 0.0])
-    b = bearing_from_world(pose, ScenePoint3D([0.0, 0.0, 1.0]))
-    assert (b.bx, b.by) == (1.0, 0.0)
+    b, _ = world_bearings(pose, [[0.0, 0.0, 1.0]])
+    assert b.tolist() == [[1.0, 0.0]]
 
 
 def test_point_behind_camera_raises():
     with pytest.raises(PointBehindCamera):
-        bearing_from_world(IDENTITY, ScenePoint3D([0.0, 0.0, -1.0]))
+        world_bearings(IDENTITY, [[0.0, 0.0, 2.0], [0.0, 0.0, -1.0]])
+    b, visible = world_bearings(IDENTITY, [[0.0, 0.0, 2.0], [1.0, 2.0, -1.0]],
+                                allow_behind=True)
+    assert b.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert visible.tolist() == [True, False]
 
 
 def test_project_trivial_and_scaled():
     k1 = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
-    assert project(k1, IDENTITY, ScenePoint3D([0.0, 0.0, 5.0])) == (0.0, 0.0)
+    uv, visible = project(k1, IDENTITY, [[0.0, 0.0, 5.0]])
+    assert uv.tolist() == [[0.0, 0.0]] and visible.tolist() == [True]
     # bearing (0.5, 0.5) scaled by fx=fy=100 and shifted by (50, 50).
     k2 = CameraIntrinsics(100.0, 100.0, 50.0, 50.0)
-    assert project(k2, IDENTITY, ScenePoint3D([1.0, 1.0, 2.0])) == (100.0, 100.0)
+    uv, _ = project(k2, IDENTITY, [[1.0, 1.0, 2.0]])
+    assert uv.tolist() == [[100.0, 100.0]]
+
+
+def test_project_marks_points_behind_camera():
+    k = CameraIntrinsics(100.0, 100.0, 50.0, 60.0)
+    uv, visible = project(k, IDENTITY, [[1.0, 1.0, 2.0], [1.0, 1.0, -2.0], [0.0, 0.0, 0.0]])
+    assert visible.tolist() == [True, False, False]
+    # A point without an image sits at the principal point.
+    assert uv.tolist() == [[100.0, 110.0], [50.0, 60.0], [50.0, 60.0]]
 
 
 def test_project_bearing_round_trip_batch():
@@ -88,39 +96,34 @@ def test_project_bearing_round_trip_batch():
         k = CameraIntrinsics(rng.uniform(100, 2000), rng.uniform(100, 2000),
                              rng.uniform(-50, 50), rng.uniform(-50, 50))
         pose = random_pose(rng)
-        p = ScenePoint3D(pose.rotation.T @ (np.array([rng.uniform(-1, 1),
-                                                      rng.uniform(-1, 1),
-                                                      rng.uniform(0.5, 10)])
-                                            - pose.translation))
-        u, v = project(k, pose, p)
-        b1 = bearing_from_pixel(k, Keypoint2D(u, v))
-        b2 = bearing_from_world(pose, p)
-        assert abs(b1.bx - b2.bx) < 1e-12
-        assert abs(b1.by - b2.by) < 1e-12
+        cam = np.stack([rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8),
+                        rng.uniform(0.5, 10, 8)], axis=1)
+        xyz = (cam - pose.translation) @ pose.rotation
+        uv, visible = project(k, pose, xyz)
+        assert visible.all()
+        b_world, _ = world_bearings(pose, xyz)
+        assert np.max(np.abs(pixel_bearings(k, uv) - b_world)) < 1e-12
 
 
 def test_intrinsics_cancellation():
     rng = np.random.default_rng(1)
     pose = random_pose(rng)
-    p = ScenePoint3D(pose.rotation.T @ (np.array([0.2, -0.1, 3.0]) - pose.translation))
+    xyz = [pose.rotation.T @ (np.array([0.2, -0.1, 3.0]) - pose.translation)]
     k1 = CameraIntrinsics(500.0, 700.0, 320.0, 240.0)
     k2 = CameraIntrinsics(1234.0, 987.0, -12.0, 7.0)
-    b_ref = bearing_from_world(pose, p)
+    b_ref, _ = world_bearings(pose, xyz)
     for k in (k1, k2):
-        u, v = project(k, pose, p)
-        b = bearing_from_pixel(k, Keypoint2D(u, v))
-        assert abs(b.bx - b_ref.bx) < 1e-12
-        assert abs(b.by - b_ref.by) < 1e-12
+        uv, _ = project(k, pose, xyz)
+        assert np.max(np.abs(pixel_bearings(k, uv) - b_ref)) < 1e-12
 
 
 def test_pixel_bearings_matches_scalar_bitwise():
+    # Oracle: ((u-cx)/fx, (v-cy)/fy) evaluated one Python float at a time.
     rng = np.random.default_rng(2)
     k = CameraIntrinsics(431.7, 512.3, 311.1, 241.9)
-    kps = [Keypoint2D(rng.uniform(0, 640), rng.uniform(0, 480)) for _ in range(64)]
-    batch = pixel_bearings(k, kps)
-    for row, kp in zip(batch, kps):
-        b = bearing_from_pixel(k, kp)
-        assert row[0] == b.bx and row[1] == b.by
+    uv = np.stack([rng.uniform(0, 640, 64), rng.uniform(0, 480, 64)], axis=1)
+    expected = [[(u - k.cx) / k.fx, (v - k.cy) / k.fy] for u, v in uv.tolist()]
+    assert pixel_bearings(k, uv).tolist() == expected
 
 
 def test_neighbor_cosine_examples():
@@ -173,52 +176,66 @@ def test_neighbor_cosine_properties(vals, s):
 def _scene_for_labeling():
     k = CameraIntrinsics(1000.0, 1000.0, 0.0, 0.0)
     pose = IDENTITY
-    pts = [ScenePoint3D([0.0, 0.0, 2.0]), ScenePoint3D([0.4, 0.0, 2.0]),
-           ScenePoint3D([0.0, 0.6, 2.0])]
+    pts = np.array([[0.0, 0.0, 2.0], [0.4, 0.0, 2.0], [0.0, 0.6, 2.0]])
     return k, pose, pts
 
 
 def test_label_exact_projection_included():
     k, pose, pts = _scene_for_labeling()
-    u, v = project(k, pose, pts[1])
-    gt = label_ground_truth([Keypoint2D(u, v)], pts, pose, k, tol=1e-3)
+    uv, _ = project(k, pose, pts[1:2])
+    gt = label_ground_truth(uv, pts, pose, k, tol=1e-3)
     assert gt.pairs == [(0, 1, 1.0)]
 
 
 def test_label_displacement_beyond_tolerance_excluded():
     k, pose, pts = _scene_for_labeling()
-    u, v = project(k, pose, pts[1])
+    uv, _ = project(k, pose, pts[1:2])
     # 0.01 displacement in normalized coords = 10px at f=1000, tol 0.001
-    gt = label_ground_truth([Keypoint2D(u + 10.0, v)], pts, pose, k, tol=1e-3)
+    gt = label_ground_truth(uv + [10.0, 0.0], pts, pose, k, tol=1e-3)
     assert len(gt) == 0
 
 
 def test_label_nearest_of_two_candidates():
     # Oracle: exhaustive distances; both points within tol, nearer one wins.
     k = CameraIntrinsics(1000.0, 1000.0, 0.0, 0.0)
-    pts = [ScenePoint3D([0.0008 * 2, 0.0, 2.0]), ScenePoint3D([0.0004 * 2, 0.0, 2.0])]
-    kp = Keypoint2D(0.0, 0.0)
+    pts = np.array([[0.0008 * 2, 0.0, 2.0], [0.0004 * 2, 0.0, 2.0]])
     b = np.array([0.0, 0.0])
-    d = [np.linalg.norm(b - np.array([p.position[0] / 2.0, 0.0])) for p in pts]
+    d = [np.linalg.norm(b - np.array([p[0] / 2.0, 0.0])) for p in pts]
     assert d[1] < d[0] < 1e-3
-    gt = label_ground_truth([kp], pts, IDENTITY, k, tol=1e-3)
+    gt = label_ground_truth([[0.0, 0.0]], pts, IDENTITY, k, tol=1e-3)
     assert gt.pairs == [(0, 1, 1.0)]
 
 
 def test_label_injective_on_2d_side_and_skips_behind():
     rng = np.random.default_rng(3)
     k = CameraIntrinsics(800.0, 800.0, 0.0, 0.0)
-    pts = [ScenePoint3D(np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                                  rng.uniform(1, 5)])) for _ in range(30)]
-    pts.append(ScenePoint3D([0.0, 0.0, -3.0]))  # behind, never matched
-    kps = []
-    for p in pts[:30]:
-        u, v = project(k, IDENTITY, p)
-        kps.append(Keypoint2D(u, v))
-    gt = label_ground_truth(kps, pts, IDENTITY, k, tol=1e-3)
+    pts = np.stack([rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 30),
+                    rng.uniform(1, 5, 30)], axis=1)
+    pts = np.concatenate([pts, [[0.0, 0.0, -3.0]]])  # behind, never matched
+    uv, _ = project(k, IDENTITY, pts[:30])
+    gt = label_ground_truth(uv, pts, IDENTITY, k, tol=1e-3)
     ids = gt.indices_2d()
     assert len(ids) == len(set(ids))
     assert 30 not in gt.indices_3d()
+
+
+def test_label_each_keypoint_takes_its_nearest_point():
+    # Oracle: a per-row scan of the bearing distances, as a loop.
+    rng = np.random.default_rng(4)
+    k = CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
+    pts = np.stack([rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40), np.ones(40)], axis=1)
+    uv = rng.uniform(-100, 100, (60, 2))
+    tol = 0.05
+    bk = pixel_bearings(k, uv)
+    expected = []
+    for i in range(len(uv)):
+        dist = [math.hypot(*(bk[i] - p[:2])) for p in pts]
+        j = int(np.argmin(dist))
+        if dist[j] < tol:
+            expected.append((i, j, 1.0))
+    assert 0 < len(expected) < len(uv)
+    assert label_ground_truth(uv, pts, IDENTITY, k, tol).pairs == expected
+    assert len(label_ground_truth(np.zeros((0, 2)), pts, IDENTITY, k, tol)) == 0
 
 
 def test_rigid_pose_invariant_validation():
@@ -228,10 +245,14 @@ def test_rigid_pose_invariant_validation():
     bad[0, 0] = -1.0  # reflection, det = -1
     with pytest.raises(ValueError):
         RigidPose(bad, np.zeros(3))
+    with pytest.raises(ValueError):
+        RigidPose(np.eye(3), [0.0, math.nan, 0.0])
 
 
 def test_intrinsics_validation():
     with pytest.raises(ValueError):
         CameraIntrinsics(0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        Keypoint2D(0.0, 0.0, [1.5, 0.0, 0.0])
+        CameraIntrinsics(1.0, math.inf, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        CameraIntrinsics(1.0, 1.0, math.nan, 0.0)

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from a2match.geometry import CameraIntrinsics, Keypoint2D, RigidPose, ScenePoint3D
+from a2match.geometry import CorrespondenceSet, RigidPose
 from a2match.pipeline import localize_oracle
 from a2match.posemetrics import (
     EmptyList,
@@ -25,13 +27,16 @@ def noiseless_scene(seed, n=20, inlier_fraction=1.0):
 
 
 def gt_correspondences(pair):
-    return [(pair.keypoints[i], pair.points[j]) for i, j, _ in pair.gt_matches]
+    """(pixels, world points) of the scene's GT pairs, row for row."""
+    i = np.array(pair.gt_matches.indices_2d(), dtype=np.intp)
+    j = np.array(pair.gt_matches.indices_3d(), dtype=np.intp)
+    return pair.keypoints[i], pair.points[j]
 
 
 def test_pnp_noiseless_recovery():
     for seed in range(20):
         pair = noiseless_scene(seed)
-        est = pnp_ransac(gt_correspondences(pair), pair.intrinsics,
+        est = pnp_ransac(*gt_correspondences(pair), pair.intrinsics,
                          RansacConfig(seed=seed))
         assert est.success
         assert rotation_error(est.pose, pair.query_pose) < 1e-4
@@ -44,16 +49,16 @@ def test_pnp_with_outliers_exact_mask():
     for seed in range(20):
         rng = np.random.default_rng(400 + seed)
         pair = noiseless_scene(100 + seed, n=40, inlier_fraction=0.5)
-        corrs = gt_correspondences(pair)
-        n_true = len(corrs)
-        truth = [True] * n_true
+        uv, xyz = gt_correspondences(pair)
+        truth = [True] * len(uv)
         free_k = [i for i in range(40) if i not in set(pair.gt_matches.indices_2d())]
         free_p = [j for j in range(40) if j not in set(pair.gt_matches.indices_3d())]
         rng.shuffle(free_p)
-        for i, j in zip(free_k, free_p):
-            corrs.append((pair.keypoints[i], pair.points[j]))
-            truth.append(False)
-        est = pnp_ransac(corrs, pair.intrinsics,
+        n_wrong = min(len(free_k), len(free_p))
+        uv = np.concatenate([uv, pair.keypoints[free_k[:n_wrong]]])
+        xyz = np.concatenate([xyz, pair.points[free_p[:n_wrong]]])
+        truth += [False] * n_wrong
+        est = pnp_ransac(uv, xyz, pair.intrinsics,
                          RansacConfig(seed=seed, inlier_threshold=1e-6))
         if est.success and np.array_equal(est.inlier_mask, np.array(truth)):
             hits += 1
@@ -62,15 +67,18 @@ def test_pnp_with_outliers_exact_mask():
 
 def test_pnp_too_few_correspondences():
     pair = noiseless_scene(3)
+    uv, xyz = gt_correspondences(pair)
     with pytest.raises(TooFewCorrespondences):
-        pnp_ransac(gt_correspondences(pair)[:3], pair.intrinsics, RansacConfig())
+        pnp_ransac(uv[:3], xyz[:3], pair.intrinsics, RansacConfig())
+    with pytest.raises(ValueError):
+        pnp_ransac(uv, xyz[:-1], pair.intrinsics, RansacConfig())
 
 
 def test_pnp_deterministic_given_seed():
     pair = noiseless_scene(7, n=30, inlier_fraction=0.6)
-    corrs = gt_correspondences(pair)
-    e1 = pnp_ransac(corrs, pair.intrinsics, RansacConfig(seed=11))
-    e2 = pnp_ransac(corrs, pair.intrinsics, RansacConfig(seed=11))
+    uv, xyz = gt_correspondences(pair)
+    e1 = pnp_ransac(uv, xyz, pair.intrinsics, RansacConfig(seed=11))
+    e2 = pnp_ransac(uv, xyz, pair.intrinsics, RansacConfig(seed=11))
     assert np.array_equal(e1.pose.rotation, e2.pose.rotation)
     assert np.array_equal(e1.pose.translation, e2.pose.translation)
     assert np.array_equal(e1.inlier_mask, e2.inlier_mask)
@@ -133,6 +141,25 @@ def test_oracle_localization_upper_bound():
     assert not res.failed
     assert res.mean_reproj_px < 1e-6
     assert res.rotation_error_deg < 1e-4
+
+
+def test_oracle_reprojection_inf_for_point_behind_estimated_camera():
+    pair = noiseless_scene(43)
+    R, t = pair.query_pose.rotation, pair.query_pose.translation
+    behind = (np.array([[0.1, -0.2, -3.0]]) - t) @ R  # camera-frame depth -3
+    m, n = len(pair.keypoints), len(pair.points)
+    extra = dataclasses.replace(
+        pair,
+        keypoints=np.concatenate([pair.keypoints, [[100.0, 200.0]]]),
+        kp_colors=np.concatenate([pair.kp_colors, [[0.5, 0.5, 0.5]]]),
+        points=np.concatenate([pair.points, behind]),
+        pt_colors=np.concatenate([pair.pt_colors, [[0.5, 0.5, 0.5]]]),
+        gt_matches=CorrespondenceSet(pair.gt_matches.pairs + [(m, n, 1.0)]))
+    res = localize_oracle(extra, RansacConfig(seed=0))
+    assert not res.failed
+    assert res.rotation_error_deg < 1e-4
+    assert not res.estimate.inlier_mask[-1] and res.estimate.inlier_mask[:-1].all()
+    assert res.mean_reproj_px == np.inf
 
 
 def test_outlier_sweep_oracle_shape():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -55,8 +56,7 @@ def test_gt_matches_verify_labeling_rule_independently():
 def test_generated_points_have_positive_depth():
     pair = generate_scene(SynthConfig(n_points=64, seed=8))
     R, t = pair.query_pose.rotation, pair.query_pose.translation
-    for p in pair.points:
-        assert (R @ p.position + t)[2] > 1e-6
+    assert np.all((pair.points @ R.T + t)[:, 2] > 1e-6)
 
 
 def test_counts_validated():
@@ -128,3 +128,64 @@ def test_scene_dict_bounds_check():
     obj["gt_matches"] = [[0, 99]]
     with pytest.raises(ValueError):
         scene_from_dict(obj)
+
+
+def test_scene_format_and_draw_order_pinned():
+    # SHA-256 of the scene files of one fixed config and one injection of
+    # it; a change to the file format or to the order of the random draws
+    # changes them.
+    pair = generate_scene(SynthConfig(n_points=30, inlier_fraction=0.7,
+                                      pixel_noise_sigma=1.0, seed=2024))
+    injected = inject_outliers(pair, 0.5, seed=7)
+    assert (len(pair.gt_matches), len(injected.gt_matches)) == (21, 10)
+    assert hashlib.sha256(dump_scene(pair).encode()).hexdigest() == (
+        "ee562f3d51a8153b08e167948779270ed1cec79cfc02014235781b014ad4ce90")
+    assert hashlib.sha256(dump_scene(injected).encode()).hexdigest() == (
+        "339c501c9a8ceaab4761e2e37fe7dd654769a818f5a9fe53419b42bf82d1a334")
+
+
+def _corrupt(obj, key, row, col, value):
+    obj[key][row][col] = value
+    return obj
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda o: _corrupt(o, "keypoints", 3, 2, 1.5), "keypoints colours"),
+    (lambda o: _corrupt(o, "points", 0, 5, -0.25), "points colours"),
+    (lambda o: _corrupt(o, "keypoints", 1, 0, float("nan")), "keypoints hold a non-finite"),
+    (lambda o: _corrupt(o, "points", 2, 1, float("inf")), "points hold a non-finite"),
+    (lambda o: _corrupt(o, "keypoints", 0, 4, "red"), "keypoints must be rows of 5"),
+    (lambda o: {**o, "points": [row[:4] for row in o["points"]]}, "rows of exactly 6"),
+    (lambda o: {**o, "keypoints": o["keypoints"] + [[1.0, 2.0, 0.0, 0.0]]}, "rows of 5"),
+    (lambda o: {**o, "keypoints": o["keypoints"][:5]}, "5 keypoints, outside [10,1024]"),
+    (lambda o: {**o, "points": o["points"] * 69}, "1035 points, outside [10,1024]"),
+    (lambda o: {**o, "gt_matches": [[0, 1], [-1, 2]]}, "gt match (-1,2) out of bounds"),
+    (lambda o: {**o, "gt_matches": [[0.5, 1]]}, "gt match (0.5,1) out of bounds"),
+    (lambda o: {**o, "gt_matches": [[0, 1, 2]]}, "gt_matches must be rows of exactly 2"),
+    (lambda o: {**o, "intrinsics": {**o["intrinsics"], "fx": -1.0}}, "camera is invalid"),
+    (lambda o: {**o, "pose": {**o["pose"], "translation": [0.0, float("nan"), 0.0]}},
+     "camera is invalid"),
+    (lambda o: {k: v for k, v in o.items() if k != "points"}, "points must be rows"),
+])
+def test_scene_from_dict_rejects_invalid_scene(edit, message):
+    obj = edit(scene_to_dict(generate_scene(SynthConfig(n_points=15, seed=16))))
+    with pytest.raises(InvalidConfig) as exc:
+        scene_from_dict(obj)
+    assert message in str(exc.value)
+
+
+def test_scene_from_dict_accepts_boundary_values():
+    obj = scene_to_dict(generate_scene(SynthConfig(n_points=10, seed=17)))
+    obj["keypoints"][0][2:5] = [0.0, 1.0, 0.0]
+    obj["gt_matches"] = []
+    pair = scene_from_dict(obj)
+    assert pair.keypoints.shape == (10, 2) and pair.pt_colors.shape == (10, 3)
+    assert pair.kp_colors[0].tolist() == [0.0, 1.0, 0.0]
+    assert len(pair.gt_matches) == 0
+
+
+def test_load_scene_rejects_malformed_json(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text('{"intrinsics": ', encoding="utf-8")
+    with pytest.raises(InvalidConfig, match="not valid JSON"):
+        load_scene(path)
