@@ -91,7 +91,7 @@ def build_knn_graph(positions, k: int, angle_reference: str = "nearest") -> Loca
         raise TooFewPoints(f"need more than k={k} points, got {n}")
     dx = pos[:, 0][:, None] - pos[:, 0][None, :]
     dy = pos[:, 1][:, None] - pos[:, 1][None, :]
-    dist = np.sqrt(dx * dx + dy * dy)
+    dist = np.hypot(dx, dy)
     np.fill_diagonal(dist, np.inf)
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     ndist = np.take_along_axis(dist, order, axis=1)

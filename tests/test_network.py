@@ -91,10 +91,14 @@ def test_knn_cosines_follow_neighbor_cosine_rule():
                 assert g.neighbor_cos[i, j] == neighbor_cosine(vecs[r], vecs[j])
         zero_ref = slice(None) if ref == "nearest" else slice(0, 2)
         assert np.all(g.neighbor_cos[3, zero_ref] == 0.0)
-        # An exact power-of-two shrink leaves every direction, so every cosine, as is.
-        tiny = build_knn_graph(np.ldexp(pos, -300), 6, ref)
-        assert np.array_equal(tiny.neighbor_idx, g.neighbor_idx)
-        assert np.array_equal(tiny.neighbor_cos, g.neighbor_cos)
+        # An exact power-of-two shrink leaves every direction, so every cosine,
+        # as is, and scales every distance exactly; at 2**-540 a squared
+        # distance would underflow to 0.
+        for shift in (-300, -540):
+            tiny = build_knn_graph(np.ldexp(pos, shift), 6, ref)
+            assert np.array_equal(tiny.neighbor_idx, g.neighbor_idx)
+            assert np.array_equal(tiny.neighbor_cos, g.neighbor_cos)
+            assert np.array_equal(tiny.neighbor_dist, np.ldexp(g.neighbor_dist, shift))
 
 
 def test_knn_too_few_points():
