@@ -12,6 +12,13 @@ Together with the fact that numpy elementwise ops are per-element, this
 makes the network forward bit-exactly equivariant under input permutation.
 Backward passes use plain BLAS; gradients only need finite-difference
 accuracy, not bit stability.
+
+The two forwards whose addends form an M x N x d tensor, the sorted
+points-axis contraction of `matmul` and `pairwise_l2`, run over blocks of
+rows of their left operand of about `_BLOCK_ELEMENTS` addends each. Every
+output element is summed in the same order as the whole-tensor expression
+would sum it, so the outputs are the same bits while the working memory is
+one block instead of M x N x d.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ class NonScalarLoss(Exception):
 
 
 _LOCAL = threading.local()
+
+# Addends per row block in the M x N x d forwards (8 MiB of float64).
+_BLOCK_ELEMENTS = 1 << 20
 
 # Verification-harness hook: when set, matmul deliberately corrupts its
 # weight-side gradient by this factor so the finite-difference checker can
@@ -156,18 +166,44 @@ def _stable_matmul(a, b):
     return np.einsum("ik,kj->ij", a, b, optimize=False)
 
 
+def _block_rows(row_elements):
+    """Rows per block so that one block holds about _BLOCK_ELEMENTS addends."""
+    return max(1, _BLOCK_ELEMENTS // max(1, row_elements))
+
+
+def _sorted_contraction(a, b):
+    """sorted_sum(a[:, :, None] * b[None], axis=1), one block of rows at a time.
+
+    Each block's products are laid out (rows, d, K) so the sort runs along
+    the contiguous last axis, then copied back to (rows, K, d): summing
+    axis 1 of that layout adds each element's K sorted addends left to right
+    in the same order as the whole-tensor expression.
+    """
+    out = np.empty((a.shape[0], b.shape[1]))
+    bt = b.T
+    step = _block_rows(b.size)
+    for i in range(0, a.shape[0], step):
+        prod = np.multiply(a[i:i + step, None, :], bt[None, :, :], order="C")
+        prod.sort(axis=-1)
+        np.ascontiguousarray(prod.transpose(0, 2, 1)).sum(axis=1, out=out[i:i + step])
+    return out
+
+
 def matmul(a, b, stable_points_axis=False) -> Tensor:
     """2D matrix product.
 
     stable_points_axis=True additionally sorts the contraction addends by
     value; use it when the contracted axis enumerates points (attention
-    messages), where mere fixed order is not permutation invariant.
+    messages), where mere fixed order is not permutation invariant. Each
+    output element is then the left-to-right sum of its K products in
+    ascending order; rows are evaluated in blocks, so the working memory is
+    about _BLOCK_ELEMENTS products rather than M x K x d.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul shapes {a.shape} x {b.shape}")
     if stable_points_axis:
-        out_data = sorted_sum(a.data[:, :, None] * b.data[None, :, :], axis=1)
+        out_data = _sorted_contraction(a.data, b.data)
     else:
         out_data = _stable_matmul(a.data, b.data)
 
@@ -633,12 +669,22 @@ def grouped_neighbor_conv(x, width: int, weight, bias) -> Tensor:
 
 
 def pairwise_l2(a, b) -> Tensor:
-    """D[i,j] = ||a_i - b_j||_2 for row collections a (M,d), b (N,d)."""
+    """D[i,j] = ||a_i - b_j||_2 for row collections a (M,d), b (N,d).
+
+    Rows of a are evaluated in blocks of about _BLOCK_ELEMENTS differences;
+    each D[i,j] is still numpy's one contiguous d-length sum of squares, so
+    the result equals the whole-tensor expression bit for bit.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeMismatch(f"pairwise_l2 shapes {a.shape} x {b.shape}")
-    diff = a.data[:, None, :] - b.data[None, :, :]
-    out_data = np.sqrt((diff * diff).sum(axis=-1))
+    sq = np.empty((a.shape[0], b.shape[0]))
+    step = _block_rows(b.data.size)
+    for i in range(0, a.shape[0], step):
+        diff = np.subtract(a.data[i:i + step, None, :], b.data[None, :, :], order="C")
+        diff *= diff
+        diff.sum(axis=-1, out=sq[i:i + step])
+    out_data = np.sqrt(sq)
 
     def build(out):
         def bw():

@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .posemetrics import outlier_sweep
 from .runconfig import InvalidConfig, load_run_config, worker_count
 from .svgplot import render_sweep_svg
 from .synth import generate_scene, load_scene, save_scene
-from .training import TrainConfig, grad_check, train
+from .training import grad_check, train
 from .weights_io import WeightsFormatError, load_weights, save_weights
 
 GRADCHECK_TOLERANCE = 1e-3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,62 @@ def test_unary_op_gradients():
     check_op(lambda: ad.exp(ad.scale(x, 0.3)), [x], rtol=1e-5)
     check_op(lambda: ad.sigmoid(x), [x], rtol=1e-5)
     check_op(lambda: ad.pairwise_l2(x, other), [x, other], rtol=1e-4)
+
+
+def _blocked_kernel_shapes():
+    # (m, k, d): a is (m, k) for matmul and (m, d) for pairwise_l2, whose
+    # other operand has k rows.
+    k_wide = ad._BLOCK_ELEMENTS // 64 + 1
+    rows = ad._BLOCK_ELEMENTS // (512 * 128)
+    assert 37 % rows != 0 and k_wide * 64 > ad._BLOCK_ELEMENTS
+    return [
+        (1, 512, 128),      # a single row
+        (37, 512, 128),     # m not a multiple of the block
+        (3, k_wide, 64),    # one row's addends exceed the budget: one-row blocks
+        (40, 300, 1),       # d=1
+    ]
+
+
+@pytest.mark.parametrize("m,k,d", _blocked_kernel_shapes())
+def test_blocked_kernels_equal_whole_tensor_bitwise(m, k, d):
+    rng = np.random.default_rng(m * 1000 + d)
+    # Attention-like weights, plus rounded values so that ties and signed
+    # zeros reach the sort.
+    a = rng.random((m, k))
+    a /= a.sum(axis=1, keepdims=True)
+    b = rng.standard_normal((k, d))
+    ties_a, ties_b = np.round(2 * rng.standard_normal((m, k))), np.round(b)
+    for x, y in ((a, b), (ties_a, ties_b), (ties_a, -ties_b)):
+        ref = ad.sorted_sum(x[:, :, None] * y[None], axis=1)
+        got = ad.matmul(x, y, stable_points_axis=True).data
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    p = rng.standard_normal((m, d))
+    q = rng.standard_normal((k, d))
+    for x, y in ((p, q), (np.round(p), np.round(q))):
+        ref = np.sqrt(((x[:, None] - y[None]) ** 2).sum(-1))
+        got = ad.pairwise_l2(x, y).data
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_kernels_peak_memory():
+    # The whole-tensor forms hold 512 x 512 x 128 float64 addends (512 MiB).
+    rng = np.random.default_rng(13)
+    alpha = rng.random((512, 512))
+    v, f_p, f_q = (rng.standard_normal((512, 128)) for _ in range(3))
+    assert _traced_peak_mb(lambda: ad.matmul(alpha, v, stable_points_axis=True)) < 64
+    assert _traced_peak_mb(lambda: ad.pairwise_l2(f_p, f_q)) < 64
 
 
 def test_logsumexp_matches_reference_and_gradient():

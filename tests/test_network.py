@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from a2match.network import (
     self_attention_block,
 )
 from a2match.synth import SynthConfig, generate_scene
+from a2match.transport import augment_dustbins, cost_matrix, sinkhorn
 
 CFG8 = NetworkConfig(d=8)
 
@@ -358,6 +361,21 @@ def test_forward_full_permutation_equivariance_bit_exact():
     g_p, g_q = forward_features(bp[perm_p], cp[perm_p], bq[perm_q], cq[perm_q], w, cfg)
     assert np.array_equal(g_p.data, f_p.data[perm_p])
     assert np.array_equal(g_q.data, f_q.data[perm_q])
+
+
+def test_forward_features_and_plan_pinned():
+    # SHA-256 of the features and the Sinkhorn plan of one seeded scene: a
+    # kernel change that moves any output bit changes them. Taken on x86-64
+    # with numpy 2.4; a numpy build with other exp/log kernels may differ.
+    w = ModelWeights.initialize(NetworkConfig(d=16), seed=5)
+    f_p, f_q = forward(generate_scene(SynthConfig(n_points=64, seed=2025)), w)
+    plan = sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), w.param("ot/alpha_bin")))
+    assert f_p.shape == f_q.shape == (64, 16) and plan.values.shape == (65, 65)
+    assert [hashlib.sha256(x.data.tobytes()).hexdigest() for x in (f_p, f_q, plan.values)] == [
+        "7617886341d49e801d716866eb8325a2130351def122b1e4e5d48f8e190126a5",
+        "c5f7ff09754853a332cbd5535f35750b39a1647ade58583167e3cf14910c163a",
+        "b9473bafcb872162c37be3d4e37af963ebb471460d4e694b7d203270462ed24a",
+    ]
 
 
 def test_forward_modality_swap_with_swapped_encoders():

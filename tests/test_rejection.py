@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from a2match.autodiff import Tape, Tensor, constant
+from a2match.autodiff import Tape, constant
 from a2match import autodiff as ad
 from a2match.geometry import CorrespondenceSet
 from a2match.network import ModelWeights, NetworkConfig
