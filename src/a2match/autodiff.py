@@ -3,7 +3,8 @@
 Covers exactly what the matching network needs: 2D matmul, elementwise
 arithmetic with trailing-axis / singleton-axis broadcasting for affine
 parameters, concat/reshape/gather, activations, instance and batch
-normalization, softmax, axis max, and log-sum-exp.
+normalization, softmax and axis max. An op may also be a whole algorithm:
+`transport.sinkhorn` records one backward closure for all of its iterations.
 
 Reductions that run across points (normalization statistics, the softmax
 denominator, matmul contractions) sum their addends in ascending value
@@ -501,29 +502,6 @@ def max_over_axis(a, axis):
         return bw
 
     return _make(out_data, (a,), build), arg
-
-
-def logsumexp_over_axis(a, axis) -> Tensor:
-    # Plain sums: only Sinkhorn uses this, outside the bit-exact
-    # permutation-equivariance boundary of the network forward.
-    a = _as_tensor(a)
-    x = a.data
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    s = e.sum(axis=axis)
-    out_data = np.squeeze(m, axis) + np.log(s)
-
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                soft = e / np.expand_dims(s, axis)
-                _accum(a, np.expand_dims(g, axis) * soft)
-        return bw
-
-    return _make(out_data, (a,), build)
 
 
 def _channel_stats(x):

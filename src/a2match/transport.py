@@ -5,6 +5,12 @@ Marginals follow the unbalanced-dustbin convention: every real point on
 either side supplies unit mass, and each dustbin absorbs up to the other
 side's count, so total mass balances at M + N. Each real row/column of the
 plan therefore sums to one and its entries read as probabilities.
+
+`sinkhorn` is a single autodiff op: it stores the potentials of every
+iteration instead of taping each one, and its backward recomputes each
+iteration's exp(x - max) from them, so memory grows with iters x (M + N)
+rather than iters x M x N. Its sums are plain numpy sums; Sinkhorn lies
+outside the bit-exact permutation equivariance of the network forward.
 """
 
 from __future__ import annotations
@@ -67,25 +73,72 @@ def _marginals(m: int, n: int):
 def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
     """Log-domain Sinkhorn; returns the exponentiated transport plan.
 
-    Differentiable through every iteration. The column update runs last, so
-    column marginals are exact and row marginals converge with the iterates.
+    One autodiff op. The forward runs the iterations on plain arrays and
+    keeps only the potentials of each iteration, (iters + 1) x (M + N + 2)
+    floats; the backward walks the iterations in reverse and recomputes each
+    one's exp(x - max) from them. Forward and gradients are bit for bit those
+    of the same loop taped op by op. The column update runs last, so column
+    marginals are exact and row marginals converge with the iterates.
     """
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")
     if not s.log_domain:
         raise ValueError("sinkhorn expects a log-domain score matrix")
     scores = s.values
-    m1, n1 = scores.shape
-    m, n = m1 - 1, n1 - 1
-    log_a, log_b = _marginals(m, n)
-    la, lb = constant(log_a), constant(log_b)
-    u = constant(np.zeros(m1))
-    v = constant(np.zeros(n1))
-    for _ in range(iters):
-        u = ad.sub(la, ad.logsumexp_over_axis(ad.add(scores, v), axis=1))
-        v = ad.sub(lb, ad.logsumexp_over_axis(ad.add(scores, ad.reshape(u, (m1, 1))), axis=0))
-    log_plan = ad.add(ad.add(scores, ad.reshape(u, (m1, 1))), v)
-    return ScoreMatrix(ad.exp(log_plan), log_domain=False)
+    x = scores.data
+    m1, n1 = x.shape
+    log_a, log_b = _marginals(m1 - 1, n1 - 1)
+    us = np.empty((iters, m1))
+    vs = np.zeros((iters + 1, n1))
+    for t in range(iters):
+        us[t] = log_a - _logsumexp(x + vs[t], 1)[0]
+        vs[t + 1] = log_b - _logsumexp(x + us[t].reshape(m1, 1), 0)[0]
+    plan = np.exp((x + us[-1].reshape(m1, 1)) + vs[-1])
+
+    def build(out):
+        # Replays the taped loop's records in reverse with the same elementwise
+        # operations and sums, so every gradient addend comes out the same bits.
+        # The tape added each addend into scores.grad in turn; gs sums them in
+        # that order and is accumulated once, which is the same only because
+        # scores feeds nothing but Sinkhorn, so its grad is None on entry.
+        def bw():
+            g = out.grad
+            if g is None:
+                return
+            gp = g * out.data
+            gs = gp.copy()
+            gv = gp.sum(axis=(0,))
+            gu = gp.sum(axis=(1,), keepdims=True)
+            for t in range(iters - 1, -1, -1):
+                # gb = -gv * (e / den), formed in e's buffer; ga likewise.
+                _, gb, den = _logsumexp(x + us[t].reshape(m1, 1), 0)
+                gb /= np.expand_dims(den, 0)
+                gb *= np.expand_dims(-gv, 0)
+                gs += gb
+                g_u = gb.sum(axis=(1,), keepdims=True)
+                gu = gu + g_u if t == iters - 1 else g_u
+                _, ga, den = _logsumexp(x + vs[t], 1)
+                ga /= np.expand_dims(den, 1)
+                ga *= -gu
+                gs += ga
+                if t > 0:  # vs[0] is the constant start: no gradient
+                    gv = ga.sum(axis=(0,))
+            ad._accum(scores, gs)
+        return bw
+
+    return ScoreMatrix(ad._make(plan, (scores,), build), log_domain=False)
+
+
+def _logsumexp(y, axis):
+    """log(sum(exp(y))) along axis, with exp(y - max) and its sum.
+
+    y must be a temporary: it is overwritten with exp(y - max).
+    """
+    m = y.max(axis=axis, keepdims=True)
+    y -= m
+    e = np.exp(y, out=y)
+    s = e.sum(axis=axis)
+    return np.squeeze(m, axis) + np.log(s), e, s
 
 
 def marginal_residuals(plan: ScoreMatrix):
@@ -98,46 +151,20 @@ def marginal_residuals(plan: ScoreMatrix):
     return float(row), float(col)
 
 
-def sinkhorn_residual_trajectory(scores: np.ndarray, iters: int):
-    """Max marginal residual after each full iteration (test instrumentation)."""
-    m1, n1 = scores.shape
-    m, n = m1 - 1, n1 - 1
-    log_a, log_b = _marginals(m, n)
-    u = np.zeros(m1)
-    v = np.zeros(n1)
-    out = []
-    for _ in range(iters):
-        u = log_a - _lse(scores + v[None, :], axis=1)
-        v = log_b - _lse(scores + u[:, None], axis=0)
-        p = np.exp(scores + u[:, None] + v[None, :])
-        row = np.abs(p.sum(axis=1) - np.exp(log_a)).max()
-        col = np.abs(p.sum(axis=0) - np.exp(log_b)).max()
-        out.append(max(float(row), float(col)))
-    return out
-
-
-def _lse(x, axis):
-    m = x.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.exp(x - m).sum(axis=axis))
-
-
 def mutual_nn(plan: ScoreMatrix) -> CorrespondenceSet:
-    """Pairs that are mutually each other's best match and beat both dustbins."""
+    """Pairs that are mutually each other's best match and beat both dustbins,
+    in ascending 2D index."""
     if plan.log_domain:
         raise ValueError("mutual_nn expects an exponentiated plan")
     p = plan.values.data
     m, n = p.shape[0] - 1, p.shape[1] - 1
-    main = p[:m, :n]
     if m == 0 or n == 0:
         return CorrespondenceSet([])
-    row_best = main.argmax(axis=1)
-    col_best = main.argmax(axis=0)
-    pairs = []
-    for i in range(m):
-        j = int(row_best[i])
-        if int(col_best[j]) != i:
-            continue
-        val = main[i, j]
-        if val > p[i, n] and val > p[m, j]:
-            pairs.append((i, j, float(val)))
-    return CorrespondenceSet(pairs)
+    main = p[:m, :n]
+    rows = np.arange(m)
+    best = main.argmax(axis=1)
+    val = main[rows, best]
+    keep = (main.argmax(axis=0)[best] == rows) & (val > p[:m, n]) & (val > p[m, best])
+    # Python ints and floats, not numpy scalars: callers hash repr(pairs).
+    return CorrespondenceSet(list(zip(rows[keep].tolist(), best[keep].tolist(),
+                                      val[keep].tolist())))

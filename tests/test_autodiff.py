@@ -328,15 +328,6 @@ def test_blocked_kernels_peak_memory():
     assert _traced_peak_mb(lambda: ad.pairwise_l2(f_p, f_q)) < 64
 
 
-def test_logsumexp_matches_reference_and_gradient():
-    rng = np.random.default_rng(12)
-    x = rand_tensor(rng, (5, 7))
-    out = ad.logsumexp_over_axis(x, axis=1)
-    ref = np.log(np.exp(x.data).sum(axis=1))
-    assert np.allclose(out.data, ref, atol=1e-12)
-    check_op(lambda: ad.logsumexp_over_axis(x, axis=0), [x], rtol=1e-5)
-
-
 def test_gather_ops_and_gradients():
     rng = np.random.default_rng(13)
     x = rand_tensor(rng, (6, 3))

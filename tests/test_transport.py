@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -6,13 +8,71 @@ from a2match import autodiff as ad
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.transport import (
     ScoreMatrix,
+    _marginals,
     augment_dustbins,
     cost_matrix,
     marginal_residuals,
     mutual_nn,
     sinkhorn,
-    sinkhorn_residual_trajectory,
 )
+
+
+def _lse(x, axis):
+    m = x.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.exp(x - m).sum(axis=axis))
+
+
+def sinkhorn_residual_trajectory(scores: np.ndarray, iters: int):
+    """Max marginal residual after each full iteration."""
+    m1, n1 = scores.shape
+    m, n = m1 - 1, n1 - 1
+    log_a, log_b = _marginals(m, n)
+    u = np.zeros(m1)
+    v = np.zeros(n1)
+    out = []
+    for _ in range(iters):
+        u = log_a - _lse(scores + v[None, :], axis=1)
+        v = log_b - _lse(scores + u[:, None], axis=0)
+        p = np.exp(scores + u[:, None] + v[None, :])
+        row = np.abs(p.sum(axis=1) - np.exp(log_a)).max()
+        col = np.abs(p.sum(axis=0) - np.exp(log_b)).max()
+        out.append(max(float(row), float(col)))
+    return out
+
+
+def _taped_logsumexp(a, axis):
+    """Log-sum-exp as a taped op with its own backward rule."""
+    x = a.data
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=axis)
+
+    def build(out):
+        def bw():
+            g = out.grad
+            if g is None:
+                return
+            if a.requires_grad:
+                soft = e / np.expand_dims(s, axis)
+                ad._accum(a, np.expand_dims(g, axis) * soft)
+        return bw
+
+    return ad._make(np.squeeze(m, axis) + np.log(s), (a,), build)
+
+
+def taped_sinkhorn(s: ScoreMatrix, iters: int) -> ScoreMatrix:
+    """Oracle: the Sinkhorn loop unrolled on the tape, one record per op."""
+    scores = s.values
+    m1, n1 = scores.shape
+    log_a, log_b = _marginals(m1 - 1, n1 - 1)
+    la, lb = constant(log_a), constant(log_b)
+    u = constant(np.zeros(m1))
+    v = constant(np.zeros(n1))
+    for _ in range(iters):
+        u = ad.sub(la, _taped_logsumexp(ad.add(scores, v), axis=1))
+        v = ad.sub(lb, _taped_logsumexp(ad.add(scores, ad.reshape(u, (m1, 1))), axis=0))
+    log_plan = ad.add(ad.add(scores, ad.reshape(u, (m1, 1))), v)
+    return ScoreMatrix(ad.exp(log_plan), log_domain=False)
 
 
 def test_cost_matrix_examples():
@@ -213,3 +273,102 @@ def test_sinkhorn_gradcheck_through_iterations():
         num = (fp - fm) / (2 * h)
         a = g.flat[idx]
         assert abs(a - num) / max(abs(a), abs(num), 1e-8) < 1e-3
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("iters", [1, 100])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 33)])
+@pytest.mark.parametrize("loss_kind", ["dustbins", "plan_free"])
+def test_sinkhorn_op_matches_taped_loop_bitwise(shape, iters, loss_kind):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + iters)
+    cost = rng.random(shape) * 4.0
+    weights = rng.standard_normal((shape[0] + 1, shape[1] + 1))
+
+    def run(op):
+        c = Tensor(cost, requires_grad=True)
+        alpha = Tensor(np.array(0.3), requires_grad=True)
+        with Tape() as tape:
+            scores = augment_dustbins(c, alpha)
+            plan = op(scores, iters)
+            if loss_kind == "dustbins":
+                # Every cell weighted, dustbin row and column included.
+                loss = ad.sum_all(ad.mul(plan.values, constant(weights)))
+            else:
+                loss = ad.sum_all(ad.mul(c, c))
+            tape.backward(loss)
+        return plan.values, scores.values.grad, alpha.grad
+
+    plan, g_scores, g_alpha = run(sinkhorn)
+    ref_plan, ref_scores, ref_alpha = run(taped_sinkhorn)
+    assert np.array_equal(_bits(plan.data), _bits(ref_plan.data))
+    assert np.array_equal(_bits(g_alpha), _bits(ref_alpha))
+    if loss_kind == "dustbins":
+        assert np.array_equal(_bits(g_scores), _bits(ref_scores))
+        assert np.any(g_scores[-1] != 0.0) and np.any(g_scores[:, -1] != 0.0)
+    else:
+        assert plan.grad is None and ref_plan.grad is None
+        assert g_scores is None and ref_scores is None
+        assert float(g_alpha) == 0.0
+
+
+def test_sinkhorn_records_one_op_whatever_iters():
+    scores = Tensor(np.random.default_rng(10).standard_normal((6, 8)), requires_grad=True)
+    for iters in (1, 100):
+        with Tape() as tape:
+            sinkhorn(ScoreMatrix(scores, True), iters)
+        assert len(tape) == 1
+
+
+def test_sinkhorn_backward_peak_memory():
+    # The taped loop keeps two 257 x 257 buffers per op for 100 iterations
+    # (about 310 MB); the op keeps only the potentials.
+    scores = Tensor(np.random.default_rng(11).standard_normal((257, 257)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            plan = sinkhorn(ScoreMatrix(scores, True))
+            tape.backward(ad.sum_all(ad.mul(plan.values, plan.values)))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 32
+
+
+def _mutual_nn_loop(p):
+    """Oracle: the per-row loop mutual_nn replaced."""
+    m, n = p.shape[0] - 1, p.shape[1] - 1
+    if m == 0 or n == 0:
+        return []
+    main = p[:m, :n]
+    row_best = main.argmax(axis=1)
+    col_best = main.argmax(axis=0)
+    pairs = []
+    for i in range(m):
+        j = int(row_best[i])
+        if int(col_best[j]) != i:
+            continue
+        val = main[i, j]
+        if val > p[i, n] and val > p[m, j]:
+            pairs.append((i, j, float(val)))
+    return pairs
+
+
+def test_mutual_nn_matches_loop_oracle():
+    rng = np.random.default_rng(12)
+    for trial in range(50):
+        if trial < 4:
+            m, n = [(0, 5), (5, 0), (0, 0), (1, 1)][trial]
+        else:
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        if trial % 2:
+            p = rng.integers(0, 4, (m + 1, n + 1)) / 4.0  # many ties
+        else:
+            p = rng.random((m + 1, n + 1))
+        got = mutual_nn(ScoreMatrix(constant(p), False)).pairs
+        want = _mutual_nn_loop(p)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert all(type(i) is int and type(j) is int and type(v) is float for i, j, v in got)
