@@ -6,20 +6,18 @@ parameters, concat/reshape/gather, activations, instance and batch
 normalization, softmax and axis max. An op may also be a whole algorithm:
 `transport.sinkhorn` records one backward closure for all of its iterations.
 
-Reductions that run across points (normalization statistics, the softmax
-denominator, matmul contractions) sum their addends in ascending value
-order, so forward results are a function of the input multiset only.
-Together with the fact that numpy elementwise ops are per-element, this
-makes the network forward bit-exactly equivariant under input permutation.
-Backward passes use plain BLAS; gradients only need finite-difference
-accuracy, not bit stability.
+Every kernel is plain numpy: matmul is BLAS, and reductions are numpy sums.
+Their bits may depend on where a row sits in its array, so a matmul or a
+reduction alone is not bit-exactly permutation equivariant. Callers that
+promise equivariance put their rows in a canonical order first
+(`canonical_order`), run on the sorted arrays and gather the outputs back:
+a permuted input becomes the very same arrays, so its outputs are the same
+bits, permuted.
 
-The two forwards whose addends form an M x N x d tensor, the sorted
-points-axis contraction of `matmul` and `pairwise_l2`, run over blocks of
-rows of their left operand of about `_BLOCK_ELEMENTS` addends each. Every
-output element is summed in the same order as the whole-tensor expression
-would sum it, so the outputs are the same bits while the working memory is
-one block instead of M x N x d.
+`pairwise_l2` runs over blocks of rows of its left operand, each of about
+`_BLOCK_ELEMENTS` differences. Every output element is still numpy's one
+contiguous sum of squares, so the result equals the whole-tensor expression
+bit for bit while the working memory is one block instead of M x N x d.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ class NonScalarLoss(Exception):
 
 _LOCAL = threading.local()
 
-# Addends per row block in the M x N x d forwards (8 MiB of float64).
+# Differences per row block in pairwise_l2 (8 MiB of float64).
 _BLOCK_ELEMENTS = 1 << 20
 
 # Verification-harness hook: when set, matmul deliberately corrupts its
@@ -152,19 +150,23 @@ def _make(out_data, inputs, backward_builder):
     return out
 
 
-def sorted_sum(x, axis):
-    """Sum along axis in ascending value order (permutation invariant)."""
-    return np.sort(x, axis=axis).sum(axis=axis)
+def canonical_order(rows):
+    """(order, inverse) that put the rows of a 2D array in canonical order.
 
-
-def _stable_matmul(a, b):
-    """a @ b with per-element fixed-order contraction (bit row-stable).
-
-    BLAS edge kernels can round a row differently depending on where it sits
-    in the matrix; unoptimized einsum contracts every element with the same
-    left-to-right loop, independent of row position.
+    `rows[order]` is sorted lexicographically, first column first, so it is
+    the same array for every permutation of the rows. `inverse` maps each
+    input row to its sorted position; equal rows all map to the first of
+    their run, so they read the same output bits wherever they sit.
     """
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(ranked), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.maximum.accumulate(np.where(starts, np.arange(len(ranked)), 0))
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = first
+    return order, inverse
 
 
 def _block_rows(row_elements):
@@ -172,41 +174,12 @@ def _block_rows(row_elements):
     return max(1, _BLOCK_ELEMENTS // max(1, row_elements))
 
 
-def _sorted_contraction(a, b):
-    """sorted_sum(a[:, :, None] * b[None], axis=1), one block of rows at a time.
-
-    Each block's products are laid out (rows, d, K) so the sort runs along
-    the contiguous last axis, then copied back to (rows, K, d): summing
-    axis 1 of that layout adds each element's K sorted addends left to right
-    in the same order as the whole-tensor expression.
-    """
-    out = np.empty((a.shape[0], b.shape[1]))
-    bt = b.T
-    step = _block_rows(b.size)
-    for i in range(0, a.shape[0], step):
-        prod = np.multiply(a[i:i + step, None, :], bt[None, :, :], order="C")
-        prod.sort(axis=-1)
-        np.ascontiguousarray(prod.transpose(0, 2, 1)).sum(axis=1, out=out[i:i + step])
-    return out
-
-
-def matmul(a, b, stable_points_axis=False) -> Tensor:
-    """2D matrix product.
-
-    stable_points_axis=True additionally sorts the contraction addends by
-    value; use it when the contracted axis enumerates points (attention
-    messages), where mere fixed order is not permutation invariant. Each
-    output element is then the left-to-right sum of its K products in
-    ascending order; rows are evaluated in blocks, so the working memory is
-    about _BLOCK_ELEMENTS products rather than M x K x d.
-    """
+def matmul(a, b) -> Tensor:
+    """2D matrix product, a.data @ b.data through BLAS, forward and backward."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul shapes {a.shape} x {b.shape}")
-    if stable_points_axis:
-        out_data = _sorted_contraction(a.data, b.data)
-    else:
-        out_data = _stable_matmul(a.data, b.data)
+    out_data = a.data @ b.data
 
     def build(out):
         def bw():
@@ -467,8 +440,7 @@ def softmax_last_axis(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    denom = sorted_sum(e, axis=-1)[..., None]
-    out_data = e / denom
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def build(out):
         def bw():
@@ -505,14 +477,11 @@ def max_over_axis(a, axis):
 
 
 def _channel_stats(x):
-    """Mean/variance per trailing channel over all other axes, sorted sums."""
-    c = x.shape[-1]
-    xr = x.reshape(-1, c)
-    n = xr.shape[0]
-    mu = sorted_sum(xr, axis=0) / n
+    """Mean/variance per trailing channel over all other axes."""
+    xr = x.reshape(-1, x.shape[-1])
+    mu = xr.mean(axis=0)
     d = xr - mu
-    var = sorted_sum(d * d, axis=0) / n
-    return mu, var, n
+    return mu, (d * d).mean(axis=0), xr.shape[0]
 
 
 def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:

@@ -7,6 +7,14 @@ are per-modality (optionally shared). Neighbor lists are sorted by ascending
 distance; the annular convolutions collapse each distance group and then the
 group axis, and the angle path runs the same two-stage convolution over
 per-neighbor direction cosines.
+
+`forward_features` sorts each side once into canonical order over (bearing
+x, bearing y, r, g, b), runs the network on the sorted arrays with plain
+BLAS and numpy sums, and gathers the features back into input order. A
+permuted input is therefore the very same computation, so the features are
+bit-exactly permutation equivariant, and kNN distance ties break the same
+way whatever the input order. The sub-layers on their own are equivariant
+only up to round-off.
 """
 
 from __future__ import annotations
@@ -312,12 +320,14 @@ def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: s
     is constant per graph but each round has its own convolution parameters.
     """
     p = f"{block}/self"
+    # Both round-one paths read e1; dropping it before round two builds its
+    # edge tensors keeps one (N, k, 2d) tensor alive at a time.
     e1 = edge_features(f, graph)
     m1 = maxpool_aggregate(e1, w, f"{p}/max1", cfg)
-    m2 = maxpool_aggregate(edge_features(m1, graph), w, f"{p}/max2", cfg)
-
     a1 = ad.add(annular_aggregate(e1, cfg.g, w, f"{p}/ann1", cfg, training, update_stats),
                 angle_aggregate(graph, w, f"{p}/ang1", cfg, training, update_stats))
+    del e1
+    m2 = maxpool_aggregate(edge_features(m1, graph), w, f"{p}/max2", cfg)
     a2 = ad.add(annular_aggregate(edge_features(a1, graph), cfg.g, w, f"{p}/ann2", cfg,
                                   training, update_stats),
                 angle_aggregate(graph, w, f"{p}/ang2", cfg, training, update_stats))
@@ -340,15 +350,20 @@ def cross_attention(f_a: Tensor, f_b: Tensor, w: ModelWeights, block: str,
     v = ad.matmul(f_b, w.param(f"{p}/Wv/W"))
     scores = ad.scale(ad.matmul(q, ad.transpose2d(kk)), 1.0 / np.sqrt(cfg.d))
     alpha = ad.softmax_last_axis(scores)
-    msg = ad.matmul(alpha, v, stable_points_axis=True)
+    msg = ad.matmul(alpha, v)
     h = ad.leaky_relu(_linear(ad.concat_last_axis(q, msg), w, f"{p}/mlp/lin1"), cfg.leaky_slope)
     return ad.add(f_a, _linear(h, w, f"{p}/mlp/lin2"))
 
 
 def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights,
                      cfg: NetworkConfig = None, training=False, update_stats=False):
-    """Run the full network on raw bearing/color arrays for both sides."""
+    """Run the full network on raw bearing/color arrays for both sides.
+
+    Each side runs in canonical order; the features come back in input order.
+    """
     cfg = cfg or w.config
+    bearings_p, colors_p, back_p = _canonical_side(bearings_p, colors_p)
+    bearings_q, colors_q, back_q = _canonical_side(bearings_q, colors_q)
     f_p = encode(bearings_p, colors_p, w, "2d")
     f_q = encode(bearings_q, colors_q, w, "3d")
     graph_p = build_knn_graph(bearings_p, cfg.k, cfg.angle_reference)
@@ -359,7 +374,17 @@ def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights
         f_q = self_attention_block(f_q, graph_q, w, blk, cfg, training, update_stats)
         f_p, f_q = (cross_attention(f_p, f_q, w, blk, cfg),
                     cross_attention(f_q, f_p, w, blk, cfg))
-    return f_p, f_q
+    return ad.gather_rows(f_p, back_p), ad.gather_rows(f_q, back_q)
+
+
+def _canonical_side(bearings, colors):
+    """One side's bearings and colors in canonical order, and the way back."""
+    b = np.asarray(bearings, dtype=np.float64).reshape(-1, 2)
+    c = np.asarray(colors, dtype=np.float64).reshape(-1, 3)
+    if len(b) != len(c):
+        raise ad.ShapeMismatch(f"bearing/color counts differ: {len(b)} vs {len(c)}")
+    order, inverse = ad.canonical_order(np.concatenate([b, c], axis=1))
+    return b[order], c[order], inverse
 
 
 def scene_inputs(pair: ScenePair):

@@ -4,6 +4,8 @@ A pointwise residual MLP made set-aware by context normalization (per
 channel mean/variance across the candidate axis), ending in a sigmoid
 inlier probability. Input is the concatenated 2D/3D bearing pair per
 candidate; a config flag can append the transport score as a fifth channel.
+`classify` runs on its candidate rows in canonical order and gathers the
+probabilities back, so they are bit-exactly permutation equivariant.
 """
 
 from __future__ import annotations
@@ -60,14 +62,16 @@ def classify(batch: CandidateBatch, w: ModelWeights) -> Tensor:
     cols = [batch.bearings_p, batch.bearings_q]
     if cfg.classifier_use_score:
         cols.append(batch.scores.reshape(-1, 1))
-    x = constant(np.concatenate(cols, axis=1))
+    x = np.concatenate(cols, axis=1)
+    order, inverse = ad.canonical_order(x)
+    x = constant(x[order])
 
     h = ad.add(ad.matmul(x, w.param("clf/proj/W")), w.param("clf/proj/b"))
     for r in range(cfg.classifier_units):
         lin = ad.add(ad.matmul(h, w.param(f"clf/res{r}/lin/W")), w.param(f"clf/res{r}/lin/b"))
         h = ad.add(h, ad.leaky_relu(context_norm(lin), cfg.leaky_slope))
     logit = ad.add(ad.matmul(h, w.param("clf/head/W")), w.param("clf/head/b"))
-    return ad.sigmoid(ad.reshape(logit, (n,)))
+    return ad.gather_rows(ad.sigmoid(ad.reshape(logit, (n,))), inverse)
 
 
 def filter_correspondences(init: CorrespondenceSet, probs, t: float) -> CorrespondenceSet:

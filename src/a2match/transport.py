@@ -9,8 +9,9 @@ plan therefore sums to one and its entries read as probabilities.
 `sinkhorn` is a single autodiff op: it stores the potentials of every
 iteration instead of taping each one, and its backward recomputes each
 iteration's exp(x - max) from them, so memory grows with iters x (M + N)
-rather than iters x M x N. Its sums are plain numpy sums; Sinkhorn lies
-outside the bit-exact permutation equivariance of the network forward.
+rather than iters x M x N. It runs on the scores in input order with plain
+numpy sums, so permuting the inputs permutes the plan only up to round-off:
+the canonical order of `network.forward_features` ends at its features.
 """
 
 from __future__ import annotations

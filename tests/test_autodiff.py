@@ -273,8 +273,7 @@ def test_unary_op_gradients():
 
 
 def _blocked_kernel_shapes():
-    # (m, k, d): a is (m, k) for matmul and (m, d) for pairwise_l2, whose
-    # other operand has k rows.
+    # (m, k, d): pairwise_l2 of an (m, d) and a (k, d) operand.
     k_wide = ad._BLOCK_ELEMENTS // 64 + 1
     rows = ad._BLOCK_ELEMENTS // (512 * 128)
     assert 37 % rows != 0 and k_wide * 64 > ad._BLOCK_ELEMENTS
@@ -289,18 +288,6 @@ def _blocked_kernel_shapes():
 @pytest.mark.parametrize("m,k,d", _blocked_kernel_shapes())
 def test_blocked_kernels_equal_whole_tensor_bitwise(m, k, d):
     rng = np.random.default_rng(m * 1000 + d)
-    # Attention-like weights, plus rounded values so that ties and signed
-    # zeros reach the sort.
-    a = rng.random((m, k))
-    a /= a.sum(axis=1, keepdims=True)
-    b = rng.standard_normal((k, d))
-    ties_a, ties_b = np.round(2 * rng.standard_normal((m, k))), np.round(b)
-    for x, y in ((a, b), (ties_a, ties_b), (ties_a, -ties_b)):
-        ref = ad.sorted_sum(x[:, :, None] * y[None], axis=1)
-        got = ad.matmul(x, y, stable_points_axis=True).data
-        assert got.shape == ref.shape
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-
     p = rng.standard_normal((m, d))
     q = rng.standard_normal((k, d))
     for x, y in ((p, q), (np.round(p), np.round(q))):
@@ -320,11 +307,9 @@ def _traced_peak_mb(fn):
 
 
 def test_blocked_kernels_peak_memory():
-    # The whole-tensor forms hold 512 x 512 x 128 float64 addends (512 MiB).
+    # The whole-tensor form holds 512 x 512 x 128 float64 differences (512 MiB).
     rng = np.random.default_rng(13)
-    alpha = rng.random((512, 512))
-    v, f_p, f_q = (rng.standard_normal((512, 128)) for _ in range(3))
-    assert _traced_peak_mb(lambda: ad.matmul(alpha, v, stable_points_axis=True)) < 64
+    f_p, f_q = (rng.standard_normal((512, 128)) for _ in range(2))
     assert _traced_peak_mb(lambda: ad.pairwise_l2(f_p, f_q)) < 64
 
 

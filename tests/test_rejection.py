@@ -50,6 +50,24 @@ def test_classify_permutation_equivariant_exactly():
     assert np.array_equal(p2, p[perm])
 
 
+def test_classify_equivariant_bit_exact_with_duplicates_across_blas_tiles():
+    # 300 candidates, 60 of them copies of others: duplicates must read the
+    # same bits wherever they sit, and 300 rows end on partial BLAS tiles.
+    w = ModelWeights.initialize(CFG, seed=2)
+    b = batch_of(300, seed=5)
+    dup = np.random.default_rng(6).integers(0, 200, 60)
+    for arr in (b.bearings_p, b.bearings_q, b.scores):
+        arr[200:260] = arr[dup]
+    p = classify(b, w).data
+    assert np.array_equal(p[200:260], p[dup])
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        perm = rng.permutation(300)
+        p2 = classify(CandidateBatch(b.bearings_p[perm], b.bearings_q[perm],
+                                     b.scores[perm]), w).data
+        assert np.array_equal(p2, p[perm])
+
+
 def test_context_norm_shift_invariance_at_sublayer():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((20, 6))
