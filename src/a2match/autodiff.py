@@ -3,8 +3,11 @@
 Covers exactly what the matching network needs: 2D matmul, elementwise
 arithmetic with trailing-axis / singleton-axis broadcasting for affine
 parameters, concat/reshape/gather, activations, instance and batch
-normalization, softmax and axis max. An op may also be a whole algorithm:
-`transport.sinkhorn` records one backward closure for all of its iterations.
+normalization, softmax, axis max, pairwise L2 distances, the grouped
+convolution along the neighbor axis, and `neighbor_linear`, a linear layer
+over windows of edge features [f_i, f_i - f_j] that never builds them. An op
+may also be a whole algorithm: `transport.sinkhorn` records one backward
+closure for all of its iterations.
 
 Every kernel is plain numpy: matmul is BLAS, and reductions are numpy sums.
 Their bits may depend on where a row sits in its array, so a matmul or a
@@ -613,6 +616,65 @@ def grouped_neighbor_conv(x, width: int, weight, bias) -> Tensor:
     flat = reshape(x, (n * groups, width * d))
     y = add(matmul(flat, weight), bias)
     return reshape(y, (n, groups, weight.shape[1]))
+
+
+def neighbor_linear(f, idx, weight, bias) -> Tensor:
+    """Linear layer over windows of edge features, without building them.
+
+    f is (N, d) and idx is (N, G, width). Window (i, G) is the concatenation
+    over p of [f_i, f_i - f_j] with j = idx[i, G, p], and weight has the
+    matching ((width * 2d), d_out) row layout: rows [W1_p; W2_p] per p. The
+    output is (N, G, d_out). Because the layer is linear,
+
+        window @ weight = f_i @ sum_p (W1_p + W2_p) - sum_p f_j @ W2_p,
+
+    so the forward pass is two products of f and one d_out-wide gather per
+    window position, and the backward pass one scatter-add per position and
+    two products with f.T; the (N, G, width * 2d) windows never exist.
+    """
+    f, weight, bias = _as_tensor(f), _as_tensor(weight), _as_tensor(bias)
+    idx = np.asarray(idx, dtype=np.intp)
+    if f.ndim != 2 or idx.ndim != 3 or idx.shape[0] != f.shape[0]:
+        raise ShapeMismatch(f"neighbor_linear needs f (N,d) and idx (N,G,width), "
+                            f"got {f.shape} and {idx.shape}")
+    n, d = f.shape
+    _, groups, width = idx.shape
+    if weight.ndim != 2 or weight.shape[0] != width * 2 * d or bias.shape != weight.shape[1:]:
+        raise ShapeMismatch(f"neighbor_linear weight expects {width * 2 * d} rows and a "
+                            f"matching bias, got {weight.shape} and {bias.shape}")
+    d_out = weight.shape[1]
+    w = weight.data.reshape(width, 2, d, d_out)
+    w_self = w.sum(axis=(0, 1))
+    w_nbr = w[:, 1].transpose(1, 0, 2).reshape(d, width * d_out)
+    nbr = (f.data @ w_nbr).reshape(n, width, d_out)
+    out_data = np.repeat((f.data @ w_self + bias.data)[:, None, :], groups, axis=1)
+    for p in range(width):
+        out_data -= nbr[idx[:, :, p], p]
+
+    def build(out):
+        def bw():
+            g = out.grad
+            if g is None:
+                return
+            g_self = g.sum(axis=1)
+            g_nbr = np.zeros((n, width, d_out))
+            for p in range(width):
+                np.add.at(g_nbr[:, p], idx[:, :, p], g)
+            g_nbr = g_nbr.reshape(n, width * d_out)
+            if f.requires_grad:
+                _accum(f, g_self @ w_self.T - g_nbr @ w_nbr.T)
+            if weight.requires_grad:
+                gw_self = f.data.T @ g_self
+                gw_nbr = (f.data.T @ g_nbr).reshape(d, width, d_out).transpose(1, 0, 2)
+                gw = np.empty((width, 2, d, d_out))
+                gw[:, 0] = gw_self
+                gw[:, 1] = gw_self - gw_nbr
+                _accum(weight, gw.reshape(weight.shape))
+            if bias.requires_grad:
+                _accum(bias, g_self.sum(axis=0))
+        return bw
+
+    return _make(out_data, (f, weight, bias), build)
 
 
 def pairwise_l2(a, b) -> Tensor:

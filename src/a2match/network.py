@@ -8,6 +8,11 @@ distance; the annular convolutions collapse each distance group and then the
 group axis, and the angle path runs the same two-stage convolution over
 per-neighbor direction cosines.
 
+The max path and the annular path's first convolution see the edge features
+e_ij = [f_i, f_i - f_j] of Dynamic Graph CNN (Wang et al., ACM TOG 2019) only
+through a linear layer, so `autodiff.neighbor_linear` computes them from two
+per-node products and a gather: the (N, k, 2d) edge windows are never built.
+
 `forward_features` sorts each side once into canonical order over (bearing
 x, bearing y, r, g, b), runs the network on the sorted arrays with plain
 BLAS and numpy sums, and gathers the features back into input order. A
@@ -60,6 +65,8 @@ class NetworkConfig:
             raise ValueError(f"neighbor count {self.k} must be divisible by group count {self.g}")
         if self.n_blocks < 1:
             raise ValueError(f"need at least one attention block, got {self.n_blocks}")
+        if not (np.isfinite(self.norm_eps) and self.norm_eps > 0.0):
+            raise ValueError(f"norm_eps must be finite and > 0, got {self.norm_eps}")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ValueError(f"leaky slope must be in (0,1), got {self.leaky_slope}")
         if self.angle_reference not in ANGLE_REFERENCES:
@@ -256,47 +263,50 @@ def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
     return ad.add(stack(b, "bearing"), stack(c, "color"))
 
 
-def edge_features(f: Tensor, graph: LocalGraph) -> Tensor:
-    """e_ij = concat[f_i, f_i - f_ij] over the k graph neighbors."""
-    n = graph.neighbor_idx.shape[0]
-    if f.shape[0] != n:
-        raise ad.ShapeMismatch(f"{f.shape[0]} feature rows but graph has {n} nodes")
-    fj = ad.gather_rows(f, graph.neighbor_idx)
-    self_idx = np.broadcast_to(np.arange(n)[:, None], graph.neighbor_idx.shape)
-    fi = ad.gather_rows(f, self_idx)
-    return ad.concat_last_axis(fi, ad.sub(fi, fj))
+def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name,
+                      cfg: NetworkConfig) -> Tensor:
+    """Edge MLP over [f_i, f_i - f_j] per neighbor, then the max over neighbors.
 
-
-def _h_theta(e: Tensor, w: ModelWeights, name, cfg: NetworkConfig) -> Tensor:
-    """Edge MLP: linear over channels, instance norm, LeakyReLU; keeps (N,k,.)."""
-    n, k, d2 = e.shape
-    flat = ad.reshape(e, (n * k, d2))
-    h = _lin_norm_act(flat, w, name, cfg)
-    return ad.reshape(h, (n, k, h.shape[-1]))
-
-
-def maxpool_aggregate(e: Tensor, w: ModelWeights, name, cfg: NetworkConfig) -> Tensor:
-    h = _h_theta(e, w, name, cfg)
+    Linear, instance norm over all N*k edges, max, then LeakyReLU: the
+    activation is increasing, so applying it to the (N, d) maxima gives the
+    same values as applying it to every edge first.
+    """
+    n, k = graph.neighbor_idx.shape
+    h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, k, 1),
+                           w.param(f"{name}/lin/W"), w.param(f"{name}/lin/b"))
+    h = ad.instance_norm(h, w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"),
+                         eps=cfg.norm_eps)
     vals, _ = ad.max_over_axis(h, axis=1)
-    return vals
+    return ad.leaky_relu(vals, cfg.leaky_slope)
 
 
-def _conv_bn_relu(x: Tensor, width, w: ModelWeights, conv_name, bn_name,
-                  cfg: NetworkConfig, training, update_stats) -> Tensor:
-    y = ad.grouped_neighbor_conv(x, width, w.param(f"{conv_name}/W"), w.param(f"{conv_name}/b"))
+def _bn_relu(y: Tensor, w: ModelWeights, bn_name, cfg: NetworkConfig,
+             training, update_stats) -> Tensor:
     y = ad.batch_norm_1d(y, w.param(f"{bn_name}/gamma"), w.param(f"{bn_name}/beta"),
                          w.bn_state(bn_name), eps=cfg.norm_eps,
                          training=training, update_stats=update_stats)
     return ad.relu(y)
 
 
-def annular_aggregate(e: Tensor, g: int, w: ModelWeights, name, cfg: NetworkConfig,
-                      training=False, update_stats=False) -> Tensor:
-    """Two-stage grouped convolution: collapse distance groups, then groups."""
-    n, k, _ = e.shape
+def _conv_bn_relu(x: Tensor, width, w: ModelWeights, conv_name, bn_name,
+                  cfg: NetworkConfig, training, update_stats) -> Tensor:
+    y = ad.grouped_neighbor_conv(x, width, w.param(f"{conv_name}/W"), w.param(f"{conv_name}/b"))
+    return _bn_relu(y, w, bn_name, cfg, training, update_stats)
+
+
+def annular_aggregate(f: Tensor, graph: LocalGraph, g: int, w: ModelWeights, name,
+                      cfg: NetworkConfig, training=False, update_stats=False) -> Tensor:
+    """Two-stage grouped convolution: collapse distance groups, then groups.
+
+    The first stage convolves each group's k/g edge features [f_i, f_i - f_j]
+    in distance order.
+    """
+    n, k = graph.neighbor_idx.shape
     if k % g != 0:
         raise ad.ShapeMismatch(f"neighbor count {k} not divisible by {g} groups")
-    h = _conv_bn_relu(e, k // g, w, f"{name}/conv1", f"{name}/bn1", cfg, training, update_stats)
+    h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, g, k // g),
+                           w.param(f"{name}/conv1/W"), w.param(f"{name}/conv1/b"))
+    h = _bn_relu(h, w, f"{name}/bn1", cfg, training, update_stats)
     h = _conv_bn_relu(h, g, w, f"{name}/conv2", f"{name}/bn2", cfg, training, update_stats)
     return ad.reshape(h, (n, h.shape[-1]))
 
@@ -316,20 +326,16 @@ def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: s
     """Two aggregation rounds on a fixed graph, fused through two heads.
 
     The max path and the annular+angle path evolve independently; round two
-    rebuilds edge features from each path's round-one output. The angle input
-    is constant per graph but each round has its own convolution parameters.
+    aggregates each path's round-one output over the same graph. The angle
+    input is constant per graph but each round has its own convolution
+    parameters.
     """
     p = f"{block}/self"
-    # Both round-one paths read e1; dropping it before round two builds its
-    # edge tensors keeps one (N, k, 2d) tensor alive at a time.
-    e1 = edge_features(f, graph)
-    m1 = maxpool_aggregate(e1, w, f"{p}/max1", cfg)
-    a1 = ad.add(annular_aggregate(e1, cfg.g, w, f"{p}/ann1", cfg, training, update_stats),
+    m1 = maxpool_aggregate(f, graph, w, f"{p}/max1", cfg)
+    a1 = ad.add(annular_aggregate(f, graph, cfg.g, w, f"{p}/ann1", cfg, training, update_stats),
                 angle_aggregate(graph, w, f"{p}/ang1", cfg, training, update_stats))
-    del e1
-    m2 = maxpool_aggregate(edge_features(m1, graph), w, f"{p}/max2", cfg)
-    a2 = ad.add(annular_aggregate(edge_features(a1, graph), cfg.g, w, f"{p}/ann2", cfg,
-                                  training, update_stats),
+    m2 = maxpool_aggregate(m1, graph, w, f"{p}/max2", cfg)
+    a2 = ad.add(annular_aggregate(a1, graph, cfg.g, w, f"{p}/ann2", cfg, training, update_stats),
                 angle_aggregate(graph, w, f"{p}/ang2", cfg, training, update_stats))
 
     fused_max = _lin_norm_act(ad.concat_last_axis(f, m1, m2), w, f"{p}/fuse_max", cfg)

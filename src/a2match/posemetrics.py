@@ -41,8 +41,9 @@ class RansacConfig:
     refine_iterations: int = 10
 
     def __post_init__(self):
-        if self.inlier_threshold <= 0.0:
-            raise ValueError(f"inlier threshold must be > 0, got {self.inlier_threshold}")
+        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0.0):
+            raise ValueError(
+                f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0,1), got {self.confidence}")
 

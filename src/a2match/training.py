@@ -43,8 +43,10 @@ class TrainConfig:
     rejection_weight: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0 and self.learning_rate != 0.0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        for name in ("learning_rate", "match_weight", "rejection_weight"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

@@ -331,3 +331,53 @@ def test_no_tape_means_no_recording():
     with Tape() as tape:
         ad.matmul(x, x)
         assert len(tape) == 1
+
+
+def _edge_window_oracle(f, idx, weight, bias):
+    """concat over p of [f_i, f_i - f_idx[i,G,p]], times weight, plus bias."""
+    n, groups, width = idx.shape
+    fi = np.broadcast_to(f[:, None, None, :], idx.shape + f.shape[1:])
+    windows = np.concatenate([fi, fi - f[idx]], axis=-1).reshape(n, groups, -1)
+    return windows @ weight + bias
+
+
+def _neighbor_windows(rng, n, groups, width):
+    idx = rng.integers(0, n, (n, groups, width))
+    idx[1, 0, :] = 4           # duplicate indices within one window
+    idx[2:, -1, -1] = 0        # node 0 neighbors every other node
+    return idx
+
+
+def test_neighbor_linear_equals_edge_window_oracle():
+    n, d, groups = 9, 4, 3
+    for width in (1, 3):
+        rng = np.random.default_rng(20 + width)
+        f = rng.standard_normal((n, d))
+        idx = _neighbor_windows(rng, n, groups, width)
+        weight = rng.standard_normal((width * 2 * d, 5))
+        bias = rng.standard_normal(5)
+        out = ad.neighbor_linear(constant(f), idx, constant(weight), constant(bias))
+        assert out.shape == (n, groups, 5)
+        np.testing.assert_allclose(out.data, _edge_window_oracle(f, idx, weight, bias),
+                                   rtol=1e-12)
+        # Equal features zero every difference: only the self rows act.
+        ones = ad.neighbor_linear(constant(np.ones((n, d))), idx, constant(weight),
+                                  constant(bias))
+        self_rows = weight.reshape(width, 2, d, 5)[:, 0].sum(axis=(0, 1))
+        np.testing.assert_allclose(ones.data, np.broadcast_to(self_rows + bias, ones.shape),
+                                   rtol=1e-12)
+        with pytest.raises(ShapeMismatch):
+            ad.neighbor_linear(constant(f), idx, constant(weight[1:]), constant(bias))
+        with pytest.raises(ShapeMismatch):
+            ad.neighbor_linear(constant(f[1:]), idx, constant(weight), constant(bias))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_neighbor_linear_gradcheck(width):
+    rng = np.random.default_rng(30 + width)
+    n, d, groups = 7, 3, 2
+    f = rand_tensor(rng, (n, d))
+    idx = _neighbor_windows(rng, n, groups, width)
+    weight = rand_tensor(rng, (width * 2 * d, 4))
+    bias = rand_tensor(rng, (4,))
+    check_op(lambda: ad.neighbor_linear(f, idx, weight, bias), [f, weight, bias], rtol=1e-5)

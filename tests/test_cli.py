@@ -104,6 +104,24 @@ def test_run_config_sections_applied(tmp_path):
     assert cfg.synth.n_points == 12
 
 
+def test_run_config_rejects_non_finite_and_out_of_range_values():
+    nan, inf = float("nan"), float("inf")
+    bad = {
+        ("train", "learning_rate"): (nan, inf, -inf, -1e-3),
+        ("train", "match_weight"): (nan, inf, -1.0),
+        ("train", "rejection_weight"): (nan, inf, -1.0),
+        ("ransac", "inlier_threshold"): (nan, inf, 0.0, -0.005),
+        ("network", "norm_eps"): (nan, inf, 0.0, -1e-5),
+    }
+    for (section, key), values in bad.items():
+        for value in values:
+            with pytest.raises(InvalidConfig, match=key):
+                parse_run_config({section: {key: value}})
+    cfg = parse_run_config({"train": {"learning_rate": 0.0, "match_weight": 0.0,
+                                      "rejection_weight": 0.0}})
+    assert cfg.train.learning_rate == cfg.train.match_weight == 0.0
+
+
 # --- synth command --------------------------------------------------------------
 
 
@@ -179,6 +197,18 @@ def test_cmd_train_deterministic_weights_and_csv_rows(tmp_path):
     # identical up to the wall-clock column
     strip = lambda lines: [",".join(r.split(",")[:4]) for r in lines]
     assert strip(rows1) == strip(rows2)
+
+
+def test_cmd_train_nan_learning_rate_exits_2(tmp_path, capsys):
+    _, scenes = train_setup(tmp_path, epochs=1)
+    # json writes and reads a float NaN as the bare token NaN.
+    cfg = write_config(tmp_path, {**NET8, "train": {"learning_rate": float("nan")}},
+                       name="nan.json")
+    assert "NaN" in Path(cfg).read_text(encoding="utf-8")
+    out = tmp_path / "w.a2w"
+    assert main(["train", "--config", cfg, "--scenes", scenes, "--out", str(out)]) == 2
+    assert "learning_rate must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_train_missing_scenes_dir(tmp_path, capsys):

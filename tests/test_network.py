@@ -17,7 +17,6 @@ from a2match.network import (
     angle_aggregate,
     build_knn_graph,
     cross_attention,
-    edge_features,
     encode,
     forward,
     forward_features,
@@ -166,28 +165,37 @@ def graph_and_features(rng, n=12, k=6, d=8):
     return g, f
 
 
-def test_edge_features_structure():
-    rng = np.random.default_rng(4)
-    g, f = graph_and_features(rng)
-    e = edge_features(f, g)
-    assert e.shape == (12, 6, 16)
-    # first half equals f_i broadcast; identical features zero the difference
-    assert np.array_equal(e.data[3, 2, :8], f.data[3])
-    const = edge_features(constant(np.ones((12, 8))), g)
-    assert np.allclose(const.data[..., 8:], 0.0)
-
-
 def test_maxpool_invariant_to_neighbor_permutation():
     rng = np.random.default_rng(5)
     w = small_weights()
     g, f = graph_and_features(rng)
-    out1 = maxpool_aggregate(edge_features(f, g), w, "blk0/self/max1", CFG8).data
+    out1 = maxpool_aggregate(f, g, w, "blk0/self/max1", CFG8).data
     perm_idx = g.neighbor_idx.copy()
     perm_idx[4] = perm_idx[4][::-1]
     g2 = LocalGraph(perm_idx, g.neighbor_dist, g.neighbor_cos)
-    out2 = maxpool_aggregate(edge_features(f, g2), w, "blk0/self/max1", CFG8).data
+    out2 = maxpool_aggregate(f, g2, w, "blk0/self/max1", CFG8).data
     # Exact in real arithmetic; BLAS rounds a row by where it sits.
     np.testing.assert_allclose(out2, out1, rtol=1e-12)
+
+
+def test_maxpool_equals_edge_mlp_oracle():
+    # The edge MLP written out: explicit [f_i, f_i - f_j] edges, linear,
+    # instance norm over all N*k edges, LeakyReLU per edge, max over k.
+    rng = np.random.default_rng(15)
+    w = small_weights()
+    name = "blk0/self/max1"
+    w.param(f"{name}/norm/gamma").data[:] = rng.uniform(-1.5, 1.5, 8)
+    w.param(f"{name}/norm/beta").data[:] = rng.standard_normal(8)
+    g, f = graph_and_features(rng)
+    fi = np.broadcast_to(f.data[:, None, :], (12, 6, 8))
+    h = np.concatenate([fi, fi - f.data[g.neighbor_idx]], axis=-1) @ \
+        w.param(f"{name}/lin/W").data + w.param(f"{name}/lin/b").data
+    mu, var = h.reshape(-1, 8).mean(axis=0), h.reshape(-1, 8).var(axis=0)
+    h = (h - mu) / np.sqrt(var + CFG8.norm_eps) * w.param(f"{name}/norm/gamma").data \
+        + w.param(f"{name}/norm/beta").data
+    expect = np.where(h >= 0.0, h, CFG8.leaky_slope * h).max(axis=1)
+    out = maxpool_aggregate(f, g, w, name, CFG8).data
+    np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-14)
 
 
 def test_annular_sensitive_to_cross_group_permutation():
@@ -195,11 +203,11 @@ def test_annular_sensitive_to_cross_group_permutation():
     cfg = NetworkConfig(d=8, k=6, g=3)
     w = small_weights(cfg=cfg)
     g, f = graph_and_features(rng, n=12, k=6)
-    base = annular_aggregate(edge_features(f, g), 3, w, "blk0/self/ann1", cfg).data
+    base = annular_aggregate(f, g, 3, w, "blk0/self/ann1", cfg).data
     swapped = g.neighbor_idx.copy()
     swapped[2, [0, 5]] = swapped[2, [5, 0]]  # swap across groups 0 and 2
     g2 = LocalGraph(swapped, g.neighbor_dist, g.neighbor_cos)
-    out = annular_aggregate(edge_features(f, g2), 3, w, "blk0/self/ann1", cfg).data
+    out = annular_aggregate(f, g2, 3, w, "blk0/self/ann1", cfg).data
     assert np.max(np.abs(base - out)) > 1e-6
 
 
@@ -210,8 +218,7 @@ def test_annular_and_angle_shapes():
     pos = rand_positions(rng, 15)
     g = build_knn_graph(pos, 9)
     f = constant(rng.standard_normal((15, 8)))
-    e = edge_features(f, g)
-    assert annular_aggregate(e, 3, w, "blk0/self/ann1", cfg).shape == (15, 8)
+    assert annular_aggregate(f, g, 3, w, "blk0/self/ann1", cfg).shape == (15, 8)
     assert angle_aggregate(g, w, "blk0/self/ang1", cfg).shape == (15, 8)
 
 
@@ -401,8 +408,9 @@ def test_forward_equivariant_bit_exact_across_blas_tiles():
 
 
 def test_forward_peak_memory_n512():
-    # Each self-attention block keeps one (n*k, 2d) edge tensor alive at a
-    # time (about 9 MiB here); holding two peaked at 41.8 MiB.
+    # The max and annular layers never build the (n*k, 2d) edge windows
+    # (about 9 MiB here): building them one at a time peaked at 33.3 MiB,
+    # two at a time at 41.8 MiB; without them the peak is 24.3 MiB.
     w = ModelWeights.initialize(NetworkConfig(d=128), seed=0)
     pair = scene(512, n=512)
     tracemalloc.start()
@@ -411,7 +419,7 @@ def test_forward_peak_memory_n512():
         peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak_mb < 37
+    assert peak_mb < 30
 
 
 def test_forward_features_and_plan_pinned():
@@ -424,9 +432,9 @@ def test_forward_features_and_plan_pinned():
     plan = sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), w.param("ot/alpha_bin")))
     assert f_p.shape == f_q.shape == (64, 16) and plan.values.shape == (65, 65)
     assert [hashlib.sha256(x.data.tobytes()).hexdigest() for x in (f_p, f_q, plan.values)] == [
-        "81bd7ccb6c2da65165eefd150f747727ce2d0b8f908ced771eb9801063b0efdf",
-        "c14406a78041e3187ef807e9a6fbf1b61618a2c2853446031ffef36f4d768595",
-        "52036a66c87d126ed60f9852014af080fe2b9dd5318cc9fd4ca20cf42a995c23",
+        "3499ce104c3b375c0066221fd2d8fd948c6a61dbcd7382293902b2bfaed44010",
+        "016471401c24f3927de56d5308c6e43c135ac30ce2809a02db93d833e7d33157",
+        "bda9e554ba69437d985c6ad058302c57934e9cdb2740f3fda0f5e2d8ece90651",
     ]
 
 

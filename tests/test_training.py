@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,20 @@ def test_scene_loss_is_finite_and_nonnegative():
     assert np.isfinite(loss.item())
     assert report.matching_loss >= 0.0
     assert report.rejection_loss >= 0.0
+
+
+def test_scene_step_peak_memory_n256():
+    # One n=256, d=128 scene step, forward and backward. Layers that build
+    # the (n*k, 2d) edge windows and multiply them peaked at 828 MiB; the
+    # neighbor-linear layers peak at about 390 MiB.
+    w = ModelWeights.initialize(NetworkConfig(d=128), seed=0)
+    pair = generate_scene(SynthConfig(n_points=256, seed=256))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss, _, _ = scene_loss(pair, w, TrainConfig())
+            tape.backward(loss)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 600
