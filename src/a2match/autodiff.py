@@ -9,6 +9,15 @@ over windows of edge features [f_i, f_i - f_j] that never builds them. An op
 may also be a whole algorithm: `transport.sinkhorn` records one backward
 closure for all of its iterations.
 
+Op protocol: an op computes its output array and returns
+`_make(out_data, inputs, backward)`. Inside an active `Tape`, and only if
+some input requires grad, `_make` records one closure; `Tape.backward`
+replays the records in reverse and calls `backward(g)` with the output's
+accumulated gradient g, an array of the output's shape, and skips the call
+when no gradient reached the output. `backward` hands each input that
+requires grad its addend through `_accum`, which never updates a grad in
+place, so one array may be handed to several inputs, or be a view of g.
+
 Every kernel is plain numpy: matmul is BLAS, and reductions are numpy sums.
 Their bits may depend on where a row sits in its array, so a matmul or a
 reduction alone is not bit-exactly permutation equivariant. Callers that
@@ -101,8 +110,8 @@ class Tensor:
         arr = np.array(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        # Leaves carry a zero grad buffer so untouched parameters read as
-        # zero gradient; op outputs allocate lazily on first accumulation.
+        # Leaves carry a zero grad so untouched parameters read as zero
+        # gradient; an op output's grad is its first addend.
         self.grad = np.zeros_like(arr) if requires_grad else None
 
     @classmethod
@@ -133,23 +142,28 @@ def constant(data) -> Tensor:
 
 
 def _accum(t: Tensor, g):
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    # Never in place: g may be another tensor's grad, or a view of one.
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _make(out_data, inputs, backward_builder):
-    """Wrap op output; record backward closure if a tape is active."""
+def _make(out_data, inputs, backward):
+    """Wrap an op's output; on an active tape, record its backward.
+
+    backward(g) runs when the tape replays, only if a gradient reached the
+    output; see the module docstring.
+    """
     tape = _active_tape()
     req = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor._wrap(out_data, req)
     if req:
-        tape.record(backward_builder(out))
+        def replay():
+            if out.grad is not None:
+                backward(out.grad)
+        tape.record(replay)
     return out
 
 
@@ -184,21 +198,16 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatch(f"matmul shapes {a.shape} x {b.shape}")
     out_data = a.data @ b.data
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accum(a, g @ b.data.T)
-            if b.requires_grad:
-                gb = a.data.T @ g
-                if _BACKWARD_FAULT is not None:
-                    gb = gb * _BACKWARD_FAULT
-                _accum(b, gb)
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            gb = a.data.T @ g
+            if _BACKWARD_FAULT is not None:
+                gb = gb * _BACKWARD_FAULT
+            _accum(b, gb)
 
-    return _make(out_data, (a, b), build)
+    return _make(out_data, (a, b), bw)
 
 
 def transpose2d(a) -> Tensor:
@@ -207,16 +216,11 @@ def transpose2d(a) -> Tensor:
         raise ShapeMismatch(f"transpose2d needs a matrix, got {a.shape}")
     out_data = np.ascontiguousarray(a.data.T)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accum(a, g.T)
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g.T)
 
-    return _make(out_data, (a,), build)
+    return _make(out_data, (a,), bw)
 
 
 def _check_broadcast(a_shape, b_shape):
@@ -250,18 +254,13 @@ def _binary(a, b, fwd, da_fn, db_fn):
     _check_broadcast(a.data.shape, b.data.shape)
     out_data = fwd(a.data, b.data)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accum(a, da_fn(g, a.data, b.data))
-            if b.requires_grad:
-                _accum(b, _reduce_to_shape(db_fn(g, a.data, b.data), b.data.shape))
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, da_fn(g, a.data, b.data))
+        if b.requires_grad:
+            _accum(b, _reduce_to_shape(db_fn(g, a.data, b.data), b.data.shape))
 
-    return _make(out_data, (a, b), build)
+    return _make(out_data, (a, b), bw)
 
 
 def add(a, b) -> Tensor:
@@ -281,16 +280,11 @@ def scale(a, s: float) -> Tensor:
     s = float(s)
     out_data = a.data * s
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accum(a, g * s)
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g * s)
 
-    return _make(out_data, (a,), build)
+    return _make(out_data, (a,), bw)
 
 
 def concat_last_axis(*tensors) -> Tensor:
@@ -305,35 +299,25 @@ def concat_last_axis(*tensors) -> Tensor:
     widths = [t.data.shape[-1] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=-1)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            off = 0
-            for t, w in zip(tensors, widths):
-                if t.requires_grad:
-                    _accum(t, g[..., off:off + w])
-                off += w
-        return bw
+    def bw(g):
+        off = 0
+        for t, w in zip(tensors, widths):
+            if t.requires_grad:
+                _accum(t, g[..., off:off + w])
+            off += w
 
-    return _make(out_data, tuple(tensors), build)
+    return _make(out_data, tuple(tensors), bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.reshape(shape)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accum(a, g.reshape(a.data.shape))
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g.reshape(a.data.shape))
 
-    return _make(out_data, (a,), build)
+    return _make(out_data, (a,), bw)
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -342,18 +326,13 @@ def gather_rows(a, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out_data = a.data[idx]
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                da = np.zeros_like(a.data)
-                np.add.at(da, idx, g)
-                _accum(a, da)
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            da = np.zeros_like(a.data)
+            np.add.at(da, idx, g)
+            _accum(a, da)
 
-    return _make(out_data, (a,), build)
+    return _make(out_data, (a,), bw)
 
 
 def gather_pairs(a, rows, cols) -> Tensor:
@@ -366,34 +345,24 @@ def gather_pairs(a, rows, cols) -> Tensor:
         raise ShapeMismatch("gather_pairs index shapes differ")
     out_data = a.data[rows, cols]
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                da = np.zeros_like(a.data)
-                np.add.at(da, (rows, cols), g)
-                _accum(a, da)
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            da = np.zeros_like(a.data)
+            np.add.at(da, (rows, cols), g)
+            _accum(a, da)
 
-    return _make(out_data, (a,), build)
+    return _make(out_data, (a,), bw)
 
 
 def _unary(a, fwd, dfn):
     a = _as_tensor(a)
     out_data = fwd(a.data)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accum(a, dfn(g, a.data, out.data))
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, dfn(g, a.data, out_data))
 
-    return _make(out_data, (a,), build)
+    return _make(out_data, (a,), bw)
 
 
 def leaky_relu(a, slope=0.2) -> Tensor:
@@ -427,16 +396,11 @@ def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.array(a.data.sum())
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accum(a, np.full_like(a.data, float(g)))
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, np.full_like(a.data, float(g)))
 
-    return _make(out_data, (a,), build)
+    return _make(out_data, (a,), bw)
 
 
 def softmax_last_axis(a) -> Tensor:
@@ -445,17 +409,12 @@ def softmax_last_axis(a) -> Tensor:
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     out_data = e / e.sum(axis=-1, keepdims=True)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                y = out.data
-                _accum(a, (g - (g * y).sum(axis=-1, keepdims=True)) * y)
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            y = out_data
+            _accum(a, (g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
-    return _make(out_data, (a,), build)
+    return _make(out_data, (a,), bw)
 
 
 def max_over_axis(a, axis):
@@ -464,19 +423,14 @@ def max_over_axis(a, axis):
     arg = a.data.argmax(axis=axis)
     out_data = np.take_along_axis(a.data, np.expand_dims(arg, axis), axis).squeeze(axis)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                da = np.zeros_like(a.data)
-                np.put_along_axis(da, np.expand_dims(arg, axis),
-                                  np.expand_dims(g, axis), axis)
-                _accum(a, da)
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            da = np.zeros_like(a.data)
+            np.put_along_axis(da, np.expand_dims(arg, axis),
+                              np.expand_dims(g, axis), axis)
+            _accum(a, da)
 
-    return _make(out_data, (a,), build), arg
+    return _make(out_data, (a,), bw), arg
 
 
 def _channel_stats(x):
@@ -503,29 +457,24 @@ def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:
         out_data = xhat
         inputs = (x,)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            c = x.data.shape[-1]
-            gf = g.reshape(-1, c)
-            xh = xhat.reshape(-1, c)
-            if gamma is not None:
-                if gamma.requires_grad:
-                    _accum(gamma, (gf * xh).sum(axis=0))
-                if beta.requires_grad:
-                    _accum(beta, gf.sum(axis=0))
-                dxhat = gf * gamma.data
-            else:
-                dxhat = gf
-            if x.requires_grad:
-                dx = istd * (dxhat - dxhat.mean(axis=0)
-                             - xh * (dxhat * xh).mean(axis=0))
-                _accum(x, dx.reshape(x.data.shape))
-        return bw
+    def bw(g):
+        c = x.data.shape[-1]
+        gf = g.reshape(-1, c)
+        xh = xhat.reshape(-1, c)
+        if gamma is not None:
+            if gamma.requires_grad:
+                _accum(gamma, (gf * xh).sum(axis=0))
+            if beta.requires_grad:
+                _accum(beta, gf.sum(axis=0))
+            dxhat = gf * gamma.data
+        else:
+            dxhat = gf
+        if x.requires_grad:
+            dx = istd * (dxhat - dxhat.mean(axis=0)
+                         - xh * (dxhat * xh).mean(axis=0))
+            _accum(x, dx.reshape(x.data.shape))
 
-    return _make(out_data, inputs, build)
+    return _make(out_data, inputs, bw)
 
 
 class BatchNormState:
@@ -546,12 +495,13 @@ class BatchNormState:
 
 
 def batch_norm_1d(x, gamma, beta, state: BatchNormState, eps=1e-5,
-                  momentum=0.1, training=True, update_stats=True) -> Tensor:
+                  momentum=0.1, training=True) -> Tensor:
     """Batch normalization over all non-channel axes.
 
-    Training mode normalizes with batch statistics (and optionally folds them
-    into the running buffers); eval mode uses the running statistics when any
-    exist and otherwise falls back to batch statistics without updating.
+    Training mode normalizes with batch statistics and folds them into the
+    running buffers, which it never reads; eval mode uses the running
+    statistics when any exist and otherwise falls back to batch statistics
+    without updating.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim < 2:
@@ -565,35 +515,30 @@ def batch_norm_1d(x, gamma, beta, state: BatchNormState, eps=1e-5,
         mu, var, _ = _channel_stats(x.data)
         istd = 1.0 / np.sqrt(var + eps)
         xhat = (x.data - mu) * istd
-        if training and update_stats:
+        if training:
             state.mean[...] = (1.0 - momentum) * state.mean + momentum * mu
             state.var[...] = (1.0 - momentum) * state.var + momentum * var
             state.count[0] += 1.0
     out_data = xhat * gamma.data + beta.data
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            c = x.data.shape[-1]
-            gf = g.reshape(-1, c)
-            xh = xhat.reshape(-1, c)
-            if gamma.requires_grad:
-                _accum(gamma, (gf * xh).sum(axis=0))
-            if beta.requires_grad:
-                _accum(beta, gf.sum(axis=0))
-            if x.requires_grad:
-                dxhat = gf * gamma.data
-                if use_running:
-                    dx = dxhat * istd
-                else:
-                    dx = istd * (dxhat - dxhat.mean(axis=0)
-                                 - xh * (dxhat * xh).mean(axis=0))
-                _accum(x, dx.reshape(x.data.shape))
-        return bw
+    def bw(g):
+        c = x.data.shape[-1]
+        gf = g.reshape(-1, c)
+        xh = xhat.reshape(-1, c)
+        if gamma.requires_grad:
+            _accum(gamma, (gf * xh).sum(axis=0))
+        if beta.requires_grad:
+            _accum(beta, gf.sum(axis=0))
+        if x.requires_grad:
+            dxhat = gf * gamma.data
+            if use_running:
+                dx = dxhat * istd
+            else:
+                dx = istd * (dxhat - dxhat.mean(axis=0)
+                             - xh * (dxhat * xh).mean(axis=0))
+            _accum(x, dx.reshape(x.data.shape))
 
-    return _make(out_data, (x, gamma, beta), build)
+    return _make(out_data, (x, gamma, beta), bw)
 
 
 def grouped_neighbor_conv(x, width: int, weight, bias) -> Tensor:
@@ -651,30 +596,25 @@ def neighbor_linear(f, idx, weight, bias) -> Tensor:
     for p in range(width):
         out_data -= nbr[idx[:, :, p], p]
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            g_self = g.sum(axis=1)
-            g_nbr = np.zeros((n, width, d_out))
-            for p in range(width):
-                np.add.at(g_nbr[:, p], idx[:, :, p], g)
-            g_nbr = g_nbr.reshape(n, width * d_out)
-            if f.requires_grad:
-                _accum(f, g_self @ w_self.T - g_nbr @ w_nbr.T)
-            if weight.requires_grad:
-                gw_self = f.data.T @ g_self
-                gw_nbr = (f.data.T @ g_nbr).reshape(d, width, d_out).transpose(1, 0, 2)
-                gw = np.empty((width, 2, d, d_out))
-                gw[:, 0] = gw_self
-                gw[:, 1] = gw_self - gw_nbr
-                _accum(weight, gw.reshape(weight.shape))
-            if bias.requires_grad:
-                _accum(bias, g_self.sum(axis=0))
-        return bw
+    def bw(g):
+        g_self = g.sum(axis=1)
+        g_nbr = np.zeros((n, width, d_out))
+        for p in range(width):
+            np.add.at(g_nbr[:, p], idx[:, :, p], g)
+        g_nbr = g_nbr.reshape(n, width * d_out)
+        if f.requires_grad:
+            _accum(f, g_self @ w_self.T - g_nbr @ w_nbr.T)
+        if weight.requires_grad:
+            gw_self = f.data.T @ g_self
+            gw_nbr = (f.data.T @ g_nbr).reshape(d, width, d_out).transpose(1, 0, 2)
+            gw = np.empty((width, 2, d, d_out))
+            gw[:, 0] = gw_self
+            gw[:, 1] = gw_self - gw_nbr
+            _accum(weight, gw.reshape(weight.shape))
+        if bias.requires_grad:
+            _accum(bias, g_self.sum(axis=0))
 
-    return _make(out_data, (f, weight, bias), build)
+    return _make(out_data, (f, weight, bias), bw)
 
 
 def pairwise_l2(a, b) -> Tensor:
@@ -695,16 +635,11 @@ def pairwise_l2(a, b) -> Tensor:
         diff.sum(axis=-1, out=sq[i:i + step])
     out_data = np.sqrt(sq)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            coef = g / np.maximum(out.data, 1e-12)
-            if a.requires_grad:
-                _accum(a, coef.sum(axis=1)[:, None] * a.data - coef @ b.data)
-            if b.requires_grad:
-                _accum(b, coef.sum(axis=0)[:, None] * b.data - coef.T @ a.data)
-        return bw
+    def bw(g):
+        coef = g / np.maximum(out_data, 1e-12)
+        if a.requires_grad:
+            _accum(a, coef.sum(axis=1)[:, None] * a.data - coef @ b.data)
+        if b.requires_grad:
+            _accum(b, coef.sum(axis=0)[:, None] * b.data - coef.T @ a.data)
 
-    return _make(out_data, (a, b), build)
+    return _make(out_data, (a, b), bw)

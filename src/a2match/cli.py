@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .network import ModelWeights, NetworkConfig, TooFewPoints
 from .pipeline import localize_scene, match_scene
 from .posemetrics import outlier_sweep
-from .runconfig import InvalidConfig, load_run_config, worker_count
+from .runconfig import InvalidConfig, load_run_config
 from .svgplot import render_sweep_svg
 from .synth import generate_scene, load_scene, save_scene
 from .training import grad_check, train
@@ -34,6 +34,11 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _check_unit_interval(flag: str, value: float):
+    if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+        raise InvalidConfig(f"{flag} must be a finite value in [0, 1], got {value!r}")
+
+
 def _load_scenes_dir(scenes_dir: Path):
     files = sorted(scenes_dir.glob("scene_*.json"))
     if not files:
@@ -42,6 +47,8 @@ def _load_scenes_dir(scenes_dir: Path):
 
 
 def cmd_synth(args) -> int:
+    if args.count < 0:
+        raise InvalidConfig(f"--count must be >= 0, got {args.count}")
     cfg = load_run_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -78,6 +85,7 @@ def _corr_rows(corrs):
 
 
 def cmd_match(args) -> int:
+    _check_unit_interval("--threshold", args.threshold)
     weights = load_weights(args.weights)
     pair = load_scene(args.scene)
     result = match_scene(pair, weights, threshold=args.threshold,
@@ -96,6 +104,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    _check_unit_interval("--threshold", args.threshold)
     cfg = load_run_config(args.config)
     weights = load_weights(args.weights)
     pair = load_scene(args.scene)
@@ -126,16 +135,18 @@ def cmd_localize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_run_config(args.config)
-    weights = load_weights(args.weights)
-    scenes = _load_scenes_dir(Path(args.scenes))
+    _check_unit_interval("--threshold", args.threshold)
     try:
         ratios = [float(r) for r in args.ratios.split(",") if r.strip() != ""]
     except ValueError:
         raise InvalidConfig(f"could not parse --ratios {args.ratios!r}")
+    for r in ratios:
+        _check_unit_interval("--ratios", r)
+    cfg = load_run_config(args.config)
+    weights = load_weights(args.weights)
+    scenes = _load_scenes_dir(Path(args.scenes))
     rows = outlier_sweep(weights, scenes, ratios, ransac_cfg=cfg.ransac,
-                         threshold=args.threshold, seed=cfg.synth.seed,
-                         workers=worker_count())
+                         threshold=args.threshold, seed=cfg.synth.seed)
     with open(args.out_csv, "w", encoding="utf-8") as f:
         f.write("ratio,auc1,auc5,auc10,n_queries,median_rot_deg,median_trans\n")
         for row in rows:

@@ -280,22 +280,20 @@ def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name,
     return ad.leaky_relu(vals, cfg.leaky_slope)
 
 
-def _bn_relu(y: Tensor, w: ModelWeights, bn_name, cfg: NetworkConfig,
-             training, update_stats) -> Tensor:
+def _bn_relu(y: Tensor, w: ModelWeights, bn_name, cfg: NetworkConfig, training) -> Tensor:
     y = ad.batch_norm_1d(y, w.param(f"{bn_name}/gamma"), w.param(f"{bn_name}/beta"),
-                         w.bn_state(bn_name), eps=cfg.norm_eps,
-                         training=training, update_stats=update_stats)
+                         w.bn_state(bn_name), eps=cfg.norm_eps, training=training)
     return ad.relu(y)
 
 
 def _conv_bn_relu(x: Tensor, width, w: ModelWeights, conv_name, bn_name,
-                  cfg: NetworkConfig, training, update_stats) -> Tensor:
+                  cfg: NetworkConfig, training) -> Tensor:
     y = ad.grouped_neighbor_conv(x, width, w.param(f"{conv_name}/W"), w.param(f"{conv_name}/b"))
-    return _bn_relu(y, w, bn_name, cfg, training, update_stats)
+    return _bn_relu(y, w, bn_name, cfg, training)
 
 
 def annular_aggregate(f: Tensor, graph: LocalGraph, g: int, w: ModelWeights, name,
-                      cfg: NetworkConfig, training=False, update_stats=False) -> Tensor:
+                      cfg: NetworkConfig, training=False) -> Tensor:
     """Two-stage grouped convolution: collapse distance groups, then groups.
 
     The first stage convolves each group's k/g edge features [f_i, f_i - f_j]
@@ -306,23 +304,22 @@ def annular_aggregate(f: Tensor, graph: LocalGraph, g: int, w: ModelWeights, nam
         raise ad.ShapeMismatch(f"neighbor count {k} not divisible by {g} groups")
     h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, g, k // g),
                            w.param(f"{name}/conv1/W"), w.param(f"{name}/conv1/b"))
-    h = _bn_relu(h, w, f"{name}/bn1", cfg, training, update_stats)
-    h = _conv_bn_relu(h, g, w, f"{name}/conv2", f"{name}/bn2", cfg, training, update_stats)
+    h = _bn_relu(h, w, f"{name}/bn1", cfg, training)
+    h = _conv_bn_relu(h, g, w, f"{name}/conv2", f"{name}/bn2", cfg, training)
     return ad.reshape(h, (n, h.shape[-1]))
 
 
 def angle_aggregate(graph: LocalGraph, w: ModelWeights, name, cfg: NetworkConfig,
-                    training=False, update_stats=False) -> Tensor:
+                    training=False) -> Tensor:
     cosines = constant(graph.neighbor_cos[:, :, None])
     n = cosines.shape[0]
-    h = _conv_bn_relu(cosines, cfg.k // cfg.g, w, f"{name}/conv1", f"{name}/bn1",
-                      cfg, training, update_stats)
-    h = _conv_bn_relu(h, cfg.g, w, f"{name}/conv2", f"{name}/bn2", cfg, training, update_stats)
+    h = _conv_bn_relu(cosines, cfg.k // cfg.g, w, f"{name}/conv1", f"{name}/bn1", cfg, training)
+    h = _conv_bn_relu(h, cfg.g, w, f"{name}/conv2", f"{name}/bn2", cfg, training)
     return ad.reshape(h, (n, h.shape[-1]))
 
 
 def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: str,
-                         cfg: NetworkConfig, training=False, update_stats=False) -> Tensor:
+                         cfg: NetworkConfig, training=False) -> Tensor:
     """Two aggregation rounds on a fixed graph, fused through two heads.
 
     The max path and the annular+angle path evolve independently; round two
@@ -332,11 +329,11 @@ def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: s
     """
     p = f"{block}/self"
     m1 = maxpool_aggregate(f, graph, w, f"{p}/max1", cfg)
-    a1 = ad.add(annular_aggregate(f, graph, cfg.g, w, f"{p}/ann1", cfg, training, update_stats),
-                angle_aggregate(graph, w, f"{p}/ang1", cfg, training, update_stats))
+    a1 = ad.add(annular_aggregate(f, graph, cfg.g, w, f"{p}/ann1", cfg, training),
+                angle_aggregate(graph, w, f"{p}/ang1", cfg, training))
     m2 = maxpool_aggregate(m1, graph, w, f"{p}/max2", cfg)
-    a2 = ad.add(annular_aggregate(a1, graph, cfg.g, w, f"{p}/ann2", cfg, training, update_stats),
-                angle_aggregate(graph, w, f"{p}/ang2", cfg, training, update_stats))
+    a2 = ad.add(annular_aggregate(a1, graph, cfg.g, w, f"{p}/ann2", cfg, training),
+                angle_aggregate(graph, w, f"{p}/ang2", cfg, training))
 
     fused_max = _lin_norm_act(ad.concat_last_axis(f, m1, m2), w, f"{p}/fuse_max", cfg)
     fused_aa = _lin_norm_act(ad.concat_last_axis(f, a1, a2), w, f"{p}/fuse_aa", cfg)
@@ -362,7 +359,7 @@ def cross_attention(f_a: Tensor, f_b: Tensor, w: ModelWeights, block: str,
 
 
 def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights,
-                     cfg: NetworkConfig = None, training=False, update_stats=False):
+                     cfg: NetworkConfig = None, training=False):
     """Run the full network on raw bearing/color arrays for both sides.
 
     Each side runs in canonical order; the features come back in input order.
@@ -376,8 +373,8 @@ def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights
     graph_q = build_knn_graph(bearings_q, cfg.k, cfg.angle_reference)
     for t in range(cfg.n_blocks):
         blk = f"blk{t}"
-        f_p = self_attention_block(f_p, graph_p, w, blk, cfg, training, update_stats)
-        f_q = self_attention_block(f_q, graph_q, w, blk, cfg, training, update_stats)
+        f_p = self_attention_block(f_p, graph_p, w, blk, cfg, training)
+        f_q = self_attention_block(f_q, graph_q, w, blk, cfg, training)
         f_p, f_q = (cross_attention(f_p, f_q, w, blk, cfg),
                     cross_attention(f_q, f_p, w, blk, cfg))
     return ad.gather_rows(f_p, back_p), ad.gather_rows(f_q, back_q)
@@ -400,8 +397,7 @@ def scene_inputs(pair: ScenePair):
     return bp, pair.kp_colors, bq, pair.pt_colors
 
 
-def forward(pair: ScenePair, w: ModelWeights, cfg: NetworkConfig = None,
-            training=False, update_stats=False):
+def forward(pair: ScenePair, w: ModelWeights, cfg: NetworkConfig = None, training=False):
     """Enhanced per-point features (M x d, N x d) for a scene pair."""
     cfg = cfg or w.config
     m, n = len(pair.keypoints), len(pair.points)
@@ -411,4 +407,4 @@ def forward(pair: ScenePair, w: ModelWeights, cfg: NetworkConfig = None,
         if count <= cfg.k:
             raise TooFewPoints(f"{side} count {count} must exceed k={cfg.k}")
     bp, cp, bq, cq = scene_inputs(pair)
-    return forward_features(bp, cp, bq, cq, w, cfg, training, update_stats)
+    return forward_features(bp, cp, bq, cq, w, cfg, training)

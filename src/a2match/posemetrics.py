@@ -313,17 +313,12 @@ class SweepRow:
 
 
 def outlier_sweep(weights, scenes, ratios, net_cfg=None, ransac_cfg=None,
-                  threshold: float = 0.5, seed: int = 0, use_oracle: bool = False,
-                  workers: int = 1):
+                  threshold: float = 0.5, seed: int = 0, use_oracle: bool = False):
     """Inject outliers at each ratio, run the pipeline, summarize AUC/medians.
 
     use_oracle bypasses the network and feeds ground-truth matches straight
-    to PnP (the harness upper bound). Evaluation is pure per scene, so
-    workers > 1 fans the per-scene cells over threads; results are collected
-    in scene order either way.
+    to PnP (the harness upper bound).
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from .pipeline import localize_oracle, localize_scene
     from .synth import inject_outliers
 
@@ -341,12 +336,7 @@ def outlier_sweep(weights, scenes, ratios, net_cfg=None, ransac_cfg=None,
     for r_idx, ratio in enumerate(ratios):
         if not 0.0 <= ratio <= 1.0:
             raise ValueError(f"ratio must lie in [0,1], got {ratio}")
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda s: run_cell(r_idx, ratio, s),
-                                        range(len(scenes))))
-        else:
-            results = [run_cell(r_idx, ratio, s) for s in range(len(scenes))]
+        results = [run_cell(r_idx, ratio, s) for s in range(len(scenes))]
         reproj = [res.mean_reproj_px for res in results]
         rots = [res.rotation_error_deg for res in results]
         trans = [res.translation_error for res in results]

@@ -2,15 +2,13 @@
 
 Four optional sections mirror the dataclass configs: "synth", "network",
 "train", "ransac". Unknown sections or keys fail with an error naming the
-offending key. Worker count for scene-parallel commands comes from the
-A2_THREADS environment variable (default 1).
+offending key.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 
 from .network import NetworkConfig
@@ -70,11 +68,3 @@ def load_run_config(path=None) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_run_config(obj)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("A2_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidConfig(f"A2_THREADS must be an integer, got {raw!r}")

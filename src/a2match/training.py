@@ -156,8 +156,7 @@ def adam_step(weights: ModelWeights, grads: dict, state: AdamState, cfg: TrainCo
 
 
 def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig,
-               net_cfg: NetworkConfig = None, training=True, update_stats=True,
-               frozen_candidates=None):
+               net_cfg: NetworkConfig = None, training=True, frozen_candidates=None):
     """Total loss of one scene; returns (loss, report, candidates).
 
     frozen_candidates pins the discrete mutual-NN selection so repeated
@@ -165,7 +164,7 @@ def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig,
     """
     net_cfg = net_cfg or weights.config
     m, n = len(pair.keypoints), len(pair.points)
-    f_p, f_q = forward(pair, weights, net_cfg, training=training, update_stats=update_stats)
+    f_p, f_q = forward(pair, weights, net_cfg, training=training)
     cost = cost_matrix(f_p, f_q)
     scores = augment_dustbins(cost, weights.param("ot/alpha_bin"))
     plan = sinkhorn(scores)
@@ -223,8 +222,7 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
             for sid in batch_idx:
                 pair = dataset[int(sid)]
                 with Tape() as tape:
-                    loss, rep, _ = scene_loss(pair, weights, cfg, net_cfg,
-                                              training=True, update_stats=True)
+                    loss, rep, _ = scene_loss(pair, weights, cfg, net_cfg, training=True)
                     tape.backward(loss)
                 sums += (rep.matching_loss, rep.rejection_loss, rep.total)
                 n_m_total += rep.n_matching
@@ -299,20 +297,22 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
 
     Sampling is stratified over parameter groups (encoder, max path, annular,
     angle, fusion, cross attention, dustbin score, classifier) so every
-    distinct backward rule is exercised.
+    distinct backward rule is exercised. Every loss evaluation runs in
+    training mode, which reads batch statistics only; the batch-norm running
+    buffers it updates are restored before returning.
     """
     train_cfg = train_cfg or TrainConfig()
     rng = np.random.default_rng(seed)
+    buffers = {k: b.copy() for k, b in weights.buffers.items()}
 
-    _, _, candidates = scene_loss(pair, weights, train_cfg,
-                                  training=True, update_stats=False)
+    _, _, candidates = scene_loss(pair, weights, train_cfg, training=True)
     if len(candidates) == 0:
         candidates = _fallback_candidates(pair)
 
     weights.zero_grad()
     with Tape() as tape:
         loss, _, _ = scene_loss(pair, weights, train_cfg, training=True,
-                                update_stats=False, frozen_candidates=candidates)
+                                frozen_candidates=candidates)
         tape.backward(loss)
     analytic = {k: p.grad.copy() for k, p in weights.params.items()}
 
@@ -334,7 +334,7 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
 
     def loss_at() -> float:
         total, _, _ = scene_loss(pair, weights, train_cfg, training=True,
-                                 update_stats=False, frozen_candidates=candidates)
+                                 frozen_candidates=candidates)
         return total.item()
 
     def measure(p, idx, step) -> float:
@@ -363,6 +363,8 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
             if best_rel < 1e-4:
                 break
         entries.append(GradCheckEntry(name, idx, a, best_numeric, best_rel))
+    for k, b in buffers.items():
+        weights.buffers[k][...] = b
 
     worst = max(entries, key=lambda e: e.rel_error)
     per_module: dict = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, constant
+from .autodiff import Tensor
 from .geometry import CorrespondenceSet
 
 SINKHORN_ITERS = 100
@@ -40,27 +40,19 @@ def cost_matrix(f_p: Tensor, f_q: Tensor) -> Tensor:
 
 def augment_dustbins(cost: Tensor, alpha_bin: Tensor) -> ScoreMatrix:
     """Scores: negated cost in the main block, alpha_bin on the dustbins."""
-    cost = cost if isinstance(cost, Tensor) else constant(cost)
-    alpha_bin = alpha_bin if isinstance(alpha_bin, Tensor) else constant(alpha_bin)
+    cost, alpha_bin = ad._as_tensor(cost), ad._as_tensor(alpha_bin)
     m, n = cost.shape
     a = float(alpha_bin.data)
     out_data = np.full((m + 1, n + 1), a, dtype=np.float64)
     out_data[:m, :n] = -cost.data
 
-    tape = ad._active_tape()
-    req = tape is not None and (cost.requires_grad or alpha_bin.requires_grad)
-    out = Tensor._wrap(out_data, req)
-    if req:
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if cost.requires_grad:
-                ad._accum(cost, -g[:m, :n])
-            if alpha_bin.requires_grad:
-                ad._accum(alpha_bin, np.array(g[m, :].sum() + g[:m, n].sum()))
-        tape.record(bw)
-    return ScoreMatrix(out, log_domain=True)
+    def bw(g):
+        if cost.requires_grad:
+            ad._accum(cost, -g[:m, :n])
+        if alpha_bin.requires_grad:
+            ad._accum(alpha_bin, np.array(g[m, :].sum() + g[:m, n].sum()))
+
+    return ScoreMatrix(ad._make(out_data, (cost, alpha_bin), bw), log_domain=True)
 
 
 def _marginals(m: int, n: int):
@@ -96,38 +88,32 @@ def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
         vs[t + 1] = log_b - _logsumexp(x + us[t].reshape(m1, 1), 0)[0]
     plan = np.exp((x + us[-1].reshape(m1, 1)) + vs[-1])
 
-    def build(out):
-        # Replays the taped loop's records in reverse with the same elementwise
-        # operations and sums, so every gradient addend comes out the same bits.
-        # The tape added each addend into scores.grad in turn; gs sums them in
-        # that order and is accumulated once, which is the same only because
-        # scores feeds nothing but Sinkhorn, so its grad is None on entry.
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            gp = g * out.data
-            gs = gp.copy()
-            gv = gp.sum(axis=(0,))
-            gu = gp.sum(axis=(1,), keepdims=True)
-            for t in range(iters - 1, -1, -1):
-                # gb = -gv * (e / den), formed in e's buffer; ga likewise.
-                _, gb, den = _logsumexp(x + us[t].reshape(m1, 1), 0)
-                gb /= np.expand_dims(den, 0)
-                gb *= np.expand_dims(-gv, 0)
-                gs += gb
-                g_u = gb.sum(axis=(1,), keepdims=True)
-                gu = gu + g_u if t == iters - 1 else g_u
-                _, ga, den = _logsumexp(x + vs[t], 1)
-                ga /= np.expand_dims(den, 1)
-                ga *= -gu
-                gs += ga
-                if t > 0:  # vs[0] is the constant start: no gradient
-                    gv = ga.sum(axis=(0,))
-            ad._accum(scores, gs)
-        return bw
+    # Replays the taped loop's records in reverse with the same elementwise
+    # operations and sums, so every gradient addend comes out the same bits.
+    # The tape added each addend into scores.grad in turn; gs sums them in
+    # that order and is accumulated once, which is the same only because
+    # scores feeds nothing but Sinkhorn, so its grad is None on entry.
+    def bw(g):
+        gs = g * plan
+        gv = gs.sum(axis=(0,))
+        gu = gs.sum(axis=(1,), keepdims=True)
+        for t in range(iters - 1, -1, -1):
+            # gb = -gv * (e / den), formed in e's buffer; ga likewise.
+            _, gb, den = _logsumexp(x + us[t].reshape(m1, 1), 0)
+            gb /= np.expand_dims(den, 0)
+            gb *= np.expand_dims(-gv, 0)
+            gs += gb
+            g_u = gb.sum(axis=(1,), keepdims=True)
+            gu = gu + g_u if t == iters - 1 else g_u
+            _, ga, den = _logsumexp(x + vs[t], 1)
+            ga /= np.expand_dims(den, 1)
+            ga *= -gu
+            gs += ga
+            if t > 0:  # vs[0] is the constant start: no gradient
+                gv = ga.sum(axis=(0,))
+        ad._accum(scores, gs)
 
-    return ScoreMatrix(ad._make(plan, (scores,), build), log_domain=False)
+    return ScoreMatrix(ad._make(plan, (scores,), bw), log_domain=False)
 
 
 def _logsumexp(y, axis):

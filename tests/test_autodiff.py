@@ -139,8 +139,7 @@ def test_batch_norm_gradcheck_training_mode():
     gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
     beta = rand_tensor(rng, (3,))
     state = BatchNormState.fresh(3)
-    check_op(lambda: ad.batch_norm_1d(x, gamma, beta, state, training=True,
-                                      update_stats=False),
+    check_op(lambda: ad.batch_norm_1d(x, gamma, beta, state, training=True),
              [x, gamma, beta], rtol=1e-4)
 
 
@@ -247,6 +246,22 @@ def test_backward_linearity_of_sum_of_losses():
         tape.backward(ad.sum_all(ad.mul(y, y)))
     assert np.max(np.abs(gx_joint - (gx1 + x.grad))) < 1e-12
     assert np.max(np.abs(gw_joint - (gw1 + w.grad))) < 1e-12
+
+
+def test_shared_gradient_survives_a_second_addend():
+    # add hands its output gradient to both inputs as one array; when a then
+    # receives t's addend, b's gradient must not change with it.
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        a, b = ad.scale(x, 1.0), ad.scale(y, 1.0)
+        t = ad.scale(a, 3.0)
+        s = ad.add(a, b)
+        tape.backward(ad.sum_all(ad.add(s, t)))
+    assert np.array_equal(b.grad, np.ones(3))
+    assert np.array_equal(a.grad, np.full(3, 4.0))
+    assert np.array_equal(y.grad, np.ones(3))
+    assert np.array_equal(x.grad, np.full(3, 4.0))
 
 
 def test_forward_bit_identical_across_runs():

@@ -358,6 +358,32 @@ def test_cmd_sweep_empty_dir_names_directory(tmp_path, capsys):
     assert "none" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--ratios", "1.5"),
+    ("sweep", "--ratios", "0,nan"),
+    ("sweep", "--threshold", "inf"),
+    ("match", "--threshold", "5"),
+    ("match", "--threshold", "nan"),
+    ("localize", "--threshold", "-1"),
+    ("synth", "--count", "-3"),
+])
+def test_cmd_out_of_range_argument_exits_2(tmp_path, capsys, command, flag, value):
+    wpath, _ = make_weights_file(tmp_path)
+    (tmp_path / "scenes").mkdir()
+    spath, _ = scene_file(tmp_path, name="scenes/scene_0000.json")
+    out = tmp_path / "out"
+    args = {"synth": ["--out", str(out)],
+            "match": ["--weights", wpath, "--scene", spath],
+            "localize": ["--weights", wpath, "--scene", spath],
+            "sweep": ["--weights", wpath, "--scenes", str(tmp_path / "scenes"),
+                      "--out-csv", str(out)]}[command]
+    assert main([command, *args, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert not out.exists()
+
+
 # --- gradcheck ----------------------------------------------------------------------
 
 

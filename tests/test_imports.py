@@ -1,14 +1,20 @@
-"""Every name imported by a module of the package or of its tests is used.
+"""Static scans of the package and its tests.
 
-An import statement whose names are there to be re-exported carries
+Every name imported by a module of the package or of its tests is used. An
+import statement whose names are there to be re-exported carries
 `# noqa: F401` on one of its lines and is exempt.
+
+No module of the package but `autodiff.py` touches the tape's internals:
+ops written elsewhere go through `autodiff._make`.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "a2match").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "a2match").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+TAPE_INTERNALS = {"_active_tape", "_tape_stack", "_wrap"}
 
 
 def unused_imports(path):
@@ -50,3 +56,33 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in MODULES for line, name in unused_imports(path)]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+def tape_internals_read(path):
+    """(line, name) of every attribute or name in TAPE_INTERNALS that `path` reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in TAPE_INTERNALS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in TAPE_INTERNALS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in TAPE_INTERNALS]
+    return sorted(found)
+
+
+def test_tape_scan_finds_internals(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from . import autodiff as ad\nfrom .autodiff import _tape_stack\n"
+                      "tape = ad._active_tape()\nout = ad.Tensor._wrap(1, True)\n"
+                      "ad._make(out, (), None)\n", encoding="utf-8")
+    assert tape_internals_read(module) == [(2, "_tape_stack"), (3, "_active_tape"),
+                                           (4, "_wrap")]
+
+
+def test_only_autodiff_touches_tape_internals():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in PACKAGE if path.name != "autodiff.py"
+             for line, name in tape_internals_read(path)]
+    assert not found, "tape internals read outside autodiff.py:\n" + "\n".join(found)

@@ -175,16 +175,6 @@ def test_outlier_sweep_oracle_shape():
     assert not np.isfinite(rows[2].median_rot_deg)
 
 
-def test_outlier_sweep_threaded_matches_sequential():
-    scenes = [noiseless_scene(600 + i, n=25) for i in range(4)]
-    seq = outlier_sweep(None, scenes, [0.0, 0.5], use_oracle=True,
-                        ransac_cfg=RansacConfig(seed=2), workers=1)
-    par = outlier_sweep(None, scenes, [0.0, 0.5], use_oracle=True,
-                        ransac_cfg=RansacConfig(seed=2), workers=4)
-    for a, b in zip(seq, par):
-        assert a == b
-
-
 def test_ransac_config_validation():
     with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=0.0)

@@ -163,10 +163,12 @@ def small_net():
 def test_grad_check_fresh_model_passes():
     cfg = small_net()
     w = ModelWeights.initialize(cfg, seed=0)
+    buffers = {k: b.copy() for k, b in w.buffers.items()}
     report = grad_check(small_scene(), w, sample=24, seed=0)
     assert report.max_rel_error < 1e-3
     assert len(report.entries) >= 24
     assert {"enc", "clf", "ot"} <= set(report.per_module)
+    assert all(np.array_equal(w.buffers[k], b) for k, b in buffers.items())
 
 
 def test_grad_check_detects_corrupted_backward():
@@ -235,8 +237,7 @@ def test_train_reduces_loss_on_tiny_problem():
 def test_scene_loss_is_finite_and_nonnegative():
     w = ModelWeights.initialize(small_net(), seed=5)
     with Tape() as tape:
-        loss, report, _ = scene_loss(small_scene(30), w, TrainConfig(),
-                                     training=True, update_stats=False)
+        loss, report, _ = scene_loss(small_scene(30), w, TrainConfig(), training=True)
         tape.backward(loss)
     assert np.isfinite(loss.item())
     assert report.matching_loss >= 0.0

@@ -47,17 +47,12 @@ def _taped_logsumexp(a, axis):
     e = np.exp(x - m)
     s = e.sum(axis=axis)
 
-    def build(out):
-        def bw():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                soft = e / np.expand_dims(s, axis)
-                ad._accum(a, np.expand_dims(g, axis) * soft)
-        return bw
+    def bw(g):
+        if a.requires_grad:
+            soft = e / np.expand_dims(s, axis)
+            ad._accum(a, np.expand_dims(g, axis) * soft)
 
-    return ad._make(np.squeeze(m, axis) + np.log(s), (a,), build)
+    return ad._make(np.squeeze(m, axis) + np.log(s), (a,), bw)
 
 
 def taped_sinkhorn(s: ScoreMatrix, iters: int) -> ScoreMatrix:
