@@ -3,10 +3,11 @@ aggregation, self/cross attention.
 
 Both sides live in the 2D bearing plane, so one set of attention block
 parameters serves 2D keypoints and 3D points alike; only the input encoders
-are per-modality (optionally shared). Neighbor lists are sorted by ascending
-distance; the annular convolutions collapse each distance group and then the
-group axis, and the angle path runs the same two-stage convolution over
-per-neighbor direction cosines.
+are per-modality. Neighbor lists are sorted by ascending distance; the
+annular convolutions collapse each distance group and then the group axis,
+and the angle path runs the same two-stage convolution over per-neighbor
+direction cosines. Every layer reads its sizes from the NetworkConfig of the
+weights it is given.
 
 The max path and the annular path's first convolution see the edge features
 e_ij = [f_i, f_i - f_j] of Dynamic Graph CNN (Wang et al., ACM TOG 2019) only
@@ -33,6 +34,11 @@ from .autodiff import Tensor, constant
 from .geometry import pixel_bearings, unit_vectors, world_bearings
 from .synth import MAX_POINTS, MIN_POINTS, ScenePair
 
+# Each modality has its own input encoder.
+MODALITIES = ("2d", "3d")
+# Residual units of the correspondence classifier (`rejection.classify`).
+CLASSIFIER_UNITS = 6
+
 
 class TooFewPoints(Exception):
     pass
@@ -42,21 +48,12 @@ class EmptyInput(Exception):
     pass
 
 
-ANGLE_REFERENCES = ("nearest", "chain")
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     d: int = 128
     k: int = 9
     g: int = 3
     n_blocks: int = 2
-    leaky_slope: float = 0.2
-    norm_eps: float = 1e-5
-    share_encoders: bool = False
-    classifier_units: int = 6
-    classifier_use_score: bool = False
-    angle_reference: str = "nearest"
 
     def __post_init__(self):
         if self.d < 4:
@@ -65,12 +62,6 @@ class NetworkConfig:
             raise ValueError(f"neighbor count {self.k} must be divisible by group count {self.g}")
         if self.n_blocks < 1:
             raise ValueError(f"need at least one attention block, got {self.n_blocks}")
-        if not (np.isfinite(self.norm_eps) and self.norm_eps > 0.0):
-            raise ValueError(f"norm_eps must be finite and > 0, got {self.norm_eps}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError(f"leaky slope must be in (0,1), got {self.leaky_slope}")
-        if self.angle_reference not in ANGLE_REFERENCES:
-            raise ValueError(f"angle_reference must be one of {ANGLE_REFERENCES}")
 
 
 @dataclass
@@ -80,26 +71,14 @@ class LocalGraph:
     neighbor_cos: np.ndarray   # (N,k)
 
 
-def _edge_cosines(vecs: np.ndarray, reference: str) -> np.ndarray:
-    """Cosines between per-node reference edges and each neighbor edge.
+def build_knn_graph(positions, k: int) -> LocalGraph:
+    """k nearest neighbors by Euclidean distance on bearing coordinates.
 
-    vecs is (N,k,2), node->neighbor in ascending-distance order. "nearest"
-    compares every edge against the edge to the nearest neighbor; "chain"
-    compares consecutive edges. The rule is that of geometry.neighbor_cosine:
-    cosine 0 only where either edge is exactly zero (a duplicate point), and
-    otherwise scale-invariant for every finite input.
+    Each neighbor's cosine is taken between its edge and the edge to the
+    nearest neighbor, by the rule of geometry.neighbor_cosine: 0 only where
+    either edge is exactly zero (a duplicate point), and otherwise
+    scale-invariant for every finite input.
     """
-    unit = unit_vectors(vecs)
-    if reference == "nearest":
-        ref = unit[:, :1, :]
-    else:
-        ref = np.concatenate([unit[:, :1, :], unit[:, :-1, :]], axis=1)
-    dot = ref[..., 0] * unit[..., 0] + ref[..., 1] * unit[..., 1]
-    return np.clip(dot, -1.0, 1.0)
-
-
-def build_knn_graph(positions, k: int, angle_reference: str = "nearest") -> LocalGraph:
-    """k nearest neighbors by Euclidean distance on bearing coordinates."""
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     n = len(pos)
     if n <= k:
@@ -110,8 +89,8 @@ def build_knn_graph(positions, k: int, angle_reference: str = "nearest") -> Loca
     np.fill_diagonal(dist, np.inf)
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     ndist = np.take_along_axis(dist, order, axis=1)
-    vecs = pos[order] - pos[:, None, :]
-    ncos = _edge_cosines(vecs, angle_reference)
+    unit = unit_vectors(pos[order] - pos[:, None, :])
+    ncos = np.clip(unit[:, :1, 0] * unit[..., 0] + unit[:, :1, 1] * unit[..., 1], -1.0, 1.0)
     return LocalGraph(order, ndist, ncos)
 
 
@@ -119,7 +98,8 @@ def build_knn_graph(positions, k: int, angle_reference: str = "nearest") -> Loca
 
 
 class ModelWeights:
-    """Named float64 parameters plus batch-norm running buffers.
+    """Named float64 parameters plus batch-norm running buffers, and the
+    NetworkConfig they were made for: the one config every layer reads.
 
     Parameter creation order is fixed, so initialization from a seed and the
     serialized record stream are both reproducible.
@@ -154,8 +134,7 @@ class ModelWeights:
             buffers[f"{name}/count"] = np.zeros(1)
 
         d, k, g = config.d, config.k, config.g
-        enc_keys = ["shared"] if config.share_encoders else ["2d", "3d"]
-        for key in enc_keys:
+        for key in MODALITIES:
             for channel, width in (("bearing", 2), ("color", 3)):
                 base = f"enc/{key}/{channel}"
                 linear(f"{base}/proj", width, d)
@@ -192,9 +171,8 @@ class ModelWeights:
         # the score of a perfect match instead.
         params["ot/alpha_bin"] = Tensor(np.array(-1.0), requires_grad=True)
 
-        clf_in = 5 if config.classifier_use_score else 4
-        linear("clf/proj", clf_in, d)
-        for r in range(config.classifier_units):
+        linear("clf/proj", 4, d)
+        for r in range(CLASSIFIER_UNITS):
             linear(f"clf/res{r}/lin", d, d)
         linear("clf/head", d, 1)
 
@@ -202,13 +180,6 @@ class ModelWeights:
 
     def param(self, name: str) -> Tensor:
         return self.params[name]
-
-    def encoder_key(self, modality: str) -> str:
-        if self.config.share_encoders:
-            return "shared"
-        if modality not in ("2d", "3d"):
-            raise ValueError(f"modality must be '2d' or '3d', got {modality!r}")
-        return modality
 
     def bn_state(self, prefix: str) -> ad.BatchNormState:
         return ad.BatchNormState(self.buffers[f"{prefix}/running_mean"],
@@ -218,9 +189,6 @@ class ModelWeights:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = np.zeros_like(p.data)
-
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
 
 # --- building blocks ----------------------------------------------------------
@@ -234,12 +202,11 @@ def _linear(x, w: ModelWeights, name):
     return y
 
 
-def _lin_norm_act(x, w: ModelWeights, name, cfg: NetworkConfig):
+def _lin_norm_act(x, w: ModelWeights, name):
     """linear -> instance norm -> LeakyReLU on a 2D (rows, channels) tensor."""
     y = _linear(x, w, f"{name}/lin")
-    y = ad.instance_norm(y, w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"),
-                         eps=cfg.norm_eps)
-    return ad.leaky_relu(y, cfg.leaky_slope)
+    y = ad.instance_norm(y, w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"))
+    return ad.leaky_relu(y)
 
 
 def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
@@ -250,21 +217,20 @@ def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
         raise EmptyInput("encode needs at least one point")
     if len(b) != len(c):
         raise ad.ShapeMismatch(f"bearing/color counts differ: {len(b)} vs {len(c)}")
-    key = w.encoder_key(modality)
-    cfg = w.config
+    if modality not in MODALITIES:
+        raise ValueError(f"modality must be '2d' or '3d', got {modality!r}")
 
     def stack(x, channel):
-        base = f"enc/{key}/{channel}"
+        base = f"enc/{modality}/{channel}"
         h = _linear(constant(x), w, f"{base}/proj")
         for r in range(3):
-            h = ad.add(h, _lin_norm_act(h, w, f"{base}/res{r}", cfg))
+            h = ad.add(h, _lin_norm_act(h, w, f"{base}/res{r}"))
         return h
 
     return ad.add(stack(b, "bearing"), stack(c, "color"))
 
 
-def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name,
-                      cfg: NetworkConfig) -> Tensor:
+def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Tensor:
     """Edge MLP over [f_i, f_i - f_j] per neighbor, then the max over neighbors.
 
     Linear, instance norm over all N*k edges, max, then LeakyReLU: the
@@ -274,52 +240,51 @@ def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name,
     n, k = graph.neighbor_idx.shape
     h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, k, 1),
                            w.param(f"{name}/lin/W"), w.param(f"{name}/lin/b"))
-    h = ad.instance_norm(h, w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"),
-                         eps=cfg.norm_eps)
+    h = ad.instance_norm(h, w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"))
     vals, _ = ad.max_over_axis(h, axis=1)
-    return ad.leaky_relu(vals, cfg.leaky_slope)
+    return ad.leaky_relu(vals)
 
 
-def _bn_relu(y: Tensor, w: ModelWeights, bn_name, cfg: NetworkConfig, training) -> Tensor:
+def _bn_relu(y: Tensor, w: ModelWeights, bn_name, training) -> Tensor:
     y = ad.batch_norm_1d(y, w.param(f"{bn_name}/gamma"), w.param(f"{bn_name}/beta"),
-                         w.bn_state(bn_name), eps=cfg.norm_eps, training=training)
+                         w.bn_state(bn_name), training=training)
     return ad.relu(y)
 
 
-def _conv_bn_relu(x: Tensor, width, w: ModelWeights, conv_name, bn_name,
-                  cfg: NetworkConfig, training) -> Tensor:
+def _conv_bn_relu(x: Tensor, width, w: ModelWeights, conv_name, bn_name, training) -> Tensor:
     y = ad.grouped_neighbor_conv(x, width, w.param(f"{conv_name}/W"), w.param(f"{conv_name}/b"))
-    return _bn_relu(y, w, bn_name, cfg, training)
+    return _bn_relu(y, w, bn_name, training)
 
 
-def annular_aggregate(f: Tensor, graph: LocalGraph, g: int, w: ModelWeights, name,
-                      cfg: NetworkConfig, training=False) -> Tensor:
+def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name, *,
+                      training=False) -> Tensor:
     """Two-stage grouped convolution: collapse distance groups, then groups.
 
     The first stage convolves each group's k/g edge features [f_i, f_i - f_j]
-    in distance order.
+    in distance order, with g from the weights' config.
     """
     n, k = graph.neighbor_idx.shape
+    g = w.config.g
     if k % g != 0:
         raise ad.ShapeMismatch(f"neighbor count {k} not divisible by {g} groups")
     h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, g, k // g),
                            w.param(f"{name}/conv1/W"), w.param(f"{name}/conv1/b"))
-    h = _bn_relu(h, w, f"{name}/bn1", cfg, training)
-    h = _conv_bn_relu(h, g, w, f"{name}/conv2", f"{name}/bn2", cfg, training)
+    h = _bn_relu(h, w, f"{name}/bn1", training)
+    h = _conv_bn_relu(h, g, w, f"{name}/conv2", f"{name}/bn2", training)
     return ad.reshape(h, (n, h.shape[-1]))
 
 
-def angle_aggregate(graph: LocalGraph, w: ModelWeights, name, cfg: NetworkConfig,
-                    training=False) -> Tensor:
+def angle_aggregate(graph: LocalGraph, w: ModelWeights, name, *, training=False) -> Tensor:
+    cfg = w.config
     cosines = constant(graph.neighbor_cos[:, :, None])
     n = cosines.shape[0]
-    h = _conv_bn_relu(cosines, cfg.k // cfg.g, w, f"{name}/conv1", f"{name}/bn1", cfg, training)
-    h = _conv_bn_relu(h, cfg.g, w, f"{name}/conv2", f"{name}/bn2", cfg, training)
+    h = _conv_bn_relu(cosines, cfg.k // cfg.g, w, f"{name}/conv1", f"{name}/bn1", training)
+    h = _conv_bn_relu(h, cfg.g, w, f"{name}/conv2", f"{name}/bn2", training)
     return ad.reshape(h, (n, h.shape[-1]))
 
 
-def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: str,
-                         cfg: NetworkConfig, training=False) -> Tensor:
+def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: str, *,
+                         training=False) -> Tensor:
     """Two aggregation rounds on a fixed graph, fused through two heads.
 
     The max path and the annular+angle path evolve independently; round two
@@ -328,20 +293,19 @@ def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: s
     parameters.
     """
     p = f"{block}/self"
-    m1 = maxpool_aggregate(f, graph, w, f"{p}/max1", cfg)
-    a1 = ad.add(annular_aggregate(f, graph, cfg.g, w, f"{p}/ann1", cfg, training),
-                angle_aggregate(graph, w, f"{p}/ang1", cfg, training))
-    m2 = maxpool_aggregate(m1, graph, w, f"{p}/max2", cfg)
-    a2 = ad.add(annular_aggregate(a1, graph, cfg.g, w, f"{p}/ann2", cfg, training),
-                angle_aggregate(graph, w, f"{p}/ang2", cfg, training))
+    m1 = maxpool_aggregate(f, graph, w, f"{p}/max1")
+    a1 = ad.add(annular_aggregate(f, graph, w, f"{p}/ann1", training=training),
+                angle_aggregate(graph, w, f"{p}/ang1", training=training))
+    m2 = maxpool_aggregate(m1, graph, w, f"{p}/max2")
+    a2 = ad.add(annular_aggregate(a1, graph, w, f"{p}/ann2", training=training),
+                angle_aggregate(graph, w, f"{p}/ang2", training=training))
 
-    fused_max = _lin_norm_act(ad.concat_last_axis(f, m1, m2), w, f"{p}/fuse_max", cfg)
-    fused_aa = _lin_norm_act(ad.concat_last_axis(f, a1, a2), w, f"{p}/fuse_aa", cfg)
+    fused_max = _lin_norm_act(ad.concat_last_axis(f, m1, m2), w, f"{p}/fuse_max")
+    fused_aa = _lin_norm_act(ad.concat_last_axis(f, a1, a2), w, f"{p}/fuse_aa")
     return ad.add(fused_max, fused_aa)
 
 
-def cross_attention(f_a: Tensor, f_b: Tensor, w: ModelWeights, block: str,
-                    cfg: NetworkConfig) -> Tensor:
+def cross_attention(f_a: Tensor, f_b: Tensor, w: ModelWeights, block: str) -> Tensor:
     """Attend from side a over side b and add an MLP update to f_a."""
     if f_a.shape[0] == 0 or f_b.shape[0] == 0:
         raise EmptyInput("cross_attention needs non-empty inputs")
@@ -351,32 +315,32 @@ def cross_attention(f_a: Tensor, f_b: Tensor, w: ModelWeights, block: str,
     q = ad.matmul(f_a, w.param(f"{p}/Wq/W"))
     kk = ad.matmul(f_b, w.param(f"{p}/Wk/W"))
     v = ad.matmul(f_b, w.param(f"{p}/Wv/W"))
-    scores = ad.scale(ad.matmul(q, ad.transpose2d(kk)), 1.0 / np.sqrt(cfg.d))
+    scores = ad.scale(ad.matmul(q, ad.transpose2d(kk)), 1.0 / np.sqrt(w.config.d))
     alpha = ad.softmax_last_axis(scores)
     msg = ad.matmul(alpha, v)
-    h = ad.leaky_relu(_linear(ad.concat_last_axis(q, msg), w, f"{p}/mlp/lin1"), cfg.leaky_slope)
+    h = ad.leaky_relu(_linear(ad.concat_last_axis(q, msg), w, f"{p}/mlp/lin1"))
     return ad.add(f_a, _linear(h, w, f"{p}/mlp/lin2"))
 
 
-def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights,
-                     cfg: NetworkConfig = None, training=False):
+def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights, *,
+                     training=False):
     """Run the full network on raw bearing/color arrays for both sides.
 
     Each side runs in canonical order; the features come back in input order.
     """
-    cfg = cfg or w.config
+    cfg = w.config
     bearings_p, colors_p, back_p = _canonical_side(bearings_p, colors_p)
     bearings_q, colors_q, back_q = _canonical_side(bearings_q, colors_q)
     f_p = encode(bearings_p, colors_p, w, "2d")
     f_q = encode(bearings_q, colors_q, w, "3d")
-    graph_p = build_knn_graph(bearings_p, cfg.k, cfg.angle_reference)
-    graph_q = build_knn_graph(bearings_q, cfg.k, cfg.angle_reference)
+    graph_p = build_knn_graph(bearings_p, cfg.k)
+    graph_q = build_knn_graph(bearings_q, cfg.k)
     for t in range(cfg.n_blocks):
         blk = f"blk{t}"
-        f_p = self_attention_block(f_p, graph_p, w, blk, cfg, training)
-        f_q = self_attention_block(f_q, graph_q, w, blk, cfg, training)
-        f_p, f_q = (cross_attention(f_p, f_q, w, blk, cfg),
-                    cross_attention(f_q, f_p, w, blk, cfg))
+        f_p = self_attention_block(f_p, graph_p, w, blk, training=training)
+        f_q = self_attention_block(f_q, graph_q, w, blk, training=training)
+        f_p, f_q = (cross_attention(f_p, f_q, w, blk),
+                    cross_attention(f_q, f_p, w, blk))
     return ad.gather_rows(f_p, back_p), ad.gather_rows(f_q, back_q)
 
 
@@ -397,14 +361,14 @@ def scene_inputs(pair: ScenePair):
     return bp, pair.kp_colors, bq, pair.pt_colors
 
 
-def forward(pair: ScenePair, w: ModelWeights, cfg: NetworkConfig = None, training=False):
+def forward(pair: ScenePair, w: ModelWeights, *, training=False):
     """Enhanced per-point features (M x d, N x d) for a scene pair."""
-    cfg = cfg or w.config
+    k = w.config.k
     m, n = len(pair.keypoints), len(pair.points)
     for count, side in ((m, "keypoint"), (n, "point")):
         if not MIN_POINTS <= count <= MAX_POINTS:
             raise ValueError(f"{side} count {count} outside [{MIN_POINTS},{MAX_POINTS}]")
-        if count <= cfg.k:
-            raise TooFewPoints(f"{side} count {count} must exceed k={cfg.k}")
+        if count <= k:
+            raise TooFewPoints(f"{side} count {count} must exceed k={k}")
     bp, cp, bq, cq = scene_inputs(pair)
-    return forward_features(bp, cp, bq, cq, w, cfg, training)
+    return forward_features(bp, cp, bq, cq, w, training=training)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CorrespondenceSet, project
-from .network import ModelWeights, NetworkConfig, forward
+from .network import ModelWeights, forward
 from .posemetrics import (
     PoseEstimate,
     RansacConfig,
@@ -40,11 +40,10 @@ class LocalizeResult:
     failed: bool
 
 
-def match_scene(pair: ScenePair, weights: ModelWeights, net_cfg: NetworkConfig = None,
-                threshold: float = 0.5, use_rejection: bool = True) -> MatchResult:
+def match_scene(pair: ScenePair, weights: ModelWeights, *, threshold: float = 0.5,
+                use_rejection: bool = True) -> MatchResult:
     """Initial (mutual-NN transport) and final (filtered) correspondences."""
-    net_cfg = net_cfg or weights.config
-    f_p, f_q = forward(pair, weights, net_cfg)
+    f_p, f_q = forward(pair, weights)
     plan = sinkhorn(augment_dustbins(cost_matrix(f_p, f_q),
                                      weights.param("ot/alpha_bin")))
     initial = mutual_nn(plan)
@@ -77,12 +76,11 @@ def _localize_from_pairs(pair: ScenePair, corrs: CorrespondenceSet,
         float(np.mean(errs)), False)
 
 
-def localize_scene(pair: ScenePair, weights: ModelWeights, net_cfg: NetworkConfig = None,
-                   threshold: float = 0.5, ransac_cfg: RansacConfig = None,
-                   use_rejection: bool = True) -> LocalizeResult:
+def localize_scene(pair: ScenePair, weights: ModelWeights, *, threshold: float = 0.5,
+                   ransac_cfg: RansacConfig = None, use_rejection: bool = True) -> LocalizeResult:
     """Full pipeline pose estimate with errors against the scene's GT pose."""
     ransac_cfg = ransac_cfg or RansacConfig()
-    match = match_scene(pair, weights, net_cfg, threshold, use_rejection)
+    match = match_scene(pair, weights, threshold=threshold, use_rejection=use_rejection)
     return _localize_from_pairs(pair, match.final, ransac_cfg, len(match.initial))
 
 

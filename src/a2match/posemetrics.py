@@ -312,7 +312,7 @@ class SweepRow:
     median_trans: float
 
 
-def outlier_sweep(weights, scenes, ratios, net_cfg=None, ransac_cfg=None,
+def outlier_sweep(weights, scenes, ratios, *, ransac_cfg=None,
                   threshold: float = 0.5, seed: int = 0, use_oracle: bool = False):
     """Inject outliers at each ratio, run the pipeline, summarize AUC/medians.
 
@@ -329,7 +329,7 @@ def outlier_sweep(weights, scenes, ratios, net_cfg=None, ransac_cfg=None,
         injected = inject_outliers(scenes[s_idx], ratio, seed=cell_seed)
         if use_oracle:
             return localize_oracle(injected, ransac_cfg)
-        return localize_scene(injected, weights, net_cfg, threshold=threshold,
+        return localize_scene(injected, weights, threshold=threshold,
                               ransac_cfg=ransac_cfg)
 
     rows = []

@@ -3,7 +3,7 @@
 A pointwise residual MLP made set-aware by context normalization (per
 channel mean/variance across the candidate axis), ending in a sigmoid
 inlier probability. Input is the concatenated 2D/3D bearing pair per
-candidate; a config flag can append the transport score as a fifth channel.
+candidate, four channels; the transport score is not an input.
 `classify` runs on its candidate rows in canonical order and gathers the
 probabilities back, so they are bit-exactly permutation equivariant.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, constant
 from .geometry import CorrespondenceSet, pixel_bearings, world_bearings
-from .network import ModelWeights
+from .network import CLASSIFIER_UNITS, ModelWeights
 
 CONTEXT_EPS = 1e-5
 
@@ -30,9 +30,6 @@ class EmptyBatch(Exception):
 class CandidateBatch:
     bearings_p: np.ndarray        # (n, 2)
     bearings_q: np.ndarray        # (n, 2)
-    scores: np.ndarray            # (n,) transport plan values
-    labels: np.ndarray = None     # (n,) {0,1} during training
-    weights: np.ndarray = None    # (n,) positive balance weights
 
     def __len__(self):
         return len(self.bearings_p)
@@ -44,8 +41,7 @@ def candidate_batch(pair, corrs: CorrespondenceSet) -> CandidateBatch:
     idx_q = np.array(corrs.indices_3d(), dtype=np.intp)
     bp = pixel_bearings(pair.intrinsics, pair.keypoints[idx_p])
     bq, _ = world_bearings(pair.query_pose, pair.points[idx_q])
-    scores = np.array([s for _, _, s in corrs], dtype=np.float64)
-    return CandidateBatch(bp, bq, scores)
+    return CandidateBatch(bp, bq)
 
 
 def context_norm(x: Tensor, eps: float = CONTEXT_EPS) -> Tensor:
@@ -58,18 +54,14 @@ def classify(batch: CandidateBatch, w: ModelWeights) -> Tensor:
     n = len(batch)
     if n == 0:
         raise EmptyBatch("classifier needs at least one candidate")
-    cfg = w.config
-    cols = [batch.bearings_p, batch.bearings_q]
-    if cfg.classifier_use_score:
-        cols.append(batch.scores.reshape(-1, 1))
-    x = np.concatenate(cols, axis=1)
+    x = np.concatenate([batch.bearings_p, batch.bearings_q], axis=1)
     order, inverse = ad.canonical_order(x)
     x = constant(x[order])
 
     h = ad.add(ad.matmul(x, w.param("clf/proj/W")), w.param("clf/proj/b"))
-    for r in range(cfg.classifier_units):
+    for r in range(CLASSIFIER_UNITS):
         lin = ad.add(ad.matmul(h, w.param(f"clf/res{r}/lin/W")), w.param(f"clf/res{r}/lin/b"))
-        h = ad.add(h, ad.leaky_relu(context_norm(lin), cfg.leaky_slope))
+        h = ad.add(h, ad.leaky_relu(context_norm(lin)))
     logit = ad.add(ad.matmul(h, w.param("clf/head/W")), w.param("clf/head/b"))
     return ad.gather_rows(ad.sigmoid(ad.reshape(logit, (n,))), inverse)
 

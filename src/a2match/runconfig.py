@@ -1,8 +1,9 @@
 """JSON run configuration with strict key checking.
 
 Four optional sections mirror the dataclass configs: "synth", "network",
-"train", "ransac". Unknown sections or keys fail with an error naming the
-offending key.
+"train", "ransac". Unknown sections or keys, and values of the wrong type
+(a float or boolean for an integer field, a non-number for a float field),
+fail with an error naming the offending key.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ SECTIONS = {
     "ransac": RansacConfig,
 }
 
+# JSON value types accepted per field annotation (a string, as the configs'
+# modules defer annotations); bool, an int subclass, is rejected separately.
+FIELD_TYPES = {"int": (int,), "float": (int, float)}
+
 
 @dataclass
 class RunConfig:
@@ -35,10 +40,14 @@ class RunConfig:
 def _build_section(name: str, cls, data: dict):
     if not isinstance(data, dict):
         raise InvalidConfig(f"config section '{name}' must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
+    known = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in data.items():
         if key not in known:
             raise InvalidConfig(f"unknown config key: {name}.{key}")
+        allowed = FIELD_TYPES[known[key]]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            kind = "an integer" if known[key] == "int" else "a number"
+            raise InvalidConfig(f"config key {name}.{key} must be {kind}, got {value!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

@@ -63,27 +63,23 @@ class LossReport:
 
 
 def matching_loss(plan: ScoreMatrix, gt, m: int, n: int) -> Tensor:
-    """Mean negative log plan probability over gt and dustbin target cells."""
+    """Mean negative log plan probability over gt and dustbin target cells.
+
+    The cells are the gt pairs in order, then each unmatched row's dustbin
+    column and each unmatched column's dustbin row, both ascending.
+    """
     p = plan.values
     if p.shape != (m + 1, n + 1):
         raise IndexOutOfBounds(f"plan shape {p.shape} does not fit M={m}, N={n}")
-    rows, cols = [], []
-    matched_i, matched_j = set(), set()
-    for i, j, _ in gt:
-        if not (0 <= i < m and 0 <= j < n):
-            raise IndexOutOfBounds(f"ground-truth pair ({i},{j}) out of bounds")
-        rows.append(i)
-        cols.append(j)
-        matched_i.add(i)
-        matched_j.add(j)
-    for i in range(m):
-        if i not in matched_i:
-            rows.append(i)
-            cols.append(n)
-    for j in range(n):
-        if j not in matched_j:
-            rows.append(m)
-            cols.append(j)
+    gt_i = np.array(gt.indices_2d(), dtype=np.intp)
+    gt_j = np.array(gt.indices_3d(), dtype=np.intp)
+    bad = np.flatnonzero((gt_i < 0) | (gt_i >= m) | (gt_j < 0) | (gt_j >= n))
+    if len(bad):
+        raise IndexOutOfBounds(f"ground-truth pair ({gt_i[bad[0]]},{gt_j[bad[0]]}) out of bounds")
+    free_i = np.setdiff1d(np.arange(m), gt_i)
+    free_j = np.setdiff1d(np.arange(n), gt_j)
+    rows = np.concatenate([gt_i, free_i, np.full(len(free_j), m)])
+    cols = np.concatenate([gt_j, np.full(len(free_i), n), free_j])
     n_m = len(rows)
     picked = ad.gather_pairs(p, rows, cols)
     logs = ad.log(ad.clamp_min(picked, LOG_FLOOR))
@@ -155,16 +151,15 @@ def adam_step(weights: ModelWeights, grads: dict, state: AdamState, cfg: TrainCo
 # --- per-scene loss -----------------------------------------------------------
 
 
-def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig,
-               net_cfg: NetworkConfig = None, training=True, frozen_candidates=None):
+def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig, *, training=True,
+               frozen_candidates=None):
     """Total loss of one scene; returns (loss, report, candidates).
 
     frozen_candidates pins the discrete mutual-NN selection so repeated
     forward evaluations (finite differences) see a smooth function.
     """
-    net_cfg = net_cfg or weights.config
     m, n = len(pair.keypoints), len(pair.points)
-    f_p, f_q = forward(pair, weights, net_cfg, training=training)
+    f_p, f_q = forward(pair, weights, training=training)
     cost = cost_matrix(f_p, f_q)
     scores = augment_dustbins(cost, weights.param("ot/alpha_bin"))
     plan = sinkhorn(scores)
@@ -197,14 +192,15 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
           weights: ModelWeights = None):
     """Mini-batch training over scene pairs; bit-reproducible given seed.
 
-    Returns (weights, reports, epoch_seconds) with one LossReport per epoch
-    holding epoch-mean losses and summed counts.
+    net_cfg is used only when no weights are given: fresh weights of that
+    config (default NetworkConfig()) are initialized from cfg.seed. Given
+    weights carry their own config. Returns (weights, reports, epoch_seconds)
+    with one LossReport per epoch holding epoch-mean losses and summed counts.
     """
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
-    net_cfg = net_cfg or NetworkConfig()
     if weights is None:
-        weights = ModelWeights.initialize(net_cfg, seed=cfg.seed)
+        weights = ModelWeights.initialize(net_cfg or NetworkConfig(), seed=cfg.seed)
     state = AdamState.for_weights(weights)
     rng = np.random.default_rng(cfg.seed)
     reports = []
@@ -222,7 +218,7 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
             for sid in batch_idx:
                 pair = dataset[int(sid)]
                 with Tape() as tape:
-                    loss, rep, _ = scene_loss(pair, weights, cfg, net_cfg, training=True)
+                    loss, rep, _ = scene_loss(pair, weights, cfg, training=True)
                     tape.backward(loss)
                 sums += (rep.matching_loss, rep.rejection_loss, rep.total)
                 n_m_total += rep.n_matching

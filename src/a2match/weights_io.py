@@ -5,8 +5,7 @@ Layout:
     version         u16      currently 1
     d, k, g         u32 each
     n_blocks        u32
-    flags           u32      bit0 share_encoders, bit1 classifier_use_score,
-                             bit2 angle_reference == "chain"
+    flags           u32      reserved, must be 0
     n_records       u32
     records:        u16 name length, utf-8 name, u8 rank, rank * u32 dims,
                     prod(dims) * f32 payload (row-major)
@@ -14,7 +13,8 @@ Layout:
 Parameters come first in creation order, then running-statistic buffers
 (names prefixed "buffers/"). Values are stored in 32-bit and widened back
 to 64-bit on load, so load(save(w)) reproduces every value at float32
-precision exactly.
+precision exactly. The header holds every field of NetworkConfig, so the
+reloaded network is the saved one.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from .network import ModelWeights, NetworkConfig
 MAGIC = b"A2GW"
 VERSION = 1
 
-FLAG_SHARE_ENCODERS = 1
-FLAG_CLASSIFIER_SCORE = 2
-FLAG_ANGLE_CHAIN = 4
-
 
 class WeightsFormatError(Exception):
     pass
@@ -40,26 +36,6 @@ class WeightsFormatError(Exception):
 
 class VersionMismatch(WeightsFormatError):
     pass
-
-
-def _flags(cfg: NetworkConfig) -> int:
-    flags = 0
-    if cfg.share_encoders:
-        flags |= FLAG_SHARE_ENCODERS
-    if cfg.classifier_use_score:
-        flags |= FLAG_CLASSIFIER_SCORE
-    if cfg.angle_reference == "chain":
-        flags |= FLAG_ANGLE_CHAIN
-    return flags
-
-
-def _config_from(d, k, g, n_blocks, flags) -> NetworkConfig:
-    return NetworkConfig(
-        d=d, k=k, g=g, n_blocks=n_blocks,
-        share_encoders=bool(flags & FLAG_SHARE_ENCODERS),
-        classifier_use_score=bool(flags & FLAG_CLASSIFIER_SCORE),
-        angle_reference="chain" if flags & FLAG_ANGLE_CHAIN else "nearest",
-    )
 
 
 def _write_record(out, name: str, arr: np.ndarray):
@@ -76,7 +52,7 @@ def save_weights(path, weights: ModelWeights):
     cfg = weights.config
     out = [MAGIC,
            struct.pack("<H", VERSION),
-           struct.pack("<IIIII", cfg.d, cfg.k, cfg.g, cfg.n_blocks, _flags(cfg)),
+           struct.pack("<IIIII", cfg.d, cfg.k, cfg.g, cfg.n_blocks, 0),
            struct.pack("<I", len(weights.params) + len(weights.buffers))]
     for name, p in weights.params.items():
         _write_record(out, name, p.data)
@@ -111,7 +87,12 @@ def load_weights(path) -> ModelWeights:
     if version != VERSION:
         raise VersionMismatch(f"unsupported weights version {version}, expected {VERSION}")
     d, k, g, n_blocks, flags = r.unpack("<IIIII")
-    cfg = _config_from(d, k, g, n_blocks, flags)
+    if flags != 0:
+        raise WeightsFormatError(f"reserved flags word is {flags:#x}, expected 0")
+    try:
+        cfg = NetworkConfig(d=d, k=k, g=g, n_blocks=n_blocks)
+    except ValueError as exc:
+        raise WeightsFormatError(f"invalid network header: {exc}") from exc
     (n_records,) = r.unpack("<I")
 
     params: dict = {}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -6,8 +7,14 @@ import numpy as np
 import pytest
 
 from a2match.cli import main
-from a2match.network import ModelWeights, NetworkConfig
-from a2match.runconfig import InvalidConfig, load_run_config, parse_run_config
+from a2match.network import ModelWeights, NetworkConfig, forward_features, scene_inputs
+from a2match.runconfig import (
+    FIELD_TYPES,
+    SECTIONS,
+    InvalidConfig,
+    load_run_config,
+    parse_run_config,
+)
 from a2match.synth import SynthConfig, generate_scene, save_scene, scene_to_dict
 from a2match.weights_io import (
     VersionMismatch,
@@ -81,6 +88,54 @@ def test_weights_magic_and_version_checks(tmp_path):
         load_weights(trunc)
 
 
+# A value other than the base's for every NetworkConfig field, with whatever
+# other fields it needs to stay valid. A field missing here fails the test.
+ROUND_TRIP_BASE = NetworkConfig(d=8, k=6, g=3, n_blocks=1)
+ROUND_TRIP_OTHER = {
+    "d": {"d": 12},
+    "k": {"k": 9},
+    "g": {"g": 2},
+    "n_blocks": {"n_blocks": 2},
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NetworkConfig)])
+def test_weights_round_trip_every_config_field(tmp_path, field):
+    # Everything of the config the file does not persist would reload as a
+    # different network, or not at all.
+    assert field in ROUND_TRIP_OTHER, f"no non-default value for NetworkConfig.{field}"
+    cfg = dataclasses.replace(ROUND_TRIP_BASE, **ROUND_TRIP_OTHER[field])
+    assert getattr(cfg, field) != getattr(ROUND_TRIP_BASE, field)
+    w = ModelWeights.initialize(cfg, seed=4)
+    for p in w.params.values():
+        p.data[...] = p.data.astype(np.float32)
+    path = tmp_path / "w.a2w"
+    save_weights(path, w)
+    loaded = load_weights(path)
+    assert loaded.config == cfg
+    inputs = scene_inputs(generate_scene(SynthConfig(n_points=16, seed=6)))
+    for a, b in zip(forward_features(*inputs, w), forward_features(*inputs, loaded)):
+        assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("offset,value", [(22, 1), (22, 4), (22, 1 << 31), (14, 10)])
+def test_weights_header_without_a_config_fails_to_load(tmp_path, capsys, offset, value):
+    # Bytes 22-25 are the reserved flags word, which must be 0; bytes 14-17
+    # hold k, and k=10 with g=3 is no NetworkConfig.
+    path, _ = make_weights_file(tmp_path)
+    blob = bytearray(Path(path).read_bytes())
+    blob[offset:offset + 4] = struct.pack("<I", value)
+    bad = tmp_path / "bad.a2w"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(WeightsFormatError):
+        load_weights(bad)
+    scene, _ = scene_file(tmp_path)
+    capsys.readouterr()
+    assert main(["match", "--weights", str(bad), "--scene", scene]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
 # --- run config ----------------------------------------------------------------
 
 
@@ -111,7 +166,6 @@ def test_run_config_rejects_non_finite_and_out_of_range_values():
         ("train", "match_weight"): (nan, inf, -1.0),
         ("train", "rejection_weight"): (nan, inf, -1.0),
         ("ransac", "inlier_threshold"): (nan, inf, 0.0, -0.005),
-        ("network", "norm_eps"): (nan, inf, 0.0, -1e-5),
     }
     for (section, key), values in bad.items():
         for value in values:
@@ -120,6 +174,35 @@ def test_run_config_rejects_non_finite_and_out_of_range_values():
     cfg = parse_run_config({"train": {"learning_rate": 0.0, "match_weight": 0.0,
                                       "rejection_weight": 0.0}})
     assert cfg.train.learning_rate == cfg.train.match_weight == 0.0
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("network", "d", 16.0),
+    ("network", "n_blocks", True),
+    ("train", "epochs", 1.5),
+    ("train", "batch_size", True),
+    ("train", "learning_rate", False),
+    ("train", "seed", "3"),
+    ("synth", "n_points", 50.5),
+    ("synth", "inlier_fraction", "0.5"),
+    ("ransac", "max_iterations", None),
+])
+def test_run_config_rejects_values_of_the_wrong_type(tmp_path, capsys, section, key, value):
+    with pytest.raises(InvalidConfig, match=f"{section}.{key}"):
+        parse_run_config({section: {key: value}})
+    cfg = write_config(tmp_path, {section: {key: value}})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "s"), "--count", "1"]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_run_config_field_types():
+    # Every field has a checked type, and integers stand for floats.
+    for cls in SECTIONS.values():
+        for f in dataclasses.fields(cls):
+            assert f.type in FIELD_TYPES, f"{cls.__name__}.{f.name}"
+    cfg = parse_run_config({"train": {"learning_rate": 0}, "synth": {"depth_far": 20}})
+    assert cfg.train.learning_rate == 0 and cfg.synth.depth_far == 20
 
 
 # --- synth command --------------------------------------------------------------

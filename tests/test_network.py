@@ -1,10 +1,12 @@
 import hashlib
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from a2match import autodiff as ad
+from a2match import network
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.geometry import neighbor_cosine
 from a2match.network import (
@@ -48,8 +50,6 @@ def test_config_validation():
         NetworkConfig(d=2)
     with pytest.raises(ValueError):
         NetworkConfig(n_blocks=0)
-    with pytest.raises(ValueError):
-        NetworkConfig(angle_reference="bogus")
 
 
 def test_knn_collinear_oracle():
@@ -85,23 +85,20 @@ def test_knn_cosines_follow_neighbor_cosine_rule():
     rng = np.random.default_rng(3)
     pos = rand_positions(rng, 30)
     pos[7] = pos[3]  # duplicate point: node 3's nearest edge is exactly zero
-    for ref in ("nearest", "chain"):
-        g = build_knn_graph(pos, 6, ref)
-        for i in range(30):
-            vecs = pos[g.neighbor_idx[i]] - pos[i]
-            for j in range(6):
-                r = 0 if ref == "nearest" else max(j - 1, 0)
-                assert g.neighbor_cos[i, j] == neighbor_cosine(vecs[r], vecs[j])
-        zero_ref = slice(None) if ref == "nearest" else slice(0, 2)
-        assert np.all(g.neighbor_cos[3, zero_ref] == 0.0)
-        # An exact power-of-two shrink leaves every direction, so every cosine,
-        # as is, and scales every distance exactly; at 2**-540 a squared
-        # distance would underflow to 0.
-        for shift in (-300, -540):
-            tiny = build_knn_graph(np.ldexp(pos, shift), 6, ref)
-            assert np.array_equal(tiny.neighbor_idx, g.neighbor_idx)
-            assert np.array_equal(tiny.neighbor_cos, g.neighbor_cos)
-            assert np.array_equal(tiny.neighbor_dist, np.ldexp(g.neighbor_dist, shift))
+    g = build_knn_graph(pos, 6)
+    for i in range(30):
+        vecs = pos[g.neighbor_idx[i]] - pos[i]
+        for j in range(6):
+            assert g.neighbor_cos[i, j] == neighbor_cosine(vecs[0], vecs[j])
+    assert np.all(g.neighbor_cos[3] == 0.0)
+    # An exact power-of-two shrink leaves every direction, so every cosine,
+    # as is, and scales every distance exactly; at 2**-540 a squared
+    # distance would underflow to 0.
+    for shift in (-300, -540):
+        tiny = build_knn_graph(np.ldexp(pos, shift), 6)
+        assert np.array_equal(tiny.neighbor_idx, g.neighbor_idx)
+        assert np.array_equal(tiny.neighbor_cos, g.neighbor_cos)
+        assert np.array_equal(tiny.neighbor_dist, np.ldexp(g.neighbor_dist, shift))
 
 
 def test_knn_too_few_points():
@@ -169,11 +166,11 @@ def test_maxpool_invariant_to_neighbor_permutation():
     rng = np.random.default_rng(5)
     w = small_weights()
     g, f = graph_and_features(rng)
-    out1 = maxpool_aggregate(f, g, w, "blk0/self/max1", CFG8).data
+    out1 = maxpool_aggregate(f, g, w, "blk0/self/max1").data
     perm_idx = g.neighbor_idx.copy()
     perm_idx[4] = perm_idx[4][::-1]
     g2 = LocalGraph(perm_idx, g.neighbor_dist, g.neighbor_cos)
-    out2 = maxpool_aggregate(f, g2, w, "blk0/self/max1", CFG8).data
+    out2 = maxpool_aggregate(f, g2, w, "blk0/self/max1").data
     # Exact in real arithmetic; BLAS rounds a row by where it sits.
     np.testing.assert_allclose(out2, out1, rtol=1e-12)
 
@@ -191,10 +188,10 @@ def test_maxpool_equals_edge_mlp_oracle():
     h = np.concatenate([fi, fi - f.data[g.neighbor_idx]], axis=-1) @ \
         w.param(f"{name}/lin/W").data + w.param(f"{name}/lin/b").data
     mu, var = h.reshape(-1, 8).mean(axis=0), h.reshape(-1, 8).var(axis=0)
-    h = (h - mu) / np.sqrt(var + CFG8.norm_eps) * w.param(f"{name}/norm/gamma").data \
+    h = (h - mu) / np.sqrt(var + 1e-5) * w.param(f"{name}/norm/gamma").data \
         + w.param(f"{name}/norm/beta").data
-    expect = np.where(h >= 0.0, h, CFG8.leaky_slope * h).max(axis=1)
-    out = maxpool_aggregate(f, g, w, name, CFG8).data
+    expect = np.where(h >= 0.0, h, 0.2 * h).max(axis=1)
+    out = maxpool_aggregate(f, g, w, name).data
     np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-14)
 
 
@@ -203,11 +200,11 @@ def test_annular_sensitive_to_cross_group_permutation():
     cfg = NetworkConfig(d=8, k=6, g=3)
     w = small_weights(cfg=cfg)
     g, f = graph_and_features(rng, n=12, k=6)
-    base = annular_aggregate(f, g, 3, w, "blk0/self/ann1", cfg).data
+    base = annular_aggregate(f, g, w, "blk0/self/ann1").data
     swapped = g.neighbor_idx.copy()
     swapped[2, [0, 5]] = swapped[2, [5, 0]]  # swap across groups 0 and 2
     g2 = LocalGraph(swapped, g.neighbor_dist, g.neighbor_cos)
-    out = annular_aggregate(f, g2, 3, w, "blk0/self/ann1", cfg).data
+    out = annular_aggregate(f, g2, w, "blk0/self/ann1").data
     assert np.max(np.abs(base - out)) > 1e-6
 
 
@@ -218,8 +215,8 @@ def test_annular_and_angle_shapes():
     pos = rand_positions(rng, 15)
     g = build_knn_graph(pos, 9)
     f = constant(rng.standard_normal((15, 8)))
-    assert annular_aggregate(f, g, 3, w, "blk0/self/ann1", cfg).shape == (15, 8)
-    assert angle_aggregate(g, w, "blk0/self/ang1", cfg).shape == (15, 8)
+    assert annular_aggregate(f, g, w, "blk0/self/ann1").shape == (15, 8)
+    assert angle_aggregate(g, w, "blk0/self/ang1").shape == (15, 8)
 
 
 def test_angle_feature_constant_cosines():
@@ -230,7 +227,7 @@ def test_angle_feature_constant_cosines():
     g = build_knn_graph(pos, 6)
     g_const = LocalGraph(g.neighbor_idx, g.neighbor_dist,
                          np.full_like(g.neighbor_cos, 0.25))
-    out = angle_aggregate(g_const, w, "blk0/self/ang1", cfg).data
+    out = angle_aggregate(g_const, w, "blk0/self/ang1").data
     assert np.allclose(out, out[0])  # same cosines everywhere -> same feature
 
 
@@ -241,8 +238,8 @@ def test_angle_feature_rotation_invariant_through_convs():
     pos = rand_positions(rng, 14)
     theta = -0.7
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    out1 = angle_aggregate(build_knn_graph(pos, 6), w, "blk0/self/ang1", cfg).data
-    out2 = angle_aggregate(build_knn_graph(pos @ rot.T, 6), w, "blk0/self/ang1", cfg).data
+    out1 = angle_aggregate(build_knn_graph(pos, 6), w, "blk0/self/ang1").data
+    out2 = angle_aggregate(build_knn_graph(pos @ rot.T, 6), w, "blk0/self/ang1").data
     assert np.max(np.abs(out1 - out2)) < 1e-12
 
 
@@ -256,11 +253,11 @@ def test_self_attention_block_shape_and_equivariance():
     pos = rand_positions(rng, 13)
     feats = rng.standard_normal((13, 8))
     g = build_knn_graph(pos, 6)
-    out = self_attention_block(constant(feats), g, w, "blk0", cfg).data
+    out = self_attention_block(constant(feats), g, w, "blk0").data
     assert out.shape == (13, 8)
     perm = rng.permutation(13)
     g_p = build_knn_graph(pos[perm], 6)
-    out_p = self_attention_block(constant(feats[perm]), g_p, w, "blk0", cfg).data
+    out_p = self_attention_block(constant(feats[perm]), g_p, w, "blk0").data
     # Bit-exact equivariance holds at forward_features, which fixes the row
     # order; a sub-layer alone is equivariant up to round-off.
     np.testing.assert_allclose(out_p, out[perm], rtol=1e-12)
@@ -268,11 +265,10 @@ def test_self_attention_block_shape_and_equivariance():
 
 def test_cross_attention_singleton_source():
     rng = np.random.default_rng(11)
-    cfg = CFG8
     w = small_weights()
     f_a = constant(rng.standard_normal((5, 8)))
     f_b = constant(rng.standard_normal((1, 8)))
-    out = cross_attention(f_a, f_b, w, "blk0", cfg)
+    out = cross_attention(f_a, f_b, w, "blk0")
     # with one source, every attention row is exactly [1] and m_i = v_1
     v = f_b.data @ w.param("blk0/cross/Wv/W").data
     q = f_a.data @ w.param("blk0/cross/Wq/W").data
@@ -280,7 +276,7 @@ def test_cross_attention_singleton_source():
     w1, b1 = w.param("blk0/cross/mlp/lin1/W").data, w.param("blk0/cross/mlp/lin1/b").data
     w2, b2 = w.param("blk0/cross/mlp/lin2/W").data, w.param("blk0/cross/mlp/lin2/b").data
     act = h @ w1 + b1
-    act = np.where(act >= 0, act, cfg.leaky_slope * act)
+    act = np.where(act >= 0, act, 0.2 * act)
     expect = f_a.data + act @ w2 + b2
     assert np.allclose(out.data, expect, atol=1e-12)
 
@@ -310,8 +306,8 @@ def test_block_gradients_against_finite_differences():
 
     def loss_val():
         f = constant(feats)
-        out = self_attention_block(f, g, w, "blk0", cfg)
-        out = cross_attention(out, constant(feats[:7] * 0.5), w, "blk0", cfg)
+        out = self_attention_block(f, g, w, "blk0")
+        out = cross_attention(out, constant(feats[:7] * 0.5), w, "blk0")
         return ad.sum_all(ad.mul(out, out))
 
     w.zero_grad()
@@ -352,9 +348,9 @@ def test_forward_shapes_and_determinism():
     cfg = NetworkConfig(d=8, k=9, g=3)
     w = small_weights(cfg=cfg)
     pair = scene(20)
-    f_p, f_q = forward(pair, w, cfg)
+    f_p, f_q = forward(pair, w)
     assert f_p.shape == (24, 8) and f_q.shape == (24, 8)
-    f_p2, f_q2 = forward(pair, w, cfg)
+    f_p2, f_q2 = forward(pair, w)
     assert np.array_equal(f_p.data, f_p2.data)
     assert np.array_equal(f_q.data, f_q2.data)
     assert np.all(np.isfinite(f_p.data)) and np.all(np.isfinite(f_q.data))
@@ -365,22 +361,22 @@ def test_forward_full_permutation_equivariance_bit_exact():
     w = small_weights(cfg=cfg)
     pair = scene(21, n=20)
     bp, cp, bq, cq = scene_inputs(pair)
-    f_p, f_q = forward_features(bp, cp, bq, cq, w, cfg)
+    f_p, f_q = forward_features(bp, cp, bq, cq, w)
     rng = np.random.default_rng(22)
     perm_p = rng.permutation(len(bp))
     perm_q = rng.permutation(len(bq))
-    g_p, g_q = forward_features(bp[perm_p], cp[perm_p], bq[perm_q], cq[perm_q], w, cfg)
+    g_p, g_q = forward_features(bp[perm_p], cp[perm_p], bq[perm_q], cq[perm_q], w)
     assert np.array_equal(g_p.data, f_p.data[perm_p])
     assert np.array_equal(g_q.data, f_q.data[perm_q])
 
 
-def _assert_forward_equivariant(inputs, w, cfg, rng, trials):
+def _assert_forward_equivariant(inputs, w, rng, trials):
     bp, cp, bq, cq = inputs
-    f_p, f_q = forward_features(bp, cp, bq, cq, w, cfg)
+    f_p, f_q = forward_features(bp, cp, bq, cq, w)
     for _ in range(trials):
         perm_p = rng.permutation(len(bp))
         perm_q = rng.permutation(len(bq))
-        g_p, g_q = forward_features(bp[perm_p], cp[perm_p], bq[perm_q], cq[perm_q], w, cfg)
+        g_p, g_q = forward_features(bp[perm_p], cp[perm_p], bq[perm_q], cq[perm_q], w)
         assert np.array_equal(g_p.data, f_p.data[perm_p])
         assert np.array_equal(g_q.data, f_q.data[perm_q])
 
@@ -395,7 +391,7 @@ def test_forward_equivariant_bit_exact_with_tied_knn_distances():
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
     rng = np.random.default_rng(0)
     inputs = (grid, rng.uniform(0, 1, (30, 3)), grid[::-1].copy(), rng.uniform(0, 1, (30, 3)))
-    _assert_forward_equivariant(inputs, w, cfg, rng, trials=20)
+    _assert_forward_equivariant(inputs, w, rng, trials=20)
 
 
 def test_forward_equivariant_bit_exact_across_blas_tiles():
@@ -404,7 +400,7 @@ def test_forward_equivariant_bit_exact_across_blas_tiles():
     cfg = NetworkConfig(d=32)
     w = small_weights(seed=1, cfg=cfg)
     inputs = scene_inputs(scene(300, n=300))
-    _assert_forward_equivariant(inputs, w, cfg, np.random.default_rng(1), trials=2)
+    _assert_forward_equivariant(inputs, w, np.random.default_rng(1), trials=2)
 
 
 def test_forward_peak_memory_n512():
@@ -443,7 +439,7 @@ def test_forward_modality_swap_with_swapped_encoders():
     w = small_weights(cfg=cfg)
     pair = scene(23, n=18)
     bp, cp, bq, cq = scene_inputs(pair)
-    f_p, f_q = forward_features(bp, cp, bq, cq, w, cfg)
+    f_p, f_q = forward_features(bp, cp, bq, cq, w)
 
     swapped = ModelWeights(cfg, dict(w.params), dict(w.buffers))
     for name in list(w.params):
@@ -451,7 +447,7 @@ def test_forward_modality_swap_with_swapped_encoders():
             other = name.replace("enc/2d/", "enc/3d/")
             swapped.params[name] = w.params[other]
             swapped.params[other] = w.params[name]
-    g_q, g_p = forward_features(bq, cq, bp, cp, swapped, cfg)
+    g_q, g_p = forward_features(bq, cq, bp, cp, swapped)
     assert np.array_equal(g_p.data, f_p.data)
     assert np.array_equal(g_q.data, f_q.data)
 
@@ -461,9 +457,23 @@ def test_forward_no_nan_inf_over_random_scenes():
     w = small_weights(cfg=cfg)
     for seed in range(25):
         pair = scene(1000 + seed, n=16, noise=1.0)
-        f_p, f_q = forward(pair, w, cfg)
+        f_p, f_q = forward(pair, w)
         assert np.all(np.isfinite(f_p.data))
         assert np.all(np.isfinite(f_q.data))
+
+
+def test_layers_take_no_config_and_a_keyword_training_flag():
+    # The weights carry the one config. A positional training flag would
+    # silently take a stale config argument as true.
+    for fn in (forward, forward_features, self_attention_block, annular_aggregate,
+               angle_aggregate):
+        assert inspect.signature(fn).parameters["training"].kind is inspect.Parameter.KEYWORD_ONLY
+    for name, fn in inspect.getmembers(network, inspect.isfunction):
+        if fn.__module__ == network.__name__:
+            assert not {"cfg", "config", "net_cfg"} & set(inspect.signature(fn).parameters), name
+    w = small_weights()
+    with pytest.raises(TypeError):
+        forward(scene(25, n=16), w, w.config)
 
 
 def test_forward_count_preconditions():
@@ -472,4 +482,4 @@ def test_forward_count_preconditions():
     pair = scene(24, n=12)
     pair.keypoints = pair.keypoints[:8]
     with pytest.raises(ValueError):
-        forward(pair, w, cfg)
+        forward(pair, w)

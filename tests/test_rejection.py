@@ -21,8 +21,7 @@ CFG = NetworkConfig(d=8)
 def batch_of(n, seed=0):
     rng = np.random.default_rng(seed)
     return CandidateBatch(rng.uniform(-0.5, 0.5, (n, 2)),
-                          rng.uniform(-0.5, 0.5, (n, 2)),
-                          rng.uniform(0, 1, n))
+                          rng.uniform(-0.5, 0.5, (n, 2)))
 
 
 def test_classify_outputs_probabilities():
@@ -45,7 +44,7 @@ def test_classify_permutation_equivariant_exactly():
     p = classify(b, w).data
     rng = np.random.default_rng(3)
     perm = rng.permutation(17)
-    b2 = CandidateBatch(b.bearings_p[perm], b.bearings_q[perm], b.scores[perm])
+    b2 = CandidateBatch(b.bearings_p[perm], b.bearings_q[perm])
     p2 = classify(b2, w).data
     assert np.array_equal(p2, p[perm])
 
@@ -56,15 +55,14 @@ def test_classify_equivariant_bit_exact_with_duplicates_across_blas_tiles():
     w = ModelWeights.initialize(CFG, seed=2)
     b = batch_of(300, seed=5)
     dup = np.random.default_rng(6).integers(0, 200, 60)
-    for arr in (b.bearings_p, b.bearings_q, b.scores):
+    for arr in (b.bearings_p, b.bearings_q):
         arr[200:260] = arr[dup]
     p = classify(b, w).data
     assert np.array_equal(p[200:260], p[dup])
     rng = np.random.default_rng(7)
     for _ in range(5):
         perm = rng.permutation(300)
-        p2 = classify(CandidateBatch(b.bearings_p[perm], b.bearings_q[perm],
-                                     b.scores[perm]), w).data
+        p2 = classify(CandidateBatch(b.bearings_p[perm], b.bearings_q[perm]), w).data
         assert np.array_equal(p2, p[perm])
 
 
@@ -103,17 +101,6 @@ def test_classify_gradcheck_through_context_norm():
         num = (fp - fm) / (2 * h)
         a = p.grad.flat[idx]
         assert abs(a - num) / max(abs(a), abs(num), 1e-8) < 1e-3, name
-
-
-def test_classifier_score_channel_flag():
-    cfg = NetworkConfig(d=8, classifier_use_score=True)
-    w = ModelWeights.initialize(cfg, seed=8)
-    assert w.param("clf/proj/W").shape == (5, 8)
-    b = batch_of(6, seed=9)
-    p1 = classify(b, w).data
-    b2 = CandidateBatch(b.bearings_p, b.bearings_q, b.scores * 0.5)
-    p2 = classify(b2, w).data
-    assert not np.array_equal(p1, p2)  # score now matters
 
 
 def test_candidate_batch_gathers_bearings():

@@ -61,6 +61,23 @@ def test_matching_loss_bounds_check():
         matching_loss(plan_of(np.zeros((3, 3))), CorrespondenceSet([(5, 0, 1.0)]), 2, 2)
 
 
+def test_matching_loss_cells_match_per_point_oracle():
+    # Oracle: the target cells collected point by point; gt reuses row 4
+    # and column 2, so each must count as matched once.
+    rng = np.random.default_rng(8)
+    m, n = 9, 7
+    p = rng.uniform(0.01, 1.0, (m + 1, n + 1))
+    gt = CorrespondenceSet([(4, 2, 1.0), (0, 6, 1.0), (4, 5, 1.0), (7, 2, 1.0)])
+    rows = [i for i, _, _ in gt] + [i for i in range(m) if i not in {0, 4, 7}] + \
+        [m] * (n - 3)
+    cols = [j for _, j, _ in gt] + [n] * (m - 3) + [j for j in range(n) if j not in {2, 5, 6}]
+    loss = matching_loss(plan_of(p), gt, m, n)
+    np.testing.assert_allclose(loss.item(), -np.log(p[rows, cols]).mean(), rtol=1e-14)
+    with pytest.raises(IndexOutOfBounds, match=r"\(9,1\)"):
+        matching_loss(plan_of(p), CorrespondenceSet([(1, 1, 1.0), (9, 1, 1.0), (0, 7, 1.0)]),
+                      m, n)
+
+
 def test_matching_loss_monotone_when_mass_moves_to_target():
     # 2x2 witness: moving mass from a wrong cell to the gt cell lowers loss.
     gt = CorrespondenceSet([(0, 0, 1.0)])
