@@ -2,12 +2,12 @@
 
 Covers exactly what the matching network needs: 2D matmul, elementwise
 arithmetic with trailing-axis / singleton-axis broadcasting for affine
-parameters, concat/reshape/gather, activations, instance and batch
-normalization, softmax, axis max, pairwise L2 distances, the grouped
+parameters, concat/reshape/gather, activations, instance normalization (the
+only normalization), softmax, axis max, pairwise L2 distances, the grouped
 convolution along the neighbor axis, and `neighbor_linear`, a linear layer
 over windows of edge features [f_i, f_i - f_j] that never builds them. An op
 may also be a whole algorithm: `transport.sinkhorn` records one backward
-closure for all of its iterations.
+closure for all of its iterations. No op keeps state between calls.
 
 Op protocol: an op computes its output array and returns
 `_make(out_data, inputs, backward)`. Inside an active `Tape`, and only if
@@ -51,18 +51,6 @@ _LOCAL = threading.local()
 
 # Differences per row block in pairwise_l2 (8 MiB of float64).
 _BLOCK_ELEMENTS = 1 << 20
-
-# Verification-harness hook: when set, matmul deliberately corrupts its
-# weight-side gradient by this factor so the finite-difference checker can
-# prove it detects broken backward rules.
-_BACKWARD_FAULT = None
-
-
-def inject_backward_fault(scale):
-    """Install (or clear with None) a deliberate matmul-backward corruption."""
-    global _BACKWARD_FAULT
-    _BACKWARD_FAULT = scale
-
 
 def _tape_stack():
     if not hasattr(_LOCAL, "stack"):
@@ -202,10 +190,7 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accum(a, g @ b.data.T)
         if b.requires_grad:
-            gb = a.data.T @ g
-            if _BACKWARD_FAULT is not None:
-                gb = gb * _BACKWARD_FAULT
-            _accum(b, gb)
+            _accum(b, a.data.T @ g)
 
     return _make(out_data, (a, b), bw)
 
@@ -433,22 +418,19 @@ def max_over_axis(a, axis):
     return _make(out_data, (a,), bw), arg
 
 
-def _channel_stats(x):
-    """Mean/variance per trailing channel over all other axes."""
-    xr = x.reshape(-1, x.shape[-1])
-    mu = xr.mean(axis=0)
-    d = xr - mu
-    return mu, (d * d).mean(axis=0), xr.shape[0]
-
-
 def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:
-    """Per-channel normalization over every non-channel axis, optional affine."""
+    """Per-channel normalization over every non-channel axis, optional affine.
+
+    The network's one normalization: each call sees one scene, so its
+    statistics are that scene's, in training and at inference alike.
+    """
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeMismatch(f"instance_norm needs ndim >= 2, got {x.shape}")
-    mu, var, n = _channel_stats(x.data)
-    istd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * istd
+    dev = x.data.reshape(-1, x.shape[-1])
+    dev = dev - dev.mean(axis=0)
+    istd = 1.0 / np.sqrt((dev * dev).mean(axis=0) + eps)
+    xhat = (dev * istd).reshape(x.shape)
     if gamma is not None:
         gamma, beta = _as_tensor(gamma), _as_tensor(beta)
         out_data = xhat * gamma.data + beta.data
@@ -475,70 +457,6 @@ def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:
             _accum(x, dx.reshape(x.data.shape))
 
     return _make(out_data, inputs, bw)
-
-
-class BatchNormState:
-    """Running statistics for one batch-norm layer (per trailing channel)."""
-
-    def __init__(self, mean, var, count):
-        self.mean = mean
-        self.var = var
-        self.count = count  # 1-element array so it serializes like a buffer
-
-    @classmethod
-    def fresh(cls, channels):
-        return cls(np.zeros(channels), np.ones(channels), np.zeros(1))
-
-    @property
-    def initialized(self):
-        return self.count[0] > 0.0
-
-
-def batch_norm_1d(x, gamma, beta, state: BatchNormState, eps=1e-5,
-                  momentum=0.1, training=True) -> Tensor:
-    """Batch normalization over all non-channel axes.
-
-    Training mode normalizes with batch statistics and folds them into the
-    running buffers, which it never reads; eval mode uses the running
-    statistics when any exist and otherwise falls back to batch statistics
-    without updating.
-    """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if x.ndim < 2:
-        raise ShapeMismatch(f"batch_norm_1d needs ndim >= 2, got {x.shape}")
-
-    use_running = (not training) and state.initialized
-    if use_running:
-        istd = 1.0 / np.sqrt(state.var + eps)
-        xhat = (x.data - state.mean) * istd
-    else:
-        mu, var, _ = _channel_stats(x.data)
-        istd = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu) * istd
-        if training:
-            state.mean[...] = (1.0 - momentum) * state.mean + momentum * mu
-            state.var[...] = (1.0 - momentum) * state.var + momentum * var
-            state.count[0] += 1.0
-    out_data = xhat * gamma.data + beta.data
-
-    def bw(g):
-        c = x.data.shape[-1]
-        gf = g.reshape(-1, c)
-        xh = xhat.reshape(-1, c)
-        if gamma.requires_grad:
-            _accum(gamma, (gf * xh).sum(axis=0))
-        if beta.requires_grad:
-            _accum(beta, gf.sum(axis=0))
-        if x.requires_grad:
-            dxhat = gf * gamma.data
-            if use_running:
-                dx = dxhat * istd
-            else:
-                dx = istd * (dxhat - dxhat.mean(axis=0)
-                             - xh * (dxhat * xh).mean(axis=0))
-            _accum(x, dx.reshape(x.data.shape))
-
-    return _make(out_data, (x, gamma, beta), bw)
 
 
 def grouped_neighbor_conv(x, width: int, weight, bias) -> Tensor:

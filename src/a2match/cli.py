@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .network import ModelWeights, NetworkConfig, TooFewPoints
 from .pipeline import localize_scene, match_scene
 from .posemetrics import outlier_sweep
@@ -169,13 +168,8 @@ def cmd_gradcheck(args) -> int:
                                     inlier_fraction=0.75)
     pair = generate_scene(scene_cfg)
     weights = ModelWeights.initialize(net_cfg, seed=cfg.train.seed)
-    if args.inject_fault:
-        ad.inject_backward_fault(1.25)
-    try:
-        report = grad_check(pair, weights, sample=args.samples,
-                            train_cfg=cfg.train, seed=cfg.train.seed)
-    finally:
-        ad.inject_backward_fault(None)
+    report = grad_check(pair, weights, sample=args.samples,
+                        train_cfg=cfg.train, seed=cfg.train.seed)
     for module in sorted(report.per_module):
         print(f"{module:24s} worst rel err {report.per_module[module]:.3e}")
     print(f"checked {len(report.entries)} sampled parameters; "
@@ -238,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--config", default=None)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--inject-fault", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
     return parser
 

@@ -6,8 +6,10 @@ parameters serves 2D keypoints and 3D points alike; only the input encoders
 are per-modality. Neighbor lists are sorted by ascending distance; the
 annular convolutions collapse each distance group and then the group axis,
 and the angle path runs the same two-stage convolution over per-neighbor
-direction cosines. Every layer reads its sizes from the NetworkConfig of the
-weights it is given.
+direction cosines. Every normalization is `autodiff.instance_norm` over one
+scene, so training and inference run the very same network, and no call
+leaves state behind. Every layer reads its sizes from the NetworkConfig of
+the weights it is given.
 
 The max path and the annular path's first convolution see the edge features
 e_ij = [f_i, f_i - f_j] of Dynamic Graph CNN (Wang et al., ACM TOG 2019) only
@@ -98,40 +100,33 @@ def build_knn_graph(positions, k: int) -> LocalGraph:
 
 
 class ModelWeights:
-    """Named float64 parameters plus batch-norm running buffers, and the
-    NetworkConfig they were made for: the one config every layer reads.
+    """Named float64 parameters and the NetworkConfig they were made for:
+    the one config every layer reads.
 
-    Parameter creation order is fixed, so initialization from a seed and the
+    Parameters follow `layout`, so initialization from a seed and the
     serialized record stream are both reproducible.
     """
 
-    def __init__(self, config: NetworkConfig, params: dict, buffers: dict):
+    def __init__(self, config: NetworkConfig, params: dict):
         self.config = config
         self.params = params
-        self.buffers = buffers
+        # Always empty: a2bench/workloads.py Train.digest still reads it.
+        self.buffers = {}
 
-    @classmethod
-    def initialize(cls, config: NetworkConfig, seed: int = 0) -> "ModelWeights":
-        rng = np.random.default_rng(seed)
-        params: dict = {}
-        buffers: dict = {}
+    @staticmethod
+    def layout(config: NetworkConfig) -> list:
+        """(name, shape) of every parameter of a network of this config, in
+        creation order; draws nothing, so checking a file's records is cheap."""
+        layout = []
 
         def linear(name, fan_in, fan_out, bias=True):
-            bound = np.sqrt(6.0 / fan_in)
-            params[f"{name}/W"] = Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)),
-                                         requires_grad=True)
+            layout.append((f"{name}/W", (fan_in, fan_out)))
             if bias:
-                params[f"{name}/b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+                layout.append((f"{name}/b", (fan_out,)))
 
         def norm(name, c):
-            params[f"{name}/gamma"] = Tensor(np.ones(c), requires_grad=True)
-            params[f"{name}/beta"] = Tensor(np.zeros(c), requires_grad=True)
-
-        def bn(name, c):
-            norm(name, c)
-            buffers[f"{name}/running_mean"] = np.zeros(c)
-            buffers[f"{name}/running_var"] = np.ones(c)
-            buffers[f"{name}/count"] = np.zeros(1)
+            layout.append((f"{name}/gamma", (c,)))
+            layout.append((f"{name}/beta", (c,)))
 
         d, k, g = config.d, config.k, config.g
         for key in MODALITIES:
@@ -142,19 +137,21 @@ class ModelWeights:
                     linear(f"{base}/res{r}/lin", d, d)
                     norm(f"{base}/res{r}/norm", d)
 
+        # The annular and angle norms are named bn1/bn2 so that their records
+        # keep the names that saved models use.
         for t in range(config.n_blocks):
             blk = f"blk{t}/self"
             for r in (1, 2):
                 linear(f"{blk}/max{r}/lin", 2 * d, d)
                 norm(f"{blk}/max{r}/norm", d)
                 linear(f"{blk}/ann{r}/conv1", (k // g) * 2 * d, d)
-                bn(f"{blk}/ann{r}/bn1", d)
+                norm(f"{blk}/ann{r}/bn1", d)
                 linear(f"{blk}/ann{r}/conv2", g * d, d)
-                bn(f"{blk}/ann{r}/bn2", d)
+                norm(f"{blk}/ann{r}/bn2", d)
                 linear(f"{blk}/ang{r}/conv1", (k // g) * 1, d)
-                bn(f"{blk}/ang{r}/bn1", d)
+                norm(f"{blk}/ang{r}/bn1", d)
                 linear(f"{blk}/ang{r}/conv2", g * d, d)
-                bn(f"{blk}/ang{r}/bn2", d)
+                norm(f"{blk}/ang{r}/bn2", d)
             for fuse in ("fuse_max", "fuse_aa"):
                 linear(f"{blk}/{fuse}/lin", 3 * d, d)
                 norm(f"{blk}/{fuse}/norm", d)
@@ -165,26 +162,39 @@ class ModelWeights:
             linear(f"{cross}/mlp/lin1", 2 * d, 2 * d)
             linear(f"{cross}/mlp/lin2", 2 * d, d)
 
-        # Scores are negated L2 costs, so every main cell is <= 0; a positive
-        # dustbin score would dominate every row until the optimizer walks it
-        # down, which at lr=1e-3 takes hundreds of epochs. Start just below
-        # the score of a perfect match instead.
-        params["ot/alpha_bin"] = Tensor(np.array(-1.0), requires_grad=True)
+        layout.append(("ot/alpha_bin", ()))
 
         linear("clf/proj", 4, d)
         for r in range(CLASSIFIER_UNITS):
             linear(f"clf/res{r}/lin", d, d)
         linear("clf/head", d, 1)
+        return layout
 
-        return cls(config, params, buffers)
+    @classmethod
+    def initialize(cls, config: NetworkConfig, seed: int = 0) -> "ModelWeights":
+        """He-uniform weight matrices drawn in layout order; zero biases and
+        betas, unit gammas."""
+        rng = np.random.default_rng(seed)
+        params: dict = {}
+        for name, shape in cls.layout(config):
+            if name.endswith("/W"):
+                bound = np.sqrt(6.0 / shape[0])
+                data = rng.uniform(-bound, bound, shape)
+            elif name.endswith("/gamma"):
+                data = np.ones(shape)
+            elif name == "ot/alpha_bin":
+                # Scores are negated L2 costs, so every main cell is <= 0; a
+                # positive dustbin score would dominate every row until the
+                # optimizer walks it down, which at lr=1e-3 takes hundreds of
+                # epochs. Start just below the score of a perfect match instead.
+                data = np.array(-1.0)
+            else:
+                data = np.zeros(shape)
+            params[name] = Tensor(data, requires_grad=True)
+        return cls(config, params)
 
     def param(self, name: str) -> Tensor:
         return self.params[name]
-
-    def bn_state(self, prefix: str) -> ad.BatchNormState:
-        return ad.BatchNormState(self.buffers[f"{prefix}/running_mean"],
-                                 self.buffers[f"{prefix}/running_var"],
-                                 self.buffers[f"{prefix}/count"])
 
     def zero_grad(self):
         for p in self.params.values():
@@ -245,19 +255,17 @@ def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
     return ad.leaky_relu(vals)
 
 
-def _bn_relu(y: Tensor, w: ModelWeights, bn_name, training) -> Tensor:
-    y = ad.batch_norm_1d(y, w.param(f"{bn_name}/gamma"), w.param(f"{bn_name}/beta"),
-                         w.bn_state(bn_name), training=training)
+def _norm_relu(y: Tensor, w: ModelWeights, norm_name) -> Tensor:
+    y = ad.instance_norm(y, w.param(f"{norm_name}/gamma"), w.param(f"{norm_name}/beta"))
     return ad.relu(y)
 
 
-def _conv_bn_relu(x: Tensor, width, w: ModelWeights, conv_name, bn_name, training) -> Tensor:
+def _conv_norm_relu(x: Tensor, width, w: ModelWeights, conv_name, norm_name) -> Tensor:
     y = ad.grouped_neighbor_conv(x, width, w.param(f"{conv_name}/W"), w.param(f"{conv_name}/b"))
-    return _bn_relu(y, w, bn_name, training)
+    return _norm_relu(y, w, norm_name)
 
 
-def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name, *,
-                      training=False) -> Tensor:
+def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Tensor:
     """Two-stage grouped convolution: collapse distance groups, then groups.
 
     The first stage convolves each group's k/g edge features [f_i, f_i - f_j]
@@ -269,22 +277,21 @@ def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name, *,
         raise ad.ShapeMismatch(f"neighbor count {k} not divisible by {g} groups")
     h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, g, k // g),
                            w.param(f"{name}/conv1/W"), w.param(f"{name}/conv1/b"))
-    h = _bn_relu(h, w, f"{name}/bn1", training)
-    h = _conv_bn_relu(h, g, w, f"{name}/conv2", f"{name}/bn2", training)
+    h = _norm_relu(h, w, f"{name}/bn1")
+    h = _conv_norm_relu(h, g, w, f"{name}/conv2", f"{name}/bn2")
     return ad.reshape(h, (n, h.shape[-1]))
 
 
-def angle_aggregate(graph: LocalGraph, w: ModelWeights, name, *, training=False) -> Tensor:
+def angle_aggregate(graph: LocalGraph, w: ModelWeights, name) -> Tensor:
     cfg = w.config
     cosines = constant(graph.neighbor_cos[:, :, None])
     n = cosines.shape[0]
-    h = _conv_bn_relu(cosines, cfg.k // cfg.g, w, f"{name}/conv1", f"{name}/bn1", training)
-    h = _conv_bn_relu(h, cfg.g, w, f"{name}/conv2", f"{name}/bn2", training)
+    h = _conv_norm_relu(cosines, cfg.k // cfg.g, w, f"{name}/conv1", f"{name}/bn1")
+    h = _conv_norm_relu(h, cfg.g, w, f"{name}/conv2", f"{name}/bn2")
     return ad.reshape(h, (n, h.shape[-1]))
 
 
-def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: str, *,
-                         training=False) -> Tensor:
+def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: str) -> Tensor:
     """Two aggregation rounds on a fixed graph, fused through two heads.
 
     The max path and the annular+angle path evolve independently; round two
@@ -294,11 +301,11 @@ def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: s
     """
     p = f"{block}/self"
     m1 = maxpool_aggregate(f, graph, w, f"{p}/max1")
-    a1 = ad.add(annular_aggregate(f, graph, w, f"{p}/ann1", training=training),
-                angle_aggregate(graph, w, f"{p}/ang1", training=training))
+    a1 = ad.add(annular_aggregate(f, graph, w, f"{p}/ann1"),
+                angle_aggregate(graph, w, f"{p}/ang1"))
     m2 = maxpool_aggregate(m1, graph, w, f"{p}/max2")
-    a2 = ad.add(annular_aggregate(a1, graph, w, f"{p}/ann2", training=training),
-                angle_aggregate(graph, w, f"{p}/ang2", training=training))
+    a2 = ad.add(annular_aggregate(a1, graph, w, f"{p}/ann2"),
+                angle_aggregate(graph, w, f"{p}/ang2"))
 
     fused_max = _lin_norm_act(ad.concat_last_axis(f, m1, m2), w, f"{p}/fuse_max")
     fused_aa = _lin_norm_act(ad.concat_last_axis(f, a1, a2), w, f"{p}/fuse_aa")
@@ -322,8 +329,7 @@ def cross_attention(f_a: Tensor, f_b: Tensor, w: ModelWeights, block: str) -> Te
     return ad.add(f_a, _linear(h, w, f"{p}/mlp/lin2"))
 
 
-def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights, *,
-                     training=False):
+def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights):
     """Run the full network on raw bearing/color arrays for both sides.
 
     Each side runs in canonical order; the features come back in input order.
@@ -337,8 +343,8 @@ def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights
     graph_q = build_knn_graph(bearings_q, cfg.k)
     for t in range(cfg.n_blocks):
         blk = f"blk{t}"
-        f_p = self_attention_block(f_p, graph_p, w, blk, training=training)
-        f_q = self_attention_block(f_q, graph_q, w, blk, training=training)
+        f_p = self_attention_block(f_p, graph_p, w, blk)
+        f_q = self_attention_block(f_q, graph_q, w, blk)
         f_p, f_q = (cross_attention(f_p, f_q, w, blk),
                     cross_attention(f_q, f_p, w, blk))
     return ad.gather_rows(f_p, back_p), ad.gather_rows(f_q, back_q)
@@ -361,7 +367,7 @@ def scene_inputs(pair: ScenePair):
     return bp, pair.kp_colors, bq, pair.pt_colors
 
 
-def forward(pair: ScenePair, w: ModelWeights, *, training=False):
+def forward(pair: ScenePair, w: ModelWeights):
     """Enhanced per-point features (M x d, N x d) for a scene pair."""
     k = w.config.k
     m, n = len(pair.keypoints), len(pair.points)
@@ -371,4 +377,4 @@ def forward(pair: ScenePair, w: ModelWeights, *, training=False):
         if count <= k:
             raise TooFewPoints(f"{side} count {count} must exceed k={k}")
     bp, cp, bq, cq = scene_inputs(pair)
-    return forward_features(bp, cp, bq, cq, w, training=training)
+    return forward_features(bp, cp, bq, cq, w)

@@ -46,6 +46,8 @@ class RansacConfig:
                 f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0,1), got {self.confidence}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

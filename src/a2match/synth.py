@@ -63,6 +63,8 @@ class SynthConfig:
             raise InvalidConfig("camera dimensions must be positive")
         if self.gt_tolerance <= 0.0:
             raise InvalidConfig(f"gt_tolerance must be > 0, got {self.gt_tolerance}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

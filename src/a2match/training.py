@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -151,7 +153,7 @@ def adam_step(weights: ModelWeights, grads: dict, state: AdamState, cfg: TrainCo
 # --- per-scene loss -----------------------------------------------------------
 
 
-def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig, *, training=True,
+def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig, *,
                frozen_candidates=None):
     """Total loss of one scene; returns (loss, report, candidates).
 
@@ -159,7 +161,7 @@ def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig, *, training=
     forward evaluations (finite differences) see a smooth function.
     """
     m, n = len(pair.keypoints), len(pair.points)
-    f_p, f_q = forward(pair, weights, training=training)
+    f_p, f_q = forward(pair, weights)
     cost = cost_matrix(f_p, f_q)
     scores = augment_dustbins(cost, weights.param("ot/alpha_bin"))
     plan = sinkhorn(scores)
@@ -218,7 +220,7 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
             for sid in batch_idx:
                 pair = dataset[int(sid)]
                 with Tape() as tape:
-                    loss, rep, _ = scene_loss(pair, weights, cfg, training=True)
+                    loss, rep, _ = scene_loss(pair, weights, cfg)
                     tape.backward(loss)
                 sums += (rep.matching_loss, rep.rejection_loss, rep.total)
                 n_m_total += rep.n_matching
@@ -293,22 +295,20 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
 
     Sampling is stratified over parameter groups (encoder, max path, annular,
     angle, fusion, cross attention, dustbin score, classifier) so every
-    distinct backward rule is exercised. Every loss evaluation runs in
-    training mode, which reads batch statistics only; the batch-norm running
-    buffers it updates are restored before returning.
+    distinct backward rule is exercised. A loss evaluation changes no state
+    and every perturbed entry is put back, so the parameter values come back
+    as they were given; only their grads are overwritten.
     """
     train_cfg = train_cfg or TrainConfig()
     rng = np.random.default_rng(seed)
-    buffers = {k: b.copy() for k, b in weights.buffers.items()}
 
-    _, _, candidates = scene_loss(pair, weights, train_cfg, training=True)
+    _, _, candidates = scene_loss(pair, weights, train_cfg)
     if len(candidates) == 0:
         candidates = _fallback_candidates(pair)
 
     weights.zero_grad()
     with Tape() as tape:
-        loss, _, _ = scene_loss(pair, weights, train_cfg, training=True,
-                                frozen_candidates=candidates)
+        loss, _, _ = scene_loss(pair, weights, train_cfg, frozen_candidates=candidates)
         tape.backward(loss)
     analytic = {k: p.grad.copy() for k, p in weights.params.items()}
 
@@ -329,8 +329,7 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
         picks.append((name, int(rng.integers(weights.params[name].data.size))))
 
     def loss_at() -> float:
-        total, _, _ = scene_loss(pair, weights, train_cfg, training=True,
-                                 frozen_candidates=candidates)
+        total, _, _ = scene_loss(pair, weights, train_cfg, frozen_candidates=candidates)
         return total.item()
 
     def measure(p, idx, step) -> float:
@@ -359,8 +358,6 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
             if best_rel < 1e-4:
                 break
         entries.append(GradCheckEntry(name, idx, a, best_numeric, best_rel))
-    for k, b in buffers.items():
-        weights.buffers[k][...] = b
 
     worst = max(entries, key=lambda e: e.rel_error)
     per_module: dict = {}

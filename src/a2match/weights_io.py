@@ -2,7 +2,7 @@
 
 Layout:
     magic           4 bytes  b"A2GW"
-    version         u16      currently 1
+    version         u16      currently 2
     d, k, g         u32 each
     n_blocks        u32
     flags           u32      reserved, must be 0
@@ -10,11 +10,12 @@ Layout:
     records:        u16 name length, utf-8 name, u8 rank, rank * u32 dims,
                     prod(dims) * f32 payload (row-major)
 
-Parameters come first in creation order, then running-statistic buffers
-(names prefixed "buffers/"). Values are stored in 32-bit and widened back
-to 64-bit on load, so load(save(w)) reproduces every value at float32
-precision exactly. The header holds every field of NetworkConfig, so the
-reloaded network is the saved one.
+The records are the parameters in creation order (`ModelWeights.layout`);
+there is nothing else to store. Version 1 also held batch-norm running
+buffers ("buffers/" records); it is rejected, not converted. Values are
+stored in 32-bit and widened back to 64-bit on load, so load(save(w))
+reproduces every value at float32 precision exactly. The header holds every
+field of NetworkConfig, so the reloaded network is the saved one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .autodiff import Tensor
 from .network import ModelWeights, NetworkConfig
 
 MAGIC = b"A2GW"
-VERSION = 1
+VERSION = 2
 
 
 class WeightsFormatError(Exception):
@@ -53,11 +54,9 @@ def save_weights(path, weights: ModelWeights):
     out = [MAGIC,
            struct.pack("<H", VERSION),
            struct.pack("<IIIII", cfg.d, cfg.k, cfg.g, cfg.n_blocks, 0),
-           struct.pack("<I", len(weights.params) + len(weights.buffers))]
+           struct.pack("<I", len(weights.params))]
     for name, p in weights.params.items():
         _write_record(out, name, p.data)
-    for name, buf in weights.buffers.items():
-        _write_record(out, f"buffers/{name}", buf)
     with open(path, "wb") as f:
         f.write(b"".join(out))
 
@@ -96,7 +95,6 @@ def load_weights(path) -> ModelWeights:
     (n_records,) = r.unpack("<I")
 
     params: dict = {}
-    buffers: dict = {}
     for _ in range(n_records):
         (name_len,) = r.unpack("<H")
         name = r.take(name_len).decode("utf-8")
@@ -104,21 +102,16 @@ def load_weights(path) -> ModelWeights:
         dims = tuple(r.unpack("<" + "I" * rank)) if rank else ()
         count = int(np.prod(dims)) if dims else 1
         payload = np.frombuffer(r.take(4 * count), dtype="<f4").astype(np.float64)
-        arr = payload.reshape(dims)
-        if name.startswith("buffers/"):
-            buffers[name[len("buffers/"):]] = arr.copy()
-        else:
-            params[name] = Tensor(arr, requires_grad=True)
+        params[name] = Tensor(payload.reshape(dims), requires_grad=True)
     if r.off != len(r.blob):
         raise WeightsFormatError(f"{len(r.blob) - r.off} trailing bytes")
 
-    expected = ModelWeights.initialize(cfg, seed=0)
-    if set(expected.params) != set(params) or set(expected.buffers) != set(buffers):
-        missing = set(expected.params) ^ set(params)
-        extra = set(expected.buffers) ^ set(buffers)
-        raise WeightsFormatError(f"parameter records do not match config: {missing | extra}")
+    expected = dict(ModelWeights.layout(cfg))
+    if set(expected) != set(params):
+        raise WeightsFormatError(
+            f"parameter records do not match config: {set(expected) ^ set(params)}")
     for name, p in params.items():
-        if p.data.shape != expected.params[name].data.shape:
+        if p.data.shape != expected[name]:
             raise WeightsFormatError(f"shape of {name} is {p.data.shape}, "
-                                     f"expected {expected.params[name].data.shape}")
-    return ModelWeights(cfg, params, buffers)
+                                     f"expected {expected[name]}")
+    return ModelWeights(cfg, params)

@@ -5,7 +5,6 @@ import pytest
 
 from a2match import autodiff as ad
 from a2match.autodiff import (
-    BatchNormState,
     NonScalarLoss,
     ShapeMismatch,
     Tape,
@@ -113,34 +112,6 @@ def test_instance_norm_gradcheck():
     gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
     beta = rand_tensor(rng, (4,))
     check_op(lambda: ad.instance_norm(x, gamma, beta, eps=1e-5), [x, gamma, beta], rtol=1e-4)
-
-
-def test_batch_norm_training_mean_zero():
-    rng = np.random.default_rng(3)
-    state = BatchNormState.fresh(4)
-    out = ad.batch_norm_1d(constant(rng.standard_normal((32, 4))),
-                           constant(np.ones(4)), constant(np.zeros(4)), state)
-    assert np.max(np.abs(out.data.mean(axis=0))) < 1e-9
-    assert state.initialized
-
-
-def test_batch_norm_eval_uses_running_stats():
-    state = BatchNormState(np.zeros(3), np.ones(3), np.ones(1))
-    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    gamma, beta = np.array([2.0, 2.0, 2.0]), np.array([1.0, 1.0, 1.0])
-    out = ad.batch_norm_1d(constant(x), constant(gamma), constant(beta),
-                           state, eps=0.0, training=False)
-    assert np.allclose(out.data, 2.0 * x + 1.0)
-
-
-def test_batch_norm_gradcheck_training_mode():
-    rng = np.random.default_rng(4)
-    x = rand_tensor(rng, (8, 3))
-    gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
-    beta = rand_tensor(rng, (3,))
-    state = BatchNormState.fresh(3)
-    check_op(lambda: ad.batch_norm_1d(x, gamma, beta, state, training=True),
-             [x, gamma, beta], rtol=1e-4)
 
 
 def test_softmax_uniform_rows_and_sums():

@@ -19,6 +19,7 @@ from a2match.synth import SynthConfig, generate_scene, save_scene, scene_to_dict
 from a2match.weights_io import (
     VersionMismatch,
     WeightsFormatError,
+    _write_record,
     load_weights,
     save_weights,
 )
@@ -59,9 +60,6 @@ def test_weights_round_trip_float32_exact(tmp_path):
     for k, p in w.params.items():
         assert np.array_equal(loaded.params[k].data,
                               p.data.astype(np.float32).astype(np.float64))
-    for k, b in w.buffers.items():
-        assert np.array_equal(loaded.buffers[k],
-                              b.astype(np.float32).astype(np.float64))
 
 
 def test_weights_save_deterministic(tmp_path):
@@ -203,6 +201,27 @@ def test_run_config_field_types():
             assert f.type in FIELD_TYPES, f"{cls.__name__}.{f.name}"
     cfg = parse_run_config({"train": {"learning_rate": 0}, "synth": {"depth_far": 20}})
     assert cfg.train.learning_rate == 0 and cfg.synth.depth_far == 20
+
+
+@pytest.mark.parametrize("section,command", [
+    ("synth", "synth"), ("train", "train"), ("ransac", "localize")])
+def test_cmd_negative_seed_exits_2(tmp_path, capsys, section, command):
+    with pytest.raises(InvalidConfig, match="seed must be >= 0"):
+        parse_run_config({section: {"seed": -1}})
+    cfg = write_config(tmp_path, {section: {"seed": -1}})
+    wpath, _ = make_weights_file(tmp_path)
+    (tmp_path / "scenes").mkdir()
+    spath, _ = scene_file(tmp_path, name="scenes/scene_0000.json")
+    out = tmp_path / "out"
+    args = {"synth": ["--out", str(out)],
+            "train": ["--scenes", str(tmp_path / "scenes"), "--out", str(out)],
+            "localize": ["--weights", wpath, "--scene", spath, "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main([command, "--config", cfg, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be >= 0, got -1" in captured.err
+    assert not out.exists()
 
 
 # --- synth command --------------------------------------------------------------
@@ -396,6 +415,30 @@ def test_cmd_localize_scene_not_above_k_exits_2(tmp_path, capsys):
     assert "must exceed k=12" in capsys.readouterr().err
 
 
+def test_cmd_match_rejects_version_1_weights(tmp_path, capsys):
+    # Version 1 stored batch-norm running buffers after the parameters.
+    wpath, w = make_weights_file(tmp_path)
+    blob = bytearray(Path(wpath).read_bytes())
+    blob[4:6] = struct.pack("<H", 1)
+    buffers = [(f"buffers/{name[:-len('/gamma')]}/{kind}", value)
+               for name in w.params if name.endswith(("/bn1/gamma", "/bn2/gamma"))
+               for kind, value in (("running_mean", np.zeros(8)), ("running_var", np.ones(8)),
+                                   ("count", np.ones(1)))]
+    blob[26:30] = struct.pack("<I", len(w.params) + len(buffers))
+    out = []
+    for name, value in buffers:
+        _write_record(out, name, value)
+    v1 = tmp_path / "v1.a2w"
+    v1.write_bytes(bytes(blob) + b"".join(out))
+    with pytest.raises(VersionMismatch):
+        load_weights(v1)
+    spath, _ = scene_file(tmp_path, seed=8)
+    capsys.readouterr()
+    assert main(["match", "--weights", str(v1), "--scene", spath]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "version 1" in err
+
+
 def test_cmd_match_rejects_wrong_weights_version(tmp_path, capsys):
     wpath, _ = make_weights_file(tmp_path)
     blob = bytearray(Path(wpath).read_bytes())
@@ -470,15 +513,16 @@ def test_cmd_out_of_range_argument_exits_2(tmp_path, capsys, command, flag, valu
 # --- gradcheck ----------------------------------------------------------------------
 
 
-def test_cmd_gradcheck_passes_and_detects_fault(tmp_path, capsys):
+def test_cmd_gradcheck_passes_and_detects_fault(tmp_path, capsys, request):
     cfg = write_config(tmp_path, {"network": {"d": 8, "k": 6, "g": 3},
                                   "synth": {"seed": 1}})
     assert main(["gradcheck", "--config", cfg, "--samples", "24"]) == 0
     out = capsys.readouterr().out
     assert "PASSED" in out
     assert "worst rel err" in out
-    assert main(["gradcheck", "--config", cfg, "--samples", "24",
-                 "--inject-fault"]) == 1
+    request.getfixturevalue("corrupted_matmul_backward")
+    assert main(["gradcheck", "--config", cfg, "--samples", "24"]) == 1
+    assert "FAILED" in capsys.readouterr().out
 
 
 def test_unknown_flag_exits_2():

@@ -441,7 +441,7 @@ def test_forward_modality_swap_with_swapped_encoders():
     bp, cp, bq, cq = scene_inputs(pair)
     f_p, f_q = forward_features(bp, cp, bq, cq, w)
 
-    swapped = ModelWeights(cfg, dict(w.params), dict(w.buffers))
+    swapped = ModelWeights(cfg, dict(w.params))
     for name in list(w.params):
         if name.startswith("enc/2d/"):
             other = name.replace("enc/2d/", "enc/3d/")
@@ -462,15 +462,13 @@ def test_forward_no_nan_inf_over_random_scenes():
         assert np.all(np.isfinite(f_q.data))
 
 
-def test_layers_take_no_config_and_a_keyword_training_flag():
-    # The weights carry the one config. A positional training flag would
-    # silently take a stale config argument as true.
-    for fn in (forward, forward_features, self_attention_block, annular_aggregate,
-               angle_aggregate):
-        assert inspect.signature(fn).parameters["training"].kind is inspect.Parameter.KEYWORD_ONLY
+def test_layers_take_no_config_and_no_training_flag():
+    # The weights carry the one config, and training and inference run the
+    # same network: no layer takes either as an argument.
     for name, fn in inspect.getmembers(network, inspect.isfunction):
         if fn.__module__ == network.__name__:
-            assert not {"cfg", "config", "net_cfg"} & set(inspect.signature(fn).parameters), name
+            assert not {"cfg", "config", "net_cfg", "training"} & set(
+                inspect.signature(fn).parameters), name
     w = small_weights()
     with pytest.raises(TypeError):
         forward(scene(25, n=16), w, w.config)

@@ -6,7 +6,7 @@ import pytest
 from a2match import autodiff as ad
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.geometry import CorrespondenceSet
-from a2match.network import ModelWeights, NetworkConfig
+from a2match.network import ModelWeights, NetworkConfig, forward
 from a2match.synth import SynthConfig, generate_scene
 from a2match.training import (
     AdamState,
@@ -180,22 +180,16 @@ def small_net():
 def test_grad_check_fresh_model_passes():
     cfg = small_net()
     w = ModelWeights.initialize(cfg, seed=0)
-    buffers = {k: b.copy() for k, b in w.buffers.items()}
     report = grad_check(small_scene(), w, sample=24, seed=0)
     assert report.max_rel_error < 1e-3
     assert len(report.entries) >= 24
     assert {"enc", "clf", "ot"} <= set(report.per_module)
-    assert all(np.array_equal(w.buffers[k], b) for k, b in buffers.items())
 
 
-def test_grad_check_detects_corrupted_backward():
+def test_grad_check_detects_corrupted_backward(corrupted_matmul_backward):
     cfg = small_net()
     w = ModelWeights.initialize(cfg, seed=0)
-    ad.inject_backward_fault(1.25)
-    try:
-        report = grad_check(small_scene(), w, sample=24, seed=0)
-    finally:
-        ad.inject_backward_fault(None)
+    report = grad_check(small_scene(), w, sample=24, seed=0)
     assert report.max_rel_error > 1e-1
 
 
@@ -251,10 +245,27 @@ def test_train_reduces_loss_on_tiny_problem():
     assert reports[-1].total < reports[0].total
 
 
+def test_loss_leaves_the_next_forward_unchanged():
+    # Training and inference run one network with per-scene normalisation:
+    # neither a loss evaluation nor a zero-rate epoch leaves state that a
+    # later forward reads.
+    w = ModelWeights.initialize(small_net(), seed=2)
+    pair = small_scene(40)
+    before = forward(pair, w)
+    scene_loss(pair, w, TrainConfig())
+    after_loss = forward(pair, w)
+    train([pair, small_scene(41)], TrainConfig(learning_rate=0.0, epochs=1, batch_size=2),
+          weights=w)
+    after_epoch = forward(pair, w)
+    for f, g, h in zip(before, after_loss, after_epoch):
+        assert np.array_equal(f.data, g.data)
+        assert np.array_equal(f.data, h.data)
+
+
 def test_scene_loss_is_finite_and_nonnegative():
     w = ModelWeights.initialize(small_net(), seed=5)
     with Tape() as tape:
-        loss, report, _ = scene_loss(small_scene(30), w, TrainConfig(), training=True)
+        loss, report, _ = scene_loss(small_scene(30), w, TrainConfig())
         tape.backward(loss)
     assert np.isfinite(loss.item())
     assert report.matching_loss >= 0.0
