@@ -6,12 +6,20 @@ either side supplies unit mass, and each dustbin absorbs up to the other
 side's count, so total mass balances at M + N. Each real row/column of the
 plan therefore sums to one and its entries read as probabilities.
 
-`sinkhorn` is a single autodiff op: it stores the potentials of every
-iteration instead of taping each one, and its backward recomputes each
-iteration's exp(x - max) from them, so memory grows with iters x (M + N)
-rather than iters x M x N. It runs on the scores in input order with plain
-numpy sums, so permuting the inputs permutes the plan only up to round-off:
-the canonical order of `network.forward_features` ends at its features.
+`sinkhorn` is a single autodiff op with two paths, chosen from the range of
+its scores. Where max - min is at most `SCALING_RANGE` nats, it runs as
+matrix scaling (Cuturi 2013): one exp forms the kernel K, and each iteration
+is two matrix-vector products with it. Wider ranges would push the scaling
+vectors out of float64's range, so they run the log-domain iterations
+(Schmitzer 2019), two exp passes each, as do scores holding NaN or inf. Both
+paths run the same iterations, so they give the same plan up to round-off,
+and both keep per-iteration vectors instead of taping each iteration, so
+memory grows with iters x (M + N) rather than iters x M x N. The log path's
+plan and gradients are bit for bit those of the log-domain loop taped op by
+op; the scaling path's agree with them to round-off. Sinkhorn runs on the
+scores in input order with plain numpy sums and BLAS products, so permuting
+the inputs permutes the plan only up to round-off: the canonical order of
+`network.forward_features` ends at its features.
 """
 
 from __future__ import annotations
@@ -25,6 +33,20 @@ from .autodiff import Tensor
 from .geometry import CorrespondenceSet
 
 SINKHORN_ITERS = 100
+
+# Widest score range R = max(x) - min(x), in nats, that `sinkhorn` runs in
+# the scaling domain. There K = exp(x - row max) lies in [e^-R, 1], with a 1
+# in every row. The step from beta_t to beta_t+1 is monotone and homogeneous
+# in beta, so from beta_0 = 1 every beta_t stays within the spread of the
+# fixed point's beta, at most e^R times a mass ratio, and every alpha_t then
+# lies within e^R times mass factors too. So with R <= 300 each factor that
+# the matrix-vector products and the plan K * alpha * beta multiply lies in
+# e^+-300, and each product of two in e^+-600, up to powers of M + N: inside
+# float64's normal range of about e^+-708 at any size the validators accept.
+# Wider ranges need the log domain: a contested column (every row's best
+# entry in the same column) at R = 1400 gave the right plan in the scaling
+# domain, but gradients off by a relative 5e5.
+SCALING_RANGE = 300.0
 
 
 @dataclass
@@ -55,6 +77,16 @@ def augment_dustbins(cost: Tensor, alpha_bin: Tensor) -> ScoreMatrix:
     return ScoreMatrix(ad._make(out_data, (cost, alpha_bin), bw), log_domain=True)
 
 
+def _masses(m: int, n: int):
+    """Row and column masses: 1 per real point, the other side's count on
+    each dustbin."""
+    a = np.ones(m + 1)
+    a[m] = n
+    b = np.ones(n + 1)
+    b[n] = m
+    return a, b
+
+
 def _marginals(m: int, n: int):
     log_a = np.zeros(m + 1)
     log_a[m] = np.log(n)
@@ -64,20 +96,96 @@ def _marginals(m: int, n: int):
 
 
 def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
-    """Log-domain Sinkhorn; returns the exponentiated transport plan.
+    """Sinkhorn with dustbin marginals; returns the exponentiated transport plan.
 
-    One autodiff op. The forward runs the iterations on plain arrays and
-    keeps only the potentials of each iteration, (iters + 1) x (M + N + 2)
-    floats; the backward walks the iterations in reverse and recomputes each
-    one's exp(x - max) from them. Forward and gradients are bit for bit those
-    of the same loop taped op by op. The column update runs last, so column
-    marginals are exact and row marginals converge with the iterates.
+    One autodiff op, one tape record. Scores whose range max - min is at
+    most `SCALING_RANGE` run in the scaling domain: K = exp(x - row max) is
+    formed once, then alpha_t = a / (K beta_t) and beta_t+1 = b / (K^T
+    alpha_t) from beta_0 = 1, and the plan is K * alpha * beta. The op keeps
+    the iterates' reciprocal denominators, iters x (M + N + 2) floats, and its
+    backward forms K again with one exp and replays the recursion in reverse
+    with two matrix-vector products per iteration. Plan and gradients agree
+    with the log-domain loop taped op by op to round-off.
+
+    Wider ranges, NaN and inf run the log-domain loop, whose scaling vectors
+    would leave float64's range in the scaling domain. It keeps the
+    potentials of each iteration, (iters + 1) x (M + N + 2) floats, and its
+    backward recomputes each one's exp(x - max) from them. Only there are
+    plan and gradients bit for bit those of the taped loop.
+
+    Either way the column update runs last, so column marginals are exact
+    and row marginals converge with the iterates.
     """
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")
     if not s.log_domain:
         raise ValueError("sinkhorn expects a log-domain score matrix")
     scores = s.values
+    x = scores.data
+    # Python floats: NaN compares false and inf - inf raises no warning.
+    if float(x.max()) - float(x.min()) <= SCALING_RANGE:
+        plan, bw = _scaling_sinkhorn(scores, iters)
+    else:
+        plan, bw = _log_sinkhorn(scores, iters)
+    return ScoreMatrix(ad._make(plan, (scores,), bw), log_domain=False)
+
+
+def _scaling_sinkhorn(scores: Tensor, iters: int):
+    """Plan and backward of `sinkhorn` in the scaling domain."""
+    x = scores.data
+    m1, n1 = x.shape
+    a, b = _masses(m1 - 1, n1 - 1)
+    row_max = x.max(axis=1, keepdims=True)
+    kernel = np.subtract(x, row_max)
+    np.exp(kernel, out=kernel)
+    # The op keeps p[t] = 1 / (K beta_t) and q[t] = 1 / (K^T alpha_t), so that
+    # alpha_t = a * p[t] and beta_t+1 = b * q[t]: the backward needs both the
+    # scalings and their ratios to the masses.
+    p = np.empty((iters, m1))
+    q = np.empty((iters, n1))
+    beta = np.ones(n1)
+    for t in range(iters):
+        np.divide(1.0, kernel @ beta, out=p[t])
+        np.divide(1.0, (a * p[t]) @ kernel, out=q[t])
+        beta = b * q[t]
+    plan = kernel
+    plan *= (a * p[-1]).reshape(m1, 1)
+    plan *= beta
+
+    # The log path's column softmax of iteration t is K alpha_t beta_t+1 / b
+    # and its row softmax K alpha_t beta_t / a. So iteration t adds
+    # -K * (alpha_t (q[t] gv)^T + (p[t] gu) beta_t^T) to the score gradient,
+    # gv and gu being the gradients of log beta_t+1 and log alpha_t. The
+    # factors of those rank-one terms are gathered in left and right and
+    # summed by one product after the loop.
+    def bw(g):
+        k = np.subtract(x, row_max)
+        np.exp(k, out=k)
+        gs = g * plan
+        gu = gs.sum(axis=1)
+        gv = gs.sum(axis=0)
+        left = np.empty((m1, 2 * iters))
+        right = np.empty((2 * iters, n1))
+        for t in range(iters - 1, -1, -1):
+            alpha = a * p[t]
+            beta = b * q[t - 1] if t > 0 else 1.0
+            w = q[t] * gv
+            du = alpha * (k @ w)
+            gu = gu - du if t == iters - 1 else -du
+            c = p[t] * gu
+            left[:, 2 * t], right[2 * t] = alpha, w
+            left[:, 2 * t + 1], right[2 * t + 1] = c, beta
+            if t > 0:  # beta_0 is the constant start: no gradient
+                gv = -beta * (c @ k)
+        k *= left @ right
+        gs -= k
+        ad._accum(scores, gs)
+
+    return plan, bw
+
+
+def _log_sinkhorn(scores: Tensor, iters: int):
+    """Plan and backward of `sinkhorn` in the log domain."""
     x = scores.data
     m1, n1 = x.shape
     log_a, log_b = _marginals(m1 - 1, n1 - 1)
@@ -113,7 +221,7 @@ def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
                 gv = ga.sum(axis=(0,))
         ad._accum(scores, gs)
 
-    return ScoreMatrix(ad._make(plan, (scores,), bw), log_domain=False)
+    return plan, bw
 
 
 def _logsumexp(y, axis):
@@ -132,9 +240,9 @@ def marginal_residuals(plan: ScoreMatrix):
     """Max |row/column sum - prescribed marginal| of a transport plan."""
     p = plan.values.data
     m, n = p.shape[0] - 1, p.shape[1] - 1
-    log_a, log_b = _marginals(m, n)
-    row = np.abs(p.sum(axis=1) - np.exp(log_a)).max()
-    col = np.abs(p.sum(axis=0) - np.exp(log_b)).max()
+    a, b = _masses(m, n)
+    row = np.abs(p.sum(axis=1) - a).max()
+    col = np.abs(p.sum(axis=0) - b).max()
     return float(row), float(col)
 
 

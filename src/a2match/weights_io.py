@@ -14,7 +14,9 @@ The records are the parameters in creation order (`ModelWeights.layout`);
 there is nothing else to store. Version 1 also held batch-norm running
 buffers ("buffers/" records); it is rejected, not converted. Values are
 stored in 32-bit and widened back to 64-bit on load, so load(save(w))
-reproduces every value at float32 precision exactly. The header holds every
+reproduces every value at float32 precision exactly. Every value must be a
+finite float32: save refuses NaN, inf and float64 values beyond float32's
+range, and load rejects a file holding NaN or inf. The header holds every
 field of NetworkConfig, so the reloaded network is the saved one.
 """
 
@@ -40,13 +42,17 @@ class VersionMismatch(WeightsFormatError):
 
 
 def _write_record(out, name: str, arr: np.ndarray):
+    with np.errstate(over="ignore"):  # caught below: beyond float32 is inf
+        payload = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise WeightsFormatError(f"record {name} holds a value that is not a finite float32")
     encoded = name.encode("utf-8")
     out.append(struct.pack("<H", len(encoded)))
     out.append(encoded)
     out.append(struct.pack("<B", arr.ndim))
     for dim in arr.shape:
         out.append(struct.pack("<I", dim))
-    out.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    out.append(payload.tobytes())
 
 
 def save_weights(path, weights: ModelWeights):
@@ -101,8 +107,10 @@ def load_weights(path) -> ModelWeights:
         (rank,) = r.unpack("<B")
         dims = tuple(r.unpack("<" + "I" * rank)) if rank else ()
         count = int(np.prod(dims)) if dims else 1
-        payload = np.frombuffer(r.take(4 * count), dtype="<f4").astype(np.float64)
-        params[name] = Tensor(payload.reshape(dims), requires_grad=True)
+        payload = np.frombuffer(r.take(4 * count), dtype="<f4")
+        if not np.isfinite(payload).all():
+            raise WeightsFormatError(f"record {name} holds a non-finite value")
+        params[name] = Tensor(payload.astype(np.float64).reshape(dims), requires_grad=True)
     if r.off != len(r.blob):
         raise WeightsFormatError(f"{len(r.blob) - r.off} trailing bytes")
 

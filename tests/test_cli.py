@@ -449,6 +449,33 @@ def test_cmd_match_rejects_wrong_weights_version(tmp_path, capsys):
     assert main(["match", "--weights", str(bad), "--scene", spath]) == 2
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cmd_match_rejects_non_finite_weights(tmp_path, capsys, value):
+    wpath, w = make_weights_file(tmp_path)
+    blob = bytearray(Path(wpath).read_bytes())
+    blob[-4:] = struct.pack("<f", value)  # the last value of the last record
+    bad = tmp_path / "bad.a2w"
+    bad.write_bytes(bytes(blob))
+    last = list(w.params)[-1]
+    with pytest.raises(WeightsFormatError, match=f"record {last} holds a non-finite"):
+        load_weights(bad)
+    spath, _ = scene_file(tmp_path, seed=8)
+    capsys.readouterr()
+    assert main(["match", "--weights", str(bad), "--scene", spath]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and last in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39, -1e39])
+def test_save_weights_refuses_values_float32_cannot_hold(tmp_path, value):
+    w = ModelWeights.initialize(NetworkConfig(d=8, k=6, g=3), seed=0)
+    name = list(w.params)[3]
+    w.params[name].data.flat[0] = value
+    with pytest.raises(WeightsFormatError, match=f"record {name} "):
+        save_weights(tmp_path / "w.a2w", w)
+    assert not (tmp_path / "w.a2w").exists()
+
+
 # --- sweep ------------------------------------------------------------------------
 
 

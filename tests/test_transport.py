@@ -1,12 +1,16 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from a2match import autodiff as ad
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.transport import (
+    SCALING_RANGE,
     ScoreMatrix,
     _marginals,
     augment_dustbins,
@@ -274,30 +278,43 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def _plan_and_grads(op, cost, iters, loss_kind, weights, alpha_bin=0.3):
+    c = Tensor(cost, requires_grad=True)
+    alpha = Tensor(np.array(alpha_bin), requires_grad=True)
+    with Tape() as tape:
+        scores = augment_dustbins(c, alpha)
+        plan = op(scores, iters)
+        if loss_kind == "dustbins":
+            # Every cell weighted, dustbin row and column included.
+            loss = ad.sum_all(ad.mul(plan.values, constant(weights)))
+        else:
+            loss = ad.sum_all(ad.mul(c, c))
+        tape.backward(loss)
+    return plan.values, scores.values.grad, alpha.grad
+
+
+def _score_range(cost, alpha_bin=0.3):
+    x = augment_dustbins(constant(cost), constant(np.array(alpha_bin))).values.data
+    return x.max() - x.min()
+
+
+def _inputs(shape, iters):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + iters)
+    return rng.random(shape) * 4.0, rng.standard_normal((shape[0] + 1, shape[1] + 1))
+
+
 @pytest.mark.parametrize("iters", [1, 100])
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 33)])
 @pytest.mark.parametrize("loss_kind", ["dustbins", "plan_free"])
 def test_sinkhorn_op_matches_taped_loop_bitwise(shape, iters, loss_kind):
-    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + iters)
-    cost = rng.random(shape) * 4.0
-    weights = rng.standard_normal((shape[0] + 1, shape[1] + 1))
+    # Above SCALING_RANGE the op runs the log-domain loop, whose bits it keeps.
+    cost, weights = _inputs(shape, iters)
+    cost *= 2 * SCALING_RANGE / cost.max()
+    assert _score_range(cost) > SCALING_RANGE
 
-    def run(op):
-        c = Tensor(cost, requires_grad=True)
-        alpha = Tensor(np.array(0.3), requires_grad=True)
-        with Tape() as tape:
-            scores = augment_dustbins(c, alpha)
-            plan = op(scores, iters)
-            if loss_kind == "dustbins":
-                # Every cell weighted, dustbin row and column included.
-                loss = ad.sum_all(ad.mul(plan.values, constant(weights)))
-            else:
-                loss = ad.sum_all(ad.mul(c, c))
-            tape.backward(loss)
-        return plan.values, scores.values.grad, alpha.grad
-
-    plan, g_scores, g_alpha = run(sinkhorn)
-    ref_plan, ref_scores, ref_alpha = run(taped_sinkhorn)
+    plan, g_scores, g_alpha = _plan_and_grads(sinkhorn, cost, iters, loss_kind, weights)
+    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_sinkhorn, cost, iters, loss_kind,
+                                                      weights)
     assert np.array_equal(_bits(plan.data), _bits(ref_plan.data))
     assert np.array_equal(_bits(g_alpha), _bits(ref_alpha))
     if loss_kind == "dustbins":
@@ -309,12 +326,78 @@ def test_sinkhorn_op_matches_taped_loop_bitwise(shape, iters, loss_kind):
         assert float(g_alpha) == 0.0
 
 
-def test_sinkhorn_records_one_op_whatever_iters():
-    scores = Tensor(np.random.default_rng(10).standard_normal((6, 8)), requires_grad=True)
-    for iters in (1, 100):
+def _assert_close(got, want, tol):
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= tol * scale, (np.abs(got - want).max(), scale)
+
+
+@pytest.mark.parametrize("iters", [1, 100])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 33)])
+@pytest.mark.parametrize("loss_kind", ["dustbins", "plan_free"])
+def test_sinkhorn_scaling_path_matches_taped_loop(shape, iters, loss_kind):
+    cost, weights = _inputs(shape, iters)
+    assert _score_range(cost) <= SCALING_RANGE
+
+    plan, g_scores, g_alpha = _plan_and_grads(sinkhorn, cost, iters, loss_kind, weights)
+    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_sinkhorn, cost, iters, loss_kind,
+                                                      weights)
+    _assert_close(plan.data, ref_plan.data, 1e-12)
+    _assert_close(g_alpha, ref_alpha, 1e-12)
+    if loss_kind == "dustbins":
+        _assert_close(g_scores, ref_scores, 1e-12)
+    else:
+        assert g_scores is None and ref_scores is None
+        assert float(g_alpha) == 0.0
+
+
+def test_sinkhorn_contested_column_below_scaling_range():
+    # Every row's best entry is in column 3; the other entries and the
+    # dustbins sit 150 to 300 nats below it, so the scaling vectors span
+    # nearly the whole range the scaling path admits.
+    rng = np.random.default_rng(14)
+    m, n, span = 30, 25, 299.9
+    cost = span * (0.5 + 0.5 * rng.random((m, n)))
+    cost[:, 3] = rng.random(m)
+    weights = rng.standard_normal((m + 1, n + 1))
+    assert SCALING_RANGE - 1 < _score_range(cost, -span / 2) <= SCALING_RANGE
+
+    got = _plan_and_grads(sinkhorn, cost, 100, "dustbins", weights, -span / 2)
+    want = _plan_and_grads(taped_sinkhorn, cost, 100, "dustbins", weights, -span / 2)
+    _assert_close(got[0].data, want[0].data, 1e-12)
+    for g, ref in zip(got[1:], want[1:]):
+        _assert_close(g, ref, 1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 39), n=st.integers(1, 39), log_range=st.floats(-3.0, 5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(m=39, n=39, log_range=5.0, seed=0)
+@example(m=39, n=39, log_range=-3.0, seed=0)
+def test_sinkhorn_plan_finite_with_exact_columns_on_either_path(m, n, log_range, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m + 1, n + 1))
+    x = (z - z.min()) * (10.0 ** log_range / (z.max() - z.min()))
+    weights = rng.standard_normal(x.shape)
+    scores = Tensor(x, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with Tape() as tape:
-            sinkhorn(ScoreMatrix(scores, True), iters)
-        assert len(tape) == 1
+            plan = sinkhorn(ScoreMatrix(scores, True))
+            tape.backward(ad.sum_all(ad.mul(plan.values, constant(weights))))
+    p = plan.values.data
+    assert np.all(np.isfinite(p)) and np.all(np.isfinite(scores.grad))
+    b = np.append(np.ones(n), m)
+    assert np.abs(p.sum(axis=0) - b).max() <= 1e-9 * (m + n)
+
+
+def test_sinkhorn_records_one_op_whatever_iters():
+    z = np.random.default_rng(10).standard_normal((6, 8))
+    for scale in (1.0, 1000.0):  # the scaling path, then the log path
+        scores = Tensor(z * scale, requires_grad=True)
+        for iters in (1, 100):
+            with Tape() as tape:
+                sinkhorn(ScoreMatrix(scores, True), iters)
+            assert len(tape) == 1
 
 
 def test_sinkhorn_backward_peak_memory():
@@ -330,6 +413,19 @@ def test_sinkhorn_backward_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak_mb < 32
+
+
+def test_sinkhorn_forward_peak_memory():
+    # One 513 x 513 array is 2.0 MB: the scaling path forms K and then the
+    # plan in that one buffer, next to the iterates' vectors.
+    scores = ScoreMatrix(constant(np.random.default_rng(13).standard_normal((513, 513))), True)
+    tracemalloc.start()
+    try:
+        sinkhorn(scores)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 5.2
 
 
 def _mutual_nn_loop(p):
