@@ -158,6 +158,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.samples < 1:
+        raise InvalidConfig(f"--samples must be >= 1, got {args.samples}")
     cfg = load_run_config(args.config)
     if args.config is None:
         # Small default width keeps the full check well under a minute.

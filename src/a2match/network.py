@@ -361,7 +361,12 @@ def _canonical_side(bearings, colors):
 
 
 def scene_inputs(pair: ScenePair):
-    """Bearing and color arrays for both sides of a scene pair."""
+    """Bearing and color arrays for both sides of a scene pair.
+
+    The one place the 3D side's frame is chosen; the classifier reads its
+    candidates' rows of these arrays. That frame is still the query's
+    ground-truth pose, which inference should not read.
+    """
     bp = pixel_bearings(pair.intrinsics, pair.keypoints)
     bq, _ = world_bearings(pair.query_pose, pair.points)
     return bp, pair.kp_colors, bq, pair.pt_colors

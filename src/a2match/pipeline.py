@@ -1,5 +1,12 @@
 """End-to-end inference: network forward, transport matching, outlier
-rejection, and PnP localization for one scene pair."""
+rejection, and PnP localization for one scene pair.
+
+The scene-scoring chain has one home here. `scene_plan` runs the network,
+the feature cost, the dustbins and Sinkhorn; `classify_candidates` scores a
+candidate set on the very bearings the network read. Inference
+(`match_scene`) and training (`training.scene_loss`) both call the two, so
+a change to the chain or to its input frame is made once.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .geometry import CorrespondenceSet, project
-from .network import ModelWeights, forward
+from .network import ModelWeights, forward, scene_inputs
 from .posemetrics import (
     PoseEstimate,
     RansacConfig,
@@ -17,16 +25,15 @@ from .posemetrics import (
     rotation_error,
     translation_error,
 )
-from .rejection import candidate_batch, classify, filter_correspondences
+from .rejection import classify, filter_correspondences
 from .synth import ScenePair
-from .transport import augment_dustbins, cost_matrix, mutual_nn, sinkhorn
+from .transport import ScoreMatrix, augment_dustbins, cost_matrix, mutual_nn, sinkhorn
 
 
 @dataclass
 class MatchResult:
     initial: CorrespondenceSet
     final: CorrespondenceSet
-    probabilities: np.ndarray
 
 
 @dataclass
@@ -40,19 +47,28 @@ class LocalizeResult:
     failed: bool
 
 
+def scene_plan(pair: ScenePair, weights: ModelWeights) -> ScoreMatrix:
+    """Dustbin transport plan of a scene pair, (M+1, N+1)."""
+    f_p, f_q = forward(pair, weights)
+    return sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), weights.param("ot/alpha_bin")))
+
+
+def classify_candidates(pair: ScenePair, corrs: CorrespondenceSet,
+                        weights: ModelWeights) -> Tensor:
+    """Inlier probability of each candidate, read off the network's input rows."""
+    bp, _, bq, _ = scene_inputs(pair)
+    return classify(bp[np.array(corrs.indices_2d(), dtype=np.intp)],
+                    bq[np.array(corrs.indices_3d(), dtype=np.intp)], weights)
+
+
 def match_scene(pair: ScenePair, weights: ModelWeights, *, threshold: float = 0.5,
                 use_rejection: bool = True) -> MatchResult:
     """Initial (mutual-NN transport) and final (filtered) correspondences."""
-    f_p, f_q = forward(pair, weights)
-    plan = sinkhorn(augment_dustbins(cost_matrix(f_p, f_q),
-                                     weights.param("ot/alpha_bin")))
-    initial = mutual_nn(plan)
+    initial = mutual_nn(scene_plan(pair, weights))
     if not use_rejection or len(initial) == 0:
-        return MatchResult(initial, CorrespondenceSet(list(initial.pairs)),
-                           np.ones(len(initial)))
-    probs = classify(candidate_batch(pair, initial), weights).data
-    final = filter_correspondences(initial, probs, threshold)
-    return MatchResult(initial, final, probs)
+        return MatchResult(initial, CorrespondenceSet(list(initial.pairs)))
+    probs = classify_candidates(pair, initial, weights)
+    return MatchResult(initial, filter_correspondences(initial, probs, threshold))
 
 
 def _localize_from_pairs(pair: ScenePair, corrs: CorrespondenceSet,
@@ -77,10 +93,10 @@ def _localize_from_pairs(pair: ScenePair, corrs: CorrespondenceSet,
 
 
 def localize_scene(pair: ScenePair, weights: ModelWeights, *, threshold: float = 0.5,
-                   ransac_cfg: RansacConfig = None, use_rejection: bool = True) -> LocalizeResult:
+                   ransac_cfg: RansacConfig = None) -> LocalizeResult:
     """Full pipeline pose estimate with errors against the scene's GT pose."""
     ransac_cfg = ransac_cfg or RansacConfig()
-    match = match_scene(pair, weights, threshold=threshold, use_rejection=use_rejection)
+    match = match_scene(pair, weights, threshold=threshold)
     return _localize_from_pairs(pair, match.final, ransac_cfg, len(match.initial))
 
 

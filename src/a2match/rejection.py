@@ -1,67 +1,44 @@
 """Correspondence inlier classifier on raw bearing positions.
 
-A pointwise residual MLP made set-aware by context normalization (per
-channel mean/variance across the candidate axis), ending in a sigmoid
-inlier probability. Input is the concatenated 2D/3D bearing pair per
-candidate, four channels; the transport score is not an input.
+A pointwise residual MLP made set-aware by context normalization, which is
+`autodiff.instance_norm` without affine parameters: per channel mean and
+variance across the candidate axis. It ends in a sigmoid inlier
+probability. Input is the concatenated 2D/3D bearing pair per candidate,
+four channels; the transport score is not an input. The bearings come from
+the caller, which takes them from the rows the network read
+(`pipeline.classify_candidates`), so this module never sees a pose.
 `classify` runs on its candidate rows in canonical order and gathers the
 probabilities back, so they are bit-exactly permutation equivariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, constant
-from .geometry import CorrespondenceSet, pixel_bearings, world_bearings
+from .geometry import CorrespondenceSet
 from .network import CLASSIFIER_UNITS, ModelWeights
-
-CONTEXT_EPS = 1e-5
 
 
 class EmptyBatch(Exception):
     pass
 
 
-@dataclass
-class CandidateBatch:
-    bearings_p: np.ndarray        # (n, 2)
-    bearings_q: np.ndarray        # (n, 2)
-
-    def __len__(self):
-        return len(self.bearings_p)
-
-
-def candidate_batch(pair, corrs: CorrespondenceSet) -> CandidateBatch:
-    """Assemble classifier inputs for a correspondence set of a scene pair."""
-    idx_p = np.array(corrs.indices_2d(), dtype=np.intp)
-    idx_q = np.array(corrs.indices_3d(), dtype=np.intp)
-    bp = pixel_bearings(pair.intrinsics, pair.keypoints[idx_p])
-    bq, _ = world_bearings(pair.query_pose, pair.points[idx_q])
-    return CandidateBatch(bp, bq)
-
-
-def context_norm(x: Tensor, eps: float = CONTEXT_EPS) -> Tensor:
-    """Per-channel normalization across candidates, no affine."""
-    return ad.instance_norm(x, eps=eps)
-
-
-def classify(batch: CandidateBatch, w: ModelWeights) -> Tensor:
-    """Inlier probability per candidate, in (0,1)."""
-    n = len(batch)
+def classify(bearings_p, bearings_q, w: ModelWeights) -> Tensor:
+    """Inlier probability per candidate, in (0,1), from its (n, 2) 2D and 3D
+    bearings."""
+    x = np.concatenate([bearings_p, bearings_q], axis=1)
+    n = len(x)
     if n == 0:
         raise EmptyBatch("classifier needs at least one candidate")
-    x = np.concatenate([batch.bearings_p, batch.bearings_q], axis=1)
     order, inverse = ad.canonical_order(x)
     x = constant(x[order])
 
     h = ad.add(ad.matmul(x, w.param("clf/proj/W")), w.param("clf/proj/b"))
     for r in range(CLASSIFIER_UNITS):
         lin = ad.add(ad.matmul(h, w.param(f"clf/res{r}/lin/W")), w.param(f"clf/res{r}/lin/b"))
-        h = ad.add(h, ad.leaky_relu(context_norm(lin)))
+        h = ad.add(h, ad.leaky_relu(ad.instance_norm(lin)))
     logit = ad.add(ad.matmul(h, w.param("clf/head/W")), w.param("clf/head/b"))
     return ad.gather_rows(ad.sigmoid(ad.reshape(logit, (n,))), inverse)
 

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    EPS_DEPTH,
     CameraIntrinsics,
     CorrespondenceSet,
     RigidPose,
     label_ground_truth,
+    pixel_bearings,
     world_bearings,
 )
 
@@ -110,6 +112,23 @@ def _camera_to_world(cam: np.ndarray, pose: RigidPose) -> np.ndarray:
     return d @ R  # (R^T d^T)^T
 
 
+def _clearance(b, bearings) -> float:
+    """Distance from bearing b to the nearest row of bearings (inf if none)."""
+    return float(np.min(np.hypot(*(bearings - b).T), initial=np.inf))
+
+
+def _clear_keypoint(rng, k: CameraIntrinsics, bearings, guard):
+    """A pixel drawn uniformly over the image, [0, 2 cx] x [0, 2 cy], whose
+    bearing lies farther than guard from every row of bearings; returns the
+    pixel and its bearing."""
+    for _ in range(1000):
+        uv = (rng.uniform(0.0, 2.0 * k.cx), rng.uniform(0.0, 2.0 * k.cy))
+        b = pixel_bearings(k, uv)[0]
+        if _clearance(b, bearings) > guard:
+            return uv, b
+    raise InvalidConfig("could not place a keypoint clear of all points")
+
+
 def generate_scene(cfg: SynthConfig) -> ScenePair:
     """Build one scene pair, fully determined by cfg.seed."""
     cfg.validate()
@@ -138,37 +157,20 @@ def generate_scene(cfg: SynthConfig) -> ScenePair:
 
     point_bearings = np.concatenate([cam_in[:, :2] / cam_in[:, 2:],
                                      cam_out[:, :2] / cam_out[:, 2:]], axis=0)
-    kp_in_bearings = np.empty_like(uv_in)
-    kp_in_bearings[:, 0] = (uv_in[:, 0] - k.cx) / k.fx
-    kp_in_bearings[:, 1] = (uv_in[:, 1] - k.cy) / k.fy
-
-    def min_dist(b, others):
-        if len(others) == 0:
-            return np.inf
-        return float(np.min(np.hypot(others[:, 0] - b[0], others[:, 1] - b[1])))
 
     # Outlier keypoints: anywhere in the image but clear of every point bearing.
     uv_out = np.empty((n - n_in, 2))
     kp_out_bearings = np.empty((n - n_in, 2))
     for i in range(n - n_in):
-        for _ in range(1000):
-            u = rng.uniform(0.0, cfg.image_width)
-            v = rng.uniform(0.0, cfg.image_height)
-            b = ((u - k.cx) / k.fx, (v - k.cy) / k.fy)
-            if min_dist(b, point_bearings) > guard:
-                break
-        else:
-            raise InvalidConfig("could not place an outlier keypoint clear of all points")
-        uv_out[i] = (u, v)
-        kp_out_bearings[i] = b
+        uv_out[i], kp_out_bearings[i] = _clear_keypoint(rng, k, point_bearings, guard)
 
     # Outlier 3D points must also stay clear of every inlier keypoint bearing,
     # otherwise labeling could pair them with a noisy detection.
-    kp_bearings = np.concatenate([kp_in_bearings, kp_out_bearings], axis=0)
+    kp_bearings = np.concatenate([pixel_bearings(k, uv_in), kp_out_bearings], axis=0)
     for i in range(n - n_in):
         b = cam_out[i, :2] / cam_out[i, 2]
         for _ in range(1000):
-            if min_dist(b, kp_bearings) > guard:
+            if _clearance(b, kp_bearings) > guard:
                 break
             cam_out[i] = _sample_camera_points(rng, cfg, 1)[0]
             b = cam_out[i, :2] / cam_out[i, 2]
@@ -209,23 +211,11 @@ def inject_outliers(pair: ScenePair, ratio: float, seed: int,
     replace_idx = {pair.gt_matches.pairs[m][0] for m in order[:n_replace]}
 
     k = pair.intrinsics
-    width, height = 2.0 * k.cx, 2.0 * k.cy
     pt_bearings, visible = world_bearings(pair.query_pose, pair.points, allow_behind=True)
     pt_bearings = pt_bearings[visible]
-    guard = 2.0 * gt_tolerance
-
     uv, kp_colors = pair.keypoints.copy(), pair.kp_colors.copy()
     for i in sorted(replace_idx):
-        for _ in range(1000):
-            u = rng.uniform(0.0, width)
-            v = rng.uniform(0.0, height)
-            b = ((u - k.cx) / k.fx, (v - k.cy) / k.fy)
-            d = np.hypot(pt_bearings[:, 0] - b[0], pt_bearings[:, 1] - b[1])
-            if float(d.min()) > guard:
-                break
-        else:
-            raise RuntimeError("could not place a replacement keypoint clear of all points")
-        uv[i] = (u, v)
+        uv[i], _ = _clear_keypoint(rng, k, pt_bearings, 2.0 * gt_tolerance)
         kp_colors[i] = rng.uniform(0.0, 1.0, 3)
 
     gt = label_ground_truth(uv, pair.points, pair.query_pose, k, gt_tolerance)
@@ -243,7 +233,8 @@ def scene_to_dict(pair: ScenePair) -> dict:
     rows [u, v, r, g, b]; "points" rows [x, y, z, r, g, b]; "gt_matches" rows
     [keypoint index, point index]. scene_from_dict accepts a scene when every
     number is finite, fx and fy are positive, the rotation is orthonormal,
-    colours lie in [0,1], each side has MIN_POINTS to MAX_POINTS rows and
+    colours lie in [0,1], each side has MIN_POINTS to MAX_POINTS rows, every
+    point lies at depth above EPS_DEPTH in the camera frame of the pose and
     every gt match indexes existing rows.
     """
     return {
@@ -294,6 +285,10 @@ def scene_from_dict(obj: dict) -> ScenePair:
         raise InvalidConfig(f"scene camera is invalid: {exc}") from exc
     uv, kp_colors = _colored_points(obj, "keypoints", 5)
     xyz, pt_colors = _colored_points(obj, "points", 6)
+    _, visible = world_bearings(pose, xyz, allow_behind=True)
+    if not visible.all():
+        raise InvalidConfig(f"scene point {int(np.argmin(visible))} lies at depth "
+                            f"<= {EPS_DEPTH} in the camera frame of the pose")
     gt = _rows(obj, "gt_matches", 2)
     bad = ~((gt >= 0) & (gt < (len(uv), len(xyz))) & (gt == np.floor(gt))).all(axis=1)
     if bad.any():

@@ -1,11 +1,14 @@
 """Losses, Adam, the desk-scale training loop, and gradient verification.
 
-The matching loss is the negative log-likelihood of the transport plan at
-the ground-truth cells plus the dustbin cells of unmatched points; the
-rejection loss is class-balanced binary cross-entropy on the classifier
-probabilities. Candidate selection (mutual NN) is discrete, so gradients
-treat the selected set as fixed; the finite-difference checker freezes it
-explicitly at the base point for the same reason.
+A scene's loss runs the chain inference runs, `pipeline.scene_plan` then
+`pipeline.classify_candidates`, so training and inference score a scene
+the same way. The matching loss is the negative log-likelihood of the
+transport plan at the ground-truth cells plus the dustbin cells of
+unmatched points; the rejection loss is class-balanced binary cross-entropy
+on the classifier probabilities. Candidate selection (mutual NN) is
+discrete, so gradients treat the selected set as fixed; the
+finite-difference checker freezes it explicitly at the base point for the
+same reason.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, constant
-from .network import ModelWeights, NetworkConfig, forward
-from .rejection import candidate_batch, classify
-from .transport import ScoreMatrix, augment_dustbins, cost_matrix, mutual_nn, sinkhorn
+from .geometry import CorrespondenceSet
+from .network import ModelWeights, NetworkConfig
+from .pipeline import classify_candidates, scene_plan
+from .transport import ScoreMatrix, mutual_nn
 
 # Probability floor inside both losses; prevents -inf at initialization.
 LOG_FLOOR = 1e-12
@@ -161,10 +165,7 @@ def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig, *,
     forward evaluations (finite differences) see a smooth function.
     """
     m, n = len(pair.keypoints), len(pair.points)
-    f_p, f_q = forward(pair, weights)
-    cost = cost_matrix(f_p, f_q)
-    scores = augment_dustbins(cost, weights.param("ot/alpha_bin"))
-    plan = sinkhorn(scores)
+    plan = scene_plan(pair, weights)
     l_match = matching_loss(plan, pair.gt_matches, m, n)
 
     candidates = frozen_candidates if frozen_candidates is not None else mutual_nn(plan)
@@ -172,8 +173,7 @@ def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig, *,
     if len(candidates) > 0:
         gt_set = pair.gt_matches.pair_set()
         labels = np.array([1.0 if (i, j) in gt_set else 0.0 for i, j, _ in candidates])
-        batch = candidate_batch(pair, candidates)
-        probs = classify(batch, weights)
+        probs = classify_candidates(pair, candidates, weights)
         l_rej = rejection_loss(probs, labels, balance_weights(labels))
 
     total = ad.scale(l_match, train_cfg.match_weight)
@@ -272,8 +272,6 @@ def _fallback_candidates(pair):
     leave the rejection branch untested; mix ground-truth pairs with wrong
     pairs so both cross-entropy terms carry gradient.
     """
-    from .geometry import CorrespondenceSet
-
     n = len(pair.points)
     pairs = [(i, j, 0.5) for i, j, _ in list(pair.gt_matches)[:8]]
     for i, j, _ in list(pair.gt_matches)[:4]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -16,6 +17,7 @@ from a2match.runconfig import (
     parse_run_config,
 )
 from a2match.synth import SynthConfig, generate_scene, save_scene, scene_to_dict
+from a2match.training import TrainConfig, scene_loss
 from a2match.weights_io import (
     VersionMismatch,
     WeightsFormatError,
@@ -348,6 +350,31 @@ def test_cmd_match_contract(tmp_path, capsys):
     assert json.loads(out3.read_text())["final"] == []
 
 
+def test_classifier_branch_pinned(tmp_path):
+    # A fresh model's rows all prefer their dustbins, which leaves the
+    # classifier idle. With the dustbin score lowered to -8 this scene has 11
+    # mutual-NN candidates, and the classifier keeps 4 at the default
+    # threshold. SHA-256 of the `a2 match` output and of scene_loss's
+    # candidates and losses; same platform caveat as
+    # test_forward_features_and_plan_pinned.
+    w = ModelWeights.initialize(NetworkConfig(d=8, k=6, g=3), seed=0)
+    w.params["ot/alpha_bin"].data[...] = -8.0
+    save_weights(tmp_path / "w.a2w", w)
+    spath, pair = scene_file(tmp_path, seed=4, n=24, noise=0.5, inlier=0.7)
+    out = tmp_path / "m.json"
+    assert main(["match", "--weights", str(tmp_path / "w.a2w"), "--scene", spath,
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (len(payload["initial"]), len(payload["final"])) == (11, 4)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "416031adf089151427a561b15a6e69b6b702766286d3345c1094861c9bfee432")
+    loss, report, candidates = scene_loss(pair, w, TrainConfig())
+    assert len(candidates) == 11
+    fingerprint = repr((candidates.pairs, loss.item(), report.rejection_loss))
+    assert hashlib.sha256(fingerprint.encode()).hexdigest() == (
+        "46a5f26af691e571c77d65774081b93851ff3bb279e15ba465da934ff4883e48")
+
+
 def test_cmd_localize_robust_and_deterministic(tmp_path):
     wpath, _ = make_weights_file(tmp_path)
     spath, _ = scene_file(tmp_path, seed=5, n=20)
@@ -406,6 +433,33 @@ def test_cmd_localize_invalid_scene_exits_2(tmp_path, capsys, edit, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def _point_on_camera_plane(obj):
+    # Point 3 moves to depth 0 in the camera frame, on the optical axis.
+    R = np.array(obj["pose"]["rotation"]).reshape(3, 3)
+    obj["points"][3][:3] = (R.T @ -np.array(obj["pose"]["translation"])).tolist()
+
+
+@pytest.mark.parametrize("command", ["match", "localize", "sweep", "train"])
+def test_cmd_scene_point_behind_camera_exits_2(tmp_path, capsys, command):
+    wpath, _ = make_weights_file(tmp_path)
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    spath = _corrupted_scene_file(scenes, _point_on_camera_plane)
+    Path(spath).rename(scenes / "scene_0000.json")
+    spath = str(scenes / "scene_0000.json")
+    out = tmp_path / "out"
+    args = {"match": ["--weights", wpath, "--scene", spath, "--out", str(out)],
+            "localize": ["--weights", wpath, "--scene", spath, "--out", str(out)],
+            "sweep": ["--weights", wpath, "--scenes", str(scenes), "--out-csv", str(out)],
+            "train": ["--scenes", str(scenes), "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main([command, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scene point 3 lies at depth <= 1e-06" in captured.err
+    assert not out.exists()
 
 
 def test_cmd_localize_scene_not_above_k_exits_2(tmp_path, capsys):
@@ -519,6 +573,8 @@ def test_cmd_sweep_empty_dir_names_directory(tmp_path, capsys):
     ("match", "--threshold", "nan"),
     ("localize", "--threshold", "-1"),
     ("synth", "--count", "-3"),
+    ("gradcheck", "--samples", "-3"),
+    ("gradcheck", "--samples", "0"),
 ])
 def test_cmd_out_of_range_argument_exits_2(tmp_path, capsys, command, flag, value):
     wpath, _ = make_weights_file(tmp_path)
@@ -526,6 +582,7 @@ def test_cmd_out_of_range_argument_exits_2(tmp_path, capsys, command, flag, valu
     spath, _ = scene_file(tmp_path, name="scenes/scene_0000.json")
     out = tmp_path / "out"
     args = {"synth": ["--out", str(out)],
+            "gradcheck": [],
             "match": ["--weights", wpath, "--scene", spath],
             "localize": ["--weights", wpath, "--scene", spath],
             "sweep": ["--weights", wpath, "--scenes", str(tmp_path / "scenes"),

@@ -6,6 +6,9 @@ import statement whose names are there to be re-exported carries
 
 No module of the package but `autodiff.py` touches the tape's internals:
 ops written elsewhere go through `autodiff._make`.
+
+Only `network.py`, `pipeline.py` and `synth.py` read a scene's `query_pose`,
+and `network.py` reads it once.
 """
 
 import ast
@@ -86,3 +89,21 @@ def test_only_autodiff_touches_tape_internals():
              for path in PACKAGE if path.name != "autodiff.py"
              for line, name in tape_internals_read(path)]
     assert not found, "tape internals read outside autodiff.py:\n" + "\n".join(found)
+
+
+def query_pose_reads(path):
+    """Lines on which `path` reads an attribute named `query_pose`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "query_pose")
+
+
+def test_only_the_network_inputs_read_the_query_pose():
+    # The query pose is ground truth. Besides the scene generator and the
+    # pipeline's error report, only `network.scene_inputs` may read it: the
+    # 3D input frame is chosen there once, and everything else takes its
+    # bearings from there.
+    readers = {path.name: query_pose_reads(path) for path in PACKAGE}
+    assert {name for name, lines in readers.items() if lines} <= {
+        "network.py", "pipeline.py", "synth.py"}
+    assert len(readers["network.py"]) == 1

@@ -3,30 +3,24 @@ import pytest
 
 from a2match.autodiff import Tape, constant
 from a2match import autodiff as ad
-from a2match.geometry import CorrespondenceSet
+from a2match.geometry import CorrespondenceSet, pixel_bearings, world_bearings
 from a2match.network import ModelWeights, NetworkConfig
-from a2match.rejection import (
-    CandidateBatch,
-    EmptyBatch,
-    candidate_batch,
-    classify,
-    context_norm,
-    filter_correspondences,
-)
+from a2match.pipeline import classify_candidates
+from a2match.rejection import EmptyBatch, classify, filter_correspondences
 from a2match.synth import SynthConfig, generate_scene
 
 CFG = NetworkConfig(d=8)
 
 
 def batch_of(n, seed=0):
+    """(2D bearings, 3D bearings) of n random candidates."""
     rng = np.random.default_rng(seed)
-    return CandidateBatch(rng.uniform(-0.5, 0.5, (n, 2)),
-                          rng.uniform(-0.5, 0.5, (n, 2)))
+    return rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(-0.5, 0.5, (n, 2))
 
 
 def test_classify_outputs_probabilities():
     w = ModelWeights.initialize(CFG, seed=0)
-    p = classify(batch_of(12), w).data
+    p = classify(*batch_of(12), w).data
     assert p.shape == (12,)
     assert np.all((p > 0) & (p < 1))
     assert np.all(np.isfinite(p))
@@ -35,17 +29,16 @@ def test_classify_outputs_probabilities():
 def test_classify_empty_batch_raises():
     w = ModelWeights.initialize(CFG, seed=0)
     with pytest.raises(EmptyBatch):
-        classify(batch_of(0), w)
+        classify(*batch_of(0), w)
 
 
 def test_classify_permutation_equivariant_exactly():
     w = ModelWeights.initialize(CFG, seed=1)
-    b = batch_of(17, seed=2)
-    p = classify(b, w).data
+    bp, bq = batch_of(17, seed=2)
+    p = classify(bp, bq, w).data
     rng = np.random.default_rng(3)
     perm = rng.permutation(17)
-    b2 = CandidateBatch(b.bearings_p[perm], b.bearings_q[perm])
-    p2 = classify(b2, w).data
+    p2 = classify(bp[perm], bq[perm], w).data
     assert np.array_equal(p2, p[perm])
 
 
@@ -53,24 +46,24 @@ def test_classify_equivariant_bit_exact_with_duplicates_across_blas_tiles():
     # 300 candidates, 60 of them copies of others: duplicates must read the
     # same bits wherever they sit, and 300 rows end on partial BLAS tiles.
     w = ModelWeights.initialize(CFG, seed=2)
-    b = batch_of(300, seed=5)
+    bp, bq = batch_of(300, seed=5)
     dup = np.random.default_rng(6).integers(0, 200, 60)
-    for arr in (b.bearings_p, b.bearings_q):
+    for arr in (bp, bq):
         arr[200:260] = arr[dup]
-    p = classify(b, w).data
+    p = classify(bp, bq, w).data
     assert np.array_equal(p[200:260], p[dup])
     rng = np.random.default_rng(7)
     for _ in range(5):
         perm = rng.permutation(300)
-        p2 = classify(CandidateBatch(b.bearings_p[perm], b.bearings_q[perm]), w).data
+        p2 = classify(bp[perm], bq[perm], w).data
         assert np.array_equal(p2, p[perm])
 
 
 def test_context_norm_shift_invariance_at_sublayer():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((20, 6))
-    out1 = context_norm(constant(x)).data
-    out2 = context_norm(constant(x + 123.456)).data
+    out1 = ad.instance_norm(constant(x)).data
+    out2 = ad.instance_norm(constant(x + 123.456)).data
     assert np.max(np.abs(out1 - out2)) < 1e-9
 
 
@@ -80,7 +73,7 @@ def test_classify_gradcheck_through_context_norm():
     target = np.linspace(0.2, 0.8, 8)
 
     def loss_val():
-        p = classify(b, w)
+        p = classify(*b, w)
         diff = ad.sub(p, constant(target))
         return ad.sum_all(ad.mul(diff, diff))
 
@@ -103,14 +96,21 @@ def test_classify_gradcheck_through_context_norm():
         assert abs(a - num) / max(abs(a), abs(num), 1e-8) < 1e-3, name
 
 
-def test_candidate_batch_gathers_bearings():
-    pair = generate_scene(SynthConfig(n_points=15, inlier_fraction=1.0,
-                                      pixel_noise_sigma=0.0, seed=10))
-    corrs = CorrespondenceSet(pair.gt_matches.pairs[:5])
-    b = candidate_batch(pair, corrs)
-    assert len(b) == 5
-    # matched pairs share (noiseless) bearings
-    assert np.max(np.abs(b.bearings_p - b.bearings_q)) < 1e-9
+def test_classify_candidates_reads_per_candidate_bearings():
+    # The classifier sees each candidate's rows of the network's inputs:
+    # bit for bit the bearings of its own keypoint and point.
+    pair = generate_scene(SynthConfig(n_points=15, inlier_fraction=0.6,
+                                      pixel_noise_sigma=0.5, seed=10))
+    w = ModelWeights.initialize(CFG, seed=3)
+    corrs = CorrespondenceSet([(4, 2, 1.0), (0, 11, 1.0), (9, 9, 1.0), (13, 0, 1.0),
+                               (4, 7, 1.0)])
+    bp = np.array([pixel_bearings(pair.intrinsics, pair.keypoints[i])[0]
+                   for i in corrs.indices_2d()])
+    bq = np.array([world_bearings(pair.query_pose, pair.points[j])[0][0]
+                   for j in corrs.indices_3d()])
+    assert np.array_equal(classify_candidates(pair, corrs, w).data, classify(bp, bq, w).data)
+    with pytest.raises(EmptyBatch):
+        classify_candidates(pair, CorrespondenceSet([]), w)
 
 
 def make_set(n):

@@ -166,6 +166,8 @@ def _corrupt(obj, key, row, col, value):
     (lambda o: {**o, "pose": {**o["pose"], "translation": [0.0, float("nan"), 0.0]}},
      "camera is invalid"),
     (lambda o: {k: v for k, v in o.items() if k != "points"}, "points must be rows"),
+    (lambda o: {**o, "pose": {**o["pose"], "translation": [0.0, 0.0, -1e3]}},
+     "scene point 0 lies at depth <= 1e-06"),
 ])
 def test_scene_from_dict_rejects_invalid_scene(edit, message):
     obj = edit(scene_to_dict(generate_scene(SynthConfig(n_points=15, seed=16))))
