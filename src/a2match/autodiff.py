@@ -3,11 +3,13 @@
 Covers exactly what the matching network needs: 2D matmul, elementwise
 arithmetic with trailing-axis / singleton-axis broadcasting for affine
 parameters, concat/reshape/gather, activations, instance normalization (the
-only normalization), softmax, axis max, pairwise L2 distances, the grouped
-convolution along the neighbor axis, and `neighbor_linear`, a linear layer
-over windows of edge features [f_i, f_i - f_j] that never builds them. An op
-may also be a whole algorithm: `transport.sinkhorn` records one backward
-closure for all of its iterations. No op keeps state between calls.
+only normalization), `norm_max` (the max over the neighbor axis of an
+instance-normalized tensor, which normalizes only the maxima), softmax,
+pairwise L2 distances, the grouped convolution along the neighbor axis, and
+`neighbor_linear`, a linear layer over windows of edge features
+[f_i, f_i - f_j] that never builds them. An op may also be a whole
+algorithm: `transport.sinkhorn` records one backward closure for all of its
+iterations. No op keeps state between calls.
 
 Op protocol: an op computes its output array and returns
 `_make(out_data, inputs, backward)`. Inside an active `Tape`, and only if
@@ -402,22 +404,6 @@ def softmax_last_axis(a) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def max_over_axis(a, axis):
-    """(values, argmax) over axis; gradient goes to the first maximizer."""
-    a = _as_tensor(a)
-    arg = a.data.argmax(axis=axis)
-    out_data = np.take_along_axis(a.data, np.expand_dims(arg, axis), axis).squeeze(axis)
-
-    def bw(g):
-        if a.requires_grad:
-            da = np.zeros_like(a.data)
-            np.put_along_axis(da, np.expand_dims(arg, axis),
-                              np.expand_dims(g, axis), axis)
-            _accum(a, da)
-
-    return _make(out_data, (a,), bw), arg
-
-
 def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:
     """Per-channel normalization over every non-channel axis, optional affine.
 
@@ -430,10 +416,12 @@ def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:
     dev = x.data.reshape(-1, x.shape[-1])
     dev = dev - dev.mean(axis=0)
     istd = 1.0 / np.sqrt((dev * dev).mean(axis=0) + eps)
-    xhat = (dev * istd).reshape(x.shape)
+    dev *= istd
+    xhat = dev.reshape(x.shape)
     if gamma is not None:
         gamma, beta = _as_tensor(gamma), _as_tensor(beta)
-        out_data = xhat * gamma.data + beta.data
+        out_data = xhat * gamma.data
+        out_data += beta.data
         inputs = (x, gamma, beta)
     else:
         out_data = xhat
@@ -457,6 +445,61 @@ def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:
             _accum(x, dx.reshape(x.data.shape))
 
     return _make(out_data, inputs, bw)
+
+
+def norm_max(h, gamma, beta, eps=1e-5) -> Tensor:
+    """The max over axis 1 of instance_norm(h, gamma, beta), h of shape (N, k, d).
+
+    The statistics are taken over all N * k rows, as instance_norm takes
+    them, but only the (N, d) extremes are normalized. Each step of the
+    affine norm (subtract the mean, multiply by istd > 0, multiply by gamma,
+    add beta) is monotone in floating point, increasing where gamma >= 0 and
+    decreasing where gamma < 0, so the normalized raw max (or raw min) is the
+    max of the normalized column, bit for bit. Backward sends each (n, c)
+    gradient to the first maximizer of the normalized column, as argmax
+    would pick it, and the (N, k, d) normalized tensor is built only there.
+    """
+    h, gamma, beta = _as_tensor(h), _as_tensor(gamma), _as_tensor(beta)
+    if h.ndim != 3 or gamma.shape != h.shape[2:] or beta.shape != h.shape[2:]:
+        raise ShapeMismatch(f"norm_max needs h (N,k,d) and gamma, beta (d,), got "
+                            f"{h.shape}, {gamma.shape} and {beta.shape}")
+    n, k, c = h.shape
+    # instance_norm's statistics, by the same expressions; the squares are
+    # formed in place, since no full-size normalized tensor is kept.
+    rows = h.data.reshape(-1, c)
+    mean = rows.mean(axis=0)
+    sq = rows - mean
+    sq *= sq
+    istd = 1.0 / np.sqrt(sq.mean(axis=0) + eps)
+    extreme = np.where(gamma.data >= 0, h.data.max(axis=1), h.data.min(axis=1))
+    out_data = ((extreme - mean) * istd) * gamma.data + beta.data
+
+    def bw(g):
+        xh = (h.data - mean) * istd
+        # The lowest p whose normalized value equals the max, as argmax picks.
+        arg = np.zeros((n, c), dtype=np.intp)
+        for p in range(k - 1, -1, -1):
+            arg[xh[:, p] * gamma.data + beta.data == out_data] = p
+        at = arg[:, None, :]
+        xs = np.take_along_axis(xh, at, axis=1)[:, 0]
+        if gamma.requires_grad:
+            _accum(gamma, (g * xs).sum(axis=0))
+        if beta.requires_grad:
+            _accum(beta, g.sum(axis=0))
+        if h.requires_grad:
+            # instance_norm's dx for a gradient that is zero off the maxima:
+            # the two means sum N rows, and every other entry is the dense part.
+            gg = g * gamma.data
+            m1 = gg.sum(axis=0) / (n * k)
+            m2 = (gg * xs).sum(axis=0) / (n * k)
+            dx = xh
+            dx *= m2
+            np.subtract(-m1, dx, out=dx)
+            dx *= istd
+            np.put_along_axis(dx, at, (istd * ((gg - m1) - xs * m2))[:, None, :], axis=1)
+            _accum(h, dx)
+
+    return _make(out_data, (h, gamma, beta), bw)
 
 
 def grouped_neighbor_conv(x, width: int, weight, bias) -> Tensor:

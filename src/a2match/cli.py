@@ -139,6 +139,8 @@ def cmd_sweep(args) -> int:
         ratios = [float(r) for r in args.ratios.split(",") if r.strip() != ""]
     except ValueError:
         raise InvalidConfig(f"could not parse --ratios {args.ratios!r}")
+    if not ratios:
+        raise InvalidConfig(f"--ratios names no ratio, got {args.ratios!r}")
     for r in ratios:
         _check_unit_interval("--ratios", r)
     cfg = load_run_config(args.config)
@@ -243,7 +245,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidConfig, WeightsFormatError, TooFewPoints, FileNotFoundError) as exc:
+    except (InvalidConfig, WeightsFormatError, TooFewPoints, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,10 @@ The max path and the annular path's first convolution see the edge features
 e_ij = [f_i, f_i - f_j] of Dynamic Graph CNN (Wang et al., ACM TOG 2019) only
 through a linear layer, so `autodiff.neighbor_linear` computes them from two
 per-node products and a gather: the (N, k, 2d) edge windows are never built.
+The max path normalizes its (N, k, d) edge outputs and keeps the max over
+the k neighbors; the norm is monotone per channel, so `autodiff.norm_max`
+normalizes only the raw extremes, and the normalized edges are never built
+either, outside its backward pass.
 
 `forward_features` sorts each side once into canonical order over (bearing
 x, bearing y, r, g, b), runs the network on the sorted arrays with plain
@@ -89,7 +93,12 @@ def build_knn_graph(positions, k: int) -> LocalGraph:
     dy = pos[:, 1][:, None] - pos[:, 1][None, :]
     dist = np.hypot(dx, dy)
     np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    # The stable argsort's first k without sorting whole rows: every entry up
+    # to the row's k-th smallest distance, ordered by (distance, index).
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+    rows, cols = np.nonzero(dist <= kth)
+    ranked = cols[np.lexsort((dist[rows, cols], rows))]
+    order = ranked[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
     ndist = np.take_along_axis(dist, order, axis=1)
     unit = unit_vectors(pos[order] - pos[:, None, :])
     ncos = np.clip(unit[:, :1, 0] * unit[..., 0] + unit[:, :1, 1] * unit[..., 1], -1.0, 1.0)
@@ -243,16 +252,17 @@ def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
 def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Tensor:
     """Edge MLP over [f_i, f_i - f_j] per neighbor, then the max over neighbors.
 
-    Linear, instance norm over all N*k edges, max, then LeakyReLU: the
-    activation is increasing, so applying it to the (N, d) maxima gives the
-    same values as applying it to every edge first.
+    Linear, instance norm over all N*k edges, max, then LeakyReLU. The norm
+    is a per-channel monotone map, so the max commutes with it:
+    `autodiff.norm_max` normalizes only the (N, d) extremes of the raw edges,
+    with the same bits. LeakyReLU is increasing, so applying it to the maxima
+    gives the same values as applying it to every edge first.
     """
     n, k = graph.neighbor_idx.shape
     h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, k, 1),
                            w.param(f"{name}/lin/W"), w.param(f"{name}/lin/b"))
-    h = ad.instance_norm(h, w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"))
-    vals, _ = ad.max_over_axis(h, axis=1)
-    return ad.leaky_relu(vals)
+    h = ad.norm_max(h, w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"))
+    return ad.leaky_relu(h)
 
 
 def _norm_relu(y: Tensor, w: ModelWeights, norm_name) -> Tensor:

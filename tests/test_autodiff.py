@@ -122,25 +122,84 @@ def test_softmax_uniform_rows_and_sums():
     assert np.max(np.abs(out.data.sum(axis=-1) - 1.0)) < 1e-12
 
 
-def test_max_over_axis_one_hot_gradient():
+def _max_over_axis_1(a):
+    """Values at argmax over axis 1, gradient to the first maximizer: the max
+    the network took over its normalized edges before `norm_max`."""
+    a = ad._as_tensor(a)
+    arg = a.data.argmax(axis=1)[:, None]
+
+    def bw(g):
+        if a.requires_grad:
+            da = np.zeros_like(a.data)
+            np.put_along_axis(da, arg, g[:, None], axis=1)
+            ad._accum(a, da)
+
+    return ad._make(np.take_along_axis(a.data, arg, axis=1)[:, 0], (a,), bw)
+
+
+def _norm_max_and_grads(build, h, gamma, beta, g):
+    """Output of build(h, gamma, beta) and the three gradients of sum(out * g)."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in (h, gamma, beta)]
+    with Tape() as tape:
+        out = build(*leaves)
+        tape.backward(ad.sum_all(ad.mul(out, constant(g))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("n,k,d", [(6, 4, 5), (64, 9, 16)])
+def test_norm_max_equals_max_of_instance_norm_bit_for_bit(n, k, d):
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((n, k, d))
+    h[1, 2] = h[1, 0]               # two edges of one row tie in every channel
+    h[3, :] = h[3, 0]               # a row whose edges all tie
+    h[:, :, 1] = np.round(h[:, :, 1])  # a channel full of ties
+    gamma = rng.standard_normal(d)
+    gamma[::2] = -np.abs(gamma[::2])
+    gamma[3] = 0.0
+    beta = rng.standard_normal(d)
+    g = rng.standard_normal((n, d))
+    got = _norm_max_and_grads(ad.norm_max, h, gamma, beta, g)
+    ref = _norm_max_and_grads(
+        lambda x, ga, be: _max_over_axis_1(ad.instance_norm(x, ga, be)), h, gamma, beta, g)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_norm_max_one_hot_gradient():
+    # Each (row, channel) output sends one unit to beta and its normalized
+    # maximum to gamma; a negative gamma turns the maximum into the raw minimum.
     rng = np.random.default_rng(6)
-    x = rand_tensor(rng, (4, 7, 3))
-    with Tape() as tape:
-        vals, arg = ad.max_over_axis(x, axis=1)
-        loss = ad.sum_all(vals)
-        tape.backward(loss)
-    num = fd_grad(lambda: float(ad.sum_all(ad.max_over_axis(x, axis=1)[0]).data), x.data)
-    assert np.allclose(x.grad, num, atol=1e-6)
-    assert x.grad.sum() == 4 * 3  # one unit per (row, channel)
+    h = rng.standard_normal((4, 7, 3))
+    gamma, beta = np.array([1.5, -0.5, 0.0]), np.zeros(3)
+    out, _, g_gamma, g_beta = _norm_max_and_grads(ad.norm_max, h, gamma, beta, np.ones((4, 3)))
+    assert np.array_equal(g_beta, [4.0, 4.0, 4.0])
+    xhat = ad.instance_norm(constant(h)).data
+    # Where gamma is 0 every edge ties, so the first one is the maximizer.
+    picked = np.stack([xhat[..., 0].max(axis=1), xhat[..., 1].min(axis=1), xhat[:, 0, 2]], 1)
+    np.testing.assert_allclose(out, picked * gamma, rtol=1e-12)
+    np.testing.assert_allclose(g_gamma, picked.sum(axis=0), rtol=1e-12)
 
 
-def test_max_over_axis_tie_goes_to_lowest_index():
-    x = Tensor(np.array([[1.0, 1.0, 0.5]]), requires_grad=True)
-    with Tape() as tape:
-        vals, arg = ad.max_over_axis(x, axis=1)
-        tape.backward(ad.sum_all(vals))
-    assert arg[0] == 0
-    assert np.array_equal(x.grad, [[1.0, 0.0, 0.0]])
+def test_norm_max_tie_goes_to_lowest_index():
+    # Edges 0 and 1 tie for the max; the gradient takes edge 0 as the max,
+    # as if the loss read instance_norm's output at edge 0 alone.
+    h = np.array([[[1.0], [1.0], [0.5]]])
+    one = np.ones(1)
+    got = _norm_max_and_grads(ad.norm_max, h, one, one, one[None])
+    ref = _norm_max_and_grads(ad.instance_norm, h, one, one, np.array([[[1.0], [0.0], [0.0]]]))
+    assert all(np.array_equal(a, b) for a, b in zip(got[1:], ref[1:]))
+    assert got[1][0, 0, 0] != got[1][0, 1, 0]
+
+
+def test_norm_max_gradcheck():
+    rng = np.random.default_rng(9)
+    h = rand_tensor(rng, (5, 4, 3))
+    gamma = Tensor(np.array([1.2, -0.7, 0.4]), requires_grad=True)
+    beta = rand_tensor(rng, (3,))
+    check_op(lambda: ad.norm_max(h, gamma, beta), [h, gamma, beta], rtol=1e-4)
+    with pytest.raises(ShapeMismatch):
+        ad.norm_max(constant(np.zeros((5, 3))), gamma, beta)
 
 
 def test_grouped_neighbor_conv_shapes_and_average_kernel():

@@ -568,6 +568,8 @@ def test_cmd_sweep_empty_dir_names_directory(tmp_path, capsys):
 @pytest.mark.parametrize("command, flag, value", [
     ("sweep", "--ratios", "1.5"),
     ("sweep", "--ratios", "0,nan"),
+    ("sweep", "--ratios", ""),
+    ("sweep", "--ratios", ","),
     ("sweep", "--threshold", "inf"),
     ("match", "--threshold", "5"),
     ("match", "--threshold", "nan"),
@@ -592,6 +594,40 @@ def test_cmd_out_of_range_argument_exits_2(tmp_path, capsys, command, flag, valu
     assert captured.out == ""
     assert flag in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, path", [
+    ("match", "--weights", "adir"),
+    ("match", "--scene", "adir"),
+    ("localize", "--weights", "adir"),
+    ("localize", "--scene", "adir"),
+    ("sweep", "--weights", "adir"),
+    ("train", "--out", "adir"),
+    ("synth", "--out", "afile"),
+    ("synth", "--out", "afile/sub"),
+])
+def test_cmd_path_of_the_wrong_kind_exits_2(tmp_path, capsys, command, flag, path):
+    # A directory where a file is read or written, or a file where a
+    # directory is made, is a usage error, reported in one line.
+    wpath, _ = make_weights_file(tmp_path)
+    (tmp_path / "scenes").mkdir()
+    spath, _ = scene_file(tmp_path, name="scenes/scene_0000.json")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    args = {"match": {"--weights": wpath, "--scene": spath},
+            "localize": {"--weights": wpath, "--scene": spath},
+            "sweep": {"--weights": wpath, "--scenes": str(tmp_path / "scenes"),
+                      "--out-csv": str(tmp_path / "out.csv")},
+            "train": {"--config": write_config(tmp_path, {**NET8, "train": {"epochs": 0}}),
+                      "--scenes": str(tmp_path / "scenes"), "--out": ""},
+            "synth": {"--out": "", "--count": "1"}}[command]
+    args[flag] = str(tmp_path / path)
+    capsys.readouterr()
+    assert main([command, *(x for item in args.items() for x in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert path in captured.err
 
 
 # --- gradcheck ----------------------------------------------------------------------
