@@ -404,7 +404,18 @@ def softmax_last_axis(a) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:
+NORM_EPS = 1e-5  # the variance floor of instance_norm (by default) and of norm_max
+
+
+def _norm_stats(rows, eps):
+    """Per-channel mean and 1 / sqrt(variance + eps) over the rows of (R, c)."""
+    mean = rows.mean(axis=0)
+    sq = rows - mean
+    sq *= sq
+    return mean, 1.0 / np.sqrt(sq.mean(axis=0) + eps)
+
+
+def instance_norm(x, gamma=None, beta=None, eps=NORM_EPS) -> Tensor:
     """Per-channel normalization over every non-channel axis, optional affine.
 
     The network's one normalization: each call sees one scene, so its
@@ -413,9 +424,9 @@ def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeMismatch(f"instance_norm needs ndim >= 2, got {x.shape}")
-    dev = x.data.reshape(-1, x.shape[-1])
-    dev = dev - dev.mean(axis=0)
-    istd = 1.0 / np.sqrt((dev * dev).mean(axis=0) + eps)
+    rows = x.data.reshape(-1, x.shape[-1])
+    mean, istd = _norm_stats(rows, eps)
+    dev = rows - mean
     dev *= istd
     xhat = dev.reshape(x.shape)
     if gamma is not None:
@@ -447,7 +458,7 @@ def instance_norm(x, gamma=None, beta=None, eps=1e-5) -> Tensor:
     return _make(out_data, inputs, bw)
 
 
-def norm_max(h, gamma, beta, eps=1e-5) -> Tensor:
+def norm_max(h, gamma, beta) -> Tensor:
     """The max over axis 1 of instance_norm(h, gamma, beta), h of shape (N, k, d).
 
     The statistics are taken over all N * k rows, as instance_norm takes
@@ -455,24 +466,26 @@ def norm_max(h, gamma, beta, eps=1e-5) -> Tensor:
     affine norm (subtract the mean, multiply by istd > 0, multiply by gamma,
     add beta) is monotone in floating point, increasing where gamma >= 0 and
     decreasing where gamma < 0, so the normalized raw max (or raw min) is the
-    max of the normalized column, bit for bit. Backward sends each (n, c)
-    gradient to the first maximizer of the normalized column, as argmax
-    would pick it, and the (N, k, d) normalized tensor is built only there.
+    max of the normalized column, bit for bit; where beta is -0 a zero max
+    keeps the sign of the first maximizer, so those channels are normalized
+    whole and take argmax's pick. Backward sends each (n, c) gradient to
+    the first maximizer of the normalized column, as argmax would pick it,
+    and sums over the N maxima what instance_norm sums over all N * k edges:
+    the other edges add only zeros, and a numpy sum of zeros is +0 whatever
+    their signs.
     """
     h, gamma, beta = _as_tensor(h), _as_tensor(gamma), _as_tensor(beta)
     if h.ndim != 3 or gamma.shape != h.shape[2:] or beta.shape != h.shape[2:]:
         raise ShapeMismatch(f"norm_max needs h (N,k,d) and gamma, beta (d,), got "
                             f"{h.shape}, {gamma.shape} and {beta.shape}")
     n, k, c = h.shape
-    # instance_norm's statistics, by the same expressions; the squares are
-    # formed in place, since no full-size normalized tensor is kept.
-    rows = h.data.reshape(-1, c)
-    mean = rows.mean(axis=0)
-    sq = rows - mean
-    sq *= sq
-    istd = 1.0 / np.sqrt(sq.mean(axis=0) + eps)
+    mean, istd = _norm_stats(h.data.reshape(-1, c), NORM_EPS)
     extreme = np.where(gamma.data >= 0, h.data.max(axis=1), h.data.min(axis=1))
     out_data = ((extreme - mean) * istd) * gamma.data + beta.data
+    cols = np.flatnonzero((beta.data == 0) & np.signbit(beta.data))
+    if cols.size:
+        col = ((h.data[..., cols] - mean[cols]) * istd[cols]) * gamma.data[cols] + beta.data[cols]
+        out_data[:, cols] = np.take_along_axis(col, col.argmax(axis=1)[:, None], axis=1)[:, 0]
 
     def bw(g):
         xh = (h.data - mean) * istd
@@ -488,13 +501,16 @@ def norm_max(h, gamma, beta, eps=1e-5) -> Tensor:
             _accum(beta, g.sum(axis=0))
         if h.requires_grad:
             # instance_norm's dx for a gradient that is zero off the maxima:
-            # the two means sum N rows, and every other entry is the dense part.
+            # the two means sum N rows, and every other entry is the dense
+            # part istd * ((z - m1) - xh * m2), z = 0 * gamma being its dxhat
+            # there (-0 where gamma < 0, which a zero m1 keeps).
+            z = 0.0 * gamma.data
             gg = g * gamma.data
             m1 = gg.sum(axis=0) / (n * k)
             m2 = (gg * xs).sum(axis=0) / (n * k)
             dx = xh
             dx *= m2
-            np.subtract(-m1, dx, out=dx)
+            np.subtract(z - m1, dx, out=dx)
             dx *= istd
             np.put_along_axis(dx, at, (istd * ((gg - m1) - xs * m2))[:, None, :], axis=1)
             _accum(h, dx)

@@ -138,8 +138,12 @@ def _max_over_axis_1(a):
 
 
 def _norm_max_and_grads(build, h, gamma, beta, g):
-    """Output of build(h, gamma, beta) and the three gradients of sum(out * g)."""
+    """Output of build(h, gamma, beta) and the three gradients of sum(out * g),
+    as the backward hands them over: the leaves start from no grad, since
+    adding to a zero grad would turn each -0 into +0."""
     leaves = [Tensor(x.copy(), requires_grad=True) for x in (h, gamma, beta)]
+    for t in leaves:
+        t.grad = None
     with Tape() as tape:
         out = build(*leaves)
         tape.backward(ad.sum_all(ad.mul(out, constant(g))))
@@ -163,6 +167,30 @@ def test_norm_max_equals_max_of_instance_norm_bit_for_bit(n, k, d):
         lambda x, ga, be: _max_over_axis_1(ad.instance_norm(x, ga, be)), h, gamma, beta, g)
     for a, b in zip(got, ref):
         assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_norm_max_signed_zeros_bit_for_bit():
+    # Channels whose sums and maxima come out zero: gammas of both zero signs,
+    # tiny and negative, beta -0 (a zero max takes the first maximizer's
+    # sign), gradient columns of zeros of either sign, and columns whose
+    # edges 1 and 2 tie for the max in every row.
+    rng = np.random.default_rng(11)
+    n, k = 5, 3
+    gammas = [0.0, -0.0, -0.7, 5e-324]
+    betas = [0.0, -0.0, 0.4]
+    grads = [rng.standard_normal(n), np.zeros(n), np.full(n, -0.0)]
+    combos = [(ga, be, gr) for ga in gammas for be in betas for gr in range(len(grads))]
+    d = len(combos)
+    h = rng.standard_normal((n, k, d))
+    h[:, :, ::3] = np.where(np.arange(k) == 0, -1.0, 1.0)[None, :, None]
+    gamma = np.array([ga for ga, _, _ in combos])
+    beta = np.array([be for _, be, _ in combos])
+    g = np.stack([grads[gr] for _, _, gr in combos], axis=1)
+    got = _norm_max_and_grads(ad.norm_max, h, gamma, beta, g)
+    ref = _norm_max_and_grads(
+        lambda x, ga, be: _max_over_axis_1(ad.instance_norm(x, ga, be)), h, gamma, beta, g)
+    for a, b in zip(got, ref):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
