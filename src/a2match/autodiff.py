@@ -28,10 +28,17 @@ promise equivariance put their rows in a canonical order first
 a permuted input becomes the very same arrays, so its outputs are the same
 bits, permuted.
 
-`pairwise_l2` runs over blocks of rows of its left operand, each of about
-`_BLOCK_ELEMENTS` differences. Every output element is still numpy's one
-contiguous sum of squares, so the result equals the whole-tensor expression
-bit for bit while the working memory is one block instead of M x N x d.
+`pairwise_l2` takes squared distances in Gram form, |a|^2 + |b|^2 - 2 a.b:
+one BLAS product and two vectors of row norms, with no M x N x d tensor.
+Cancellation loses bits where a distance is small against the norms, which
+is where the matching costs that matter lie. So every cell whose Gram value
+is below `_CANCEL` of |a_i|^2 + |b_j|^2, or is NaN or inf, is recomputed
+from its differences, in chunks of about `_BLOCK_ELEMENTS` of them, with
+the bits of the whole-tensor expression (a zero distance stays exactly 0).
+Every other cell is within a relative (d + 2) u / _CANCEL of it, u = 2^-53,
+about 9e-13 at d = 128, while squares stay in float64's normal range. Like
+Sinkhorn's plan, the cost matrix is permutation equivariant only up to
+round-off.
 """
 
 from __future__ import annotations
@@ -51,8 +58,14 @@ class NonScalarLoss(Exception):
 
 _LOCAL = threading.local()
 
-# Differences per row block in pairwise_l2 (8 MiB of float64).
+# Differences per chunk of pairwise_l2's exact recompute (8 MiB of float64).
 _BLOCK_ELEMENTS = 1 << 20
+
+# pairwise_l2 recomputes from differences every Gram cell below this
+# fraction of |a_i|^2 + |b_j|^2: cancellation there multiplies the Gram
+# form's relative error by at most 1 / _CANCEL.
+_CANCEL = 1.0 / 64
+
 
 def _tape_stack():
     if not hasattr(_LOCAL, "stack"):
@@ -594,23 +607,53 @@ def neighbor_linear(f, idx, weight, bias) -> Tensor:
     return _make(out_data, (f, weight, bias), bw)
 
 
+def _squared_distances(a, b):
+    """(sq, exact): squared distances of the rows of a (M,d) and b (N,d).
+
+    sq is |a_i|^2 + |b_j|^2 - 2 a_i.b_j, one BLAS product and two row norms,
+    except in the cells flagged in `exact`: those whose Gram value falls
+    below _CANCEL of |a_i|^2 + |b_j|^2, and those that are NaN or inf. They
+    are recomputed as the contiguous sum of their squared differences, the
+    bits of ((a[:, None] - b[None]) ** 2).sum(-1), in chunks of
+    _block_rows(d) cells.
+    """
+    na = np.einsum("ij,ij->i", a, a)
+    nb = np.einsum("ij,ij->i", b, b)
+    # Non-finite cells only flag themselves here; the exact recompute warns
+    # where the difference form would.
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms = na[:, None] + nb
+        sq = a @ b.T
+        sq *= -2.0
+        sq += norms
+        norms *= _CANCEL
+        exact = ~(sq >= norms) | (sq == np.inf)
+    rows, cols = np.nonzero(exact)
+    step = _block_rows(a.shape[1])
+    for s in range(0, len(rows), step):
+        i, j = rows[s:s + step], cols[s:s + step]
+        diff = a[i]
+        diff -= b[j]
+        diff *= diff
+        sq[i, j] = diff.sum(axis=-1)
+    return sq, exact
+
+
 def pairwise_l2(a, b) -> Tensor:
     """D[i,j] = ||a_i - b_j||_2 for row collections a (M,d), b (N,d).
 
-    Rows of a are evaluated in blocks of about _BLOCK_ELEMENTS differences;
-    each D[i,j] is still numpy's one contiguous d-length sum of squares, so
-    the result equals the whole-tensor expression bit for bit.
+    Squared distances come from `_squared_distances`: the Gram form, with
+    every cell that cancels below _CANCEL of its norms (or is NaN or inf)
+    recomputed from its differences with the bits of the whole-tensor
+    expression. Every other cell is within a relative (d + 2) u / _CANCEL
+    of that expression, u = 2^-53, while squares stay in float64's normal
+    range. A BLAS product's bits may depend on where a row sits, so
+    permuting the rows permutes D only up to round-off.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeMismatch(f"pairwise_l2 shapes {a.shape} x {b.shape}")
-    sq = np.empty((a.shape[0], b.shape[0]))
-    step = _block_rows(b.data.size)
-    for i in range(0, a.shape[0], step):
-        diff = np.subtract(a.data[i:i + step, None, :], b.data[None, :, :], order="C")
-        diff *= diff
-        diff.sum(axis=-1, out=sq[i:i + step])
-    out_data = np.sqrt(sq)
+    out_data = np.sqrt(_squared_distances(a.data, b.data)[0])
 
     def bw(g):
         coef = g / np.maximum(out_data, 1e-12)

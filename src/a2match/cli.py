@@ -38,6 +38,17 @@ def _check_unit_interval(flag: str, value: float):
         raise InvalidConfig(f"{flag} must be a finite value in [0, 1], got {value!r}")
 
 
+def _check_output_file(flag: str, path):
+    """Reject an output file path that cannot be written, before any work."""
+    if path is None:
+        return
+    path = Path(path)
+    if path.is_dir():
+        raise InvalidConfig(f"{flag} {path} is a directory")
+    if not path.parent.is_dir():
+        raise InvalidConfig(f"{flag} {path}: directory {path.parent} does not exist")
+
+
 def _load_scenes_dir(scenes_dir: Path):
     files = sorted(scenes_dir.glob("scene_*.json"))
     if not files:
@@ -65,11 +76,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_output_file("--out", args.out)
+    csv_path = Path(args.loss_csv) if args.loss_csv else Path(args.out).with_suffix(".csv")
+    _check_output_file("--loss-csv", csv_path)
     cfg = load_run_config(args.config)
     scenes = _load_scenes_dir(Path(args.scenes))
     weights, reports, seconds = train(scenes, cfg.train, cfg.network)
     save_weights(args.out, weights)
-    csv_path = Path(args.loss_csv) if args.loss_csv else Path(args.out).with_suffix(".csv")
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("epoch,matching_loss,rejection_loss,total,wall_seconds\n")
         for e, (rep, sec) in enumerate(zip(reports, seconds), start=1):
@@ -85,6 +98,7 @@ def _corr_rows(corrs):
 
 def cmd_match(args) -> int:
     _check_unit_interval("--threshold", args.threshold)
+    _check_output_file("--out", args.out)
     weights = load_weights(args.weights)
     pair = load_scene(args.scene)
     result = match_scene(pair, weights, threshold=args.threshold,
@@ -104,6 +118,7 @@ def cmd_match(args) -> int:
 
 def cmd_localize(args) -> int:
     _check_unit_interval("--threshold", args.threshold)
+    _check_output_file("--out", args.out)
     cfg = load_run_config(args.config)
     weights = load_weights(args.weights)
     pair = load_scene(args.scene)
@@ -143,6 +158,8 @@ def cmd_sweep(args) -> int:
         raise InvalidConfig(f"--ratios names no ratio, got {args.ratios!r}")
     for r in ratios:
         _check_unit_interval("--ratios", r)
+    _check_output_file("--out-csv", args.out_csv)
+    _check_output_file("--out-svg", args.out_svg)
     cfg = load_run_config(args.config)
     weights = load_weights(args.weights)
     scenes = _load_scenes_dir(Path(args.scenes))

@@ -16,10 +16,11 @@ paths run the same iterations, so they give the same plan up to round-off,
 and both keep per-iteration vectors instead of taping each iteration, so
 memory grows with iters x (M + N) rather than iters x M x N. The log path's
 plan and gradients are bit for bit those of the log-domain loop taped op by
-op; the scaling path's agree with them to round-off. Sinkhorn runs on the
-scores in input order with plain numpy sums and BLAS products, so permuting
-the inputs permutes the plan only up to round-off: the canonical order of
-`network.forward_features` ends at its features.
+op; the scaling path's agree with them to round-off. The cost matrix (a
+Gram-form BLAS product, `autodiff.pairwise_l2`) and Sinkhorn run on their
+inputs in input order with plain numpy sums and BLAS products, so permuting
+the inputs permutes the cost and the plan only up to round-off: the
+canonical order of `network.forward_features` ends at its features.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -343,31 +344,99 @@ def test_unary_op_gradients():
     check_op(lambda: ad.exp(ad.scale(x, 0.3)), [x], rtol=1e-5)
     check_op(lambda: ad.sigmoid(x), [x], rtol=1e-5)
     check_op(lambda: ad.pairwise_l2(x, other), [x, other], rtol=1e-4)
+    # Rows near a common offset cancel in the Gram form, so every cell takes
+    # the exact recompute from differences.
+    near = Tensor(1e3 + rng.standard_normal((4, 3)), requires_grad=True)
+    far = Tensor(1e3 + rng.standard_normal((5, 3)), requires_grad=True)
+    assert ad._squared_distances(near.data, far.data)[1].all()
+    check_op(lambda: ad.pairwise_l2(near, far), [near, far], rtol=1e-4)
 
 
-def _blocked_kernel_shapes():
-    # (m, k, d): pairwise_l2 of an (m, d) and a (k, d) operand.
-    k_wide = ad._BLOCK_ELEMENTS // 64 + 1
-    rows = ad._BLOCK_ELEMENTS // (512 * 128)
-    assert 37 % rows != 0 and k_wide * 64 > ad._BLOCK_ELEMENTS
-    return [
-        (1, 512, 128),      # a single row
-        (37, 512, 128),     # m not a multiple of the block
-        (3, k_wide, 64),    # one row's addends exceed the budget: one-row blocks
-        (40, 300, 1),       # d=1
-    ]
-
-
-@pytest.mark.parametrize("m,k,d", _blocked_kernel_shapes())
-def test_blocked_kernels_equal_whole_tensor_bitwise(m, k, d):
+def _random_rows(m, k, d):
     rng = np.random.default_rng(m * 1000 + d)
     p = rng.standard_normal((m, d))
     q = rng.standard_normal((k, d))
-    for x, y in ((p, q), (np.round(p), np.round(q))):
-        ref = np.sqrt(((x[:, None] - y[None]) ** 2).sum(-1))
-        got = ad.pairwise_l2(x, y).data
+    return [(p, q), (np.round(p), np.round(q))]
+
+
+def _duplicate_rows():
+    rng = np.random.default_rng(1)
+    p = rng.standard_normal((9, 16))
+    return [(p, np.concatenate([p[::-1], rng.standard_normal((4, 16))]))]
+
+
+def _rows_1e8_apart():
+    rng = np.random.default_rng(2)
+    p = rng.standard_normal((20, 32))
+    return [(p, p + 1e-8 * rng.standard_normal((20, 32)))]
+
+
+def _rows_near_1e6_offset():
+    # 100 x 200 = 20000 cells, every one flagged: more than one chunk of
+    # _block_rows(128) = 8192 cells.
+    rng = np.random.default_rng(3)
+    return [(1e6 + rng.standard_normal((100, 128)), 1e6 + rng.standard_normal((200, 128)))]
+
+
+def _non_finite_rows():
+    rng = np.random.default_rng(4)
+    p, q = rng.standard_normal((6, 5)), rng.standard_normal((7, 5))
+    p[0, 1], p[1, 2], p[2, 0] = np.nan, np.inf, -np.inf
+    q[3, 2], q[4, 4] = np.inf, np.nan  # q[3] meets p[1] as inf - inf
+    return [(p, q), (q, p)]
+
+
+def _overflowing_norms():
+    # |a|^2 = 1.85e308 overflows while a.b and |a - b|^2 = 6.5e307 do not:
+    # the Gram cell is inf where the distance is finite.
+    a = np.array([[np.sqrt(1.85) * 1e154, 0.0]])
+    cos = 0.85 / np.sqrt(1.85 * 0.5)
+    b = np.sqrt(0.5) * 1e154 * np.array([[cos, np.sqrt(1 - cos * cos)]])
+    return [(a, b), (b, a)]
+
+
+_PAIRWISE_L2_CASES = {
+    "1-512-128": lambda: _random_rows(1, 512, 128),      # a single row
+    "37-512-128": lambda: _random_rows(37, 512, 128),    # no multiple of a BLAS tile
+    "3-16385-64": lambda: _random_rows(3, 16385, 64),    # a wide operand
+    "40-300-1": lambda: _random_rows(40, 300, 1),        # d=1, many ties
+    "duplicates": _duplicate_rows,
+    "rows-1e-8-apart": _rows_1e8_apart,
+    "offset-1e6": _rows_near_1e6_offset,
+    "nan-inf": _non_finite_rows,
+    "overflowing-norms": _overflowing_norms,
+}
+
+
+@pytest.mark.parametrize("case", list(_PAIRWISE_L2_CASES))
+def test_pairwise_l2_within_bound_and_exact_where_recomputed(case):
+    # The Gram form gives up bit equality with the difference form; what it
+    # keeps: every cell within the documented relative bound, and every cell
+    # the cancellation guard recomputes (NaN and inf included) with the
+    # difference form's bits, raising no warning that form does not raise.
+    for x, y in _PAIRWISE_L2_CASES[case]():
+        with warnings.catch_warnings(record=True) as ref_warnings:
+            warnings.simplefilter("always")
+            ref = np.sqrt(((x[:, None] - y[None]) ** 2).sum(-1))
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = ad.pairwise_l2(x, y).data
+            exact = ad._squared_distances(x, y)[1]
+        assert {str(w.message) for w in got_warnings} <= {str(w.message) for w in ref_warnings}
         assert got.shape == ref.shape
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(got[exact].view(np.int64), ref[exact].view(np.int64))
+        finite = np.isfinite(ref)
+        assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
+        bound = (x.shape[1] + 2) * 2.0 ** -53 / ad._CANCEL
+        assert np.all(np.abs(got[finite] - ref[finite]) <= bound * ref[finite])
+        if case == "duplicates":
+            assert np.all(got[np.arange(9), np.arange(8, -1, -1)] == 0.0)
+        if case == "offset-1e6":
+            assert exact.all() and exact.size > ad._block_rows(x.shape[1])
+        if case == "nan-inf":
+            assert not finite.all() and exact[~finite].all()
+        if case == "overflowing-norms":
+            assert finite.all() and exact.all()
 
 
 def _traced_peak_mb(fn):
@@ -381,9 +450,11 @@ def _traced_peak_mb(fn):
 
 def test_blocked_kernels_peak_memory():
     # The whole-tensor form holds 512 x 512 x 128 float64 differences (512 MiB).
+    # Near a 1e6 offset every cell takes the exact recompute, 32 chunks here.
     rng = np.random.default_rng(13)
     f_p, f_q = (rng.standard_normal((512, 128)) for _ in range(2))
     assert _traced_peak_mb(lambda: ad.pairwise_l2(f_p, f_q)) < 64
+    assert _traced_peak_mb(lambda: ad.pairwise_l2(f_p + 1e6, f_q + 1e6)) < 64
 
 
 def test_gather_ops_and_gradients():

@@ -367,12 +367,12 @@ def test_classifier_branch_pinned(tmp_path):
     payload = json.loads(out.read_text())
     assert (len(payload["initial"]), len(payload["final"])) == (11, 4)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "416031adf089151427a561b15a6e69b6b702766286d3345c1094861c9bfee432")
+        "9855eefd6c51080c37b122550f3ee36bbce7480bddcbf231d8b1f8d242c9dd3a")
     loss, report, candidates = scene_loss(pair, w, TrainConfig())
     assert len(candidates) == 11
     fingerprint = repr((candidates.pairs, loss.item(), report.rejection_loss))
     assert hashlib.sha256(fingerprint.encode()).hexdigest() == (
-        "46a5f26af691e571c77d65774081b93851ff3bb279e15ba465da934ff4883e48")
+        "7b8e8c634d65a53cc7d4ca6b80a0094356b36e20b021af6eac91d28171eb8e86")
 
 
 def test_cmd_localize_robust_and_deterministic(tmp_path):
@@ -628,6 +628,47 @@ def test_cmd_path_of_the_wrong_kind_exits_2(tmp_path, capsys, command, flag, pat
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert path in captured.err
+
+
+@pytest.mark.parametrize("command, flag, path", [
+    ("train", "--out", "adir"),
+    ("train", "--out", "nodir/w.a2w"),
+    ("train", "--out", "w.a2w"),          # its derived loss CSV, w.csv, is a directory
+    ("train", "--loss-csv", "adir"),
+    ("train", "--loss-csv", "nodir/loss.csv"),
+    ("match", "--out", "adir"),
+    ("match", "--out", "nodir/m.json"),
+    ("localize", "--out", "adir"),
+    ("localize", "--out", "nodir/l.json"),
+    ("sweep", "--out-csv", "adir"),
+    ("sweep", "--out-csv", "nodir/s.csv"),
+    ("sweep", "--out-svg", "adir"),
+    ("sweep", "--out-svg", "nodir/s.svg"),
+])
+def test_cmd_unwritable_output_exits_2_before_the_work(tmp_path, capsys, monkeypatch,
+                                                       command, flag, path):
+    # An output path that is a directory, or whose directory is missing, is
+    # rejected before any input is loaded or any work done (train would run
+    # all 30 default epochs first).
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("load_run_config", "load_weights", "load_scene", "_load_scenes_dir",
+                 "train", "match_scene", "localize_scene", "outlier_sweep"):
+        monkeypatch.setattr(f"a2match.cli.{name}", never)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "w.csv").mkdir()
+    args = {"train": {"--scenes": str(tmp_path), "--out": str(tmp_path / "ok.a2w")},
+            "match": {"--weights": "w.a2w", "--scene": "s.json"},
+            "localize": {"--weights": "w.a2w", "--scene": "s.json"},
+            "sweep": {"--weights": "w.a2w", "--scenes": str(tmp_path),
+                      "--out-csv": str(tmp_path / "ok.csv")}}[command]
+    args[flag] = str(tmp_path / path)
+    assert main([command, *(x for item in args.items() for x in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (path if path != "w.a2w" else "w.csv") in captured.err
 
 
 # --- gradcheck ----------------------------------------------------------------------

@@ -445,7 +445,7 @@ def test_forward_features_and_plan_pinned():
     assert [hashlib.sha256(x.data.tobytes()).hexdigest() for x in (f_p, f_q, plan.values)] == [
         "3499ce104c3b375c0066221fd2d8fd948c6a61dbcd7382293902b2bfaed44010",
         "016471401c24f3927de56d5308c6e43c135ac30ce2809a02db93d833e7d33157",
-        "70a46ac7db42f4aa73fa7ad25487dfd189f35f4f4fd27a51248463c049199819",
+        "038701e01a9941fed7dce41317d3d9480d2d31a9a1af935338f35d3200fcf3d3",
     ]
 
 
