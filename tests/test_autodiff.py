@@ -372,10 +372,20 @@ def _rows_1e8_apart():
 
 
 def _rows_near_1e6_offset():
-    # 100 x 200 = 20000 cells, every one flagged: more than one chunk of
-    # _block_rows(128) = 8192 cells.
+    # 100 x 200 = 20000 cells, every one flagged: many chunks of
+    # _block_rows(128) = 512 cells.
     rng = np.random.default_rng(3)
     return [(1e6 + rng.standard_normal((100, 128)), 1e6 + rng.standard_normal((200, 128)))]
+
+
+def _rows_partly_near_1e6():
+    # 100 rows near 1e6 against 100 near 1e6 and 101 near -1e6: 10000 cells
+    # flagged, more than one chunk, yet no row is flagged whole.
+    rng = np.random.default_rng(5)
+    a = 1e6 + rng.standard_normal((100, 128))
+    b = np.concatenate([1e6 + rng.standard_normal((100, 128)),
+                        -1e6 + rng.standard_normal((101, 128))])
+    return [(a, b)]
 
 
 def _non_finite_rows():
@@ -403,6 +413,7 @@ _PAIRWISE_L2_CASES = {
     "duplicates": _duplicate_rows,
     "rows-1e-8-apart": _rows_1e8_apart,
     "offset-1e6": _rows_near_1e6_offset,
+    "partly-1e6": _rows_partly_near_1e6,
     "nan-inf": _non_finite_rows,
     "overflowing-norms": _overflowing_norms,
 }
@@ -433,10 +444,26 @@ def test_pairwise_l2_within_bound_and_exact_where_recomputed(case):
             assert np.all(got[np.arange(9), np.arange(8, -1, -1)] == 0.0)
         if case == "offset-1e6":
             assert exact.all() and exact.size > ad._block_rows(x.shape[1])
+        if case == "partly-1e6":
+            assert exact.sum() > ad._block_rows(x.shape[1])
+            assert not exact.all(axis=1).any() and exact[:, :100].all()
         if case == "nan-inf":
             assert not finite.all() and exact[~finite].all()
         if case == "overflowing-norms":
             assert finite.all() and exact.all()
+
+
+def test_squared_distances_all_cancelling_rows_bitwise():
+    # Rows near a common 1e6 offset flag every cell, so every cell is
+    # recomputed; the reference is built a few rows at a time, as each cell's
+    # bits are its own contiguous d-length sum.
+    rng = np.random.default_rng(14)
+    a, b = (1e6 + rng.standard_normal((512, 128)) for _ in range(2))
+    sq, exact = ad._squared_distances(a, b)
+    ref = np.concatenate([((a[i:i + 16, None] - b[None]) ** 2).sum(-1)
+                          for i in range(0, len(a), 16)])
+    assert exact.all()
+    assert np.array_equal(sq.view(np.int64), ref.view(np.int64))
 
 
 def _traced_peak_mb(fn):
@@ -450,7 +477,7 @@ def _traced_peak_mb(fn):
 
 def test_blocked_kernels_peak_memory():
     # The whole-tensor form holds 512 x 512 x 128 float64 differences (512 MiB).
-    # Near a 1e6 offset every cell takes the exact recompute, 32 chunks here.
+    # Near a 1e6 offset every cell takes the exact recompute, 512 chunks here.
     rng = np.random.default_rng(13)
     f_p, f_q = (rng.standard_normal((512, 128)) for _ in range(2))
     assert _traced_peak_mb(lambda: ad.pairwise_l2(f_p, f_q)) < 64

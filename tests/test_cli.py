@@ -226,6 +226,26 @@ def test_cmd_negative_seed_exits_2(tmp_path, capsys, section, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("max_iterations", -3, "max_iterations must be > 0, got -3"),
+    ("max_iterations", 0, "max_iterations must be > 0, got 0"),
+    ("refine_iterations", -1, "refine_iterations must be >= 0, got -1")])
+def test_cmd_localize_bad_ransac_budget_exits_2(tmp_path, capsys, key, value, message):
+    with pytest.raises(InvalidConfig, match=message):
+        parse_run_config({"ransac": {key: value}})
+    cfg = write_config(tmp_path, {"ransac": {key: value}})
+    wpath, _ = make_weights_file(tmp_path)
+    spath, _ = scene_file(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["localize", "--config", cfg, "--weights", wpath, "--scene", spath,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
 # --- synth command --------------------------------------------------------------
 
 

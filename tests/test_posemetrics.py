@@ -1,14 +1,17 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from a2match.geometry import CorrespondenceSet, RigidPose
+from a2match.geometry import EPS_DEPTH, CorrespondenceSet, RigidPose, pixel_bearings, project
 from a2match.pipeline import localize_oracle
 from a2match.posemetrics import (
     EmptyList,
     RansacConfig,
     TooFewCorrespondences,
+    _refine_pose,
     error_quantiles,
     outlier_sweep,
     pnp_ransac,
@@ -31,6 +34,232 @@ def gt_correspondences(pair):
     i = np.array(pair.gt_matches.indices_2d(), dtype=np.intp)
     j = np.array(pair.gt_matches.indices_3d(), dtype=np.intp)
     return pair.keypoints[i], pair.points[j]
+
+
+# --- scalar oracle -------------------------------------------------------------
+# pnp_ransac as it was before it solved and scored hypotheses in chunks: one
+# sample, one np.roots, one SVD per root and one scoring pass per iteration.
+
+
+def _poly_add(a, b):
+    n = max(len(a), len(b))
+    out = np.zeros(n)
+    out[:len(a)] += a
+    out[:len(b)] += b
+    return out
+
+
+def _scalar_p3p_solutions(rays, pts):
+    p1, p2, p3 = pts
+    a2 = float(((p2 - p3) ** 2).sum())
+    b2 = float(((p1 - p3) ** 2).sum())
+    c2 = float(((p1 - p2) ** 2).sum())
+    if min(a2, b2, c2) < 1e-18:
+        return []
+    ca = float(rays[1] @ rays[2])
+    cb = float(rays[0] @ rays[2])
+    cg = float(rays[0] @ rays[1])
+    A2 = a2 / c2
+    B2 = b2 / c2
+    f = np.array([1.0 / B2 - 1.0, -2.0 * cb / B2, 1.0 / B2])
+    g = -_poly_add((1.0 - A2) * f, np.array([-A2, 0.0, 1.0]))
+    h = np.array([2.0 * cg, -2.0 * ca])
+    quartic = _poly_add(
+        np.convolve(g, g),
+        -_poly_add(np.convolve(f, np.convolve(h, h)), 2.0 * cg * np.convolve(g, h)),
+    )
+    if np.max(np.abs(quartic)) < 1e-18:
+        return []
+    solutions = []
+    for root in np.roots(quartic[::-1]):
+        if abs(root.imag) > 1e-8 * max(1.0, abs(root.real)):
+            continue
+        v = float(root.real)
+        if v <= 0.0:
+            continue
+        hv = h[0] + h[1] * v
+        if abs(hv) < 1e-14:
+            continue
+        u = float((g[0] + g[1] * v + g[2] * v * v) / hv)
+        if u <= 0.0:
+            continue
+        denom = 1.0 + u * u - 2.0 * u * cg
+        if denom <= 1e-18:
+            continue
+        s1 = math.sqrt(c2 / denom)
+        s2, s3 = u * s1, v * s1
+        resid = s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2
+        if abs(resid) > 1e-6 * max(1.0, a2):
+            continue
+        cam = np.stack([s1 * rays[0], s2 * rays[1], s3 * rays[2]])
+        fit = _rigid_fit(pts, cam)
+        if fit is not None:
+            solutions.append(fit)
+    return solutions
+
+
+def _rigid_fit(world, cam):
+    wc = world.mean(axis=0)
+    cc = cam.mean(axis=0)
+    H = (world - wc).T @ (cam - cc)
+    U, S, Vt = np.linalg.svd(H)
+    if S[1] < 1e-12 * max(S[0], 1e-300):
+        return None
+    D = np.diag([1.0, 1.0, float(np.sign(np.linalg.det(Vt.T @ U.T)))])
+    R = Vt.T @ D @ U.T
+    return R, cc - R @ wc
+
+
+def _scalar_reproj_errors(R, t, world, bearings):
+    cam = world @ R.T + t
+    z = cam[:, 2]
+    ok = z > EPS_DEPTH
+    safe = np.where(ok, z, 1.0)
+    err = np.hypot(cam[:, 0] / safe - bearings[:, 0], cam[:, 1] / safe - bearings[:, 1])
+    return np.where(ok, err, np.inf)
+
+
+def scalar_pnp_ransac(uv, xyz, k, cfg):
+    """(R, t, inlier mask, success, iterations) of the one-hypothesis loop."""
+    bearings = pixel_bearings(k, uv)
+    world = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    n = len(bearings)
+    rays = np.concatenate([bearings, np.ones((n, 1))], axis=1)
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    rng = np.random.default_rng(cfg.seed)
+    best_count, best_model = 0, None
+    needed = cfg.max_iterations
+    it = 0
+    while it < min(needed, cfg.max_iterations):
+        it += 1
+        sample = rng.choice(n, size=4, replace=False)
+        tri, probe = sample[:3], sample[3]
+        candidates = _scalar_p3p_solutions(rays[tri], world[tri])
+        if not candidates:
+            continue
+        probe_err = [_scalar_reproj_errors(R, t, world[probe:probe + 1],
+                                           bearings[probe:probe + 1])[0]
+                     for R, t in candidates]
+        R, t = candidates[int(np.argmin(probe_err))]
+        count = int((_scalar_reproj_errors(R, t, world, bearings) < cfg.inlier_threshold).sum())
+        if count > best_count:
+            best_count, best_model = count, (R, t)
+            ratio = count / n
+            if 0.0 < ratio < 1.0:
+                denom = math.log(max(1.0 - ratio ** 4, 1e-16))
+                needed = min(cfg.max_iterations,
+                             int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
+            elif ratio >= 1.0:
+                needed = it
+    if best_model is None or best_count < 4:
+        return None, None, np.zeros(n, dtype=bool), False, it
+    R, t = best_model
+    mask = _scalar_reproj_errors(R, t, world, bearings) < cfg.inlier_threshold
+    R, t = _refine_pose(R, t, world[mask], bearings[mask], cfg.refine_iterations)
+    mask = _scalar_reproj_errors(R, t, world, bearings) < cfg.inlier_threshold
+    return R, t, mask, int(mask.sum()) >= 4, it
+
+
+def contaminated(seed, n, share, degenerate=True):
+    """n correspondences of a noisy scene, round(share * n) of them wrong.
+
+    With `degenerate`, some rows also make degenerate samples: a repeated
+    correspondence, collinear world points (imaged correctly) and one world
+    point seen at several pixels; and three world points lie behind the
+    camera, so a probe among them can miss every candidate pose.
+    """
+    rng = np.random.default_rng(seed)
+    pair = generate_scene(SynthConfig(n_points=min(max(n, 10), 1024), inlier_fraction=1.0,
+                                      seed=seed))
+    uv_gt, xyz_gt = gt_correspondences(pair)
+    n_in = n - round(share * n)
+    uv = np.concatenate([uv_gt[:n_in], pair.keypoints[rng.integers(len(pair.keypoints),
+                                                                   size=n - n_in)]])
+    xyz = np.concatenate([xyz_gt[:n_in], pair.points[rng.integers(len(pair.points),
+                                                                  size=n - n_in)]])
+    if degenerate and n >= 20:
+        uv[-1], xyz[-1] = uv[0], xyz[0]
+        line = xyz_gt[1] + np.outer([0.0, 0.5, 1.0, 1.5], xyz_gt[2] - xyz_gt[1])
+        xyz[-5:-1] = line
+        uv[-5:-1] = project(pair.intrinsics, pair.query_pose, line)[0]
+        xyz[-8:-5] = xyz_gt[3]
+        R, t = pair.query_pose.rotation, pair.query_pose.translation
+        xyz[-11:-8] = (-(xyz_gt[4:7] @ R.T + t) - t) @ R
+    order = rng.permutation(n)
+    return uv[order], xyz[order], pair.intrinsics
+
+
+def assert_matches_oracle(uv, xyz, k, cfg):
+    est = pnp_ransac(uv, xyz, k, cfg)
+    R, t, mask, success, iterations = scalar_pnp_ransac(uv, xyz, k, cfg)
+    assert np.array_equal(est.inlier_mask, mask)
+    assert est.iterations == iterations
+    assert est.success == success
+    if success:
+        assert np.abs(est.pose.rotation - R).max() <= 1e-12
+        assert np.abs(est.pose.translation - t).max() <= 1e-12
+    return est
+
+
+@pytest.mark.parametrize("share", [0.0, 0.5, 0.75])
+@pytest.mark.parametrize("n", [4, 20, 100, 512])
+def test_pnp_ransac_matches_scalar_oracle(n, share):
+    uv, xyz, k = contaminated(900 + n, n, share)
+    est = assert_matches_oracle(uv, xyz, k, RansacConfig(seed=n))
+    assert 0 < est.iterations <= 500
+
+
+def test_pnp_ransac_matches_scalar_oracle_on_degenerate_samples():
+    uv, xyz, k = contaminated(5, 20, 0.25)
+    cases = [
+        (uv[[0, 1, 0, 1, 2]], xyz[[0, 1, 0, 1, 2]]),         # repeated correspondences
+        (uv[:6], np.tile(xyz[:1], (6, 1))),                     # one world point, six pixels
+        (np.tile(uv[:1], (6, 1)), np.tile(xyz[:1], (6, 1))),    # six identical rows
+        (uv, np.outer(np.arange(20.0), [0.1, 0.2, 0.3]) + [0.0, 0.0, 6.0]),  # collinear
+    ]
+    for (uv_c, xyz_c), solvable in zip(cases, [True, False, False, False]):
+        for seed in range(3):
+            est = assert_matches_oracle(uv_c, xyz_c, k, RansacConfig(seed=seed))
+            assert est.success == solvable
+
+
+def test_pnp_ransac_matches_scalar_oracle_on_tied_probes():
+    # Seven pairs, at most three of them right. In each run the winning
+    # sample has two candidate poses with four inliers each whose probe
+    # errors tie to round-off (0.4965 twice; 4e-16 and 7e-16), so the pick
+    # turns on the last bits of the quartic's coefficients. Coefficients
+    # formed as plain batched products, not in np.convolve's order, pick the
+    # other pose: R differs by 1.9 and t by 16-21.
+    for seed, share in ((24, 0.6), (41, 0.8)):
+        uv, xyz, k = contaminated(5000 + seed, 7, share)
+        assert_matches_oracle(uv, xyz, k, RansacConfig(seed=seed, max_iterations=200))
+
+
+def test_pnp_ransac_matches_scalar_oracle_when_the_probe_misses_every_candidate():
+    # Half the world points lie behind the camera, so a probe among them is
+    # inf under every candidate pose and the first candidate must be kept.
+    # One or two hypotheses per run make that pose the model.
+    pair = noiseless_scene(31, n=20)
+    uv, xyz = gt_correspondences(pair)
+    R, t = pair.query_pose.rotation, pair.query_pose.translation
+    xyz[10:] = (-(xyz[10:] @ R.T + t) - t) @ R
+    for seed in range(40):
+        assert_matches_oracle(uv, xyz, pair.intrinsics,
+                              RansacConfig(seed=seed, max_iterations=1 + seed % 2))
+
+
+def test_pnp_ransac_chunk_memory():
+    # A 2864-pair input, 75% of it wrong, runs the full 500 hypotheses; the
+    # chunk's (_CHUNK, n) temporaries must stay a few MB.
+    uv, xyz, k = contaminated(17, 2864, 0.75, degenerate=False)
+    tracemalloc.start()
+    try:
+        est = pnp_ransac(uv, xyz, k, RansacConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.success and est.iterations == 500
+    assert peak < 8 * 2 ** 20
 
 
 def test_pnp_noiseless_recovery():
@@ -162,6 +391,16 @@ def test_oracle_reprojection_inf_for_point_behind_estimated_camera():
     assert res.mean_reproj_px == np.inf
 
 
+def test_pose_estimate_iterations():
+    pair = noiseless_scene(44)
+    res = localize_oracle(pair, RansacConfig(seed=0))
+    assert not res.failed and res.estimate.iterations >= 1
+    # Three pairs never reach RANSAC: no hypothesis is drawn.
+    few = dataclasses.replace(pair, gt_matches=CorrespondenceSet(pair.gt_matches.pairs[:3]))
+    res = localize_oracle(few, RansacConfig(seed=0))
+    assert res.failed and res.estimate.iterations == 0
+
+
 def test_outlier_sweep_oracle_shape():
     scenes = [noiseless_scene(500 + i, n=30) for i in range(3)]
     rows = outlier_sweep(None, scenes, [0.0, 0.5, 1.0], use_oracle=True,
@@ -180,3 +419,18 @@ def test_ransac_config_validation():
         RansacConfig(inlier_threshold=0.0)
     with pytest.raises(ValueError):
         RansacConfig(confidence=1.5)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_iterations", 0), ("max_iterations", -3), ("refine_iterations", -1)])
+def test_ransac_config_rejects_bad_budgets(field, value):
+    with pytest.raises(ValueError, match=field):
+        RansacConfig(**{field: value})
+
+
+def test_ransac_budget_edges_run():
+    pair = noiseless_scene(8, n=30)
+    uv, xyz = gt_correspondences(pair)
+    est = pnp_ransac(uv, xyz, pair.intrinsics, RansacConfig(max_iterations=1,
+                                                            refine_iterations=0))
+    assert est.iterations == 1 and est.success and est.inlier_mask.all()
