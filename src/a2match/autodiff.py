@@ -3,13 +3,21 @@
 Covers exactly what the matching network needs: 2D matmul, elementwise
 arithmetic with trailing-axis / singleton-axis broadcasting for affine
 parameters, concat/reshape/gather, activations, instance normalization (the
-only normalization), `norm_max` (the max over the neighbor axis of an
-instance-normalized tensor, which normalizes only the maxima), softmax,
-pairwise L2 distances, the grouped convolution along the neighbor axis, and
+only normalization, with the ReLU or LeakyReLU that follows it), softmax,
+pairwise L2 distances, the grouped convolution along the neighbor axis,
 `neighbor_linear`, a linear layer over windows of edge features
-[f_i, f_i - f_j] that never builds them. An op may also be a whole
-algorithm: `transport.sinkhorn` records one backward closure for all of its
-iterations. No op keeps state between calls.
+[f_i, f_i - f_j] that never builds them, and `norm_max`, the max path whole:
+that linear layer over single edges, instance norm over all edges and the
+max over the neighbors, normalizing only the maxima. An op may also be a
+whole algorithm: `transport.sinkhorn` records one backward closure for all
+of its iterations. No op keeps state between calls.
+
+The memory-bound chains (`norm_max`, `instance_norm` with its activation,
+`softmax_last_axis`) each write one fresh buffer and then work on it in
+place, with the bits of the unfused expressions. Where a backward needs a
+large intermediate (the max path's edges, a norm's normalized input), it
+recomputes it from what the op's inputs already hold, so the tape keeps no
+copy of it.
 
 Op protocol: an op computes its output array and returns
 `_make(out_data, inputs, backward)`. Inside an active `Tape`, and only if
@@ -357,6 +365,9 @@ def gather_pairs(a, rows, cols) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
+LEAKY_SLOPE = 0.2  # the network's one LeakyReLU slope
+
+
 def _unary(a, fwd, dfn):
     a = _as_tensor(a)
     out_data = fwd(a.data)
@@ -368,15 +379,14 @@ def _unary(a, fwd, dfn):
     return _make(out_data, (a,), bw)
 
 
-def leaky_relu(a, slope=0.2) -> Tensor:
+def leaky_relu(a, slope=LEAKY_SLOPE) -> Tensor:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
-    return _unary(a, lambda x: np.where(x >= 0.0, x, slope * x),
-                  lambda g, x, y: g * np.where(x >= 0.0, 1.0, slope))
+    return _unary(a, lambda x: np.maximum(x, slope * x), lambda g, x, y: _leaky_grad(g, x, slope))
 
 
-def relu(a) -> Tensor:
-    return _unary(a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0))
+def _leaky_grad(g, x, slope):
+    return g * np.where(x >= 0.0, 1.0, slope)
 
 
 def sigmoid(a) -> Tensor:
@@ -409,8 +419,9 @@ def sum_all(a) -> Tensor:
 def softmax_last_axis(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = x - x.max(axis=-1, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=-1, keepdims=True)
 
     def bw(g):
         if a.requires_grad:
@@ -422,42 +433,64 @@ def softmax_last_axis(a) -> Tensor:
 
 NORM_EPS = 1e-5  # the variance floor of instance_norm (by default) and of norm_max
 
+def _norm_stats(rows, eps, out):
+    """Per-channel mean and 1 / sqrt(variance + eps) over the rows of (R, c).
 
-def _norm_stats(rows, eps):
-    """Per-channel mean and 1 / sqrt(variance + eps) over the rows of (R, c)."""
+    The squared deviations are formed in `out`, of rows' shape, which may be
+    rows itself.
+    """
     mean = rows.mean(axis=0)
-    sq = rows - mean
+    sq = np.subtract(rows, mean, out=out)
     sq *= sq
     return mean, 1.0 / np.sqrt(sq.mean(axis=0) + eps)
 
 
-def instance_norm(x, gamma=None, beta=None, eps=NORM_EPS) -> Tensor:
-    """Per-channel normalization over every non-channel axis, optional affine.
+def instance_norm(x, gamma=None, beta=None, act=None, eps=NORM_EPS) -> Tensor:
+    """Per-channel normalization over every non-channel axis, optional
+    affine, then the activation `act`: None, "relu" or "leaky_relu".
 
     The network's one normalization: each call sees one scene, so its
-    statistics are that scene's, in training and at inference alike.
+    statistics are that scene's, in training and at inference alike. The
+    output has the bits of `relu` (np.maximum(y, 0.0)) or `leaky_relu` of
+    the normalized y, and is formed in one buffer, which first holds the
+    squared deviations. The backward recomputes the normalized x and the
+    activation's input from x, so the tape keeps only the statistics.
     """
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeMismatch(f"instance_norm needs ndim >= 2, got {x.shape}")
-    rows = x.data.reshape(-1, x.shape[-1])
-    mean, istd = _norm_stats(rows, eps)
-    dev = rows - mean
-    dev *= istd
-    xhat = dev.reshape(x.shape)
+    if act not in (None, "relu", "leaky_relu"):
+        raise ValueError(f"instance_norm activation must be None, 'relu' or 'leaky_relu', "
+                         f"got {act!r}")
+    c = x.shape[-1]
+    rows = x.data.reshape(-1, c)
+    out_data = np.empty(x.shape)
+    y = out_data.reshape(-1, c)
+    mean, istd = _norm_stats(rows, eps, y)
+    np.subtract(rows, mean, out=y)
+    y *= istd
     if gamma is not None:
         gamma, beta = _as_tensor(gamma), _as_tensor(beta)
-        out_data = xhat * gamma.data
-        out_data += beta.data
+        y *= gamma.data
+        y += beta.data
         inputs = (x, gamma, beta)
     else:
-        out_data = xhat
         inputs = (x,)
+    if act == "relu":
+        np.maximum(y, 0.0, out=y)
+    elif act == "leaky_relu":
+        np.maximum(y, LEAKY_SLOPE * y, out=y)
 
     def bw(g):
-        c = x.data.shape[-1]
+        xh = rows - mean
+        xh *= istd
         gf = g.reshape(-1, c)
-        xh = xhat.reshape(-1, c)
+        if act is not None:
+            pre = xh
+            if gamma is not None:
+                pre = xh * gamma.data
+                pre += beta.data
+            gf = gf * (pre > 0.0) if act == "relu" else _leaky_grad(gf, pre, LEAKY_SLOPE)
         if gamma is not None:
             if gamma.requires_grad:
                 _accum(gamma, (gf * xh).sum(axis=0))
@@ -474,37 +507,58 @@ def instance_norm(x, gamma=None, beta=None, eps=NORM_EPS) -> Tensor:
     return _make(out_data, inputs, bw)
 
 
-def norm_max(h, gamma, beta) -> Tensor:
-    """The max over axis 1 of instance_norm(h, gamma, beta), h of shape (N, k, d).
+def norm_max(f, idx, weight, bias, gamma, beta) -> Tensor:
+    """The max path: the max over axis 1 of
+    instance_norm(neighbor_linear(f, idx[:, :, None], weight, bias), gamma, beta),
+    for f (N, d) and idx (N, k), in one op with the same bits.
 
-    The statistics are taken over all N * k rows, as instance_norm takes
-    them, but only the (N, d) extremes are normalized. Each step of the
-    affine norm (subtract the mean, multiply by istd > 0, multiply by gamma,
-    add beta) is monotone in floating point, increasing where gamma >= 0 and
-    decreasing where gamma < 0, so the normalized raw max (or raw min) is the
-    max of the normalized column, bit for bit; where beta is -0 a zero max
-    keeps the sign of the first maximizer, so those channels are normalized
-    whole and take argmax's pick. Backward sends each (n, c) gradient to
-    the first maximizer of the normalized column, as argmax would pick it,
-    and sums over the N maxima what instance_norm sums over all N * k edges:
-    the other edges add only zeros, and a numpy sum of zeros is +0 whatever
-    their signs.
+    Edge (i, p) is s_i - t_j, j = idx[i, p], with s = f @ (W1 + W2) + b and
+    t = f @ W2. The edges are gathered into one (N, k, d) buffer, which then
+    holds their squared deviations. The statistics are taken over all N * k
+    edges, as instance_norm takes them, but only the (N, d) extremes are
+    normalized. Each step of the affine norm (subtract the mean, multiply by
+    istd > 0, multiply by gamma, add beta) is monotone in floating point,
+    increasing where gamma >= 0 and decreasing where gamma < 0, so the
+    normalized raw max (or raw min) is the max of the normalized column, bit
+    for bit; where beta is -0 a zero max keeps the sign of the first
+    maximizer, so those channels are normalized whole and take argmax's pick.
+
+    The tape keeps s and t, not the edges. Backward recomputes the edges and
+    sends each (n, c) gradient to the first maximizer of the normalized
+    column, as argmax would pick it. It sums over the N maxima what
+    instance_norm sums over all N * k edges: the other edges add only zeros,
+    and a numpy sum of zeros is +0 whatever their signs. The edge gradient
+    then goes through neighbor_linear's backward.
     """
-    h, gamma, beta = _as_tensor(h), _as_tensor(gamma), _as_tensor(beta)
-    if h.ndim != 3 or gamma.shape != h.shape[2:] or beta.shape != h.shape[2:]:
-        raise ShapeMismatch(f"norm_max needs h (N,k,d) and gamma, beta (d,), got "
-                            f"{h.shape}, {gamma.shape} and {beta.shape}")
-    n, k, c = h.shape
-    mean, istd = _norm_stats(h.data.reshape(-1, c), NORM_EPS)
-    extreme = np.where(gamma.data >= 0, h.data.max(axis=1), h.data.min(axis=1))
-    out_data = ((extreme - mean) * istd) * gamma.data + beta.data
+    f, weight, bias = _as_tensor(f), _as_tensor(weight), _as_tensor(bias)
+    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 2:
+        raise ShapeMismatch(f"norm_max needs idx (N,k), got {idx.shape}")
+    windows = idx[:, :, None]
+    w_self, w_nbr = _neighbor_weights(f, windows, weight, bias)
+    c = weight.shape[1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeMismatch(f"norm_max needs gamma, beta ({c},), got {gamma.shape} "
+                            f"and {beta.shape}")
+    s = f.data @ w_self + bias.data
+    t = f.data @ w_nbr
+    edges = _edges(s, t, idx)
+    extreme = np.where(gamma.data >= 0, edges.max(axis=1), edges.min(axis=1))
     cols = np.flatnonzero((beta.data == 0) & np.signbit(beta.data))
+    col = edges[..., cols]  # a copy, taken before the statistics overwrite the edges
+    rows = edges.reshape(-1, c)
+    mean, istd = _norm_stats(rows, NORM_EPS, rows)
+    out_data = ((extreme - mean) * istd) * gamma.data + beta.data
     if cols.size:
-        col = ((h.data[..., cols] - mean[cols]) * istd[cols]) * gamma.data[cols] + beta.data[cols]
+        col = ((col - mean[cols]) * istd[cols]) * gamma.data[cols] + beta.data[cols]
         out_data[:, cols] = np.take_along_axis(col, col.argmax(axis=1)[:, None], axis=1)[:, 0]
 
     def bw(g):
-        xh = (h.data - mean) * istd
+        n, k = idx.shape
+        xh = _edges(s, t, idx)
+        xh -= mean
+        xh *= istd
         # The lowest p whose normalized value equals the max, as argmax picks.
         arg = np.zeros((n, c), dtype=np.intp)
         for p in range(k - 1, -1, -1):
@@ -515,7 +569,7 @@ def norm_max(h, gamma, beta) -> Tensor:
             _accum(gamma, (g * xs).sum(axis=0))
         if beta.requires_grad:
             _accum(beta, g.sum(axis=0))
-        if h.requires_grad:
+        if f.requires_grad or weight.requires_grad or bias.requires_grad:
             # instance_norm's dx for a gradient that is zero off the maxima:
             # the two means sum N rows, and every other entry is the dense
             # part istd * ((z - m1) - xh * m2), z = 0 * gamma being its dxhat
@@ -524,14 +578,21 @@ def norm_max(h, gamma, beta) -> Tensor:
             gg = g * gamma.data
             m1 = gg.sum(axis=0) / (n * k)
             m2 = (gg * xs).sum(axis=0) / (n * k)
-            dx = xh
-            dx *= m2
-            np.subtract(z - m1, dx, out=dx)
-            dx *= istd
-            np.put_along_axis(dx, at, (istd * ((gg - m1) - xs * m2))[:, None, :], axis=1)
-            _accum(h, dx)
+            dh = xh
+            dh *= m2
+            np.subtract(z - m1, dh, out=dh)
+            dh *= istd
+            np.put_along_axis(dh, at, (istd * ((gg - m1) - xs * m2))[:, None, :], axis=1)
+            _neighbor_linear_backward(dh, f, windows, weight, bias, w_self, w_nbr)
 
-    return _make(out_data, (h, gamma, beta), bw)
+    return _make(out_data, (f, weight, bias, gamma, beta), bw)
+
+
+def _edges(s, t, idx):
+    """The (N, k, d) edges s_i - t_j, j = idx[i, p], in one fresh buffer."""
+    e = t[idx]
+    np.subtract(s[:, None, :], e, out=e)
+    return e
 
 
 def grouped_neighbor_conv(x, width: int, weight, bias) -> Tensor:
@@ -572,42 +633,60 @@ def neighbor_linear(f, idx, weight, bias) -> Tensor:
     """
     f, weight, bias = _as_tensor(f), _as_tensor(weight), _as_tensor(bias)
     idx = np.asarray(idx, dtype=np.intp)
-    if f.ndim != 2 or idx.ndim != 3 or idx.shape[0] != f.shape[0]:
-        raise ShapeMismatch(f"neighbor_linear needs f (N,d) and idx (N,G,width), "
-                            f"got {f.shape} and {idx.shape}")
-    n, d = f.shape
+    w_self, w_nbr = _neighbor_weights(f, idx, weight, bias)
+    n = f.shape[0]
     _, groups, width = idx.shape
-    if weight.ndim != 2 or weight.shape[0] != width * 2 * d or bias.shape != weight.shape[1:]:
-        raise ShapeMismatch(f"neighbor_linear weight expects {width * 2 * d} rows and a "
-                            f"matching bias, got {weight.shape} and {bias.shape}")
     d_out = weight.shape[1]
-    w = weight.data.reshape(width, 2, d, d_out)
-    w_self = w.sum(axis=(0, 1))
-    w_nbr = w[:, 1].transpose(1, 0, 2).reshape(d, width * d_out)
     nbr = (f.data @ w_nbr).reshape(n, width, d_out)
     out_data = np.repeat((f.data @ w_self + bias.data)[:, None, :], groups, axis=1)
     for p in range(width):
         out_data -= nbr[idx[:, :, p], p]
 
     def bw(g):
-        g_self = g.sum(axis=1)
-        g_nbr = np.zeros((n, width, d_out))
-        for p in range(width):
-            np.add.at(g_nbr[:, p], idx[:, :, p], g)
-        g_nbr = g_nbr.reshape(n, width * d_out)
-        if f.requires_grad:
-            _accum(f, g_self @ w_self.T - g_nbr @ w_nbr.T)
-        if weight.requires_grad:
-            gw_self = f.data.T @ g_self
-            gw_nbr = (f.data.T @ g_nbr).reshape(d, width, d_out).transpose(1, 0, 2)
-            gw = np.empty((width, 2, d, d_out))
-            gw[:, 0] = gw_self
-            gw[:, 1] = gw_self - gw_nbr
-            _accum(weight, gw.reshape(weight.shape))
-        if bias.requires_grad:
-            _accum(bias, g_self.sum(axis=0))
+        _neighbor_linear_backward(g, f, idx, weight, bias, w_self, w_nbr)
 
     return _make(out_data, (f, weight, bias), bw)
+
+
+def _neighbor_weights(f, idx, weight, bias):
+    """Check neighbor_linear's operands and split its weight into
+    w_self = sum_p (W1_p + W2_p), (d, d_out), and w_nbr = [W2_0 | W2_1 | ...],
+    (d, width * d_out)."""
+    if f.ndim != 2 or idx.ndim != 3 or idx.shape[0] != f.shape[0]:
+        raise ShapeMismatch(f"neighbor_linear needs f (N,d) and idx (N,G,width), "
+                            f"got {f.shape} and {idx.shape}")
+    d = f.shape[1]
+    width = idx.shape[2]
+    if weight.ndim != 2 or weight.shape[0] != width * 2 * d or bias.shape != weight.shape[1:]:
+        raise ShapeMismatch(f"neighbor_linear weight expects {width * 2 * d} rows and a "
+                            f"matching bias, got {weight.shape} and {bias.shape}")
+    d_out = weight.shape[1]
+    w = weight.data.reshape(width, 2, d, d_out)
+    return w.sum(axis=(0, 1)), w[:, 1].transpose(1, 0, 2).reshape(d, width * d_out)
+
+
+def _neighbor_linear_backward(g, f, idx, weight, bias, w_self, w_nbr):
+    """Hand neighbor_linear's inputs their gradients for an output gradient
+    g of shape (N, G, d_out)."""
+    n, d = f.shape
+    width = idx.shape[2]
+    d_out = weight.shape[1]
+    g_self = g.sum(axis=1)
+    g_nbr = np.zeros((n, width, d_out))
+    for p in range(width):
+        np.add.at(g_nbr[:, p], idx[:, :, p], g)
+    g_nbr = g_nbr.reshape(n, width * d_out)
+    if f.requires_grad:
+        _accum(f, g_self @ w_self.T - g_nbr @ w_nbr.T)
+    if weight.requires_grad:
+        gw_self = f.data.T @ g_self
+        gw_nbr = (f.data.T @ g_nbr).reshape(d, width, d_out).transpose(1, 0, 2)
+        gw = np.empty((width, 2, d, d_out))
+        gw[:, 0] = gw_self
+        gw[:, 1] = gw_self - gw_nbr
+        _accum(weight, gw.reshape(weight.shape))
+    if bias.requires_grad:
+        _accum(bias, g_self.sum(axis=0))
 
 
 def _squared_distances(a, b):

@@ -8,8 +8,9 @@ annular convolutions collapse each distance group and then the group axis,
 and the angle path runs the same two-stage convolution over per-neighbor
 direction cosines. Every normalization is `autodiff.instance_norm` over one
 scene, so training and inference run the very same network, and no call
-leaves state behind. Every layer reads its sizes from the NetworkConfig of
-the weights it is given.
+leaves state behind; it applies the ReLU (annular and angle paths) or
+LeakyReLU (encoder, fusion heads) that follows it in its own buffer. Every
+layer reads its sizes from the NetworkConfig of the weights it is given.
 
 The max path and the annular path's first convolution see the edge features
 e_ij = [f_i, f_i - f_j] of Dynamic Graph CNN (Wang et al., ACM TOG 2019) only
@@ -17,8 +18,14 @@ through a linear layer, so `autodiff.neighbor_linear` computes them from two
 per-node products and a gather: the (N, k, 2d) edge windows are never built.
 The max path normalizes its (N, k, d) edge outputs and keeps the max over
 the k neighbors; the norm is monotone per channel, so `autodiff.norm_max`
-normalizes only the raw extremes, and the normalized edges are never built
-either, outside its backward pass.
+runs the linear layer, the norm and the max as one op that normalizes only
+the raw extremes. Its (N, k, d) edges live in one buffer during the forward
+and are recomputed in the backward, never kept on the tape.
+
+`build_knn_graph` ranks candidates on squared differences of the positions
+scaled by a power of two, then ranks only the entries within a proven
+margin of each row's k-th smallest by (hypot distance, index), so the graph
+is the stable argsort of the hypot distances at every scale.
 
 `forward_features` sorts each side once into canonical order over (bearing
 x, bearing y, r, g, b), runs the network on the sorted arrays with plain
@@ -44,6 +51,12 @@ from .synth import MAX_POINTS, MIN_POINTS, ScenePair
 MODALITIES = ("2d", "3d")
 # Residual units of the correspondence classifier (`rejection.classify`).
 CLASSIFIER_UNITS = 6
+
+
+# build_knn_graph's candidate bound: an absolute allowance for underflow in
+# the scaled squares, and a relative one for round-off.
+_SQ_ABS = 2.0 ** -1060
+_SQ_SLACK = 2.0 ** -40
 
 
 class TooFewPoints(Exception):
@@ -80,29 +93,44 @@ class LocalGraph:
 def build_knn_graph(positions, k: int) -> LocalGraph:
     """k nearest neighbors by Euclidean distance on bearing coordinates.
 
-    Each neighbor's cosine is taken between its edge and the edge to the
-    nearest neighbor, by the rule of geometry.neighbor_cosine: 0 only where
-    either edge is exactly zero (a duplicate point), and otherwise
-    scale-invariant for every finite input.
+    Neighbors are ranked by (np.hypot distance, index), as a stable argsort
+    of the distances would rank them. Each neighbor's cosine is taken
+    between its edge and the edge to the nearest neighbor, by the rule of
+    geometry.neighbor_cosine: 0 only where either edge is exactly zero (a
+    duplicate point), and otherwise scale-invariant for every finite input.
     """
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     n = len(pos)
     if n <= k:
         raise TooFewPoints(f"need more than k={k} points, got {n}")
-    dx = pos[:, 0][:, None] - pos[:, 0][None, :]
-    dy = pos[:, 1][:, None] - pos[:, 1][None, :]
-    dist = np.hypot(dx, dy)
-    np.fill_diagonal(dist, np.inf)
-    # The stable argsort's first k without sorting whole rows: every entry up
-    # to the row's k-th smallest distance, ordered by (distance, index).
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
-    rows, cols = np.nonzero(dist <= kth)
-    ranked = cols[np.lexsort((dist[rows, cols], rows))]
-    order = ranked[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
-    ndist = np.take_along_axis(dist, order, axis=1)
+    # Candidates come from squared differences, cheaper than hypot, of the
+    # positions scaled by 2^-e so that every coordinate lies in (-1, 1): no
+    # square overflows, and squares lose at most _SQ_ABS to underflow.
+    e = int(np.frexp(np.abs(pos).max())[1])
+    scaled = np.ldexp(pos, -e)
+    sq = scaled[:, 0, None] - scaled[:, 0]
+    sq *= sq
+    dy = scaled[:, 1, None] - scaled[:, 1]
+    dy *= dy
+    sq += dy
+    np.fill_diagonal(sq, np.inf)
+    # Every entry whose hypot is within the k-th smallest hypot of its row
+    # has a square within this bound of the row's k-th smallest square.
+    # Squares are within 8u relative and _SQ_ABS absolute of the scaled
+    # distance squared, hypot within 3u relative and 2^-1073 absolute of
+    # the distance, u = 2^-53; _SQ_SLACK covers those factors and the
+    # rounding of the bound itself.
+    kth = np.partition(sq, k - 1, axis=1)[:, k - 1]
+    reach = np.sqrt(kth + _SQ_ABS) * (1.0 + _SQ_SLACK) + np.ldexp(1.0, -1072 - e)
+    bound = reach * reach * (1.0 + _SQ_SLACK) + _SQ_ABS
+    rows, cols = np.nonzero(sq <= bound[:, None])
+    # The first k of each row's candidates by (distance, index).
+    dist = np.hypot(pos[rows, 0] - pos[cols, 0], pos[rows, 1] - pos[cols, 1])
+    pick = np.lexsort((dist, rows))[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
+    order = cols[pick]
     unit = unit_vectors(pos[order] - pos[:, None, :])
     ncos = np.clip(unit[:, :1, 0] * unit[..., 0] + unit[:, :1, 1] * unit[..., 1], -1.0, 1.0)
-    return LocalGraph(order, ndist, ncos)
+    return LocalGraph(order, dist[pick], ncos)
 
 
 # --- parameters ---------------------------------------------------------------
@@ -221,11 +249,14 @@ def _linear(x, w: ModelWeights, name):
     return y
 
 
+def _norm_act(y: Tensor, w: ModelWeights, norm_name, act) -> Tensor:
+    """Instance norm with the affine parameters under `norm_name`, then act."""
+    return ad.instance_norm(y, w.param(f"{norm_name}/gamma"), w.param(f"{norm_name}/beta"), act)
+
+
 def _lin_norm_act(x, w: ModelWeights, name):
     """linear -> instance norm -> LeakyReLU on a 2D (rows, channels) tensor."""
-    y = _linear(x, w, f"{name}/lin")
-    y = ad.instance_norm(y, w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"))
-    return ad.leaky_relu(y)
+    return _norm_act(_linear(x, w, f"{name}/lin"), w, f"{name}/norm", "leaky_relu")
 
 
 def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
@@ -254,25 +285,14 @@ def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
 
     Linear, instance norm over all N*k edges, max, then LeakyReLU. The norm
     is a per-channel monotone map, so the max commutes with it:
-    `autodiff.norm_max` normalizes only the (N, d) extremes of the raw edges,
-    with the same bits. LeakyReLU is increasing, so applying it to the maxima
-    gives the same values as applying it to every edge first.
+    `autodiff.norm_max` runs the linear layer and the norm and normalizes
+    only the (N, d) extremes of the raw edges, with the same bits. LeakyReLU
+    is increasing, so applying it to the maxima gives the same values as
+    applying it to every edge first.
     """
-    n, k = graph.neighbor_idx.shape
-    h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, k, 1),
-                           w.param(f"{name}/lin/W"), w.param(f"{name}/lin/b"))
-    h = ad.norm_max(h, w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"))
+    h = ad.norm_max(f, graph.neighbor_idx, w.param(f"{name}/lin/W"), w.param(f"{name}/lin/b"),
+                    w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"))
     return ad.leaky_relu(h)
-
-
-def _norm_relu(y: Tensor, w: ModelWeights, norm_name) -> Tensor:
-    y = ad.instance_norm(y, w.param(f"{norm_name}/gamma"), w.param(f"{norm_name}/beta"))
-    return ad.relu(y)
-
-
-def _conv_norm_relu(x: Tensor, width, w: ModelWeights, conv_name, norm_name) -> Tensor:
-    y = ad.grouped_neighbor_conv(x, width, w.param(f"{conv_name}/W"), w.param(f"{conv_name}/b"))
-    return _norm_relu(y, w, norm_name)
 
 
 def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Tensor:
@@ -287,8 +307,9 @@ def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
         raise ad.ShapeMismatch(f"neighbor count {k} not divisible by {g} groups")
     h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, g, k // g),
                            w.param(f"{name}/conv1/W"), w.param(f"{name}/conv1/b"))
-    h = _norm_relu(h, w, f"{name}/bn1")
-    h = _conv_norm_relu(h, g, w, f"{name}/conv2", f"{name}/bn2")
+    h = _norm_act(h, w, f"{name}/bn1", "relu")
+    h = ad.grouped_neighbor_conv(h, g, w.param(f"{name}/conv2/W"), w.param(f"{name}/conv2/b"))
+    h = _norm_act(h, w, f"{name}/bn2", "relu")
     return ad.reshape(h, (n, h.shape[-1]))
 
 
@@ -296,8 +317,11 @@ def angle_aggregate(graph: LocalGraph, w: ModelWeights, name) -> Tensor:
     cfg = w.config
     cosines = constant(graph.neighbor_cos[:, :, None])
     n = cosines.shape[0]
-    h = _conv_norm_relu(cosines, cfg.k // cfg.g, w, f"{name}/conv1", f"{name}/bn1")
-    h = _conv_norm_relu(h, cfg.g, w, f"{name}/conv2", f"{name}/bn2")
+    h = ad.grouped_neighbor_conv(cosines, cfg.k // cfg.g, w.param(f"{name}/conv1/W"),
+                                 w.param(f"{name}/conv1/b"))
+    h = _norm_act(h, w, f"{name}/bn1", "relu")
+    h = ad.grouped_neighbor_conv(h, cfg.g, w.param(f"{name}/conv2/W"), w.param(f"{name}/conv2/b"))
+    h = _norm_act(h, w, f"{name}/bn2", "relu")
     return ad.reshape(h, (n, h.shape[-1]))
 
 

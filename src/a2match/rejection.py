@@ -38,7 +38,7 @@ def classify(bearings_p, bearings_q, w: ModelWeights) -> Tensor:
     h = ad.add(ad.matmul(x, w.param("clf/proj/W")), w.param("clf/proj/b"))
     for r in range(CLASSIFIER_UNITS):
         lin = ad.add(ad.matmul(h, w.param(f"clf/res{r}/lin/W")), w.param(f"clf/res{r}/lin/b"))
-        h = ad.add(h, ad.leaky_relu(ad.instance_norm(lin)))
+        h = ad.add(h, ad.instance_norm(lin, act="leaky_relu"))
     logit = ad.add(ad.matmul(h, w.param("clf/head/W")), w.param("clf/head/b"))
     return ad.gather_rows(ad.sigmoid(ad.reshape(logit, (n,))), inverse)
 

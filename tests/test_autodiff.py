@@ -89,6 +89,16 @@ def test_leaky_relu_values_and_gradient():
         ad.leaky_relu(x, 1.5)
 
 
+def test_leaky_relu_is_the_where_form_bit_for_bit():
+    # max(x, slope * x) against where(x >= 0, x, slope * x) on signed zeros,
+    # infinities, NaN, subnormals and values whose product rounds to x.
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, -1e-320,
+                  -2.2250738585072014e-308, 1.5, -1.5, -1e300, 1e-300])
+    for slope in (0.2, 0.9, 1e-3):
+        got = ad.leaky_relu(constant(x), slope).data
+        assert np.array_equal(got.view(np.int64), np.where(x >= 0.0, x, slope * x).view(np.int64))
+
+
 def test_instance_norm_constant_column_collapses_to_zero():
     x = constant(np.full((7, 3), 4.2))
     out = ad.instance_norm(x, eps=1e-5)
@@ -138,11 +148,11 @@ def _max_over_axis_1(a):
     return ad._make(np.take_along_axis(a.data, arg, axis=1)[:, 0], (a,), bw)
 
 
-def _norm_max_and_grads(build, h, gamma, beta, g):
-    """Output of build(h, gamma, beta) and the three gradients of sum(out * g),
-    as the backward hands them over: the leaves start from no grad, since
-    adding to a zero grad would turn each -0 into +0."""
-    leaves = [Tensor(x.copy(), requires_grad=True) for x in (h, gamma, beta)]
+def _out_and_grads(build, arrays, g):
+    """Output of build(*leaves) and each leaf's gradient of sum(out * g), as
+    the backward hands them over: the leaves start from no grad, since adding
+    to a zero grad would turn each -0 into +0."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in arrays]
     for t in leaves:
         t.grad = None
     with Tape() as tape:
@@ -151,24 +161,54 @@ def _norm_max_and_grads(build, h, gamma, beta, g):
     return [out.data] + [t.grad for t in leaves]
 
 
+def _assert_same_bits(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a is not None and b is not None
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _max_path_oracle(idx):
+    """The unfused max path: edge linear layer, norm over all edges, max."""
+    def build(f, weight, bias, gamma, beta):
+        h = ad.neighbor_linear(f, idx[:, :, None], weight, bias)
+        return _max_over_axis_1(ad.instance_norm(h, gamma, beta))
+    return build
+
+
+def _max_path_fused(idx):
+    return lambda f, weight, bias, gamma, beta: ad.norm_max(f, idx, weight, bias, gamma, beta)
+
+
+def _assert_max_path_matches_oracle(f, idx, weight, bias, gamma, beta, g):
+    arrays = (f, weight, bias, gamma, beta)
+    got = _out_and_grads(_max_path_fused(idx), arrays, g)
+    _assert_same_bits(got, _out_and_grads(_max_path_oracle(idx), arrays, g))
+    return got
+
+
 @pytest.mark.parametrize("n,k,d", [(6, 4, 5), (64, 9, 16)])
 def test_norm_max_equals_max_of_instance_norm_bit_for_bit(n, k, d):
     rng = np.random.default_rng(n)
-    h = rng.standard_normal((n, k, d))
-    h[1, 2] = h[1, 0]               # two edges of one row tie in every channel
-    h[3, :] = h[3, 0]               # a row whose edges all tie
-    h[:, :, 1] = np.round(h[:, :, 1])  # a channel full of ties
+    d_in = 3
+    f = rng.standard_normal((n, d_in))
+    f[:, 0] = np.round(2 * f[:, 0])
+    idx = rng.integers(0, n, (n, k))
+    idx[1, 2] = idx[1, 0]       # two edges of one row tie in every channel
+    idx[3, :] = idx[3, 0]       # a row whose edges all tie
+    weight = rng.standard_normal((2 * d_in, d))
+    weight[d_in:, 1] = 0.0      # t = 0: every row of channel 1 ties
+    weight[:, 2] = 0.0          # channel 2 holds the integer f_i0 - f_j0
+    weight[d_in, 2] = 1.0
+    bias = rng.standard_normal(d)
+    bias[2] = 0.0
     gamma = rng.standard_normal(d)
     gamma[::2] = -np.abs(gamma[::2])
     gamma[3] = 0.0
     beta = rng.standard_normal(d)
     g = rng.standard_normal((n, d))
-    got = _norm_max_and_grads(ad.norm_max, h, gamma, beta, g)
-    ref = _norm_max_and_grads(
-        lambda x, ga, be: _max_over_axis_1(ad.instance_norm(x, ga, be)), h, gamma, beta, g)
-    for a, b in zip(got, ref):
-        assert a.shape == b.shape
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    _assert_max_path_matches_oracle(f, idx, weight, bias, gamma, beta, g)
 
 
 def test_norm_max_signed_zeros_bit_for_bit():
@@ -177,33 +217,40 @@ def test_norm_max_signed_zeros_bit_for_bit():
     # sign), gradient columns of zeros of either sign, and columns whose
     # edges 1 and 2 tie for the max in every row.
     rng = np.random.default_rng(11)
-    n, k = 5, 3
+    n, k, d_in = 5, 3, 4
     gammas = [0.0, -0.0, -0.7, 5e-324]
     betas = [0.0, -0.0, 0.4]
     grads = [rng.standard_normal(n), np.zeros(n), np.full(n, -0.0)]
     combos = [(ga, be, gr) for ga in gammas for be in betas for gr in range(len(grads))]
     d = len(combos)
-    h = rng.standard_normal((n, k, d))
-    h[:, :, ::3] = np.where(np.arange(k) == 0, -1.0, 1.0)[None, :, None]
+    f = rng.standard_normal((n, d_in))
+    f[:, 0] = np.where(np.arange(n) == 0, -1.0, 1.0)
+    # Node 0 first, then two nodes that both read +1.
+    idx = np.stack([np.zeros(n, dtype=int), 1 + np.arange(n) % 4, 1 + (np.arange(n) + 1) % 4], 1)
+    weight = rng.standard_normal((2 * d_in, d))
+    bias = rng.standard_normal(d)
+    # Every third channel's edge (i, p) is f_j0, j = idx[i, p]: -1, +1, +1.
+    weight[:, ::3] = 0.0
+    weight[0, ::3], weight[d_in, ::3] = 1.0, -1.0
+    bias[::3] = 0.0
     gamma = np.array([ga for ga, _, _ in combos])
     beta = np.array([be for _, be, _ in combos])
     g = np.stack([grads[gr] for _, _, gr in combos], axis=1)
-    got = _norm_max_and_grads(ad.norm_max, h, gamma, beta, g)
-    ref = _norm_max_and_grads(
-        lambda x, ga, be: _max_over_axis_1(ad.instance_norm(x, ga, be)), h, gamma, beta, g)
-    for a, b in zip(got, ref):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    _assert_max_path_matches_oracle(f, idx, weight, bias, gamma, beta, g)
 
 
 def test_norm_max_one_hot_gradient():
     # Each (row, channel) output sends one unit to beta and its normalized
     # maximum to gamma; a negative gamma turns the maximum into the raw minimum.
     rng = np.random.default_rng(6)
-    h = rng.standard_normal((4, 7, 3))
+    f, idx = rng.standard_normal((4, 2)), rng.integers(0, 4, (4, 7))
+    weight, bias = rng.standard_normal((4, 3)), rng.standard_normal(3)
     gamma, beta = np.array([1.5, -0.5, 0.0]), np.zeros(3)
-    out, _, g_gamma, g_beta = _norm_max_and_grads(ad.norm_max, h, gamma, beta, np.ones((4, 3)))
+    out, *_, g_gamma, g_beta = _out_and_grads(
+        _max_path_fused(idx), (f, weight, bias, gamma, beta), np.ones((4, 3)))
     assert np.array_equal(g_beta, [4.0, 4.0, 4.0])
-    xhat = ad.instance_norm(constant(h)).data
+    edges = ad.neighbor_linear(constant(f), idx[:, :, None], constant(weight), constant(bias))
+    xhat = ad.instance_norm(edges).data
     # Where gamma is 0 every edge ties, so the first one is the maximizer.
     picked = np.stack([xhat[..., 0].max(axis=1), xhat[..., 1].min(axis=1), xhat[:, 0, 2]], 1)
     np.testing.assert_allclose(out, picked * gamma, rtol=1e-12)
@@ -211,24 +258,99 @@ def test_norm_max_one_hot_gradient():
 
 
 def test_norm_max_tie_goes_to_lowest_index():
-    # Edges 0 and 1 tie for the max; the gradient takes edge 0 as the max,
-    # as if the loss read instance_norm's output at edge 0 alone.
-    h = np.array([[[1.0], [1.0], [0.5]]])
-    one = np.ones(1)
-    got = _norm_max_and_grads(ad.norm_max, h, one, one, one[None])
-    ref = _norm_max_and_grads(ad.instance_norm, h, one, one, np.array([[[1.0], [0.0], [0.0]]]))
-    assert all(np.array_equal(a, b) for a, b in zip(got[1:], ref[1:]))
-    assert got[1][0, 0, 0] != got[1][0, 1, 0]
+    # Row 0's edges 0 and 1 come from nodes 0 and 1, which tie; the gradient
+    # takes edge 0 as the max, as if the loss read the normalized edges at
+    # p = 0 alone, and not at p = 1.
+    f = np.array([[1.0], [1.0], [0.5]])
+    idx = np.array([[0, 1, 2], [1, 1, 1], [2, 2, 2]])
+    weight, one = np.array([[1.0], [-1.0]]), np.ones(1)
+    arrays = (f, weight, np.zeros(1), one, one)
+
+    def edge_norm(p):
+        g = np.zeros((3, 3, 1))
+        g[:, p] = 1.0
+        build = lambda f, w, b, ga, be: ad.instance_norm(
+            ad.neighbor_linear(f, idx[:, :, None], w, b), ga, be)
+        return _out_and_grads(build, arrays, g)[1:]
+
+    got = _out_and_grads(_max_path_fused(idx), arrays, np.ones((3, 1)))[1:]
+    _assert_same_bits(got, edge_norm(0))
+    assert not np.array_equal(got[0], edge_norm(1)[0])
 
 
 def test_norm_max_gradcheck():
     rng = np.random.default_rng(9)
-    h = rand_tensor(rng, (5, 4, 3))
+    f = rand_tensor(rng, (5, 2))
+    idx = rng.integers(0, 5, (5, 4))
+    weight, bias = rand_tensor(rng, (4, 3)), rand_tensor(rng, (3,))
     gamma = Tensor(np.array([1.2, -0.7, 0.4]), requires_grad=True)
     beta = rand_tensor(rng, (3,))
-    check_op(lambda: ad.norm_max(h, gamma, beta), [h, gamma, beta], rtol=1e-4)
+    check_op(lambda: ad.norm_max(f, idx, weight, bias, gamma, beta),
+             [f, weight, bias, gamma, beta], rtol=1e-4)
     with pytest.raises(ShapeMismatch):
-        ad.norm_max(constant(np.zeros((5, 3))), gamma, beta)
+        ad.norm_max(f, idx[:, :, None], weight, bias, gamma, beta)
+    with pytest.raises(ShapeMismatch):
+        ad.norm_max(f, idx, weight, bias, constant(np.ones(2)), beta)
+
+
+def _relu_op(a):
+    """ReLU as the network applied it after instance_norm before the fusion."""
+    return ad._unary(a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0))
+
+
+def _leaky_relu_op(a):
+    """LeakyReLU(0.2) as the network applied it before the fusion."""
+    return ad._unary(a, lambda x: np.where(x >= 0.0, x, 0.2 * x),
+                     lambda g, x, y: g * np.where(x >= 0.0, 1.0, 0.2))
+
+
+@pytest.mark.parametrize("act,oracle", [("relu", _relu_op), ("leaky_relu", _leaky_relu_op)])
+@pytest.mark.parametrize("affine", [True, False])
+def test_instance_norm_activation_equals_composition_bit_for_bit(act, oracle, affine):
+    # Per channel: gammas of both zero signs, tiny and negative, betas of
+    # both zero signs (so pre-activations of exactly +-0), and gradient
+    # columns of zeros of either sign, on a 3D (N, G, c) input.
+    rng = np.random.default_rng(21)
+    gammas = [0.0, -0.0, -0.7, 5e-324, 1.3]
+    betas = [0.0, -0.0, 0.4, -0.4]
+    grads = [rng.standard_normal((6, 3)), np.zeros((6, 3)), np.full((6, 3), -0.0)]
+    combos = [(ga, be, gr) for ga in gammas for be in betas for gr in range(len(grads))]
+    c = len(combos)
+    x = rng.standard_normal((6, 3, c))
+    x[:, :, 1] = 2.5                 # a constant channel normalizes to zeros
+    x[:, :, 2] = np.round(x[:, :, 2])
+    gamma = np.array([ga for ga, _, _ in combos])
+    beta = np.array([be for _, be, _ in combos])
+    g = np.stack([grads[gr] for _, _, gr in combos], axis=-1)
+    if affine:
+        arrays = (x, gamma, beta)
+        fused = lambda x, ga, be: ad.instance_norm(x, ga, be, act)
+        unfused = lambda x, ga, be: oracle(ad.instance_norm(x, ga, be))
+    else:
+        arrays = (x,)
+        fused = lambda x: ad.instance_norm(x, act=act)
+        unfused = lambda x: oracle(ad.instance_norm(x))
+    _assert_same_bits(_out_and_grads(fused, arrays, g), _out_and_grads(unfused, arrays, g))
+
+
+@pytest.mark.parametrize("act", ["relu", "leaky_relu"])
+def test_instance_norm_activation_gradcheck(act):
+    rng = np.random.default_rng(2)
+    x = rand_tensor(rng, (6, 4))
+    gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
+    beta = rand_tensor(rng, (4,))
+    check_op(lambda: ad.instance_norm(x, gamma, beta, act), [x, gamma, beta], rtol=1e-4)
+    check_op(lambda: ad.instance_norm(x, act=act), [x], rtol=1e-4)
+    with pytest.raises(ValueError):
+        ad.instance_norm(x, act="tanh")
+
+
+def test_softmax_in_place_has_the_bits_of_the_expression():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((7, 33)) * 30.0
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    expect = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(ad.softmax_last_axis(constant(x)).data, expect)
 
 
 def test_grouped_neighbor_conv_shapes_and_average_kernel():
