@@ -17,7 +17,16 @@ The memory-bound chains (`norm_max`, `instance_norm` with its activation,
 place, with the bits of the unfused expressions. Where a backward needs a
 large intermediate (the max path's edges, a norm's normalized input), it
 recomputes it from what the op's inputs already hold, so the tape keeps no
-copy of it.
+copy of it. Backwards of that kind work in place too: instance_norm's
+uses three buffers of its input's size, with the bits of the expression
+that would allocate one per step.
+
+Every scatter-add of rows (`gather_rows`'s backward and neighbor_linear's,
+all window positions in one call) goes through `_scatter_add`, which has
+the bits of `np.add.at` on zeros: each target's sources are added in the
+same order from +0, one pass per in-degree rather than one Python-level
+step per entry. `gather_pairs` scatters at most M + N single cells into an
+(M + 1) x (N + 1) plan and keeps `np.add.at`, which is faster there.
 
 Op protocol: an op computes its output array and returns
 `_make(out_data, inputs, backward)`. Inside an active `Tape`, and only if
@@ -339,11 +348,45 @@ def gather_rows(a, idx) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            da = np.zeros_like(a.data)
-            np.add.at(da, idx, g)
-            _accum(a, da)
+            n = a.shape[0]
+            rows = g.reshape((idx.size,) + a.shape[1:])
+            _accum(a, _scatter_add(rows, np.where(idx < 0, idx + n, idx), n))
 
     return _make(out_data, (a,), bw)
+
+
+def _scatter_add(src, target, n, fan_out=1):
+    """Sum the rows of src into n target rows: flat entry e of target
+    takes the row src[e // fan_out], so each row of src feeds fan_out
+    consecutive entries. The bits are those of np.add.at on np.zeros.
+
+    np.add.at adds each target's sources one at a time, in ascending entry
+    order, starting from +0. Here a stable argsort lists each target's
+    entries in that order, and the targets are ranked by descending
+    in-degree; pass q then adds the q-th source of every target that has
+    more than q of them, in one contiguous `acc[:m_q] += src[...]`. So each
+    target sees the same additions in the same order, down to signed zeros
+    and inf, in max-in-degree passes rather than one step per entry. A NaN
+    comes out NaN where np.add.at's does; its sign bit follows numpy's add
+    loop, which differs between loops (and array lengths) for NaN + -NaN.
+    """
+    target = np.asarray(target, dtype=np.intp).ravel()
+    out = np.zeros((n,) + src.shape[1:])
+    if not target.size:
+        return out
+    order = np.argsort(target, kind="stable")
+    ranked = target[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    degree = np.diff(np.r_[starts, target.size])
+    first = starts[np.argsort(-degree, kind="stable")]
+    acc = np.zeros((first.size,) + src.shape[1:])
+    # Before pass q, the targets with at most q sources are done.
+    done = np.cumsum(np.bincount(degree))
+    for q in range(degree.max()):
+        m = first.size - done[q]
+        acc[:m] += src[order[first[:m] + q] // fan_out]
+    out[ranked[first]] = acc
+    return out
 
 
 def gather_pairs(a, rows, cols) -> Tensor:
@@ -382,11 +425,8 @@ def _unary(a, fwd, dfn):
 def leaky_relu(a, slope=LEAKY_SLOPE) -> Tensor:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
-    return _unary(a, lambda x: np.maximum(x, slope * x), lambda g, x, y: _leaky_grad(g, x, slope))
-
-
-def _leaky_grad(g, x, slope):
-    return g * np.where(x >= 0.0, 1.0, slope)
+    return _unary(a, lambda x: np.maximum(x, slope * x),
+                  lambda g, x, y: g * np.where(x >= 0.0, 1.0, slope))
 
 
 def sigmoid(a) -> Tensor:
@@ -482,26 +522,41 @@ def instance_norm(x, gamma=None, beta=None, act=None, eps=NORM_EPS) -> Tensor:
         np.maximum(y, LEAKY_SLOPE * y, out=y)
 
     def bw(g):
-        xh = rows - mean
+        # Three (R, c) buffers: xh, the masked gradient gm and scratch. Each
+        # step is the unfused expression's ufunc, so the bits are its bits:
+        # the activation's gradient multiplies g by 1.0 or 0.0 (ReLU) or by
+        # 1.0 or LEAKY_SLOPE, and dx = istd * ((dxhat - m1) - xh * m2).
+        xh = np.subtract(rows, mean)
         xh *= istd
-        gf = g.reshape(-1, c)
+        gm = g.reshape(-1, c)
+        scratch = np.empty_like(xh)
         if act is not None:
             pre = xh
             if gamma is not None:
-                pre = xh * gamma.data
+                pre = np.multiply(xh, gamma.data, out=scratch)
                 pre += beta.data
-            gf = gf * (pre > 0.0) if act == "relu" else _leaky_grad(gf, pre, LEAKY_SLOPE)
+            if act == "relu":
+                np.greater(pre, 0.0, out=scratch)
+            else:
+                np.greater_equal(pre, 0.0, out=scratch)
+                np.maximum(scratch, LEAKY_SLOPE, out=scratch)
+            gm = np.multiply(gm, scratch)
         if gamma is not None:
             if gamma.requires_grad:
-                _accum(gamma, (gf * xh).sum(axis=0))
+                _accum(gamma, np.multiply(gm, xh, out=scratch).sum(axis=0))
             if beta.requires_grad:
-                _accum(beta, gf.sum(axis=0))
-            dxhat = gf * gamma.data
-        else:
-            dxhat = gf
+                _accum(beta, gm.sum(axis=0))
+            if act is None:
+                gm = gm * gamma.data  # gm is still g, which is not ours
+            else:
+                gm *= gamma.data
         if x.requires_grad:
-            dx = istd * (dxhat - dxhat.mean(axis=0)
-                         - xh * (dxhat * xh).mean(axis=0))
+            m1 = gm.mean(axis=0)
+            m2 = np.multiply(gm, xh, out=scratch).mean(axis=0)
+            xh *= m2
+            dx = np.subtract(gm, m1, out=scratch)
+            dx -= xh
+            dx *= istd
             _accum(x, dx.reshape(x.data.shape))
 
     return _make(out_data, inputs, bw)
@@ -628,8 +683,9 @@ def neighbor_linear(f, idx, weight, bias) -> Tensor:
         window @ weight = f_i @ sum_p (W1_p + W2_p) - sum_p f_j @ W2_p,
 
     so the forward pass is two products of f and one d_out-wide gather per
-    window position, and the backward pass one scatter-add per position and
-    two products with f.T; the (N, G, width * 2d) windows never exist.
+    window position, and the backward pass one scatter-add over all
+    positions and two products with f.T; the (N, G, width * 2d) windows
+    never exist.
     """
     f, weight, bias = _as_tensor(f), _as_tensor(weight), _as_tensor(bias)
     idx = np.asarray(idx, dtype=np.intp)
@@ -672,10 +728,9 @@ def _neighbor_linear_backward(g, f, idx, weight, bias, w_self, w_nbr):
     width = idx.shape[2]
     d_out = weight.shape[1]
     g_self = g.sum(axis=1)
-    g_nbr = np.zeros((n, width, d_out))
-    for p in range(width):
-        np.add.at(g_nbr[:, p], idx[:, :, p], g)
-    g_nbr = g_nbr.reshape(n, width * d_out)
+    # Row (j, p) of g_nbr sums g[i, G] over the windows with idx[i, G, p] = j.
+    g_nbr = _scatter_add(g.reshape(-1, d_out), idx * width + np.arange(width),
+                         n * width, fan_out=width).reshape(n, width * d_out)
     if f.requires_grad:
         _accum(f, g_self @ w_self.T - g_nbr @ w_nbr.T)
     if weight.requires_grad:

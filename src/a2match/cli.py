@@ -38,15 +38,22 @@ def _check_unit_interval(flag: str, value: float):
         raise InvalidConfig(f"{flag} must be a finite value in [0, 1], got {value!r}")
 
 
-def _check_output_file(flag: str, path):
-    """Reject an output file path that cannot be written, before any work."""
-    if path is None:
-        return
-    path = Path(path)
-    if path.is_dir():
-        raise InvalidConfig(f"{flag} {path} is a directory")
-    if not path.parent.is_dir():
-        raise InvalidConfig(f"{flag} {path}: directory {path.parent} does not exist")
+def _check_output_files(*outputs):
+    """Reject, before any work, an output file path that cannot be written
+    and two outputs that name one file (the later write would replace the
+    earlier). Each output is a (flag, path) pair; a None path is unused."""
+    seen = {}
+    for flag, path in outputs:
+        if path is None:
+            continue
+        path = Path(path)
+        if path.is_dir():
+            raise InvalidConfig(f"{flag} {path} is a directory")
+        if not path.parent.is_dir():
+            raise InvalidConfig(f"{flag} {path}: directory {path.parent} does not exist")
+        other = seen.setdefault(path.resolve(), flag)
+        if other != flag:
+            raise InvalidConfig(f"{other} and {flag} name one file, {path}")
 
 
 def _load_scenes_dir(scenes_dir: Path):
@@ -76,9 +83,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_output_file("--out", args.out)
     csv_path = Path(args.loss_csv) if args.loss_csv else Path(args.out).with_suffix(".csv")
-    _check_output_file("--loss-csv", csv_path)
+    _check_output_files(("--out", args.out),
+                        ("--loss-csv" if args.loss_csv else "--loss-csv (default)", csv_path))
     cfg = load_run_config(args.config)
     scenes = _load_scenes_dir(Path(args.scenes))
     weights, reports, seconds = train(scenes, cfg.train, cfg.network)
@@ -98,7 +105,7 @@ def _corr_rows(corrs):
 
 def cmd_match(args) -> int:
     _check_unit_interval("--threshold", args.threshold)
-    _check_output_file("--out", args.out)
+    _check_output_files(("--out", args.out))
     weights = load_weights(args.weights)
     pair = load_scene(args.scene)
     result = match_scene(pair, weights, threshold=args.threshold,
@@ -118,7 +125,7 @@ def cmd_match(args) -> int:
 
 def cmd_localize(args) -> int:
     _check_unit_interval("--threshold", args.threshold)
-    _check_output_file("--out", args.out)
+    _check_output_files(("--out", args.out))
     cfg = load_run_config(args.config)
     weights = load_weights(args.weights)
     pair = load_scene(args.scene)
@@ -158,8 +165,7 @@ def cmd_sweep(args) -> int:
         raise InvalidConfig(f"--ratios names no ratio, got {args.ratios!r}")
     for r in ratios:
         _check_unit_interval("--ratios", r)
-    _check_output_file("--out-csv", args.out_csv)
-    _check_output_file("--out-svg", args.out_svg)
+    _check_output_files(("--out-csv", args.out_csv), ("--out-svg", args.out_svg))
     cfg = load_run_config(args.config)
     weights = load_weights(args.weights)
     scenes = _load_scenes_dir(Path(args.scenes))

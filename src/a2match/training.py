@@ -140,18 +140,35 @@ ADAM_EPS = 1e-8
 
 
 def adam_step(weights: ModelWeights, grads: dict, state: AdamState, cfg: TrainConfig):
-    """One in-place Adam update; deterministic given state."""
+    """One in-place Adam update; deterministic given state.
+
+    Per parameter, with c1 = 1 - beta1^t and c2 = 1 - beta2^t:
+    m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g and
+    p -= (lr (m / c1)) / (sqrt(v / c2) + eps), each step one ufunc into m,
+    v, p or two scratch buffers shared by all parameters.
+    """
     state.t += 1
     t = state.t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    size = max(p.data.size for p in weights.params.values())
+    buf = np.empty((2, size))
     for name, p in weights.params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # Views, so that a 0-d parameter gets a 0-d array to write into.
+        s, u = (b[:m.size].reshape(m.shape) for b in buf)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+        v += np.multiply(s, g, out=s)
+        np.sqrt(np.divide(v, c2, out=s), out=s)
+        s += ADAM_EPS
+        np.divide(m, c1, out=u)
+        u *= cfg.learning_rate
+        p.data -= np.divide(u, s, out=u)
 
 
 # --- per-scene loss -----------------------------------------------------------

@@ -304,12 +304,12 @@ def _leaky_relu_op(a):
                      lambda g, x, y: g * np.where(x >= 0.0, 1.0, 0.2))
 
 
-@pytest.mark.parametrize("act,oracle", [("relu", _relu_op), ("leaky_relu", _leaky_relu_op)])
-@pytest.mark.parametrize("affine", [True, False])
-def test_instance_norm_activation_equals_composition_bit_for_bit(act, oracle, affine):
-    # Per channel: gammas of both zero signs, tiny and negative, betas of
-    # both zero signs (so pre-activations of exactly +-0), and gradient
-    # columns of zeros of either sign, on a 3D (N, G, c) input.
+def _norm_case():
+    """(x, gamma, beta, g) for the instance_norm bit tests. Per channel:
+    gammas of both zero signs, tiny and negative, betas of both zero signs
+    (so pre-activations of exactly +-0), and gradient columns of zeros of
+    either sign, on a 3D (N, G, c) input with a constant channel (it
+    normalizes to zeros) and an integer-valued one."""
     rng = np.random.default_rng(21)
     gammas = [0.0, -0.0, -0.7, 5e-324, 1.3]
     betas = [0.0, -0.0, 0.4, -0.4]
@@ -317,11 +317,73 @@ def test_instance_norm_activation_equals_composition_bit_for_bit(act, oracle, af
     combos = [(ga, be, gr) for ga in gammas for be in betas for gr in range(len(grads))]
     c = len(combos)
     x = rng.standard_normal((6, 3, c))
-    x[:, :, 1] = 2.5                 # a constant channel normalizes to zeros
+    x[:, :, 1] = 2.5
     x[:, :, 2] = np.round(x[:, :, 2])
     gamma = np.array([ga for ga, _, _ in combos])
     beta = np.array([be for _, be, _ in combos])
     g = np.stack([grads[gr] for _, _, gr in combos], axis=-1)
+    return x, gamma, beta, g
+
+
+def _instance_norm_unshared(x, gamma=None, beta=None, act=None, eps=ad.NORM_EPS):
+    """instance_norm's output with the backward written as one expression
+    per step, a fresh array each: the oracle of the op's in-place
+    backward."""
+    x = ad._as_tensor(x)
+    c = x.shape[-1]
+    rows = x.data.reshape(-1, c)
+    mean, istd = ad._norm_stats(rows, eps, np.empty_like(rows))
+    if gamma is None:
+        inputs = (x,)
+        out_data = ad.instance_norm(constant(x.data), act=act, eps=eps).data
+    else:
+        gamma, beta = ad._as_tensor(gamma), ad._as_tensor(beta)
+        inputs = (x, gamma, beta)
+        out_data = ad.instance_norm(constant(x.data), constant(gamma.data),
+                                    constant(beta.data), act, eps).data
+
+    def bw(g):
+        xh = (rows - mean) * istd
+        gf = g.reshape(-1, c)
+        if act is not None:
+            pre = xh if gamma is None else xh * gamma.data + beta.data
+            if act == "relu":
+                gf = gf * (pre > 0.0)
+            else:
+                gf = gf * np.where(pre >= 0.0, 1.0, ad.LEAKY_SLOPE)
+        dxhat = gf
+        if gamma is not None:
+            if gamma.requires_grad:
+                ad._accum(gamma, (gf * xh).sum(axis=0))
+            if beta.requires_grad:
+                ad._accum(beta, gf.sum(axis=0))
+            dxhat = gf * gamma.data
+        if x.requires_grad:
+            dx = istd * (dxhat - dxhat.mean(axis=0) - xh * (dxhat * xh).mean(axis=0))
+            ad._accum(x, dx.reshape(x.data.shape))
+
+    return ad._make(out_data, inputs, bw)
+
+
+@pytest.mark.parametrize("act", [None, "relu", "leaky_relu"])
+@pytest.mark.parametrize("affine", [True, False])
+def test_instance_norm_backward_has_the_bits_of_the_expression(act, affine):
+    x, gamma, beta, g = _norm_case()
+    if affine:
+        arrays = (x, gamma, beta)
+        fused = lambda x, ga, be: ad.instance_norm(x, ga, be, act)
+        oracle = lambda x, ga, be: _instance_norm_unshared(x, ga, be, act)
+    else:
+        arrays = (x,)
+        fused = lambda x: ad.instance_norm(x, act=act)
+        oracle = lambda x: _instance_norm_unshared(x, act=act)
+    _assert_same_bits(_out_and_grads(fused, arrays, g), _out_and_grads(oracle, arrays, g))
+
+
+@pytest.mark.parametrize("act,oracle", [("relu", _relu_op), ("leaky_relu", _leaky_relu_op)])
+@pytest.mark.parametrize("affine", [True, False])
+def test_instance_norm_activation_equals_composition_bit_for_bit(act, oracle, affine):
+    x, gamma, beta, g = _norm_case()
     if affine:
         arrays = (x, gamma, beta)
         fused = lambda x, ga, be: ad.instance_norm(x, ga, be, act)
@@ -615,6 +677,83 @@ def test_gather_ops_and_gradients():
     assert np.array_equal(out.data[1, 0], x.data[5])
     check_op(lambda: ad.gather_rows(x, idx), [x], rtol=1e-6)
     check_op(lambda: ad.gather_pairs(x, [0, 0, 4], [1, 1, 2]), [x], rtol=1e-6)
+
+
+def _add_at(src, target, n, fan_out=1):
+    """The oracle of ad._scatter_add: np.add.at on zeros, each source row
+    repeated for its fan_out consecutive targets."""
+    out = np.zeros((n,) + src.shape[1:])
+    np.add.at(out, np.asarray(target).ravel(), np.repeat(src, fan_out, axis=0))
+    return out
+
+
+_SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308,
+                     1e308, -1.5, 2.25])
+
+
+def _scatter_cases():
+    rng = np.random.default_rng(40)
+    awkward = rng.choice(_SPECIAL, (40, 3))
+    awkward[::7] = -0.0                        # whole rows of -0
+    yield "repeated", rng.standard_normal((60, 5)), rng.integers(0, 9, 60), 9, 1
+    yield "unreached", rng.standard_normal((12, 4)), rng.choice([1, 3, 8], 12), 11, 1
+    yield "one_takes_all", rng.standard_normal((30, 3)), np.full(30, 4), 6, 1
+    yield "special_values", awkward, rng.integers(0, 6, 40), 6, 1
+    yield "special_values_1d", awkward[:, 0], rng.integers(0, 4, 40), 4, 1
+    yield "one_d", rng.standard_normal(25), rng.integers(0, 7, 25), 7, 1
+    yield "n_is_1", rng.standard_normal((5, 2)), np.zeros(5, dtype=int), 1, 1
+    yield "no_sources", np.zeros((0, 3)), np.zeros(0, dtype=int), 4, 1
+    idx = rng.integers(0, 10, (10, 3, 3))
+    idx[:, :, 1] = 2                           # one (j, p) takes every window
+    yield "width_3", rng.choice(_SPECIAL, (30, 4)), idx * 3 + np.arange(3), 30, 3
+    yield "width_1", rng.standard_normal((30, 4)), rng.integers(0, 10, (10, 3, 1)), 10, 1
+
+
+def _assert_same_bits_but_nan_sign(got, ref):
+    """Bit for bit, except that a NaN need only be a NaN: numpy's add loops
+    disagree on the sign of NaN + (-NaN) among themselves (a one-element
+    `+=` keeps the second operand's, an eight-element one the first's)."""
+    assert got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("case", list(_scatter_cases()), ids=lambda c: c[0])
+def test_scatter_add_has_the_bits_of_add_at(case):
+    _, src, target, n, fan_out = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+        got = ad._scatter_add(src, target, n, fan_out)
+        ref = _add_at(src, target, n, fan_out)
+    _assert_same_bits_but_nan_sign(got, ref)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_scatter_backwards_have_the_bits_of_add_at(monkeypatch, width):
+    # neighbor_linear (all window positions in one scatter) and gather_rows
+    # (2D rows, and 1D values as rejection.classify gathers them) hand over
+    # the gradients that np.add.at gave them.
+    rng = np.random.default_rng(41 + width)
+    n, d = 11, 4
+    f = rng.standard_normal((n, d))
+    idx = _neighbor_windows(rng, n, 3, width)
+    weight = rng.standard_normal((width * 2 * d, 5))
+    bias = rng.standard_normal(5)
+    g = rng.choice([0.0, -0.0, 5e-324, -5e-324, -1.5, 2.25], (n, 3, 5))
+    g[::2] = rng.standard_normal((6, 3, 5))
+    gather = rng.integers(0, n, (7, 2))
+    gather[:, 1] = 0
+    cases = [
+        (lambda f, w, b: ad.neighbor_linear(f, idx, w, b), (f, weight, bias), g),
+        (lambda f: ad.gather_rows(f, gather), (f,), rng.standard_normal((7, 2, d))),
+        (lambda v: ad.gather_rows(v, gather[:, 0]), (f[:, 0],), g[:7, 0, 0]),
+    ]
+    for build, arrays, gr in cases:
+        got = _out_and_grads(build, arrays, gr)
+        with monkeypatch.context() as mp:
+            mp.setattr(ad, "_scatter_add", _add_at)
+            _assert_same_bits(got, _out_and_grads(build, arrays, gr))
 
 
 def test_no_tape_means_no_recording():

@@ -691,6 +691,44 @@ def test_cmd_unwritable_output_exits_2_before_the_work(tmp_path, capsys, monkeyp
     assert (path if path != "w.a2w" else "w.csv") in captured.err
 
 
+@pytest.mark.parametrize("command, outputs", [
+    ("train", {"--out": "model.csv"}),    # the default loss CSV is --out itself
+    ("train", {"--out": "w.a2w", "--loss-csv": "w.a2w"}),
+    ("train", {"--out": "w.a2w", "--loss-csv": "adir/../w.a2w"}),
+    ("sweep", {"--out-csv": "s.out", "--out-svg": "s.out"}),
+])
+def test_cmd_outputs_naming_one_file_exit_2_before_the_work(tmp_path, capsys, monkeypatch,
+                                                           command, outputs):
+    # The later write would replace the earlier output (a loss CSV over the
+    # weights, an SVG over the sweep CSV), so the command refuses to start.
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output paths were checked")
+
+    for name in ("load_run_config", "load_weights", "_load_scenes_dir", "train",
+                 "outlier_sweep"):
+        monkeypatch.setattr(f"a2match.cli.{name}", never)
+    (tmp_path / "adir").mkdir()
+    inputs = {"train": ["--scenes", str(tmp_path)],
+              "sweep": ["--weights", "w.a2w", "--scenes", str(tmp_path)]}[command]
+    args = [x for flag, path in outputs.items() for x in (flag, str(tmp_path / path))]
+    assert main([command, *inputs, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "name one file" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+
+
+def test_cmd_train_default_loss_csv_sits_beside_the_weights(tmp_path):
+    cfg, scenes = train_setup(tmp_path, epochs=1)
+    out = tmp_path / "w.a2w"
+    assert main(["train", "--config", cfg, "--scenes", scenes, "--out", str(out)]) == 0
+    load_weights(out)
+    lines = (tmp_path / "w.csv").read_text().strip().splitlines()
+    assert lines[0] == "epoch,matching_loss,rejection_loss,total,wall_seconds"
+    assert len(lines) == 2
+
+
 # --- gradcheck ----------------------------------------------------------------------
 
 
