@@ -242,9 +242,12 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
                 sums += (rep.matching_loss, rep.rejection_loss, rep.total)
                 n_m_total += rep.n_matching
                 n_c_total += rep.n_candidates
+            # Each grad is a fresh array owned by its parameter (zero_grad
+            # or an _accum sum), so it is scaled in place.
             inv = 1.0 / len(batch_idx)
-            grads = {k: p.grad * inv for k, p in weights.params.items()}
-            adam_step(weights, grads, state, cfg)
+            for p in weights.params.values():
+                p.grad *= inv
+            adam_step(weights, {k: p.grad for k, p in weights.params.items()}, state, cfg)
         mean = sums / len(dataset)
         reports.append(LossReport(mean[0], mean[1], mean[2], n_m_total, n_c_total))
         epoch_seconds.append(time.perf_counter() - t0)
