@@ -79,6 +79,10 @@ class PoseEstimate:
 # a chunk holds one (_CHUNK, 3, n) float64 array: 2.2 MB at n = 2864.
 _CHUNK = 32
 
+# Refinements of the best hypothesis at most: pnp_ransac refines again while
+# the refined pose's inlier set differs from the one it was fitted on.
+_REFIT_ROUNDS = 4
+
 
 def _dot(a, b):
     """(H, 1) row-wise dot products of (H, k) arrays, with the bits of a @ b."""
@@ -265,6 +269,12 @@ def pnp_ransac(uv, xyz, k: CameraIntrinsics, cfg: RansacConfig) -> PoseEstimate:
     count (`PoseEstimate.iterations`) and the result are those of drawing
     one hypothesis per step. Samples drawn past the stopping point in a
     chunk are dropped unused.
+
+    The best model is refined by Gauss-Newton on its inliers. When the
+    refined pose's inliers differ from the set it was fitted on, it is
+    refined again on the new set, up to _REFIT_ROUNDS refinements in all:
+    a hypothesis fitted on a few wrong pairs can move to a pose whose
+    inliers are the true set only after a second fit.
     """
     bearings = pixel_bearings(k, uv)
     world = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
@@ -321,9 +331,13 @@ def pnp_ransac(uv, xyz, k: CameraIntrinsics, cfg: RansacConfig) -> PoseEstimate:
         return PoseEstimate(None, np.zeros(n, dtype=bool), False, it)
 
     R, t = best_model
-    mask = _reproj_errors(R[None], t[None], world, bearings)[0] < cfg.inlier_threshold
-    R, t = _refine_pose(R, t, world[mask], bearings[mask], cfg.refine_iterations)
-    mask = _reproj_errors(R[None], t[None], world, bearings)[0] < cfg.inlier_threshold
+    fitted = _reproj_errors(R[None], t[None], world, bearings)[0] < cfg.inlier_threshold
+    for _ in range(_REFIT_ROUNDS):
+        R, t = _refine_pose(R, t, world[fitted], bearings[fitted], cfg.refine_iterations)
+        mask = _reproj_errors(R[None], t[None], world, bearings)[0] < cfg.inlier_threshold
+        if int(mask.sum()) < 4 or np.array_equal(mask, fitted):
+            break
+        fitted = mask
     if int(mask.sum()) < 4:
         return PoseEstimate(None, mask, False, it)
     return PoseEstimate(RigidPose(R, t), mask, True, it)
