@@ -2,27 +2,31 @@
 
 Covers exactly what the matching network needs: 2D matmul, elementwise
 arithmetic with trailing-axis / singleton-axis broadcasting for affine
-parameters, concat/reshape/gather, activations, instance normalization (the
-only normalization, with the ReLU or LeakyReLU that follows it), softmax,
-pairwise L2 distances, the grouped convolution along the neighbor axis,
-`neighbor_linear`, a linear layer over windows of edge features
-[f_i, f_i - f_j] that never builds them, and `norm_max`, the max path whole:
-that linear layer over single edges, instance norm over all edges and the
-max over the neighbors, normalizing only the maxima. An op may also be a
-whole algorithm: `transport.sinkhorn` records one backward closure for all
-of its iterations. No op keeps state between calls.
+parameters, concat/reshape/gather, activations, instance normalization (with
+the ReLU or LeakyReLU that follows it), softmax, pairwise L2 distances, the
+grouped convolution along the neighbor axis, `neighbor_linear`, a linear
+layer over windows of edge features [f_i, f_i - f_j] that never builds
+them, and two ops that fuse a linear layer with its norm: `norm_max`, the
+max path whole (that linear layer over single edges, instance norm over all
+edges and the max over the neighbors), and `covariance_norm`, a linear layer
+of a constant input of few columns with its norm and ReLU. An op may also
+be a whole algorithm: `transport.sinkhorn` records one backward closure for
+all of its iterations. No op keeps state between calls.
 
-The memory-bound chains (`norm_max`, `instance_norm` with its activation,
-`softmax_last_axis`) each write one fresh buffer and then work on it in
-place, with the bits of the unfused expressions. Where a backward needs a
-large intermediate (the max path's edges, a norm's normalized input), it
-recomputes it from what the op's inputs already hold, so the tape keeps no
-copy of it. Backwards of that kind work in place too: instance_norm's
-uses three buffers of its input's size, with the bits of the expression
-that would allocate one per step.
+The norms take their statistics and gradients from low-dimensional sums
+rather than passes over wide tensors. instance_norm's forward has the bits
+of the unfused expression in one buffer; its backward is affine in the
+centred input and reads its activation's mask off its output. norm_max
+works in node space: per-node sums give the edge mean and variance, and its
+backward sends each node its share of the edge gradient through per-channel
+coefficients. covariance_norm takes its variance from the covariance of its
+input. Their gradients, and norm_max's and covariance_norm's outputs, match
+the unfused ops to round-off, not bit for bit; the docstrings bound where
+the sums cancel.
 
-Every scatter-add of rows (`gather_rows`'s backward and neighbor_linear's,
-all window positions in one call) goes through `_scatter_add`, which has
+Every scatter-add of rows (`gather_rows`'s backward, neighbor_linear's, all
+window positions in one call, and norm_max's sum over in-edges) goes
+through `_scatter_add`, which has
 the bits of `np.add.at` on zeros: each target's sources are added in the
 same order from +0, one pass per in-degree rather than one Python-level
 step per entry. `gather_pairs` scatters at most M + N single cells into an
@@ -493,8 +497,21 @@ def instance_norm(x, gamma=None, beta=None, act=None, eps=NORM_EPS) -> Tensor:
     statistics are that scene's, in training and at inference alike. The
     output has the bits of `relu` (np.maximum(y, 0.0)) or `leaky_relu` of
     the normalized y, and is formed in one buffer, which first holds the
-    squared deviations. The backward recomputes the normalized x and the
-    activation's input from x, so the tape keeps only the statistics.
+    squared deviations.
+
+    The backward uses that dx is affine in the centred input. With gm the
+    gradient at the activation's input, xc = x - mean, R rows and a = istd
+    * gamma, per channel
+
+        dx = a gm - (a istd^2 sum(gm xc) / R) xc - a sum(gm) / R,
+
+    so it takes sum(gm) and sum(gm xc) as read-only reductions and never
+    forms the normalized input; the gradient of gamma is istd sum(gm xc).
+    The activation's mask comes from the output: y > 0 exactly where its
+    input is (ReLU), and y >= 0 where its input is >= 0 (LeakyReLU), except
+    for an input so small and negative that its scaled value rounds to -0,
+    which the cells with y == 0 recompute. Gradients match the expression
+    with one array per step to round-off, not bit for bit.
     """
     x = _as_tensor(x)
     if x.ndim < 2:
@@ -522,132 +539,198 @@ def instance_norm(x, gamma=None, beta=None, act=None, eps=NORM_EPS) -> Tensor:
         np.maximum(y, LEAKY_SLOPE * y, out=y)
 
     def bw(g):
-        # Three (R, c) buffers: xh, the masked gradient gm and scratch. Each
-        # step is the unfused expression's ufunc, so the bits are its bits:
-        # the activation's gradient multiplies g by 1.0 or 0.0 (ReLU) or by
-        # 1.0 or LEAKY_SLOPE, and dx = istd * ((dxhat - m1) - xh * m2).
-        xh = np.subtract(rows, mean)
-        xh *= istd
         gm = g.reshape(-1, c)
-        scratch = np.empty_like(xh)
-        if act is not None:
-            pre = xh
-            if gamma is not None:
-                pre = np.multiply(xh, gamma.data, out=scratch)
-                pre += beta.data
-            if act == "relu":
-                np.greater(pre, 0.0, out=scratch)
-            else:
-                np.greater_equal(pre, 0.0, out=scratch)
-                np.maximum(scratch, LEAKY_SLOPE, out=scratch)
-            gm = np.multiply(gm, scratch)
+        if act == "relu":
+            gm = np.greater(y, 0.0, out=np.empty(y.shape))
+            gm *= g.reshape(-1, c)
+        elif act == "leaky_relu":
+            gm = _leaky_relu_grad(gm, y, rows, mean, istd, gamma, beta)
+        xc = np.subtract(rows, mean)
+        s1 = gm.sum(axis=0)
+        sx = np.einsum("rc,rc->c", gm, xc)
         if gamma is not None:
             if gamma.requires_grad:
-                _accum(gamma, np.multiply(gm, xh, out=scratch).sum(axis=0))
+                _accum(gamma, istd * sx)
             if beta.requires_grad:
-                _accum(beta, gm.sum(axis=0))
-            if act is None:
-                gm = gm * gamma.data  # gm is still g, which is not ours
-            else:
-                gm *= gamma.data
+                _accum(beta, s1)
         if x.requires_grad:
-            m1 = gm.mean(axis=0)
-            m2 = np.multiply(gm, xh, out=scratch).mean(axis=0)
-            xh *= m2
-            dx = np.subtract(gm, m1, out=scratch)
-            dx -= xh
-            dx *= istd
+            a = istd if gamma is None else istd * gamma.data
+            xc *= -(a * istd * istd) * (sx / len(rows))
+            xc -= a * (s1 / len(rows))
+            dx = np.multiply(gm, a, out=None if act is None else gm)
+            dx += xc
             _accum(x, dx.reshape(x.data.shape))
 
     return _make(out_data, inputs, bw)
 
 
+def _leaky_relu_grad(g, y, rows, mean, istd, gamma, beta):
+    """g times LeakyReLU's slope at its input, read off its output y: 1 where
+    y >= 0, except where y == 0 comes from a negative input whose scaled
+    value rounded to -0; there the input is recomputed as the forward formed
+    it."""
+    gm = np.greater_equal(y, 0.0, out=np.empty(y.shape))
+    np.maximum(gm, LEAKY_SLOPE, out=gm)
+    gm *= g
+    r, ch = np.nonzero(y == 0.0)
+    if r.size:
+        pre = (rows[r, ch] - mean[ch]) * istd[ch]
+        if gamma is not None:
+            pre = pre * gamma.data[ch] + beta.data[ch]
+        gm[r, ch] = np.where(pre >= 0.0, g[r, ch], g[r, ch] * LEAKY_SLOPE)
+    return gm
+
+
 def norm_max(f, idx, weight, bias, gamma, beta) -> Tensor:
     """The max path: the max over axis 1 of
     instance_norm(neighbor_linear(f, idx[:, :, None], weight, bias), gamma, beta),
-    for f (N, d) and idx (N, k), in one op with the same bits.
+    for f (N, d) and idx (N, k), in one op that works in node space.
 
     Edge (i, p) is s_i - t_j, j = idx[i, p], with s = f @ (W1 + W2) + b and
-    t = f @ W2. The edges are gathered into one (N, k, d) buffer, which then
-    holds their squared deviations. The statistics are taken over all N * k
-    edges, as instance_norm takes them, but only the (N, d) extremes are
-    normalized. Each step of the affine norm (subtract the mean, multiply by
-    istd > 0, multiply by gamma, add beta) is monotone in floating point,
-    increasing where gamma >= 0 and decreasing where gamma < 0, so the
-    normalized raw max (or raw min) is the max of the normalized column, bit
-    for bit; where beta is -0 a zero max keeps the sign of the first
-    maximizer, so those channels are normalized whole and take argmax's pick.
+    t = f @ W2. The norm is increasing per channel where gamma > 0 and
+    decreasing where gamma < 0, so the output is the normalized edge
+    s_i - t_j whose t_j is the smallest (gamma > 0) or largest (gamma < 0)
+    over p. Ties go to the first such p, and where gamma == 0, where every
+    edge normalizes to beta, to p = 0. That edge is formed as s_i - t_j, so
+    its raw value has the bits of the edge.
 
-    The tape keeps s and t, not the edges. Backward recomputes the edges and
-    sends each (n, c) gradient to the first maximizer of the normalized
-    column, as argmax would pick it. It sums over the N maxima what
-    instance_norm sums over all N * k edges: the other edges add only zeros,
-    and a numpy sum of zeros is +0 whatever their signs. The edge gradient
-    then goes through neighbor_linear's backward.
+    The statistics come from per-node sums, with indeg_j the in-degree of j,
+    s' = s - mean(s) and t' = t - t_w, t_w the indeg-weighted mean of t: the
+    edge mean is mean(s) - t_w and the edge variance
+
+        (k sum_i s'_i^2 - 2 sum_i s'_i T'_i + sum_j indeg_j t'_j^2) / (N k),
+
+    T'_i = sum_p t'_j. Where the edges' spread is small against s and t it
+    cancels: it is within a few (N + k^2) u of the largest s_i^2 or t_j^2 of
+    the channel (u = 2^-53), and a negative result is taken as 0.
+
+    The backward uses that instance norm's edge gradient is istd gamma g at
+    each output's edge plus a dense part a + b (s'_i - t'_j), with per-
+    channel a = -istd mean(gamma g) and b = -istd^2 mean(gamma g xhat) over
+    the N k edges. Summed over each node's out-edges and in-edges that needs
+    T', one _scatter_add of s' over the in-edges and one bincount of istd
+    gamma g into the chosen t_j; no (N, k, d) array exists in either pass.
     """
     f, weight, bias = _as_tensor(f), _as_tensor(weight), _as_tensor(bias)
     gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 2:
         raise ShapeMismatch(f"norm_max needs idx (N,k), got {idx.shape}")
-    windows = idx[:, :, None]
-    w_self, w_nbr = _neighbor_weights(f, windows, weight, bias)
+    w_self, w_nbr = _neighbor_weights(f, idx[:, :, None], weight, bias)
     c = weight.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeMismatch(f"norm_max needs gamma, beta ({c},), got {gamma.shape} "
                             f"and {beta.shape}")
+    n, k = idx.shape
     s = f.data @ w_self + bias.data
     t = f.data @ w_nbr
-    edges = _edges(s, t, idx)
-    extreme = np.where(gamma.data >= 0, edges.max(axis=1), edges.min(axis=1))
-    cols = np.flatnonzero((beta.data == 0) & np.signbit(beta.data))
-    col = edges[..., cols]  # a copy, taken before the statistics overwrite the edges
-    rows = edges.reshape(-1, c)
-    mean, istd = _norm_stats(rows, NORM_EPS, rows)
-    out_data = ((extreme - mean) * istd) * gamma.data + beta.data
-    if cols.size:
-        col = ((col - mean[cols]) * istd[cols]) * gamma.data[cols] + beta.data[cols]
-        out_data[:, cols] = np.take_along_axis(col, col.argmax(axis=1)[:, None], axis=1)[:, 0]
+    # Per (i, channel), the smallest sign * t_j over p, j = idx[i, p], and
+    # their sum; where gamma == 0, t_j at p = 0. sign * best is that t_j.
+    sign = np.where(gamma.data < 0, -1.0, 1.0)
+    zero = gamma.data == 0
+    flipped = t * sign
+    gathered = flipped[idx]
+    best = gathered.min(axis=1)
+    total = gathered.sum(axis=1)
+    del gathered
+    best[:, zero] = t[idx[:, 0]][:, zero]
+    extreme = s - sign * best
+
+    indeg = np.bincount(idx.ravel(), minlength=n).astype(np.float64)
+    s_mean = s.mean(axis=0)
+    t_mean = (indeg @ t) / (n * k)
+    sc = s - s_mean
+    tc = t - t_mean
+    total *= sign
+    total -= k * t_mean
+    var = (k * np.einsum("ic,ic->c", sc, sc) - 2.0 * np.einsum("ic,ic->c", sc, total)
+           + indeg @ (tc * tc)) / (n * k)
+    istd = 1.0 / np.sqrt(np.maximum(var, 0.0) + NORM_EPS)
+    xs = (extreme - (s_mean - t_mean)) * istd
+    out_data = xs * gamma.data + beta.data
 
     def bw(g):
-        n, k = idx.shape
-        xh = _edges(s, t, idx)
-        xh -= mean
-        xh *= istd
-        # The lowest p whose normalized value equals the max, as argmax picks.
-        arg = np.zeros((n, c), dtype=np.intp)
-        for p in range(k - 1, -1, -1):
-            arg[xh[:, p] * gamma.data + beta.data == out_data] = p
-        at = arg[:, None, :]
-        xs = np.take_along_axis(xh, at, axis=1)[:, 0]
         if gamma.requires_grad:
             _accum(gamma, (g * xs).sum(axis=0))
         if beta.requires_grad:
             _accum(beta, g.sum(axis=0))
-        if f.requires_grad or weight.requires_grad or bias.requires_grad:
-            # instance_norm's dx for a gradient that is zero off the maxima:
-            # the two means sum N rows, and every other entry is the dense
-            # part istd * ((z - m1) - xh * m2), z = 0 * gamma being its dxhat
-            # there (-0 where gamma < 0, which a zero m1 keeps).
-            z = 0.0 * gamma.data
-            gg = g * gamma.data
-            m1 = gg.sum(axis=0) / (n * k)
-            m2 = (gg * xs).sum(axis=0) / (n * k)
-            dh = xh
-            dh *= m2
-            np.subtract(z - m1, dh, out=dh)
-            dh *= istd
-            np.put_along_axis(dh, at, (istd * ((gg - m1) - xs * m2))[:, None, :], axis=1)
-            _neighbor_linear_backward(dh, f, windows, weight, bias, w_self, w_nbr)
+        if f.requires_grad or weight.requires_grad:
+            top = g * (istd * gamma.data)
+            a = -(top.sum(axis=0) / (n * k))
+            b = -istd * (np.einsum("ic,ic->c", top, xs) / (n * k))
+            g_self = top + k * a
+            g_self += b * (k * sc - total)
+            into = _scatter_add(sc, idx, n, fan_out=k)
+            into -= indeg[:, None] * tc
+            into *= b
+            into += indeg[:, None] * a
+            into += np.bincount((_first_at(flipped, idx, best, zero) * c + np.arange(c)).ravel(),
+                                weights=top.ravel(), minlength=n * c).reshape(n, c)
+            _linear_backward(g_self, into, f, weight, None, w_self, w_nbr)
 
-    return _make(out_data, (f, weight, bias, gamma, beta), bw)
+    # The bias shifts every edge of a channel alike, so it cancels in the
+    # norm: it is no input of the tape's record, and its gradient is 0.
+    return _make(out_data, (f, weight, gamma, beta), bw)
 
 
-def _edges(s, t, idx):
-    """The (N, k, d) edges s_i - t_j, j = idx[i, p], in one fresh buffer."""
-    e = t[idx]
-    np.subtract(s[:, None, :], e, out=e)
-    return e
+def _first_at(flipped, idx, best, zero):
+    """(N, c) node idx[i, p] of the first p at which flipped[idx[i, p], ch]
+    equals best[i, ch], p = 0 in the columns flagged by zero (and p = k - 1
+    where none does, as with NaN)."""
+    k = idx.shape[1]
+    # k - p of the first p found is the largest k - p over the matching p.
+    back = np.multiply(flipped[idx] == best[:, None, :],
+                       np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]).max(axis=1)
+    back[:, zero] = k
+    return np.take_along_axis(idx, k - np.maximum(back, 1, dtype=np.intp), axis=1)
+
+
+def covariance_norm(x, weight, gamma, beta, eps=NORM_EPS) -> Tensor:
+    """relu(instance_norm(x @ weight + b, gamma, beta)) for a constant x
+    (R, w) of few columns, from the w x w covariance of x.
+
+    Centred, z = (x - mean(x)) @ weight has zero mean and per-channel
+    variance diag(weight^T Sigma weight), Sigma = cov(x); a bias b cancels
+    in the mean, so the op takes none. With istd = 1 / sqrt(that + eps),
+    the output is relu((x - mean(x)) @ (weight * istd gamma) + beta): one
+    (R, w) @ (w, d) product, and no (R, d) statistics pass. A variance that
+    rounds below 0 is taken as 0.
+
+    Backward, with gz the gradient at the ReLU's input and H = (x -
+    mean(x))^T gz: dW = gamma istd (H - istd^2 diag(W^T H) Sigma W),
+    dgamma = istd diag(W^T H) and dbeta = sum(gz). x takes no gradient.
+    """
+    if isinstance(x, Tensor):
+        if x.requires_grad:
+            raise ValueError("covariance_norm takes no gradient for x")
+        x = x.data
+    x = np.asarray(x, dtype=np.float64)
+    weight, gamma, beta = _as_tensor(weight), _as_tensor(gamma), _as_tensor(beta)
+    if x.ndim != 2 or weight.ndim != 2 or weight.shape[0] != x.shape[1]:
+        raise ShapeMismatch(f"covariance_norm shapes {x.shape} x {weight.shape}")
+    if gamma.shape != weight.shape[1:] or beta.shape != weight.shape[1:]:
+        raise ShapeMismatch(f"covariance_norm needs gamma, beta {weight.shape[1:]}, got "
+                            f"{gamma.shape} and {beta.shape}")
+    xc = x - x.mean(axis=0)
+    sigma_w = ((xc.T @ xc) / len(x)) @ weight.data
+    istd = 1.0 / np.sqrt(np.maximum(np.einsum("wd,wd->d", weight.data, sigma_w), 0.0) + eps)
+    scale = istd * gamma.data
+    out_data = xc @ (weight.data * scale)
+    out_data += beta.data
+    np.maximum(out_data, 0.0, out=out_data)
+
+    def bw(g):
+        gz = g * (out_data > 0.0)
+        if beta.requires_grad:
+            _accum(beta, gz.sum(axis=0))
+        h = xc.T @ gz
+        wh = np.einsum("wd,wd->d", weight.data, h)
+        if gamma.requires_grad:
+            _accum(gamma, istd * wh)
+        if weight.requires_grad:
+            _accum(weight, scale * (h - (istd * istd * wh) * sigma_w))
+
+    return _make(out_data, (weight, gamma, beta), bw)
 
 
 def grouped_neighbor_conv(x, width: int, weight, bias) -> Tensor:
@@ -724,13 +807,22 @@ def _neighbor_weights(f, idx, weight, bias):
 def _neighbor_linear_backward(g, f, idx, weight, bias, w_self, w_nbr):
     """Hand neighbor_linear's inputs their gradients for an output gradient
     g of shape (N, G, d_out)."""
-    n, d = f.shape
+    n = f.shape[0]
     width = idx.shape[2]
     d_out = weight.shape[1]
-    g_self = g.sum(axis=1)
     # Row (j, p) of g_nbr sums g[i, G] over the windows with idx[i, G, p] = j.
     g_nbr = _scatter_add(g.reshape(-1, d_out), idx * width + np.arange(width),
                          n * width, fan_out=width).reshape(n, width * d_out)
+    _linear_backward(g.sum(axis=1), g_nbr, f, weight, bias, w_self, w_nbr)
+
+
+def _linear_backward(g_self, g_nbr, f, weight, bias, w_self, w_nbr):
+    """Hand neighbor_linear's inputs their gradients, given g_self (N, d_out),
+    the gradient of f @ w_self + b, and g_nbr (N, width * d_out), that of
+    the subtracted f @ w_nbr. bias may be None."""
+    d = f.shape[1]
+    width = g_nbr.shape[1] // g_self.shape[1]
+    d_out = weight.shape[1]
     if f.requires_grad:
         _accum(f, g_self @ w_self.T - g_nbr @ w_nbr.T)
     if weight.requires_grad:
@@ -740,7 +832,7 @@ def _neighbor_linear_backward(g, f, idx, weight, bias, w_self, w_nbr):
         gw[:, 0] = gw_self
         gw[:, 1] = gw_self - gw_nbr
         _accum(weight, gw.reshape(weight.shape))
-    if bias.requires_grad:
+    if bias is not None and bias.requires_grad:
         _accum(bias, g_self.sum(axis=0))
 
 

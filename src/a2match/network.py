@@ -18,9 +18,12 @@ through a linear layer, so `autodiff.neighbor_linear` computes them from two
 per-node products and a gather: the (N, k, 2d) edge windows are never built.
 The max path normalizes its (N, k, d) edge outputs and keeps the max over
 the k neighbors; the norm is monotone per channel, so `autodiff.norm_max`
-runs the linear layer, the norm and the max as one op that normalizes only
-the raw extremes. Its (N, k, d) edges live in one buffer during the forward
-and are recomputed in the backward, never kept on the tape.
+runs the linear layer, the norm and the max as one op in node space: it
+picks each extreme edge from the per-node products and takes the edge
+statistics from per-node sums. The angle path's first stage convolves
+constant cosines, so `autodiff.covariance_norm` takes its norm from their
+(k/g) x (k/g) covariance. Both match the unfused layers to round-off; the
+biases before those two norms cancel in them and get no gradient.
 
 `build_knn_graph` ranks candidates on squared differences of the positions
 scaled by a power of two, then ranks only the entries within a proven
@@ -175,7 +178,10 @@ class ModelWeights:
                     norm(f"{base}/res{r}/norm", d)
 
         # The annular and angle norms are named bn1/bn2 so that their records
-        # keep the names that saved models use.
+        # keep the names that saved models use. The biases ang*/conv1/b and
+        # max*/lin/b cancel in the instance norm that follows them, so no
+        # layer reads the first and neither gets a gradient; they stay in the
+        # layout so that the A2GW format keeps its version.
         for t in range(config.n_blocks):
             blk = f"blk{t}/self"
             for r in (1, 2):
@@ -285,10 +291,10 @@ def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
 
     Linear, instance norm over all N*k edges, max, then LeakyReLU. The norm
     is a per-channel monotone map, so the max commutes with it:
-    `autodiff.norm_max` runs the linear layer and the norm and normalizes
-    only the (N, d) extremes of the raw edges, with the same bits. LeakyReLU
-    is increasing, so applying it to the maxima gives the same values as
-    applying it to every edge first.
+    `autodiff.norm_max` finds each channel's extreme edge from the per-node
+    products and normalizes only those, with statistics from per-node sums.
+    LeakyReLU is increasing, so applying it to the maxima gives the same
+    values as applying it to every edge first.
     """
     h = ad.norm_max(f, graph.neighbor_idx, w.param(f"{name}/lin/W"), w.param(f"{name}/lin/b"),
                     w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"))
@@ -314,13 +320,20 @@ def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
 
 
 def angle_aggregate(graph: LocalGraph, w: ModelWeights, name) -> Tensor:
+    """Two-stage grouped convolution over the per-neighbor cosines.
+
+    The first stage's input is constant, k/g cosines per group, so
+    `autodiff.covariance_norm` runs its convolution, norm and ReLU from the
+    (k/g) x (k/g) covariance of the cosines; `conv1/b` cancels in that norm
+    and is not read.
+    """
     cfg = w.config
-    cosines = constant(graph.neighbor_cos[:, :, None])
-    n = cosines.shape[0]
-    h = ad.grouped_neighbor_conv(cosines, cfg.k // cfg.g, w.param(f"{name}/conv1/W"),
-                                 w.param(f"{name}/conv1/b"))
-    h = _norm_act(h, w, f"{name}/bn1", "relu")
-    h = ad.grouped_neighbor_conv(h, cfg.g, w.param(f"{name}/conv2/W"), w.param(f"{name}/conv2/b"))
+    n = graph.neighbor_cos.shape[0]
+    h = ad.covariance_norm(graph.neighbor_cos.reshape(n * cfg.g, cfg.k // cfg.g),
+                           w.param(f"{name}/conv1/W"), w.param(f"{name}/bn1/gamma"),
+                           w.param(f"{name}/bn1/beta"))
+    h = ad.grouped_neighbor_conv(ad.reshape(h, (n, cfg.g, h.shape[-1])), cfg.g,
+                                 w.param(f"{name}/conv2/W"), w.param(f"{name}/conv2/b"))
     h = _norm_act(h, w, f"{name}/bn2", "relu")
     return ad.reshape(h, (n, h.shape[-1]))
 

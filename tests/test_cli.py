@@ -387,12 +387,12 @@ def test_classifier_branch_pinned(tmp_path):
     payload = json.loads(out.read_text())
     assert (len(payload["initial"]), len(payload["final"])) == (11, 4)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "9855eefd6c51080c37b122550f3ee36bbce7480bddcbf231d8b1f8d242c9dd3a")
+        "ca4700ccab385432863d247673981358162af7425aefd3e55257de47afe15778")
     loss, report, candidates = scene_loss(pair, w, TrainConfig())
     assert len(candidates) == 11
     fingerprint = repr((candidates.pairs, loss.item(), report.rejection_loss))
     assert hashlib.sha256(fingerprint.encode()).hexdigest() == (
-        "7b8e8c634d65a53cc7d4ca6b80a0094356b36e20b021af6eac91d28171eb8e86")
+        "49d1a3ddcffe8005e336f5fd0cf6f29e46c0c8d049466fbc6d128e5de6564246")
 
 
 def test_cmd_localize_robust_and_deterministic(tmp_path):
