@@ -475,7 +475,7 @@ def softmax_last_axis(a) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-NORM_EPS = 1e-5  # the variance floor of instance_norm (by default) and of norm_max
+NORM_EPS = 1e-5  # the variance floor of every norm (instance_norm's by default)
 
 def _norm_stats(rows, eps, out):
     """Per-channel mean and 1 / sqrt(variance + eps) over the rows of (R, c).
@@ -539,12 +539,14 @@ def instance_norm(x, gamma=None, beta=None, act=None, eps=NORM_EPS) -> Tensor:
         np.maximum(y, LEAKY_SLOPE * y, out=y)
 
     def bw(g):
-        gm = g.reshape(-1, c)
+        g = g.reshape(-1, c)
         if act == "relu":
             gm = np.greater(y, 0.0, out=np.empty(y.shape))
-            gm *= g.reshape(-1, c)
+            gm *= g
         elif act == "leaky_relu":
-            gm = _leaky_relu_grad(gm, y, rows, mean, istd, gamma, beta)
+            gm = _leaky_relu_grad(g, y, rows, mean, istd, gamma, beta)
+        else:
+            gm = g
         xc = np.subtract(rows, mean)
         s1 = gm.sum(axis=0)
         sx = np.einsum("rc,rc->c", gm, xc)
@@ -600,16 +602,21 @@ def norm_max(f, idx, weight, bias, gamma, beta) -> Tensor:
 
         (k sum_i s'_i^2 - 2 sum_i s'_i T'_i + sum_j indeg_j t'_j^2) / (N k),
 
-    T'_i = sum_p t'_j. Where the edges' spread is small against s and t it
-    cancels: it is within a few (N + k^2) u of the largest s_i^2 or t_j^2 of
-    the channel (u = 2^-53), and a negative result is taken as 0.
+    T'_i = sum_p t'_j. Where the edges' spread is small against s and t this
+    cancels: the computed variance is within a few (N + k^2) u times the
+    largest s_i^2 or t_j^2 of its channel (u = 2^-53), so istd's relative
+    error is about that over 2 (variance + eps). A negative variance is
+    taken as 0, so istd never exceeds 1 / sqrt(eps).
 
     The backward uses that instance norm's edge gradient is istd gamma g at
     each output's edge plus a dense part a + b (s'_i - t'_j), with per-
     channel a = -istd mean(gamma g) and b = -istd^2 mean(gamma g xhat) over
     the N k edges. Summed over each node's out-edges and in-edges that needs
     T', one _scatter_add of s' over the in-edges and one bincount of istd
-    gamma g into the chosen t_j; no (N, k, d) array exists in either pass.
+    gamma g into the chosen t_j. The (N, k, d) gather of t lives only for
+    its min and sum, and again in the backward to find the first minimizer;
+    the tape keeps (N, d) arrays, and no squared deviations, normalized
+    edges or dense edge gradient are formed.
     """
     f, weight, bias = _as_tensor(f), _as_tensor(weight), _as_tensor(bias)
     gamma, beta = _as_tensor(gamma), _as_tensor(beta)
@@ -627,12 +634,12 @@ def norm_max(f, idx, weight, bias, gamma, beta) -> Tensor:
     # Per (i, channel), the smallest sign * t_j over p, j = idx[i, p], and
     # their sum; where gamma == 0, t_j at p = 0. sign * best is that t_j.
     sign = np.where(gamma.data < 0, -1.0, 1.0)
-    zero = gamma.data == 0
     flipped = t * sign
     gathered = flipped[idx]
     best = gathered.min(axis=1)
     total = gathered.sum(axis=1)
     del gathered
+    zero = gamma.data == 0
     best[:, zero] = t[idx[:, 0]][:, zero]
     extreme = s - sign * best
 
@@ -664,7 +671,7 @@ def norm_max(f, idx, weight, bias, gamma, beta) -> Tensor:
             into -= indeg[:, None] * tc
             into *= b
             into += indeg[:, None] * a
-            into += np.bincount((_first_at(flipped, idx, best, zero) * c + np.arange(c)).ravel(),
+            into += np.bincount((_first_at(flipped, idx, best) * c + np.arange(c)).ravel(),
                                 weights=top.ravel(), minlength=n * c).reshape(n, c)
             _linear_backward(g_self, into, f, weight, None, w_self, w_nbr)
 
@@ -673,21 +680,19 @@ def norm_max(f, idx, weight, bias, gamma, beta) -> Tensor:
     return _make(out_data, (f, weight, gamma, beta), bw)
 
 
-def _first_at(flipped, idx, best, zero):
+def _first_at(flipped, idx, best):
     """(N, c) node idx[i, p] of the first p at which flipped[idx[i, p], ch]
-    equals best[i, ch], p = 0 in the columns flagged by zero (and p = k - 1
-    where none does, as with NaN)."""
+    equals best[i, ch] (p = k - 1 where none does, as with NaN)."""
     k = idx.shape[1]
     # k - p of the first p found is the largest k - p over the matching p.
     back = np.multiply(flipped[idx] == best[:, None, :],
                        np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]).max(axis=1)
-    back[:, zero] = k
     return np.take_along_axis(idx, k - np.maximum(back, 1, dtype=np.intp), axis=1)
 
 
 def covariance_norm(x, weight, gamma, beta, eps=NORM_EPS) -> Tensor:
-    """relu(instance_norm(x @ weight + b, gamma, beta)) for a constant x
-    (R, w) of few columns, from the w x w covariance of x.
+    """relu(instance_norm(x @ weight + b, gamma, beta)) for an array x
+    (R, w) of few columns, a constant, from the w x w covariance of x.
 
     Centred, z = (x - mean(x)) @ weight has zero mean and per-channel
     variance diag(weight^T Sigma weight), Sigma = cov(x); a bias b cancels
@@ -698,12 +703,8 @@ def covariance_norm(x, weight, gamma, beta, eps=NORM_EPS) -> Tensor:
 
     Backward, with gz the gradient at the ReLU's input and H = (x -
     mean(x))^T gz: dW = gamma istd (H - istd^2 diag(W^T H) Sigma W),
-    dgamma = istd diag(W^T H) and dbeta = sum(gz). x takes no gradient.
+    dgamma = istd diag(W^T H) and dbeta = sum(gz).
     """
-    if isinstance(x, Tensor):
-        if x.requires_grad:
-            raise ValueError("covariance_norm takes no gradient for x")
-        x = x.data
     x = np.asarray(x, dtype=np.float64)
     weight, gamma, beta = _as_tensor(weight), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 2 or weight.ndim != 2 or weight.shape[0] != x.shape[1]:
