@@ -583,12 +583,14 @@ def _leaky_relu_grad(g, y, rows, mean, istd, gamma, beta):
     return gm
 
 
-def norm_max(f, idx, weight, bias, gamma, beta) -> Tensor:
+def norm_max(f, idx, weight, gamma, beta) -> Tensor:
     """The max path: the max over axis 1 of
-    instance_norm(neighbor_linear(f, idx[:, :, None], weight, bias), gamma, beta),
-    for f (N, d) and idx (N, k), in one op that works in node space.
+    instance_norm(neighbor_linear(f, idx[:, :, None], weight, b), gamma, beta),
+    for f (N, d) and idx (N, k), in one op that works in node space. A bias
+    b shifts every edge of a channel alike and cancels in the norm, so the op
+    takes none.
 
-    Edge (i, p) is s_i - t_j, j = idx[i, p], with s = f @ (W1 + W2) + b and
+    Edge (i, p) is s_i - t_j, j = idx[i, p], with s = f @ (W1 + W2) and
     t = f @ W2. The norm is increasing per channel where gamma > 0 and
     decreasing where gamma < 0, so the output is the normalized edge
     s_i - t_j whose t_j is the smallest (gamma > 0) or largest (gamma < 0)
@@ -618,18 +620,18 @@ def norm_max(f, idx, weight, bias, gamma, beta) -> Tensor:
     the tape keeps (N, d) arrays, and no squared deviations, normalized
     edges or dense edge gradient are formed.
     """
-    f, weight, bias = _as_tensor(f), _as_tensor(weight), _as_tensor(bias)
+    f, weight = _as_tensor(f), _as_tensor(weight)
     gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 2:
         raise ShapeMismatch(f"norm_max needs idx (N,k), got {idx.shape}")
-    w_self, w_nbr = _neighbor_weights(f, idx[:, :, None], weight, bias)
+    w_self, w_nbr = _neighbor_weights(f, idx[:, :, None], weight)
     c = weight.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeMismatch(f"norm_max needs gamma, beta ({c},), got {gamma.shape} "
                             f"and {beta.shape}")
     n, k = idx.shape
-    s = f.data @ w_self + bias.data
+    s = f.data @ w_self
     t = f.data @ w_nbr
     # Per (i, channel), the smallest sign * t_j over p, j = idx[i, p], and
     # their sum; where gamma == 0, t_j at p = 0. sign * best is that t_j.
@@ -675,8 +677,6 @@ def norm_max(f, idx, weight, bias, gamma, beta) -> Tensor:
                                 weights=top.ravel(), minlength=n * c).reshape(n, c)
             _linear_backward(g_self, into, f, weight, None, w_self, w_nbr)
 
-    # The bias shifts every edge of a channel alike, so it cancels in the
-    # norm: it is no input of the tape's record, and its gradient is 0.
     return _make(out_data, (f, weight, gamma, beta), bw)
 
 
@@ -690,13 +690,13 @@ def _first_at(flipped, idx, best):
     return np.take_along_axis(idx, k - np.maximum(back, 1, dtype=np.intp), axis=1)
 
 
-def covariance_norm(x, weight, gamma, beta, eps=NORM_EPS) -> Tensor:
+def covariance_norm(x, weight, gamma, beta) -> Tensor:
     """relu(instance_norm(x @ weight + b, gamma, beta)) for an array x
     (R, w) of few columns, a constant, from the w x w covariance of x.
 
     Centred, z = (x - mean(x)) @ weight has zero mean and per-channel
     variance diag(weight^T Sigma weight), Sigma = cov(x); a bias b cancels
-    in the mean, so the op takes none. With istd = 1 / sqrt(that + eps),
+    in the mean, so the op takes none. With istd = 1 / sqrt(that + NORM_EPS),
     the output is relu((x - mean(x)) @ (weight * istd gamma) + beta): one
     (R, w) @ (w, d) product, and no (R, d) statistics pass. A variance that
     rounds below 0 is taken as 0.
@@ -714,7 +714,7 @@ def covariance_norm(x, weight, gamma, beta, eps=NORM_EPS) -> Tensor:
                             f"{gamma.shape} and {beta.shape}")
     xc = x - x.mean(axis=0)
     sigma_w = ((xc.T @ xc) / len(x)) @ weight.data
-    istd = 1.0 / np.sqrt(np.maximum(np.einsum("wd,wd->d", weight.data, sigma_w), 0.0) + eps)
+    istd = 1.0 / np.sqrt(np.maximum(np.einsum("wd,wd->d", weight.data, sigma_w), 0.0) + NORM_EPS)
     scale = istd * gamma.data
     out_data = xc @ (weight.data * scale)
     out_data += beta.data
@@ -773,7 +773,9 @@ def neighbor_linear(f, idx, weight, bias) -> Tensor:
     """
     f, weight, bias = _as_tensor(f), _as_tensor(weight), _as_tensor(bias)
     idx = np.asarray(idx, dtype=np.intp)
-    w_self, w_nbr = _neighbor_weights(f, idx, weight, bias)
+    w_self, w_nbr = _neighbor_weights(f, idx, weight)
+    if bias.shape != weight.shape[1:]:
+        raise ShapeMismatch(f"neighbor_linear bias expects {weight.shape[1:]}, got {bias.shape}")
     n = f.shape[0]
     _, groups, width = idx.shape
     d_out = weight.shape[1]
@@ -788,8 +790,8 @@ def neighbor_linear(f, idx, weight, bias) -> Tensor:
     return _make(out_data, (f, weight, bias), bw)
 
 
-def _neighbor_weights(f, idx, weight, bias):
-    """Check neighbor_linear's operands and split its weight into
+def _neighbor_weights(f, idx, weight):
+    """Check neighbor_linear's f, idx and weight and split the weight into
     w_self = sum_p (W1_p + W2_p), (d, d_out), and w_nbr = [W2_0 | W2_1 | ...],
     (d, width * d_out)."""
     if f.ndim != 2 or idx.ndim != 3 or idx.shape[0] != f.shape[0]:
@@ -797,9 +799,9 @@ def _neighbor_weights(f, idx, weight, bias):
                             f"got {f.shape} and {idx.shape}")
     d = f.shape[1]
     width = idx.shape[2]
-    if weight.ndim != 2 or weight.shape[0] != width * 2 * d or bias.shape != weight.shape[1:]:
-        raise ShapeMismatch(f"neighbor_linear weight expects {width * 2 * d} rows and a "
-                            f"matching bias, got {weight.shape} and {bias.shape}")
+    if weight.ndim != 2 or weight.shape[0] != width * 2 * d:
+        raise ShapeMismatch(f"neighbor_linear weight expects {width * 2 * d} rows, got "
+                            f"{weight.shape}")
     d_out = weight.shape[1]
     w = weight.data.reshape(width, 2, d, d_out)
     return w.sum(axis=(0, 1)), w[:, 1].transpose(1, 0, 2).reshape(d, width * d_out)

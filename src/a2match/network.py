@@ -23,7 +23,7 @@ picks each extreme edge from the per-node products and takes the edge
 statistics from per-node sums. The angle path's first stage convolves
 constant cosines, so `autodiff.covariance_norm` takes its norm from their
 (k/g) x (k/g) covariance. Both match the unfused layers to round-off; the
-biases before those two norms cancel in them and get no gradient.
+biases before those two norms cancel in them, so neither op reads one.
 
 `build_knn_graph` ranks candidates on squared differences of the positions
 scaled by a power of two, then ranks only the entries within a proven
@@ -180,7 +180,7 @@ class ModelWeights:
         # The annular and angle norms are named bn1/bn2 so that their records
         # keep the names that saved models use. The biases ang*/conv1/b and
         # max*/lin/b cancel in the instance norm that follows them, so no
-        # layer reads the first and neither gets a gradient; they stay in the
+        # layer reads them and neither gets a gradient; they stay in the
         # layout so that the A2GW format keeps its version.
         for t in range(config.n_blocks):
             blk = f"blk{t}/self"
@@ -292,11 +292,12 @@ def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
     Linear, instance norm over all N*k edges, max, then LeakyReLU. The norm
     is a per-channel monotone map, so the max commutes with it:
     `autodiff.norm_max` finds each channel's extreme edge from the per-node
-    products and normalizes only those, with statistics from per-node sums.
+    products and normalizes only those, with statistics from per-node sums;
+    `lin/b` cancels in that norm and is not read.
     LeakyReLU is increasing, so applying it to the maxima gives the same
     values as applying it to every edge first.
     """
-    h = ad.norm_max(f, graph.neighbor_idx, w.param(f"{name}/lin/W"), w.param(f"{name}/lin/b"),
+    h = ad.norm_max(f, graph.neighbor_idx, w.param(f"{name}/lin/W"),
                     w.param(f"{name}/norm/gamma"), w.param(f"{name}/norm/beta"))
     return ad.leaky_relu(h)
 

@@ -178,7 +178,9 @@ def _max_path_oracle(idx):
 
 
 def _max_path_fused(idx):
-    return lambda f, weight, bias, gamma, beta: ad.norm_max(f, idx, weight, bias, gamma, beta)
+    """norm_max with the oracle's arguments: it reads no bias, which cancels
+    in the norm."""
+    return lambda f, weight, bias, gamma, beta: ad.norm_max(f, idx, weight, gamma, beta)
 
 
 # The fused norms take their statistics and gradients from per-channel sums,
@@ -203,8 +205,8 @@ def _assert_close(got, ref, rtol):
 
 def _assert_max_path_matches_oracle(f, idx, weight, bias, gamma, beta, g):
     """norm_max's output and gradients within _NORM_RTOL of the oracle's. The
-    bias shifts every edge alike and cancels in the norm: norm_max hands it
-    no gradient, and the oracle's is round-off."""
+    bias shifts every edge alike and cancels in the norm: norm_max does not
+    read it, and the oracle's gradient for it is round-off."""
     arrays = (f, weight, bias, gamma, beta)
     got = _out_and_grads(_max_path_fused(idx), arrays, g)
     ref = _out_and_grads(_max_path_oracle(idx), arrays, g)
@@ -238,26 +240,27 @@ def test_norm_max_equals_max_of_instance_norm_bit_for_bit(n, k, d):
 
 def test_norm_max_where_the_edge_variance_cancels():
     # Every neighbor of node i is i itself and W1 = 0, so every edge is
-    # (f_i W2 + b) - f_i W2: b up to the rounding of numbers near 1e6. The
-    # per-node sums of squares are near 1e13 and the variance they give
-    # cancels to about 1e-3 either side of 0, below -eps in some channels;
-    # it is taken as 0 there, so istd stays within 1 / sqrt(eps).
+    # f_i W2 - f_i W2 = 0, with f_i W2 near 1e6. The per-node sums of squares
+    # are near 1e13 and the variance they give cancels to about 1e-3 either
+    # side of 0, below -eps in some channels; it is taken as 0 there, so istd
+    # stays within 1 / sqrt(eps).
     rng = np.random.default_rng(14)
     n, k, d_in, d = 7, 3, 2, 4
     f = 1e6 * rng.standard_normal((n, d_in))
     idx = np.repeat(np.arange(n)[:, None], k, axis=1)
-    weight, bias = rng.standard_normal((2 * d_in, d)), rng.standard_normal(d)
+    weight = rng.standard_normal((2 * d_in, d))
     weight[:d_in] = 0.0
     gamma, beta = np.array([1.3, -0.6, 0.0, 2.0]), rng.standard_normal(d)
     g = rng.standard_normal((n, d))
-    out, g_f, g_w, g_bias, g_gamma, g_beta = _out_and_grads(
-        _max_path_fused(idx), (f, weight, bias, gamma, beta), g)
-    # Each edge, and so its distance from the mean, is within a few ulps of
-    # |f_i W2| + |b|.
-    size = (np.abs(f @ weight[d_in:]) + np.abs(bias)).max(axis=0)
+    out, g_f, g_w, g_gamma, g_beta = _out_and_grads(
+        lambda f, weight, gamma, beta: ad.norm_max(f, idx, weight, gamma, beta),
+        (f, weight, gamma, beta), g)
+    # The edge mean, and so each edge's distance from it, is within a few
+    # ulps of |f_i W2|.
+    size = np.abs(f @ weight[d_in:]).max(axis=0)
     assert np.all(np.abs(out - beta) <= 1e-15 * size * np.abs(gamma) / np.sqrt(ad.NORM_EPS))
     assert all(np.all(np.isfinite(x)) for x in (g_f, g_w, g_gamma))
-    assert g_bias is None and np.array_equal(g_beta, g.sum(axis=0))
+    assert np.array_equal(g_beta, g.sum(axis=0))
 
 
 def test_norm_max_one_hot_gradient():
@@ -294,7 +297,7 @@ def test_norm_max_tie_goes_to_lowest_index():
             ad.neighbor_linear(f, idx[:, :, None], w, b), ga, be)
         return _out_and_grads(build, arrays, g)[1:]
 
-    # The bias gets no gradient from norm_max (it cancels in the norm).
+    # norm_max reads no bias (it cancels in the norm), so that gradient is None.
     got = _out_and_grads(_max_path_fused(idx), arrays, np.ones((3, 1)))[1:]
     first, second = edge_norm(0), edge_norm(1)
     _assert_close(got[:2] + got[3:], first[:2] + first[3:], _NORM_RTOL)
@@ -305,15 +308,15 @@ def test_norm_max_gradcheck():
     rng = np.random.default_rng(9)
     f = rand_tensor(rng, (5, 2))
     idx = rng.integers(0, 5, (5, 4))
-    weight, bias = rand_tensor(rng, (4, 3)), rand_tensor(rng, (3,))
+    weight = rand_tensor(rng, (4, 3))
     gamma = Tensor(np.array([1.2, -0.7, 0.4]), requires_grad=True)
     beta = rand_tensor(rng, (3,))
-    check_op(lambda: ad.norm_max(f, idx, weight, bias, gamma, beta),
-             [f, weight, bias, gamma, beta], rtol=1e-4)
+    check_op(lambda: ad.norm_max(f, idx, weight, gamma, beta),
+             [f, weight, gamma, beta], rtol=1e-4)
     with pytest.raises(ShapeMismatch):
-        ad.norm_max(f, idx[:, :, None], weight, bias, gamma, beta)
+        ad.norm_max(f, idx[:, :, None], weight, gamma, beta)
     with pytest.raises(ShapeMismatch):
-        ad.norm_max(f, idx, weight, bias, constant(np.ones(2)), beta)
+        ad.norm_max(f, idx, weight, constant(np.ones(2)), beta)
 
 
 def _relu_op(a):
