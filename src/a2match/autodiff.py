@@ -426,11 +426,9 @@ def _unary(a, fwd, dfn):
     return _make(out_data, (a,), bw)
 
 
-def leaky_relu(a, slope=LEAKY_SLOPE) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
-    return _unary(a, lambda x: np.maximum(x, slope * x),
-                  lambda g, x, y: g * np.where(x >= 0.0, 1.0, slope))
+def leaky_relu(a) -> Tensor:
+    return _unary(a, lambda x: np.maximum(x, LEAKY_SLOPE * x),
+                  lambda g, x, y: g * np.where(x >= 0.0, 1.0, LEAKY_SLOPE))
 
 
 def sigmoid(a) -> Tensor:
@@ -475,10 +473,11 @@ def softmax_last_axis(a) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-NORM_EPS = 1e-5  # the variance floor of every norm (instance_norm's by default)
+NORM_EPS = 1e-5  # the variance floor of every norm
 
-def _norm_stats(rows, eps, out):
-    """Per-channel mean and 1 / sqrt(variance + eps) over the rows of (R, c).
+
+def _norm_stats(rows, out):
+    """Per-channel mean and 1 / sqrt(variance + NORM_EPS) over the rows of (R, c).
 
     The squared deviations are formed in `out`, of rows' shape, which may be
     rows itself.
@@ -486,10 +485,10 @@ def _norm_stats(rows, eps, out):
     mean = rows.mean(axis=0)
     sq = np.subtract(rows, mean, out=out)
     sq *= sq
-    return mean, 1.0 / np.sqrt(sq.mean(axis=0) + eps)
+    return mean, 1.0 / np.sqrt(sq.mean(axis=0) + NORM_EPS)
 
 
-def instance_norm(x, gamma=None, beta=None, act=None, eps=NORM_EPS) -> Tensor:
+def instance_norm(x, gamma=None, beta=None, act=None) -> Tensor:
     """Per-channel normalization over every non-channel axis, optional
     affine, then the activation `act`: None, "relu" or "leaky_relu".
 
@@ -523,7 +522,7 @@ def instance_norm(x, gamma=None, beta=None, act=None, eps=NORM_EPS) -> Tensor:
     rows = x.data.reshape(-1, c)
     out_data = np.empty(x.shape)
     y = out_data.reshape(-1, c)
-    mean, istd = _norm_stats(rows, eps, y)
+    mean, istd = _norm_stats(rows, y)
     np.subtract(rows, mean, out=y)
     y *= istd
     if gamma is not None:
@@ -585,10 +584,8 @@ def _leaky_relu_grad(g, y, rows, mean, istd, gamma, beta):
 
 def norm_max(f, idx, weight, gamma, beta) -> Tensor:
     """The max path: the max over axis 1 of
-    instance_norm(neighbor_linear(f, idx[:, :, None], weight, b), gamma, beta),
-    for f (N, d) and idx (N, k), in one op that works in node space. A bias
-    b shifts every edge of a channel alike and cancels in the norm, so the op
-    takes none.
+    instance_norm(neighbor_linear(f, idx[:, :, None], weight), gamma, beta),
+    for f (N, d) and idx (N, k), in one op that works in node space.
 
     Edge (i, p) is s_i - t_j, j = idx[i, p], with s = f @ (W1 + W2) and
     t = f @ W2. The norm is increasing per channel where gamma > 0 and
@@ -607,8 +604,8 @@ def norm_max(f, idx, weight, gamma, beta) -> Tensor:
     T'_i = sum_p t'_j. Where the edges' spread is small against s and t this
     cancels: the computed variance is within a few (N + k^2) u times the
     largest s_i^2 or t_j^2 of its channel (u = 2^-53), so istd's relative
-    error is about that over 2 (variance + eps). A negative variance is
-    taken as 0, so istd never exceeds 1 / sqrt(eps).
+    error is about that over 2 (variance + NORM_EPS). A negative variance
+    is taken as 0, so istd never exceeds 1 / sqrt(NORM_EPS).
 
     The backward uses that instance norm's edge gradient is istd gamma g at
     each output's edge plus a dense part a + b (s'_i - t'_j), with per-
@@ -675,7 +672,7 @@ def norm_max(f, idx, weight, gamma, beta) -> Tensor:
             into += indeg[:, None] * a
             into += np.bincount((_first_at(flipped, idx, best) * c + np.arange(c)).ravel(),
                                 weights=top.ravel(), minlength=n * c).reshape(n, c)
-            _linear_backward(g_self, into, f, weight, None, w_self, w_nbr)
+            _linear_backward(g_self, into, f, weight, w_self, w_nbr)
 
     return _make(out_data, (f, weight, gamma, beta), bw)
 
@@ -691,15 +688,14 @@ def _first_at(flipped, idx, best):
 
 
 def covariance_norm(x, weight, gamma, beta) -> Tensor:
-    """relu(instance_norm(x @ weight + b, gamma, beta)) for an array x
-    (R, w) of few columns, a constant, from the w x w covariance of x.
+    """relu(instance_norm(x @ weight, gamma, beta)) for an array x (R, w)
+    of few columns, a constant, from the w x w covariance of x.
 
     Centred, z = (x - mean(x)) @ weight has zero mean and per-channel
-    variance diag(weight^T Sigma weight), Sigma = cov(x); a bias b cancels
-    in the mean, so the op takes none. With istd = 1 / sqrt(that + NORM_EPS),
-    the output is relu((x - mean(x)) @ (weight * istd gamma) + beta): one
-    (R, w) @ (w, d) product, and no (R, d) statistics pass. A variance that
-    rounds below 0 is taken as 0.
+    variance diag(weight^T Sigma weight), Sigma = cov(x). With istd = 1 /
+    sqrt(that + NORM_EPS), the output is relu((x - mean(x)) @ (weight * istd
+    gamma) + beta): one (R, w) @ (w, d) product, and no (R, d) statistics
+    pass. A variance that rounds below 0 is taken as 0.
 
     Backward, with gz the gradient at the ReLU's input and H = (x -
     mean(x))^T gz: dW = gamma istd (H - istd^2 diag(W^T H) Sigma W),
@@ -734,8 +730,9 @@ def covariance_norm(x, weight, gamma, beta) -> Tensor:
     return _make(out_data, (weight, gamma, beta), bw)
 
 
-def grouped_neighbor_conv(x, width: int, weight, bias) -> Tensor:
-    """Non-overlapping convolution along the neighbor axis.
+def grouped_neighbor_conv(x, width: int, weight) -> Tensor:
+    """Non-overlapping convolution along the neighbor axis; no bias, as it
+    feeds a norm.
 
     (N, k, d_in) -> (N, k/width, d_out); each output position sees one window
     of `width` consecutive distance-sorted neighbors across all channels.
@@ -752,12 +749,12 @@ def grouped_neighbor_conv(x, width: int, weight, bias) -> Tensor:
             f"conv weight expects input width {width * d}, got {weight.shape[0]}")
     groups = k // width
     flat = reshape(x, (n * groups, width * d))
-    y = add(matmul(flat, weight), bias)
-    return reshape(y, (n, groups, weight.shape[1]))
+    return reshape(matmul(flat, weight), (n, groups, weight.shape[1]))
 
 
-def neighbor_linear(f, idx, weight, bias) -> Tensor:
-    """Linear layer over windows of edge features, without building them.
+def neighbor_linear(f, idx, weight) -> Tensor:
+    """Linear layer over windows of edge features, without building them;
+    no bias, as it feeds a norm.
 
     f is (N, d) and idx is (N, G, width). Window (i, G) is the concatenation
     over p of [f_i, f_i - f_j] with j = idx[i, G, p], and weight has the
@@ -771,23 +768,24 @@ def neighbor_linear(f, idx, weight, bias) -> Tensor:
     positions and two products with f.T; the (N, G, width * 2d) windows
     never exist.
     """
-    f, weight, bias = _as_tensor(f), _as_tensor(weight), _as_tensor(bias)
+    f, weight = _as_tensor(f), _as_tensor(weight)
     idx = np.asarray(idx, dtype=np.intp)
     w_self, w_nbr = _neighbor_weights(f, idx, weight)
-    if bias.shape != weight.shape[1:]:
-        raise ShapeMismatch(f"neighbor_linear bias expects {weight.shape[1:]}, got {bias.shape}")
     n = f.shape[0]
     _, groups, width = idx.shape
     d_out = weight.shape[1]
     nbr = (f.data @ w_nbr).reshape(n, width, d_out)
-    out_data = np.repeat((f.data @ w_self + bias.data)[:, None, :], groups, axis=1)
+    out_data = np.repeat((f.data @ w_self)[:, None, :], groups, axis=1)
     for p in range(width):
         out_data -= nbr[idx[:, :, p], p]
 
     def bw(g):
-        _neighbor_linear_backward(g, f, idx, weight, bias, w_self, w_nbr)
+        # Row (j, p) of g_nbr sums g[i, G] over the windows with idx[i, G, p] = j.
+        g_nbr = _scatter_add(g.reshape(-1, d_out), idx * width + np.arange(width),
+                             n * width, fan_out=width).reshape(n, width * d_out)
+        _linear_backward(g.sum(axis=1), g_nbr, f, weight, w_self, w_nbr)
 
-    return _make(out_data, (f, weight, bias), bw)
+    return _make(out_data, (f, weight), bw)
 
 
 def _neighbor_weights(f, idx, weight):
@@ -807,22 +805,10 @@ def _neighbor_weights(f, idx, weight):
     return w.sum(axis=(0, 1)), w[:, 1].transpose(1, 0, 2).reshape(d, width * d_out)
 
 
-def _neighbor_linear_backward(g, f, idx, weight, bias, w_self, w_nbr):
-    """Hand neighbor_linear's inputs their gradients for an output gradient
-    g of shape (N, G, d_out)."""
-    n = f.shape[0]
-    width = idx.shape[2]
-    d_out = weight.shape[1]
-    # Row (j, p) of g_nbr sums g[i, G] over the windows with idx[i, G, p] = j.
-    g_nbr = _scatter_add(g.reshape(-1, d_out), idx * width + np.arange(width),
-                         n * width, fan_out=width).reshape(n, width * d_out)
-    _linear_backward(g.sum(axis=1), g_nbr, f, weight, bias, w_self, w_nbr)
-
-
-def _linear_backward(g_self, g_nbr, f, weight, bias, w_self, w_nbr):
+def _linear_backward(g_self, g_nbr, f, weight, w_self, w_nbr):
     """Hand neighbor_linear's inputs their gradients, given g_self (N, d_out),
-    the gradient of f @ w_self + b, and g_nbr (N, width * d_out), that of
-    the subtracted f @ w_nbr. bias may be None."""
+    the gradient of f @ w_self, and g_nbr (N, width * d_out), that of the
+    subtracted f @ w_nbr."""
     d = f.shape[1]
     width = g_nbr.shape[1] // g_self.shape[1]
     d_out = weight.shape[1]
@@ -835,8 +821,6 @@ def _linear_backward(g_self, g_nbr, f, weight, bias, w_self, w_nbr):
         gw[:, 0] = gw_self
         gw[:, 1] = gw_self - gw_nbr
         _accum(weight, gw.reshape(weight.shape))
-    if bias is not None and bias.requires_grad:
-        _accum(bias, g_self.sum(axis=0))
 
 
 def _squared_distances(a, b):

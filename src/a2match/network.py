@@ -22,8 +22,9 @@ runs the linear layer, the norm and the max as one op in node space: it
 picks each extreme edge from the per-node products and takes the edge
 statistics from per-node sums. The angle path's first stage convolves
 constant cosines, so `autodiff.covariance_norm` takes its norm from their
-(k/g) x (k/g) covariance. Both match the unfused layers to round-off; the
-biases before those two norms cancel in them, so neither op reads one.
+(k/g) x (k/g) covariance. Both match the unfused layers to round-off. No
+parameter exists that the outputs do not depend on (`ModelWeights.layout`),
+so no linear layer that feeds a norm has a bias, which the norm subtracts.
 
 `build_knn_graph` ranks candidates on squared differences of the positions
 scaled by a power of two, then ranks only the entries within a proven
@@ -156,10 +157,19 @@ class ModelWeights:
     @staticmethod
     def layout(config: NetworkConfig) -> list:
         """(name, shape) of every parameter of a network of this config, in
-        creation order; draws nothing, so checking a file's records is cheap."""
+        creation order; draws nothing, so checking a file's records is cheap.
+
+        The rule: a linear layer whose output only feeds an instance norm
+        has no bias, which the norm subtracts again (Ioffe & Szegedy, ICML
+        2015, sec. 3.2), and no parameter exists that the outputs do not
+        depend on. So neither have the encoder projections, whose output
+        reaches the attention block only through such layers, nor
+        cross/mlp/lin2, which adds one constant to both sides. The biases of
+        cross/mlp/lin1, clf/proj and clf/head feed a nonlinearity or the logit.
+        """
         layout = []
 
-        def linear(name, fan_in, fan_out, bias=True):
+        def linear(name, fan_in, fan_out, bias=False):
             layout.append((f"{name}/W", (fan_in, fan_out)))
             if bias:
                 layout.append((f"{name}/b", (fan_out,)))
@@ -177,11 +187,8 @@ class ModelWeights:
                     linear(f"{base}/res{r}/lin", d, d)
                     norm(f"{base}/res{r}/norm", d)
 
-        # The annular and angle norms are named bn1/bn2 so that their records
-        # keep the names that saved models use. The biases ang*/conv1/b and
-        # max*/lin/b cancel in the instance norm that follows them, so no
-        # layer reads them and neither gets a gradient; they stay in the
-        # layout so that the A2GW format keeps its version.
+        # The annular and angle norms keep the names bn1/bn2 from when they
+        # were batch norms.
         for t in range(config.n_blocks):
             blk = f"blk{t}/self"
             for r in (1, 2):
@@ -199,18 +206,18 @@ class ModelWeights:
                 linear(f"{blk}/{fuse}/lin", 3 * d, d)
                 norm(f"{blk}/{fuse}/norm", d)
             cross = f"blk{t}/cross"
-            linear(f"{cross}/Wq", d, d, bias=False)
-            linear(f"{cross}/Wk", d, d, bias=False)
-            linear(f"{cross}/Wv", d, d, bias=False)
-            linear(f"{cross}/mlp/lin1", 2 * d, 2 * d)
+            linear(f"{cross}/Wq", d, d)
+            linear(f"{cross}/Wk", d, d)
+            linear(f"{cross}/Wv", d, d)
+            linear(f"{cross}/mlp/lin1", 2 * d, 2 * d, bias=True)
             linear(f"{cross}/mlp/lin2", 2 * d, d)
 
         layout.append(("ot/alpha_bin", ()))
 
-        linear("clf/proj", 4, d)
+        linear("clf/proj", 4, d, bias=True)
         for r in range(CLASSIFIER_UNITS):
             linear(f"clf/res{r}/lin", d, d)
-        linear("clf/head", d, 1)
+        linear("clf/head", d, 1, bias=True)
         return layout
 
     @classmethod
@@ -247,14 +254,6 @@ class ModelWeights:
 # --- building blocks ----------------------------------------------------------
 
 
-def _linear(x, w: ModelWeights, name):
-    y = ad.matmul(x, w.param(f"{name}/W"))
-    bias = f"{name}/b"
-    if bias in w.params:
-        y = ad.add(y, w.param(bias))
-    return y
-
-
 def _norm_act(y: Tensor, w: ModelWeights, norm_name, act) -> Tensor:
     """Instance norm with the affine parameters under `norm_name`, then act."""
     return ad.instance_norm(y, w.param(f"{norm_name}/gamma"), w.param(f"{norm_name}/beta"), act)
@@ -262,7 +261,7 @@ def _norm_act(y: Tensor, w: ModelWeights, norm_name, act) -> Tensor:
 
 def _lin_norm_act(x, w: ModelWeights, name):
     """linear -> instance norm -> LeakyReLU on a 2D (rows, channels) tensor."""
-    return _norm_act(_linear(x, w, f"{name}/lin"), w, f"{name}/norm", "leaky_relu")
+    return _norm_act(ad.matmul(x, w.param(f"{name}/lin/W")), w, f"{name}/norm", "leaky_relu")
 
 
 def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
@@ -278,7 +277,7 @@ def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
 
     def stack(x, channel):
         base = f"enc/{modality}/{channel}"
-        h = _linear(constant(x), w, f"{base}/proj")
+        h = ad.matmul(constant(x), w.param(f"{base}/proj/W"))
         for r in range(3):
             h = ad.add(h, _lin_norm_act(h, w, f"{base}/res{r}"))
         return h
@@ -292,8 +291,7 @@ def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
     Linear, instance norm over all N*k edges, max, then LeakyReLU. The norm
     is a per-channel monotone map, so the max commutes with it:
     `autodiff.norm_max` finds each channel's extreme edge from the per-node
-    products and normalizes only those, with statistics from per-node sums;
-    `lin/b` cancels in that norm and is not read.
+    products and normalizes only those, with statistics from per-node sums.
     LeakyReLU is increasing, so applying it to the maxima gives the same
     values as applying it to every edge first.
     """
@@ -313,9 +311,9 @@ def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
     if k % g != 0:
         raise ad.ShapeMismatch(f"neighbor count {k} not divisible by {g} groups")
     h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, g, k // g),
-                           w.param(f"{name}/conv1/W"), w.param(f"{name}/conv1/b"))
+                           w.param(f"{name}/conv1/W"))
     h = _norm_act(h, w, f"{name}/bn1", "relu")
-    h = ad.grouped_neighbor_conv(h, g, w.param(f"{name}/conv2/W"), w.param(f"{name}/conv2/b"))
+    h = ad.grouped_neighbor_conv(h, g, w.param(f"{name}/conv2/W"))
     h = _norm_act(h, w, f"{name}/bn2", "relu")
     return ad.reshape(h, (n, h.shape[-1]))
 
@@ -325,8 +323,7 @@ def angle_aggregate(graph: LocalGraph, w: ModelWeights, name) -> Tensor:
 
     The first stage's input is constant, k/g cosines per group, so
     `autodiff.covariance_norm` runs its convolution, norm and ReLU from the
-    (k/g) x (k/g) covariance of the cosines; `conv1/b` cancels in that norm
-    and is not read.
+    (k/g) x (k/g) covariance of the cosines.
     """
     cfg = w.config
     n = graph.neighbor_cos.shape[0]
@@ -334,7 +331,7 @@ def angle_aggregate(graph: LocalGraph, w: ModelWeights, name) -> Tensor:
                            w.param(f"{name}/conv1/W"), w.param(f"{name}/bn1/gamma"),
                            w.param(f"{name}/bn1/beta"))
     h = ad.grouped_neighbor_conv(ad.reshape(h, (n, cfg.g, h.shape[-1])), cfg.g,
-                                 w.param(f"{name}/conv2/W"), w.param(f"{name}/conv2/b"))
+                                 w.param(f"{name}/conv2/W"))
     h = _norm_act(h, w, f"{name}/bn2", "relu")
     return ad.reshape(h, (n, h.shape[-1]))
 
@@ -373,8 +370,9 @@ def cross_attention(f_a: Tensor, f_b: Tensor, w: ModelWeights, block: str) -> Te
     scores = ad.scale(ad.matmul(q, ad.transpose2d(kk)), 1.0 / np.sqrt(w.config.d))
     alpha = ad.softmax_last_axis(scores)
     msg = ad.matmul(alpha, v)
-    h = ad.leaky_relu(_linear(ad.concat_last_axis(q, msg), w, f"{p}/mlp/lin1"))
-    return ad.add(f_a, _linear(h, w, f"{p}/mlp/lin2"))
+    h = ad.add(ad.matmul(ad.concat_last_axis(q, msg), w.param(f"{p}/mlp/lin1/W")),
+               w.param(f"{p}/mlp/lin1/b"))
+    return ad.add(f_a, ad.matmul(ad.leaky_relu(h), w.param(f"{p}/mlp/lin2/W")))
 
 
 def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights):

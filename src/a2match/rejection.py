@@ -2,7 +2,8 @@
 
 A pointwise residual MLP made set-aware by context normalization, which is
 `autodiff.instance_norm` without affine parameters: per channel mean and
-variance across the candidate axis. It ends in a sigmoid inlier
+variance across the candidate axis; the residual linear layers that feed it
+have no bias, which it would cancel. It ends in a sigmoid inlier
 probability. Input is the concatenated 2D/3D bearing pair per candidate,
 four channels; the transport score is not an input. The bearings come from
 the caller, which takes them from the rows the network read
@@ -37,7 +38,7 @@ def classify(bearings_p, bearings_q, w: ModelWeights) -> Tensor:
 
     h = ad.add(ad.matmul(x, w.param("clf/proj/W")), w.param("clf/proj/b"))
     for r in range(CLASSIFIER_UNITS):
-        lin = ad.add(ad.matmul(h, w.param(f"clf/res{r}/lin/W")), w.param(f"clf/res{r}/lin/b"))
+        lin = ad.matmul(h, w.param(f"clf/res{r}/lin/W"))
         h = ad.add(h, ad.instance_norm(lin, act="leaky_relu"))
     logit = ad.add(ad.matmul(h, w.param("clf/head/W")), w.param("clf/head/b"))
     return ad.gather_rows(ad.sigmoid(ad.reshape(logit, (n,))), inverse)

@@ -2,7 +2,7 @@
 
 Layout:
     magic           4 bytes  b"A2GW"
-    version         u16      currently 2
+    version         u16      currently 3
     d, k, g         u32 each
     n_blocks        u32
     flags           u32      reserved, must be 0
@@ -10,14 +10,17 @@ Layout:
     records:        u16 name length, utf-8 name, u8 rank, rank * u32 dims,
                     prod(dims) * f32 payload (row-major)
 
-The records are the parameters in creation order (`ModelWeights.layout`);
-there is nothing else to store. Version 1 also held batch-norm running
-buffers ("buffers/" records); it is rejected, not converted. Values are
-stored in 32-bit and widened back to 64-bit on load, so load(save(w))
-reproduces every value at float32 precision exactly. Every value must be a
-finite float32: save refuses NaN, inf and float64 values beyond float32's
-range, and load rejects a file holding NaN or inf. The header holds every
-field of NetworkConfig, so the reloaded network is the saved one.
+The records are the parameters in creation order (`ModelWeights.layout`),
+each name once; load returns them in that order whatever the file's, so a
+re-save of a loaded file has the bytes of a save of the same weights. Older
+versions are rejected, not converted: version 1 also held batch-norm running
+buffers ("buffers/" records), version 2 48 biases that changed no output.
+Values are stored in 32-bit and widened back to 64-bit on load, so
+load(save(w)) reproduces every value at float32 precision exactly. Every
+value must be a finite float32: save refuses NaN, inf and float64 values
+beyond float32's range, and load rejects a file holding NaN or inf. The
+header holds every field of NetworkConfig, so the reloaded network is the
+saved one.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .autodiff import Tensor
 from .network import ModelWeights, NetworkConfig
 
 MAGIC = b"A2GW"
-VERSION = 2
+VERSION = 3
 
 
 class WeightsFormatError(Exception):
@@ -104,6 +107,8 @@ def load_weights(path) -> ModelWeights:
     for _ in range(n_records):
         (name_len,) = r.unpack("<H")
         name = r.take(name_len).decode("utf-8")
+        if name in params:
+            raise WeightsFormatError(f"record {name} appears twice")
         (rank,) = r.unpack("<B")
         dims = tuple(r.unpack("<" + "I" * rank)) if rank else ()
         count = int(np.prod(dims)) if dims else 1
@@ -122,4 +127,4 @@ def load_weights(path) -> ModelWeights:
         if p.data.shape != expected[name]:
             raise WeightsFormatError(f"shape of {name} is {p.data.shape}, "
                                      f"expected {expected[name]}")
-    return ModelWeights(cfg, params)
+    return ModelWeights(cfg, {name: params[name] for name in expected})

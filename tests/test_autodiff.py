@@ -76,17 +76,15 @@ def test_concat_block_structure():
 
 
 def test_leaky_relu_values_and_gradient():
-    assert ad.leaky_relu(constant(np.array([2.0])), 0.2).data[0] == 2.0
-    assert ad.leaky_relu(constant(np.array([-1.0])), 0.2).data[0] == -0.2
+    assert ad.leaky_relu(constant(np.array([2.0]))).data[0] == 2.0
+    assert ad.leaky_relu(constant(np.array([-1.0]))).data[0] == -0.2
     x = Tensor(np.array([-1.0]), requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.leaky_relu(x, 0.2))
+        loss = ad.sum_all(ad.leaky_relu(x))
         tape.backward(loss)
-    num = fd_grad(lambda: float(ad.sum_all(ad.leaky_relu(x, 0.2)).data), x.data)
+    num = fd_grad(lambda: float(ad.sum_all(ad.leaky_relu(x)).data), x.data)
     assert abs(x.grad[0] - 0.2) < 1e-12
     assert abs(x.grad[0] - num[0]) < 1e-6
-    with pytest.raises(ValueError):
-        ad.leaky_relu(x, 1.5)
 
 
 def test_leaky_relu_is_the_where_form_bit_for_bit():
@@ -94,25 +92,25 @@ def test_leaky_relu_is_the_where_form_bit_for_bit():
     # infinities, NaN, subnormals and values whose product rounds to x.
     x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, -1e-320,
                   -2.2250738585072014e-308, 1.5, -1.5, -1e300, 1e-300])
-    for slope in (0.2, 0.9, 1e-3):
-        got = ad.leaky_relu(constant(x), slope).data
-        assert np.array_equal(got.view(np.int64), np.where(x >= 0.0, x, slope * x).view(np.int64))
+    got = ad.leaky_relu(constant(x)).data
+    expect = np.where(x >= 0.0, x, ad.LEAKY_SLOPE * x)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
 def test_instance_norm_constant_column_collapses_to_zero():
     x = constant(np.full((7, 3), 4.2))
-    out = ad.instance_norm(x, eps=1e-5)
+    out = ad.instance_norm(x)
     assert np.allclose(out.data, 0.0)
 
 
 def test_instance_norm_two_point_column():
-    out = ad.instance_norm(constant(np.array([[-1.0], [1.0]])), eps=1e-15)
-    assert np.allclose(out.data, [[-1.0], [1.0]], atol=1e-9)
+    out = ad.instance_norm(constant(np.array([[-1.0], [1.0]])))
+    assert np.allclose(out.data, np.array([[-1.0], [1.0]]) / np.sqrt(1.0 + 1e-5), atol=1e-9)
 
 
 def test_instance_norm_contract_on_random_data():
     rng = np.random.default_rng(1)
-    out = ad.instance_norm(constant(rng.standard_normal((64, 5))), eps=1e-5)
+    out = ad.instance_norm(constant(rng.standard_normal((64, 5))))
     assert np.max(np.abs(out.data.mean(axis=0))) < 1e-9
     assert np.max(np.abs(out.data.var(axis=0) - 1.0)) < 1e-4
 
@@ -122,7 +120,7 @@ def test_instance_norm_gradcheck():
     x = rand_tensor(rng, (6, 4))
     gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
     beta = rand_tensor(rng, (4,))
-    check_op(lambda: ad.instance_norm(x, gamma, beta, eps=1e-5), [x, gamma, beta], rtol=1e-4)
+    check_op(lambda: ad.instance_norm(x, gamma, beta), [x, gamma, beta], rtol=1e-4)
 
 
 def test_softmax_uniform_rows_and_sums():
@@ -171,16 +169,15 @@ def _assert_same_bits(got, ref):
 
 def _max_path_oracle(idx):
     """The unfused max path: edge linear layer, norm over all edges, max."""
-    def build(f, weight, bias, gamma, beta):
-        h = ad.neighbor_linear(f, idx[:, :, None], weight, bias)
+    def build(f, weight, gamma, beta):
+        h = ad.neighbor_linear(f, idx[:, :, None], weight)
         return _max_over_axis_1(ad.instance_norm(h, gamma, beta))
     return build
 
 
 def _max_path_fused(idx):
-    """norm_max with the oracle's arguments: it reads no bias, which cancels
-    in the norm."""
-    return lambda f, weight, bias, gamma, beta: ad.norm_max(f, idx, weight, gamma, beta)
+    """norm_max with the oracle's arguments."""
+    return lambda f, weight, gamma, beta: ad.norm_max(f, idx, weight, gamma, beta)
 
 
 # The fused norms take their statistics and gradients from per-channel sums,
@@ -203,16 +200,12 @@ def _assert_close(got, ref, rtol):
         assert np.all(np.abs(a - b) <= rtol * scale + 1e-300)
 
 
-def _assert_max_path_matches_oracle(f, idx, weight, bias, gamma, beta, g):
-    """norm_max's output and gradients within _NORM_RTOL of the oracle's. The
-    bias shifts every edge alike and cancels in the norm: norm_max does not
-    read it, and the oracle's gradient for it is round-off."""
-    arrays = (f, weight, bias, gamma, beta)
+def _assert_max_path_matches_oracle(f, idx, weight, gamma, beta, g):
+    """norm_max's output and gradients within _NORM_RTOL of the oracle's."""
+    arrays = (f, weight, gamma, beta)
     got = _out_and_grads(_max_path_fused(idx), arrays, g)
     ref = _out_and_grads(_max_path_oracle(idx), arrays, g)
-    assert got[3] is None
-    assert np.abs(ref[3]).max() <= _NORM_RTOL * np.abs(ref[2]).max()
-    _assert_close(got[:3] + got[4:], ref[:3] + ref[4:], _NORM_RTOL)
+    _assert_close(got, ref, _NORM_RTOL)
 
 
 @pytest.mark.parametrize("n,k,d", [(6, 4, 5), (64, 9, 16)])
@@ -228,14 +221,12 @@ def test_norm_max_equals_max_of_instance_norm_bit_for_bit(n, k, d):
     weight[d_in:, 1] = 0.0      # t = 0: every row of channel 1 ties
     weight[:, 2] = 0.0          # channel 2 holds the integer f_i0 - f_j0
     weight[d_in, 2] = 1.0
-    bias = rng.standard_normal(d)
-    bias[2] = 0.0
     gamma = rng.standard_normal(d)
     gamma[::2] = -np.abs(gamma[::2])
     gamma[3] = 0.0
     beta = rng.standard_normal(d)
     g = rng.standard_normal((n, d))
-    _assert_max_path_matches_oracle(f, idx, weight, bias, gamma, beta, g)
+    _assert_max_path_matches_oracle(f, idx, weight, gamma, beta, g)
 
 
 def test_norm_max_where_the_edge_variance_cancels():
@@ -268,12 +259,12 @@ def test_norm_max_one_hot_gradient():
     # maximum to gamma; a negative gamma turns the maximum into the raw minimum.
     rng = np.random.default_rng(6)
     f, idx = rng.standard_normal((4, 2)), rng.integers(0, 4, (4, 7))
-    weight, bias = rng.standard_normal((4, 3)), rng.standard_normal(3)
+    weight = rng.standard_normal((4, 3))
     gamma, beta = np.array([1.5, -0.5, 0.0]), np.zeros(3)
     out, *_, g_gamma, g_beta = _out_and_grads(
-        _max_path_fused(idx), (f, weight, bias, gamma, beta), np.ones((4, 3)))
+        _max_path_fused(idx), (f, weight, gamma, beta), np.ones((4, 3)))
     assert np.array_equal(g_beta, [4.0, 4.0, 4.0])
-    edges = ad.neighbor_linear(constant(f), idx[:, :, None], constant(weight), constant(bias))
+    edges = ad.neighbor_linear(constant(f), idx[:, :, None], constant(weight))
     xhat = ad.instance_norm(edges).data
     # Where gamma is 0 every edge ties, so the first one is the maximizer.
     picked = np.stack([xhat[..., 0].max(axis=1), xhat[..., 1].min(axis=1), xhat[:, 0, 2]], 1)
@@ -288,19 +279,18 @@ def test_norm_max_tie_goes_to_lowest_index():
     f = np.array([[1.0], [1.0], [0.5]])
     idx = np.array([[0, 1, 2], [1, 1, 1], [2, 2, 2]])
     weight, one = np.array([[1.0], [-1.0]]), np.ones(1)
-    arrays = (f, weight, np.zeros(1), one, one)
+    arrays = (f, weight, one, one)
 
     def edge_norm(p):
         g = np.zeros((3, 3, 1))
         g[:, p] = 1.0
-        build = lambda f, w, b, ga, be: ad.instance_norm(
-            ad.neighbor_linear(f, idx[:, :, None], w, b), ga, be)
+        build = lambda f, w, ga, be: ad.instance_norm(
+            ad.neighbor_linear(f, idx[:, :, None], w), ga, be)
         return _out_and_grads(build, arrays, g)[1:]
 
-    # norm_max reads no bias (it cancels in the norm), so that gradient is None.
     got = _out_and_grads(_max_path_fused(idx), arrays, np.ones((3, 1)))[1:]
     first, second = edge_norm(0), edge_norm(1)
-    _assert_close(got[:2] + got[3:], first[:2] + first[3:], _NORM_RTOL)
+    _assert_close(got, first, _NORM_RTOL)
     assert np.abs(got[0] - second[0]).max() > 0.1
 
 
@@ -351,21 +341,21 @@ def _norm_case():
     return x, gamma, beta, g
 
 
-def _instance_norm_unshared(x, gamma=None, beta=None, act=None, eps=ad.NORM_EPS):
+def _instance_norm_unshared(x, gamma=None, beta=None, act=None):
     """instance_norm's output with the textbook backward, one expression per
     step and a fresh array each: the oracle of the op's affine backward."""
     x = ad._as_tensor(x)
     c = x.shape[-1]
     rows = x.data.reshape(-1, c)
-    mean, istd = ad._norm_stats(rows, eps, np.empty_like(rows))
+    mean, istd = ad._norm_stats(rows, np.empty_like(rows))
     if gamma is None:
         inputs = (x,)
-        out_data = ad.instance_norm(constant(x.data), act=act, eps=eps).data
+        out_data = ad.instance_norm(constant(x.data), act=act).data
     else:
         gamma, beta = ad._as_tensor(gamma), ad._as_tensor(beta)
         inputs = (x, gamma, beta)
         out_data = ad.instance_norm(constant(x.data), constant(gamma.data),
-                                    constant(beta.data), act, eps).data
+                                    constant(beta.data), act).data
 
     def bw(g):
         xh = (rows - mean) * istd
@@ -489,21 +479,19 @@ def test_grouped_neighbor_conv_shapes_and_average_kernel():
     rng = np.random.default_rng(7)
     x = constant(rng.standard_normal((4, 9, 2)))
     w = constant(np.full((3 * 2, 5), 1.0 / 6.0))
-    b = constant(np.zeros(5))
-    out = ad.grouped_neighbor_conv(x, 3, w, b)
+    out = ad.grouped_neighbor_conv(x, 3, w)
     assert out.shape == (4, 3, 5)
-    const = ad.grouped_neighbor_conv(constant(np.full((4, 9, 2), 2.0)), 3, w, b)
+    const = ad.grouped_neighbor_conv(constant(np.full((4, 9, 2), 2.0)), 3, w)
     assert np.allclose(const.data, 2.0)
     with pytest.raises(ShapeMismatch):
-        ad.grouped_neighbor_conv(x, 4, w, b)
+        ad.grouped_neighbor_conv(x, 4, w)
 
 
 def test_grouped_neighbor_conv_gradcheck():
     rng = np.random.default_rng(8)
     x = rand_tensor(rng, (4, 9, 8))
     w = rand_tensor(rng, (3 * 8, 6))
-    b = rand_tensor(rng, (6,))
-    check_op(lambda: ad.grouped_neighbor_conv(x, 3, w, b), [x, w, b], rtol=1e-5)
+    check_op(lambda: ad.grouped_neighbor_conv(x, 3, w), [x, w], rtol=1e-5)
 
 
 def test_backward_sum_gives_ones_and_product_rule():
@@ -537,7 +525,7 @@ def test_backward_linearity_of_sum_of_losses():
         w.grad = np.zeros_like(w.data)
         with Tape() as tape:
             y = ad.matmul(x, w)
-            l1 = ad.sum_all(ad.leaky_relu(y, 0.2))
+            l1 = ad.sum_all(ad.leaky_relu(y))
             l2 = ad.sum_all(ad.mul(y, y))
             tape.backward(ad.add(l1, l2) if parts == "joint" else l1)
             if parts == "separate":
@@ -550,7 +538,7 @@ def test_backward_linearity_of_sum_of_losses():
     w.grad = np.zeros_like(w.data)
     with Tape() as tape:
         y = ad.matmul(x, w)
-        tape.backward(ad.sum_all(ad.leaky_relu(y, 0.2)))
+        tape.backward(ad.sum_all(ad.leaky_relu(y)))
     gx1, gw1 = x.grad.copy(), w.grad.copy()
     x.grad = np.zeros_like(x.data)
     w.grad = np.zeros_like(w.data)
@@ -584,7 +572,7 @@ def test_forward_bit_identical_across_runs():
 
     def run():
         h = ad.matmul(constant(x), constant(w))
-        h = ad.instance_norm(h, eps=1e-5)
+        h = ad.instance_norm(h)
         return ad.softmax_last_axis(h).data.copy()
 
     assert np.array_equal(run(), run())
@@ -809,13 +797,12 @@ def test_scatter_backwards_have_the_bits_of_add_at(monkeypatch, width):
     f = rng.standard_normal((n, d))
     idx = _neighbor_windows(rng, n, 3, width)
     weight = rng.standard_normal((width * 2 * d, 5))
-    bias = rng.standard_normal(5)
     g = rng.choice([0.0, -0.0, 5e-324, -5e-324, -1.5, 2.25], (n, 3, 5))
     g[::2] = rng.standard_normal((6, 3, 5))
     gather = rng.integers(0, n, (7, 2))
     gather[:, 1] = 0
     cases = [
-        (lambda f, w, b: ad.neighbor_linear(f, idx, w, b), (f, weight, bias), g),
+        (lambda f, w: ad.neighbor_linear(f, idx, w), (f, weight), g),
         (lambda f: ad.gather_rows(f, gather), (f,), rng.standard_normal((7, 2, d))),
         (lambda v: ad.gather_rows(v, gather[:, 0]), (f[:, 0],), g[:7, 0, 0]),
     ]
@@ -835,12 +822,12 @@ def test_no_tape_means_no_recording():
         assert len(tape) == 1
 
 
-def _edge_window_oracle(f, idx, weight, bias):
-    """concat over p of [f_i, f_i - f_idx[i,G,p]], times weight, plus bias."""
+def _edge_window_oracle(f, idx, weight):
+    """concat over p of [f_i, f_i - f_idx[i,G,p]], times weight."""
     n, groups, width = idx.shape
     fi = np.broadcast_to(f[:, None, None, :], idx.shape + f.shape[1:])
     windows = np.concatenate([fi, fi - f[idx]], axis=-1).reshape(n, groups, -1)
-    return windows @ weight + bias
+    return windows @ weight
 
 
 def _neighbor_windows(rng, n, groups, width):
@@ -857,21 +844,18 @@ def test_neighbor_linear_equals_edge_window_oracle():
         f = rng.standard_normal((n, d))
         idx = _neighbor_windows(rng, n, groups, width)
         weight = rng.standard_normal((width * 2 * d, 5))
-        bias = rng.standard_normal(5)
-        out = ad.neighbor_linear(constant(f), idx, constant(weight), constant(bias))
+        out = ad.neighbor_linear(constant(f), idx, constant(weight))
         assert out.shape == (n, groups, 5)
-        np.testing.assert_allclose(out.data, _edge_window_oracle(f, idx, weight, bias),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(out.data, _edge_window_oracle(f, idx, weight), rtol=1e-12)
         # Equal features zero every difference: only the self rows act.
-        ones = ad.neighbor_linear(constant(np.ones((n, d))), idx, constant(weight),
-                                  constant(bias))
+        ones = ad.neighbor_linear(constant(np.ones((n, d))), idx, constant(weight))
         self_rows = weight.reshape(width, 2, d, 5)[:, 0].sum(axis=(0, 1))
-        np.testing.assert_allclose(ones.data, np.broadcast_to(self_rows + bias, ones.shape),
+        np.testing.assert_allclose(ones.data, np.broadcast_to(self_rows, ones.shape),
                                    rtol=1e-12)
         with pytest.raises(ShapeMismatch):
-            ad.neighbor_linear(constant(f), idx, constant(weight[1:]), constant(bias))
+            ad.neighbor_linear(constant(f), idx, constant(weight[1:]))
         with pytest.raises(ShapeMismatch):
-            ad.neighbor_linear(constant(f[1:]), idx, constant(weight), constant(bias))
+            ad.neighbor_linear(constant(f[1:]), idx, constant(weight))
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -881,5 +865,4 @@ def test_neighbor_linear_gradcheck(width):
     f = rand_tensor(rng, (n, d))
     idx = _neighbor_windows(rng, n, groups, width)
     weight = rand_tensor(rng, (width * 2 * d, 4))
-    bias = rand_tensor(rng, (4,))
-    check_op(lambda: ad.neighbor_linear(f, idx, weight, bias), [f, weight, bias], rtol=1e-5)
+    check_op(lambda: ad.neighbor_linear(f, idx, weight), [f, weight], rtol=1e-5)

@@ -19,6 +19,7 @@ from a2match.runconfig import (
 from a2match.synth import SynthConfig, generate_scene, save_scene, scene_to_dict
 from a2match.training import TrainConfig, scene_loss
 from a2match.weights_io import (
+    VERSION,
     VersionMismatch,
     WeightsFormatError,
     _write_record,
@@ -513,14 +514,81 @@ def test_cmd_match_rejects_version_1_weights(tmp_path, capsys):
     assert out == "" and "version 1" in err
 
 
-def test_cmd_match_rejects_wrong_weights_version(tmp_path, capsys):
-    wpath, _ = make_weights_file(tmp_path)
-    blob = bytearray(Path(wpath).read_bytes())
-    blob[4:6] = struct.pack("<H", 3)
-    bad = tmp_path / "bad.a2w"
-    bad.write_bytes(bytes(blob))
+def test_cmd_match_rejects_version_2_weights(tmp_path, capsys):
+    # Version 2 held a bias after every weight matrix but the attention
+    # projections': 48 more records, none of which changed an output.
+    wpath, w = make_weights_file(tmp_path)
+    blob = Path(wpath).read_bytes()
+    records, n_records = [], 0
+    for name, p in w.params.items():
+        _write_record(records, name, p.data)
+        n_records += 1
+        bias = name[:-len("W")] + "b"
+        if name.endswith("/W") and "/cross/W" not in name and bias not in w.params:
+            _write_record(records, bias, np.zeros(p.data.shape[1]))
+            n_records += 1
+    assert n_records == len(w.params) + 48
+    body = blob[6:26] + struct.pack("<I", n_records) + b"".join(records)
+    v2 = tmp_path / "v2.a2w"
+    v2.write_bytes(blob[:4] + struct.pack("<H", 2) + body)
+    with pytest.raises(VersionMismatch):
+        load_weights(v2)
     spath, _ = scene_file(tmp_path, seed=8)
-    assert main(["match", "--weights", str(bad), "--scene", spath]) == 2
+    capsys.readouterr()
+    assert main(["match", "--weights", str(v2), "--scene", spath]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "version 2" in err
+    # Nor do its records pass for the current version's.
+    relabeled = tmp_path / "relabeled.a2w"
+    relabeled.write_bytes(blob[:4] + struct.pack("<H", VERSION) + body)
+    with pytest.raises(WeightsFormatError, match="do not match config"):
+        load_weights(relabeled)
+
+
+def test_weights_layout_pinned_with_its_version():
+    # What a weights file holds for the default network. A change to the
+    # parameter records must come with a decision on the format version.
+    layout = ModelWeights.layout(NetworkConfig())
+    assert len(layout) == 135
+    assert [name for name, _ in layout if name.endswith("/b")] == [
+        "blk0/cross/mlp/lin1/b", "blk1/cross/mlp/lin1/b", "clf/proj/b", "clf/head/b"]
+    assert hashlib.sha256(repr(layout).encode()).hexdigest() == (
+        "3a9744085fb527972a206f03c326ff7edbc177b54c0ff510dc5f05186c7b1026")
+    assert VERSION == 3
+
+
+def test_cmd_match_rejects_repeated_weights_record(tmp_path, capsys):
+    wpath, w = make_weights_file(tmp_path)
+    blob = bytearray(Path(wpath).read_bytes())
+    first = next(iter(w.params))
+    extra = []
+    _write_record(extra, first, w.params[first].data + 1.0)
+    blob[26:30] = struct.pack("<I", len(w.params) + 1)
+    dup = tmp_path / "dup.a2w"
+    dup.write_bytes(bytes(blob) + b"".join(extra))
+    with pytest.raises(WeightsFormatError, match=f"record {first} appears twice"):
+        load_weights(dup)
+    spath, _ = scene_file(tmp_path, seed=8)
+    capsys.readouterr()
+    assert main(["match", "--weights", str(dup), "--scene", spath]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "appears twice" in err
+
+
+def test_weights_records_in_any_order_resave_to_the_same_bytes(tmp_path):
+    wpath, w = make_weights_file(tmp_path)
+    blob = Path(wpath).read_bytes()
+    names = list(w.params)
+    records = []
+    for i in np.random.default_rng(0).permutation(len(names)):
+        _write_record(records, names[i], w.params[names[i]].data)
+    shuffled = tmp_path / "shuffled.a2w"
+    shuffled.write_bytes(blob[:30] + b"".join(records))
+    assert shuffled.read_bytes() != blob
+    loaded = load_weights(shuffled)
+    assert list(loaded.params) == names
+    save_weights(tmp_path / "again.a2w", loaded)
+    assert (tmp_path / "again.a2w").read_bytes() == blob
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -233,8 +233,7 @@ def test_maxpool_equals_edge_mlp_oracle():
     w.param(f"{name}/norm/beta").data[:] = rng.standard_normal(8)
     g, f = graph_and_features(rng)
     fi = np.broadcast_to(f.data[:, None, :], (12, 6, 8))
-    h = np.concatenate([fi, fi - f.data[g.neighbor_idx]], axis=-1) @ \
-        w.param(f"{name}/lin/W").data + w.param(f"{name}/lin/b").data
+    h = np.concatenate([fi, fi - f.data[g.neighbor_idx]], axis=-1) @ w.param(f"{name}/lin/W").data
     mu, var = h.reshape(-1, 8).mean(axis=0), h.reshape(-1, 8).var(axis=0)
     h = (h - mu) / np.sqrt(var + 1e-5) * w.param(f"{name}/norm/gamma").data \
         + w.param(f"{name}/norm/beta").data
@@ -322,10 +321,9 @@ def test_cross_attention_singleton_source():
     q = f_a.data @ w.param("blk0/cross/Wq/W").data
     h = np.concatenate([q, np.repeat(v, 5, axis=0)], axis=1)
     w1, b1 = w.param("blk0/cross/mlp/lin1/W").data, w.param("blk0/cross/mlp/lin1/b").data
-    w2, b2 = w.param("blk0/cross/mlp/lin2/W").data, w.param("blk0/cross/mlp/lin2/b").data
     act = h @ w1 + b1
     act = np.where(act >= 0, act, 0.2 * act)
-    expect = f_a.data + act @ w2 + b2
+    expect = f_a.data + act @ w.param("blk0/cross/mlp/lin2/W").data
     assert np.allclose(out.data, expect, atol=1e-12)
 
 
@@ -349,7 +347,7 @@ def test_block_gradients_against_finite_differences():
     g = build_knn_graph(pos, 6)
     feats = rng.standard_normal((10, 8))
     names = ["blk0/self/ann1/conv1/W", "blk0/self/max1/lin/W",
-             "blk0/self/ang1/conv1/W", "blk0/self/fuse_aa/lin/b",
+             "blk0/self/ang1/conv1/W", "blk0/self/fuse_aa/lin/W",
              "blk0/cross/Wq/W", "blk0/cross/mlp/lin2/W"]
 
     def loss_val():
@@ -365,8 +363,6 @@ def test_block_gradients_against_finite_differences():
     h = 1e-6
     # Each loss evaluation carries round-off of a few ulps of |L|, so a
     # difference quotient cannot resolve gradients below about eps*|L|/h.
-    # fuse_aa/lin/b feeds a norm: its true gradient is exactly 0 and its
-    # finite difference measures only that round-off.
     fd_noise = 8 * np.finfo(np.float64).eps * abs(loss.item()) / h
     rng2 = np.random.default_rng(14)
     for name in names:

@@ -81,7 +81,7 @@ def test_classify_gradcheck_through_context_norm():
     with Tape() as tape:
         tape.backward(loss_val())
     rng = np.random.default_rng(7)
-    for name in ("clf/proj/W", "clf/res2/lin/W", "clf/res5/lin/b", "clf/head/W"):
+    for name in ("clf/proj/W", "clf/res2/lin/W", "clf/proj/b", "clf/head/W"):
         p = w.params[name]
         idx = int(rng.integers(p.data.size))
         orig = p.data.flat[idx]
