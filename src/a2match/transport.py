@@ -6,17 +6,15 @@ either side supplies unit mass, and each dustbin absorbs up to the other
 side's count, so total mass balances at M + N. Each real row/column of the
 plan therefore sums to one and its entries read as probabilities.
 
-`sinkhorn` is a single autodiff op with two paths, chosen from the range of
-its scores. Where max - min is at most `SCALING_RANGE` nats, it runs as
-matrix scaling (Cuturi 2013): one exp forms the kernel K, and each iteration
-is two matrix-vector products with it. Wider ranges would push the scaling
-vectors out of float64's range, so they run the log-domain iterations
-(Schmitzer 2019), two exp passes each, as do scores holding NaN or inf. Both
-paths run the same iterations, so they give the same plan up to round-off,
-and both keep per-iteration vectors instead of taping each iteration, so
-memory grows with iters x (M + N) rather than iters x M x N. The log path's
-plan and gradients are bit for bit those of the log-domain loop taped op by
-op; the scaling path's agree with them to round-off. The cost matrix (a
+`sinkhorn` is a single autodiff op and one loop for every score range:
+matrix scaling (Cuturi 2013) stabilised by absorbing large scalings into
+the kernel's potentials (Schmitzer 2019). Each iteration is two
+matrix-vector products with a kernel K; a new K, one exp, is formed only
+when a scaling would leave `MAX_LOG_SCALING` of its mass, which no score
+matrix the network has produced has needed. The op keeps per-iteration
+vectors instead of taping each iteration, so memory grows with
+iters x (M + N) rather than iters x M x N. Its plan and gradients agree
+with the log-domain loop taped op by op to round-off. The cost matrix (a
 Gram-form BLAS product, `autodiff.pairwise_l2`) and Sinkhorn run on their
 inputs in input order with plain numpy sums and BLAS products, so permuting
 the inputs permutes the cost and the plan only up to round-off: the
@@ -35,19 +33,17 @@ from .geometry import CorrespondenceSet
 
 SINKHORN_ITERS = 100
 
-# Widest score range R = max(x) - min(x), in nats, that `sinkhorn` runs in
-# the scaling domain. There K = exp(x - row max) lies in [e^-R, 1], with a 1
-# in every row. The step from beta_t to beta_t+1 is monotone and homogeneous
-# in beta, so from beta_0 = 1 every beta_t stays within the spread of the
-# fixed point's beta, at most e^R times a mass ratio, and every alpha_t then
-# lies within e^R times mass factors too. So with R <= 300 each factor that
-# the matrix-vector products and the plan K * alpha * beta multiply lies in
-# e^+-300, and each product of two in e^+-600, up to powers of M + N: inside
-# float64's normal range of about e^+-708 at any size the validators accept.
-# Wider ranges need the log domain: a contested column (every row's best
-# entry in the same column) at R = 1400 gave the right plan in the scaling
-# domain, but gradients off by a relative 5e5.
-SCALING_RANGE = 300.0
+# Bound, in nats, on how far each Sinkhorn scaling lies from its mass.
+# `sinkhorn` forms its kernel K = exp(x - f - g) with no entry above 1 and a
+# 1 in every row or every column, and each half-step's scaling is a mass
+# divided by its normaliser, K beta or alpha^T K. Before a half-step whose
+# normaliser leaves [e^-330, e^330], the other side's scaling is absorbed
+# into the potentials and K is formed again, which puts the normaliser in
+# [1, M + N + 1]. So every scaling lies within e^+-330 times a mass of at
+# most 1024 = e^6.9, and every product of two that the plan K * alpha * beta
+# and the backward's rank-one factors form lies within e^+-674, inside
+# float64's normal range of about e^+-708.
+MAX_LOG_SCALING = 330.0
 
 
 @dataclass
@@ -88,34 +84,27 @@ def _masses(m: int, n: int):
     return a, b
 
 
-def _marginals(m: int, n: int):
-    log_a = np.zeros(m + 1)
-    log_a[m] = np.log(n)
-    log_b = np.zeros(n + 1)
-    log_b[n] = np.log(m)
-    return log_a, log_b
-
-
 def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
     """Sinkhorn with dustbin marginals; returns the exponentiated transport plan.
 
-    One autodiff op, one tape record. Scores whose range max - min is at
-    most `SCALING_RANGE` run in the scaling domain: K = exp(x - row max) is
-    formed once, then alpha_t = a / (K beta_t) and beta_t+1 = b / (K^T
-    alpha_t) from beta_0 = 1, and the plan is K * alpha * beta. The op keeps
-    the iterates' reciprocal denominators, iters x (M + N + 2) floats, and its
-    backward forms K again with one exp and replays the recursion in reverse
-    with two matrix-vector products per iteration. Plan and gradients agree
-    with the log-domain loop taped op by op to round-off.
+    One autodiff op, one tape record, one scaling loop for every score range.
+    The kernel is K = exp(x - f - g) for potentials f and g, at first the row
+    max and 0. From beta_0 = 1 it iterates alpha_t = a / (K beta_t) and
+    beta_t+1 = b / (K^T alpha_t), and the plan is K * alpha * beta. Before a
+    half-step whose normaliser, K beta or alpha^T K, leaves e^+-
+    `MAX_LOG_SCALING` (NaN included), the other side's scaling is absorbed
+    into its potential and K is formed again, max-normalised along the side
+    the half-step sums over. Scores spanning a few hundred nats, network
+    scores among them, keep their first kernel.
 
-    Wider ranges, NaN and inf run the log-domain loop, whose scaling vectors
-    would leave float64's range in the scaling domain. It keeps the
-    potentials of each iteration, (iters + 1) x (M + N + 2) floats, and its
-    backward recomputes each one's exp(x - max) from them. Only there are
-    plan and gradients bit for bit those of the taped loop.
+    The op keeps the iterates' reciprocal normalisers, iters x (M + N + 2)
+    floats, and each kernel's potentials. Its backward forms each kernel
+    again with one exp and replays the recursion in reverse, two
+    matrix-vector products per iteration. Plan and gradients agree with the
+    log-domain loop taped op by op to round-off.
 
-    Either way the column update runs last, so column marginals are exact
-    and row marginals converge with the iterates.
+    The column update runs last, so column marginals are exact and row
+    marginals converge with the iterates.
     """
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")
@@ -123,118 +112,90 @@ def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
         raise ValueError("sinkhorn expects a log-domain score matrix")
     scores = s.values
     x = scores.data
-    # Python floats: NaN compares false and inf - inf raises no warning.
-    if float(x.max()) - float(x.min()) <= SCALING_RANGE:
-        plan, bw = _scaling_sinkhorn(scores, iters)
-    else:
-        plan, bw = _log_sinkhorn(scores, iters)
+    m1, n1 = x.shape
+    a, b = _masses(m1 - 1, n1 - 1)
+    lo, hi = np.exp(-MAX_LOG_SCALING), np.exp(MAX_LOG_SCALING)
+    # The op keeps p[t] = 1 / (K beta_t) and q[t] = 1 / (K^T alpha_t), so that
+    # alpha_t = a * p[t] and beta_t+1 = b * q[t]: the backward needs both the
+    # scalings and their ratios to the masses. Half-step h is iteration h // 2's
+    # alpha update if h is even, its beta update if odd; kernels holds the
+    # first half-step and potentials of each kernel.
+    p = np.empty((iters, m1))
+    q = np.empty((iters, n1))
+    f, g = x.max(axis=1), np.zeros(n1)
+    kernels = [(0, f, g)]
+    kernel = _kernel(x, f, g)
+    alpha, beta = np.ones(m1), np.ones(n1)
+    for h in range(2 * iters):
+        t, col = divmod(h, 2)
+        norm = alpha @ kernel if col else kernel @ beta
+        if not (lo <= norm.min() and norm.max() <= hi):
+            if col:
+                f = f - np.log(alpha)
+                g = np.subtract(x, f.reshape(m1, 1)).max(axis=0)
+                alpha = np.ones(m1)
+            else:
+                g = g - np.log(beta)
+                f = np.subtract(x, g).max(axis=1)
+                beta = np.ones(n1)
+            kernels.append((h, f, g))
+            kernel = _kernel(x, f, g)
+            norm = alpha @ kernel if col else kernel @ beta
+        if col:
+            np.divide(1.0, norm, out=q[t])
+            beta = b * q[t]
+        else:
+            np.divide(1.0, norm, out=p[t])
+            alpha = a * p[t]
+    plan = kernel
+    plan *= alpha.reshape(m1, 1)
+    plan *= beta
+
+    # The log-domain loop's column softmax of iteration t is
+    # K alpha_t beta_t+1 / b and its row softmax K alpha_t beta_t / a, each in
+    # the frame of the kernel its half-step used. So iteration t adds
+    # -K * (alpha_t (q[t] gv)^T + (p[t] gu) beta_t^T) to the score gradient,
+    # gv and gu being the gradients of log beta_t+1 and log alpha_t. A
+    # kernel's first half-step reads the absorbed scaling as 1. The factors
+    # of one kernel's rank-one terms are gathered in left and right, column
+    # h ^ 1 for half-step h, and summed by one product.
+    def bw(g_plan):
+        gs = g_plan * plan
+        gu = gs.sum(axis=1)
+        gv = gs.sum(axis=0)
+        ends = [h for h, _, _ in kernels[1:]] + [2 * iters]
+        for (h0, f, g), h1 in reversed(list(zip(kernels, ends))):
+            k = _kernel(x, f, g)
+            first = h0 & ~1
+            width = h1 + (h1 & 1) - first
+            left, right = np.zeros((m1, width)), np.zeros((width, n1))
+            for h in range(h1 - 1, h0 - 1, -1):
+                t, col = divmod(h, 2)
+                j = (h ^ 1) - first
+                if col:
+                    alpha = a * p[t] if h > h0 else 1.0
+                    w = q[t] * gv
+                    du = alpha * (k @ w)
+                    gu = gu - du if t == iters - 1 else -du
+                    left[:, j], right[j] = alpha, w
+                else:
+                    beta = b * q[t - 1] if h > h0 else 1.0
+                    c = p[t] * gu
+                    left[:, j], right[j] = c, beta
+                    if h > 0:  # beta_0 is the constant start: no gradient
+                        gv = -beta * (c @ k)
+            k *= left @ right
+            gs -= k
+        ad._accum(scores, gs)
+
     return ScoreMatrix(ad._make(plan, (scores,), bw), log_domain=False)
 
 
-def _scaling_sinkhorn(scores: Tensor, iters: int):
-    """Plan and backward of `sinkhorn` in the scaling domain."""
-    x = scores.data
-    m1, n1 = x.shape
-    a, b = _masses(m1 - 1, n1 - 1)
-    row_max = x.max(axis=1, keepdims=True)
-    kernel = np.subtract(x, row_max)
-    np.exp(kernel, out=kernel)
-    # The op keeps p[t] = 1 / (K beta_t) and q[t] = 1 / (K^T alpha_t), so that
-    # alpha_t = a * p[t] and beta_t+1 = b * q[t]: the backward needs both the
-    # scalings and their ratios to the masses.
-    p = np.empty((iters, m1))
-    q = np.empty((iters, n1))
-    beta = np.ones(n1)
-    for t in range(iters):
-        np.divide(1.0, kernel @ beta, out=p[t])
-        np.divide(1.0, (a * p[t]) @ kernel, out=q[t])
-        beta = b * q[t]
-    plan = kernel
-    plan *= (a * p[-1]).reshape(m1, 1)
-    plan *= beta
-
-    # The log path's column softmax of iteration t is K alpha_t beta_t+1 / b
-    # and its row softmax K alpha_t beta_t / a. So iteration t adds
-    # -K * (alpha_t (q[t] gv)^T + (p[t] gu) beta_t^T) to the score gradient,
-    # gv and gu being the gradients of log beta_t+1 and log alpha_t. The
-    # factors of those rank-one terms are gathered in left and right and
-    # summed by one product after the loop.
-    def bw(g):
-        k = np.subtract(x, row_max)
-        np.exp(k, out=k)
-        gs = g * plan
-        gu = gs.sum(axis=1)
-        gv = gs.sum(axis=0)
-        left = np.empty((m1, 2 * iters))
-        right = np.empty((2 * iters, n1))
-        for t in range(iters - 1, -1, -1):
-            alpha = a * p[t]
-            beta = b * q[t - 1] if t > 0 else 1.0
-            w = q[t] * gv
-            du = alpha * (k @ w)
-            gu = gu - du if t == iters - 1 else -du
-            c = p[t] * gu
-            left[:, 2 * t], right[2 * t] = alpha, w
-            left[:, 2 * t + 1], right[2 * t + 1] = c, beta
-            if t > 0:  # beta_0 is the constant start: no gradient
-                gv = -beta * (c @ k)
-        k *= left @ right
-        gs -= k
-        ad._accum(scores, gs)
-
-    return plan, bw
-
-
-def _log_sinkhorn(scores: Tensor, iters: int):
-    """Plan and backward of `sinkhorn` in the log domain."""
-    x = scores.data
-    m1, n1 = x.shape
-    log_a, log_b = _marginals(m1 - 1, n1 - 1)
-    us = np.empty((iters, m1))
-    vs = np.zeros((iters + 1, n1))
-    for t in range(iters):
-        us[t] = log_a - _logsumexp(x + vs[t], 1)[0]
-        vs[t + 1] = log_b - _logsumexp(x + us[t].reshape(m1, 1), 0)[0]
-    plan = np.exp((x + us[-1].reshape(m1, 1)) + vs[-1])
-
-    # Replays the taped loop's records in reverse with the same elementwise
-    # operations and sums, so every gradient addend comes out the same bits.
-    # The tape added each addend into scores.grad in turn; gs sums them in
-    # that order and is accumulated once, which is the same only because
-    # scores feeds nothing but Sinkhorn, so its grad is None on entry.
-    def bw(g):
-        gs = g * plan
-        gv = gs.sum(axis=(0,))
-        gu = gs.sum(axis=(1,), keepdims=True)
-        for t in range(iters - 1, -1, -1):
-            # gb = -gv * (e / den), formed in e's buffer; ga likewise.
-            _, gb, den = _logsumexp(x + us[t].reshape(m1, 1), 0)
-            gb /= np.expand_dims(den, 0)
-            gb *= np.expand_dims(-gv, 0)
-            gs += gb
-            g_u = gb.sum(axis=(1,), keepdims=True)
-            gu = gu + g_u if t == iters - 1 else g_u
-            _, ga, den = _logsumexp(x + vs[t], 1)
-            ga /= np.expand_dims(den, 1)
-            ga *= -gu
-            gs += ga
-            if t > 0:  # vs[0] is the constant start: no gradient
-                gv = ga.sum(axis=(0,))
-        ad._accum(scores, gs)
-
-    return plan, bw
-
-
-def _logsumexp(y, axis):
-    """log(sum(exp(y))) along axis, with exp(y - max) and its sum.
-
-    y must be a temporary: it is overwritten with exp(y - max).
-    """
-    m = y.max(axis=axis, keepdims=True)
-    y -= m
-    e = np.exp(y, out=y)
-    s = e.sum(axis=axis)
-    return np.squeeze(m, axis) + np.log(s), e, s
+def _kernel(x, f, g):
+    """exp(x - f - g) for row potentials f and column potentials g."""
+    k = np.subtract(x, f.reshape(-1, 1))
+    k -= g
+    return np.exp(k, out=k)
 
 
 def marginal_residuals(plan: ScoreMatrix):

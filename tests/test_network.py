@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from a2match import autodiff as ad
-from a2match import network
+from a2match import network, transport
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.geometry import neighbor_cosine
 from a2match.network import (
@@ -27,7 +27,7 @@ from a2match.network import (
     self_attention_block,
 )
 from a2match.synth import SynthConfig, generate_scene
-from a2match.transport import augment_dustbins, cost_matrix, sinkhorn
+from a2match.transport import ScoreMatrix, augment_dustbins, cost_matrix, sinkhorn
 
 CFG8 = NetworkConfig(d=8)
 
@@ -470,8 +470,8 @@ def test_forward_features_and_plan_pinned():
     # SHA-256 of the features and the Sinkhorn plan of one seeded scene: a
     # kernel change that moves any output bit changes them. Taken on x86-64
     # (AVX-512) with numpy 2.4 and its OpenBLAS 0.3.31; a build with other
-    # BLAS or exp/log kernels may differ. The scores span 21 nats, so the
-    # plan comes from Sinkhorn's scaling path.
+    # BLAS or exp/log kernels may differ. The scores span 21 nats, so
+    # Sinkhorn keeps its first kernel.
     w = ModelWeights.initialize(NetworkConfig(d=16), seed=5)
     f_p, f_q = forward(generate_scene(SynthConfig(n_points=64, seed=2025)), w)
     plan = sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), w.param("ot/alpha_bin")))
@@ -481,6 +481,26 @@ def test_forward_features_and_plan_pinned():
         "416af2e9fa91040205306793e772d8e9c8b609c48807b11e2141d5da650117af",
         "0c524ba9262b0bf84a1eb793eb9b38f476c882d2d506d3ca6518c7185c8dcb7c",
     ]
+
+
+def test_sinkhorn_forms_one_kernel_each_way_on_network_scores(monkeypatch):
+    # Network scores span tens of nats, so Sinkhorn forms its kernel once in
+    # the forward and once in the backward. A loop that formed it again at
+    # every half-step would pass every accuracy test at 200 exps a call.
+    formed = []
+    kernel = transport._kernel
+    monkeypatch.setattr(transport, "_kernel", lambda *args: formed.append(1) or kernel(*args))
+    for d, n, weight_seed, scene_seed in ((128, 256, 0, 1), (16, 64, 5, 2025)):
+        w = ModelWeights.initialize(NetworkConfig(d=d), seed=weight_seed)
+        f_p, f_q = forward(generate_scene(SynthConfig(n_points=n, seed=scene_seed)), w)
+        scores = augment_dustbins(cost_matrix(f_p, f_q), w.param("ot/alpha_bin")).values
+        scores = Tensor(scores.data, requires_grad=True)
+        formed.clear()
+        with Tape() as tape:
+            plan = sinkhorn(ScoreMatrix(scores, True))
+            assert len(formed) == 1
+            tape.backward(ad.sum_all(ad.mul(plan.values, plan.values)))
+        assert len(formed) == 2
 
 
 def test_forward_modality_swap_with_swapped_encoders():

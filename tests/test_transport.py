@@ -10,9 +10,9 @@ from scipy.optimize import linear_sum_assignment
 from a2match import autodiff as ad
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.transport import (
-    SCALING_RANGE,
+    MAX_LOG_SCALING,
     ScoreMatrix,
-    _marginals,
+    _masses,
     augment_dustbins,
     cost_matrix,
     marginal_residuals,
@@ -29,8 +29,7 @@ def _lse(x, axis):
 def sinkhorn_residual_trajectory(scores: np.ndarray, iters: int):
     """Max marginal residual after each full iteration."""
     m1, n1 = scores.shape
-    m, n = m1 - 1, n1 - 1
-    log_a, log_b = _marginals(m, n)
+    log_a, log_b = map(np.log, _masses(m1 - 1, n1 - 1))
     u = np.zeros(m1)
     v = np.zeros(n1)
     out = []
@@ -63,7 +62,7 @@ def taped_sinkhorn(s: ScoreMatrix, iters: int) -> ScoreMatrix:
     """Oracle: the Sinkhorn loop unrolled on the tape, one record per op."""
     scores = s.values
     m1, n1 = scores.shape
-    log_a, log_b = _marginals(m1 - 1, n1 - 1)
+    log_a, log_b = map(np.log, _masses(m1 - 1, n1 - 1))
     la, lb = constant(log_a), constant(log_b)
     u = constant(np.zeros(m1))
     v = constant(np.zeros(n1))
@@ -278,6 +277,44 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def taped_scaling_sinkhorn(s: ScoreMatrix, iters: int) -> ScoreMatrix:
+    """Oracle: the scaling loop on its first kernel K = exp(x - row max), never
+    formed again, taped as one op whose backward sums the rank-one terms of
+    every iteration with one product."""
+    scores = s.values
+    x = scores.data
+    m1, n1 = x.shape
+    a, b = _masses(m1 - 1, n1 - 1)
+    row_max = x.max(axis=1, keepdims=True)
+    kernel = np.exp(x - row_max)
+    p, q = np.empty((iters, m1)), np.empty((iters, n1))
+    beta = np.ones(n1)
+    for t in range(iters):
+        p[t] = 1.0 / (kernel @ beta)
+        q[t] = 1.0 / ((a * p[t]) @ kernel)
+        beta = b * q[t]
+    plan = kernel * (a * p[-1]).reshape(m1, 1) * beta
+
+    def bw(g):
+        gs = g * plan
+        gu, gv = gs.sum(axis=1), gs.sum(axis=0)
+        left, right = np.empty((m1, 2 * iters)), np.empty((2 * iters, n1))
+        for t in range(iters - 1, -1, -1):
+            alpha = a * p[t]
+            beta = b * q[t - 1] if t > 0 else 1.0
+            w = q[t] * gv
+            du = alpha * (kernel @ w)
+            gu = gu - du if t == iters - 1 else -du
+            c = p[t] * gu
+            left[:, 2 * t], right[2 * t] = alpha, w
+            left[:, 2 * t + 1], right[2 * t + 1] = c, beta
+            if t > 0:
+                gv = -beta * (c @ kernel)
+        ad._accum(scores, gs - kernel * (left @ right))
+
+    return ScoreMatrix(ad._make(plan, (scores,), bw), log_domain=False)
+
+
 def _plan_and_grads(op, cost, iters, loss_kind, weights, alpha_bin=0.3):
     c = Tensor(cost, requires_grad=True)
     alpha = Tensor(np.array(alpha_bin), requires_grad=True)
@@ -307,65 +344,67 @@ def _inputs(shape, iters):
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 33)])
 @pytest.mark.parametrize("loss_kind", ["dustbins", "plan_free"])
 def test_sinkhorn_op_matches_taped_loop_bitwise(shape, iters, loss_kind):
-    # Above SCALING_RANGE the op runs the log-domain loop, whose bits it keeps.
+    # Scores that keep their first kernel get the bits of the single-kernel
+    # loop, as the pinned plans and training runs do.
     cost, weights = _inputs(shape, iters)
-    cost *= 2 * SCALING_RANGE / cost.max()
-    assert _score_range(cost) > SCALING_RANGE
-
     plan, g_scores, g_alpha = _plan_and_grads(sinkhorn, cost, iters, loss_kind, weights)
-    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_sinkhorn, cost, iters, loss_kind,
-                                                      weights)
+    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_scaling_sinkhorn, cost, iters,
+                                                      loss_kind, weights)
     assert np.array_equal(_bits(plan.data), _bits(ref_plan.data))
     assert np.array_equal(_bits(g_alpha), _bits(ref_alpha))
     if loss_kind == "dustbins":
         assert np.array_equal(_bits(g_scores), _bits(ref_scores))
         assert np.any(g_scores[-1] != 0.0) and np.any(g_scores[:, -1] != 0.0)
     else:
-        assert plan.grad is None and ref_plan.grad is None
         assert g_scores is None and ref_scores is None
         assert float(g_alpha) == 0.0
 
 
-def _assert_close(got, want, tol):
-    scale = np.abs(want).max()
-    assert np.abs(got - want).max() <= tol * scale, (np.abs(got - want).max(), scale)
+def _assert_matches_taped_loop(cost, iters, loss_kind, weights, alpha_bin=0.3, tol=1e-12):
+    """Plan and gradients within tol of the largest plan entry and of the
+    largest addend |g * plan| of the score gradient: the gradients of
+    contested cells and of alpha_bin cancel to far below either."""
+    plan, g_scores, g_alpha = _plan_and_grads(sinkhorn, cost, iters, loss_kind, weights,
+                                              alpha_bin)
+    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_sinkhorn, cost, iters, loss_kind,
+                                                      weights, alpha_bin)
+    assert np.abs(plan.data - ref_plan.data).max() <= tol * np.abs(ref_plan.data).max()
+    if loss_kind == "dustbins":
+        addend = np.abs(weights * ref_plan.data).max()
+        assert np.abs(g_scores - ref_scores).max() <= tol * addend
+        assert abs(g_alpha - ref_alpha) <= tol * addend
+    else:
+        assert g_scores is None and ref_scores is None
+        assert float(g_alpha) == 0.0
 
 
 @pytest.mark.parametrize("iters", [1, 100])
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 33)])
 @pytest.mark.parametrize("loss_kind", ["dustbins", "plan_free"])
 def test_sinkhorn_scaling_path_matches_taped_loop(shape, iters, loss_kind):
-    cost, weights = _inputs(shape, iters)
-    assert _score_range(cost) <= SCALING_RANGE
-
-    plan, g_scores, g_alpha = _plan_and_grads(sinkhorn, cost, iters, loss_kind, weights)
-    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_sinkhorn, cost, iters, loss_kind,
-                                                      weights)
-    _assert_close(plan.data, ref_plan.data, 1e-12)
-    _assert_close(g_alpha, ref_alpha, 1e-12)
-    if loss_kind == "dustbins":
-        _assert_close(g_scores, ref_scores, 1e-12)
-    else:
-        assert g_scores is None and ref_scores is None
-        assert float(g_alpha) == 0.0
+    # Scores of a few nats keep one kernel; at 600 nats the loop forms more.
+    for span in (None, 600.0):
+        cost, weights = _inputs(shape, iters)
+        if span is not None:
+            cost *= span / cost.max()
+            assert _score_range(cost) > 2 * MAX_LOG_SCALING - 60
+        _assert_matches_taped_loop(cost, iters, loss_kind, weights)
 
 
-def test_sinkhorn_contested_column_below_scaling_range():
+def test_sinkhorn_contested_column_matches_taped_loop():
     # Every row's best entry is in column 3; the other entries and the
-    # dustbins sit 150 to 300 nats below it, so the scaling vectors span
-    # nearly the whole range the scaling path admits.
-    rng = np.random.default_rng(14)
-    m, n, span = 30, 25, 299.9
-    cost = span * (0.5 + 0.5 * rng.random((m, n)))
-    cost[:, 3] = rng.random(m)
-    weights = rng.standard_normal((m + 1, n + 1))
-    assert SCALING_RANGE - 1 < _score_range(cost, -span / 2) <= SCALING_RANGE
-
-    got = _plan_and_grads(sinkhorn, cost, 100, "dustbins", weights, -span / 2)
-    want = _plan_and_grads(taped_sinkhorn, cost, 100, "dustbins", weights, -span / 2)
-    _assert_close(got[0].data, want[0].data, 1e-12)
-    for g, ref in zip(got[1:], want[1:]):
-        _assert_close(g, ref, 1e-10)
+    # dustbins sit span / 2 to span nats below it, so the scalings spread
+    # over the whole range and, from 1400 nats, the column's gradient
+    # decays to far below the largest addend.
+    for span in (299.9, 1400.0, 5000.0):
+        rng = np.random.default_rng(14)
+        m, n = 30, 25
+        cost = span * (0.5 + 0.5 * rng.random((m, n)))
+        cost[:, 3] = rng.random(m)
+        weights = rng.standard_normal((m + 1, n + 1))
+        assert 0.99 * span < _score_range(cost, -span / 2) <= span
+        for iters in (1, 3, 100):
+            _assert_matches_taped_loop(cost, iters, "dustbins", weights, -span / 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -390,9 +429,30 @@ def test_sinkhorn_plan_finite_with_exact_columns_on_either_path(m, n, log_range,
     assert np.abs(p.sum(axis=0) - b).max() <= 1e-9 * (m + n)
 
 
+def test_sinkhorn_nan_and_minus_inf_scores():
+    # A NaN score spreads to the whole plan; a -inf cell gets no mass and
+    # leaves the columns exact. Neither warns.
+    rng = np.random.default_rng(15)
+    x, weights = rng.standard_normal((5, 7)), rng.standard_normal((5, 7))
+    for bad in (np.nan, -np.inf):
+        scores = Tensor(x.copy(), requires_grad=True)
+        scores.data[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with Tape() as tape:
+                plan = sinkhorn(ScoreMatrix(scores, True))
+                tape.backward(ad.sum_all(ad.mul(plan.values, constant(weights))))
+        p = plan.values.data
+        if np.isnan(bad):
+            assert np.all(np.isnan(p))
+        else:
+            assert p[1, 2] == 0.0 and np.all(np.isfinite(scores.grad))
+            assert np.abs(p.sum(axis=0) - np.append(np.ones(6), 4.0)).max() <= 1e-12
+
+
 def test_sinkhorn_records_one_op_whatever_iters():
     z = np.random.default_rng(10).standard_normal((6, 8))
-    for scale in (1.0, 1000.0):  # the scaling path, then the log path
+    for scale in (1.0, 1000.0):  # one kernel, then several
         scores = Tensor(z * scale, requires_grad=True)
         for iters in (1, 100):
             with Tape() as tape:
