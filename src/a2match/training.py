@@ -275,7 +275,6 @@ class GradCheckReport:
 
 
 FD_STEP = 1e-5
-FD_FLOOR = 1e-8
 
 
 def _module_of(name: str) -> str:
@@ -359,10 +358,16 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
         p.data.flat[idx] = orig
         return (f_plus - f_minus) / (2.0 * step)
 
+    # An entry's error is |a - n| over the largest of |a|, |n| and its
+    # module's median |gradient|, so an entry that should be near 0 is judged
+    # against the module's scale rather than its own round-off.
+    scale = {module: float(np.median(np.abs(np.concatenate([analytic[k].ravel() for k in names]))))
+             for module, names in groups.items()}
     entries = []
     for name, idx in picks:
         p = weights.params[name]
         a = float(analytic[name].flat[idx])
+        floor = scale[_module_of(name)]
         best_numeric, best_rel = None, None
         # A ReLU/argmax kink inside the difference interval fakes a mismatch;
         # shrinking the step moves the kink outside, while a genuinely wrong
@@ -370,7 +375,7 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
         for step in (FD_STEP, FD_STEP / 10.0, FD_STEP / 100.0):
             numeric = measure(p, idx, step)
             diff = abs(a - numeric)
-            rel = 0.0 if diff <= FD_FLOOR else diff / max(abs(a), abs(numeric))
+            rel = 0.0 if diff == 0.0 else diff / max(abs(a), abs(numeric), floor)
             if best_rel is None or rel < best_rel:
                 best_numeric, best_rel = numeric, rel
             if best_rel < 1e-4:
