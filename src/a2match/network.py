@@ -233,11 +233,13 @@ class ModelWeights:
             elif name.endswith("/gamma"):
                 data = np.ones(shape)
             elif name == "ot/alpha_bin":
-                # Scores are negated L2 costs, so every main cell is <= 0; a
-                # positive dustbin score would dominate every row until the
-                # optimizer walks it down, which at lr=1e-3 takes hundreds of
-                # epochs. Start just below the score of a perfect match instead.
-                data = np.array(-1.0)
+                # Scores are negated L2 costs of features with about unit
+                # variance per channel, and two independent ones lie about
+                # sqrt(2d) apart. A dustbin score near 0 beats every such
+                # cost, so every row and column picks its dustbin, and Adam
+                # moves the score by at most lr per step: at -1 it never
+                # leaves. Start at the distance of two unrelated points.
+                data = np.array(-np.sqrt(2.0 * config.d))
             else:
                 data = np.zeros(shape)
             params[name] = Tensor(data, requires_grad=True)

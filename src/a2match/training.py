@@ -284,12 +284,13 @@ def _module_of(name: str) -> str:
     return head
 
 
-def _fallback_candidates(pair):
+def _fixed_candidates(pair):
     """Deterministic candidate set so the classifier path is always exercised.
 
-    A fresh model's transport plan rarely beats the dustbins, which would
-    leave the rejection branch untested; mix ground-truth pairs with wrong
-    pairs so both cross-entropy terms carry gradient.
+    A model's own mutual-NN candidates may be none or too few: the context
+    norm maps one candidate to 0 and two to +-1, so no gradient reaches the
+    classifier. Mix ground-truth pairs with wrong pairs so both
+    cross-entropy terms carry gradient.
     """
     n = len(pair.points)
     pairs = [(i, j, 0.5) for i, j, _ in list(pair.gt_matches)[:8]]
@@ -319,10 +320,7 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
     train_cfg = train_cfg or TrainConfig()
     rng = np.random.default_rng(seed)
 
-    _, _, candidates = scene_loss(pair, weights, train_cfg)
-    if len(candidates) == 0:
-        candidates = _fallback_candidates(pair)
-
+    candidates = _fixed_candidates(pair)
     weights.zero_grad()
     with Tape() as tape:
         loss, _, _ = scene_loss(pair, weights, train_cfg, frozen_candidates=candidates)
