@@ -288,8 +288,8 @@ def _fixed_candidates(pair):
     """Deterministic candidate set so the classifier path is always exercised.
 
     A model's own mutual-NN candidates may be none or too few: the context
-    norm maps one candidate to 0 and two to +-1, so no gradient reaches the
-    classifier. Mix ground-truth pairs with wrong pairs so both
+    norm maps one candidate to 0 and two to about +-1, so next to no
+    gradient reaches the classifier. Mix ground-truth pairs with wrong pairs so both
     cross-entropy terms carry gradient.
     """
     n = len(pair.points)

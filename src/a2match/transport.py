@@ -10,15 +10,16 @@ plan therefore sums to one and its entries read as probabilities.
 matrix scaling (Cuturi 2013) stabilised by absorbing large scalings into
 the kernel's potentials (Schmitzer 2019). Each iteration is two
 matrix-vector products with a kernel K; a new K, one exp, is formed only
-when a scaling would leave `MAX_LOG_SCALING` of its mass, which no score
-matrix the network has produced has needed. The op keeps per-iteration
-vectors instead of taping each iteration, so memory grows with
-iters x (M + N) rather than iters x M x N. Its plan and gradients agree
-with the log-domain loop taped op by op to round-off. The cost matrix (a
-Gram-form BLAS product, `autodiff.pairwise_l2`) and Sinkhorn run on their
-inputs in input order with plain numpy sums and BLAS products, so permuting
-the inputs permutes the cost and the plan only up to round-off: the
-canonical order of `network.forward_features` ends at its features.
+when a scaling would stray more than e^`MAX_LOG_SCALING` from its mass,
+which the network's scores, a few tens of nats wide, do not need. The op
+keeps per-iteration vectors instead of taping each iteration, so memory
+grows with iters x (M + N) rather than iters x M x N. Its plan and
+gradients agree with the log-domain loop taped op by op to round-off. The
+cost matrix (a Gram-form BLAS product, `autodiff.pairwise_l2`) and
+Sinkhorn run on their inputs in input order with plain numpy sums and BLAS
+products, so permuting the inputs permutes the cost and the plan only up
+to round-off: the canonical order of `network.forward_features` ends at
+its features.
 """
 
 from __future__ import annotations
