@@ -378,7 +378,7 @@ def _assert_matches_taped_loop(cost, iters, loss_kind, weights, alpha_bin=0.3, t
         assert float(g_alpha) == 0.0
 
 
-@pytest.mark.parametrize("iters", [1, 100])
+@pytest.mark.parametrize("iters", [1, 3, 100])
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 33)])
 @pytest.mark.parametrize("loss_kind", ["dustbins", "plan_free"])
 def test_sinkhorn_scaling_path_matches_taped_loop(shape, iters, loss_kind):
