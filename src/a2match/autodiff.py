@@ -3,9 +3,9 @@
 Covers exactly what the matching network needs: 2D matmul, elementwise
 arithmetic with trailing-axis / singleton-axis broadcasting for affine
 parameters, concat/reshape/gather, activations, instance normalization (with
-the ReLU or LeakyReLU that follows it), softmax, pairwise L2 distances, the
-grouped convolution along the neighbor axis, `neighbor_linear`, a linear
-layer over windows of edge features [f_i, f_i - f_j] that never builds
+the ReLU or LeakyReLU that follows it), softmax, pairwise L2 distances,
+`grouped_neighbor_conv`, one linear layer over a node's groups,
+`neighbor_linear`, a linear layer over windows of edge features [f_i, f_i - f_j] that never builds
 them, and two ops that fuse a linear layer with its norm: `norm_max`, the
 max path whole (that linear layer over single edges, instance norm over all
 edges and the max over the neighbors), and `covariance_norm`, a linear layer
@@ -16,7 +16,8 @@ all of its iterations. No op keeps state between calls.
 The norms take their statistics and gradients from low-dimensional sums
 rather than passes over wide tensors. instance_norm's forward has the bits
 of the unfused expression in one buffer; its backward is affine in the
-centred input and reads its activation's mask off its output. norm_max
+centred input; it reads a ReLU's mask off its output and keeps a
+LeakyReLU's sign mask from the forward. norm_max
 works in node space: per-node sums give the edge mean and variance, and its
 backward sends each node its share of the edge gradient through per-channel
 coefficients. covariance_norm takes its variance from the covariance of its
@@ -24,22 +25,22 @@ input. Their gradients, and norm_max's and covariance_norm's outputs, match
 the unfused ops to round-off, not bit for bit; the docstrings bound where
 the sums cancel.
 
-Every scatter-add of rows (`gather_rows`'s backward, neighbor_linear's, all
-window positions in one call, and norm_max's sum over in-edges) goes
-through `_scatter_add`, which has
+Every scatter-add (`gather_rows`'s backward, neighbor_linear's, all window
+positions in one call, norm_max's sum over in-edges, and `gather_pairs`'
+single cells, on flat cell indices) goes through `_scatter_add`, which has
 the bits of `np.add.at` on zeros: each target's sources are added in the
 same order from +0, one pass per in-degree rather than one Python-level
-step per entry. `gather_pairs` scatters at most M + N single cells into an
-(M + 1) x (N + 1) plan and keeps `np.add.at`, which is faster there.
+step per entry.
 
 Op protocol: an op computes its output array and returns
 `_make(out_data, inputs, backward)`. Inside an active `Tape`, and only if
-some input requires grad, `_make` records one closure; `Tape.backward`
-replays the records in reverse and calls `backward(g)` with the output's
-accumulated gradient g, an array of the output's shape, and skips the call
-when no gradient reached the output. `backward` hands each input that
-requires grad its addend through `_accum`, which never updates a grad in
-place, so one array may be handed to several inputs, or be a view of g.
+some input requires grad, `_make` appends the pair (output, backward) to
+the innermost tape; `Tape.backward` replays the pairs in reverse and calls
+`backward(g)` with the output's accumulated gradient g, an array of the
+output's shape, and skips the call when no gradient reached the output.
+`backward` hands each input that requires grad its addend through
+`_accum`, which never updates a grad in place, so one array may be handed
+to several inputs, or be a view of g.
 
 Every kernel is plain numpy: matmul is BLAS, and reductions are numpy sums.
 Their bits may depend on where a row sits in its array, so a matmul or a
@@ -64,8 +65,6 @@ round-off.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 
@@ -77,7 +76,8 @@ class NonScalarLoss(Exception):
     pass
 
 
-_LOCAL = threading.local()
+# The active tapes, innermost last; ops record on the innermost.
+_TAPES = []
 
 # Differences per chunk of pairwise_l2's exact recompute (512 KiB of
 # float64). A chunk's gathered rows then stay in cache: with 8 MiB chunks,
@@ -91,33 +91,20 @@ _BLOCK_ELEMENTS = 1 << 16
 _CANCEL = 1.0 / 64
 
 
-def _tape_stack():
-    if not hasattr(_LOCAL, "stack"):
-        _LOCAL.stack = []
-    return _LOCAL.stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 class Tape:
-    """Ordered record of executed ops; backward replays it exactly once in reverse."""
+    """Ordered (output, backward) records of executed ops; backward replays
+    them exactly once in reverse."""
 
     def __init__(self):
         self._records = []
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
+        _TAPES.pop()
         return False
-
-    def record(self, backward_fn):
-        self._records.append(backward_fn)
 
     def __len__(self):
         return len(self._records)
@@ -126,8 +113,9 @@ class Tape:
         if loss.data.size != 1:
             raise NonScalarLoss(f"loss must be scalar, got shape {loss.shape}")
         _accum(loss, np.ones_like(loss.data))
-        for fn in reversed(self._records):
-            fn()
+        for out, backward in reversed(self._records):
+            if out.grad is not None:
+                backward(out.grad)
 
 
 class Tensor:
@@ -183,14 +171,10 @@ def _make(out_data, inputs, backward):
     backward(g) runs when the tape replays, only if a gradient reached the
     output; see the module docstring.
     """
-    tape = _active_tape()
-    req = tape is not None and any(t.requires_grad for t in inputs)
+    req = bool(_TAPES) and any(t.requires_grad for t in inputs)
     out = Tensor._wrap(out_data, req)
     if req:
-        def replay():
-            if out.grad is not None:
-                backward(out.grad)
-        tape.record(replay)
+        _TAPES[-1]._records.append((out, backward))
     return out
 
 
@@ -405,9 +389,9 @@ def gather_pairs(a, rows, cols) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            da = np.zeros_like(a.data)
-            np.add.at(da, (rows, cols), g)
-            _accum(a, da)
+            m, n = a.shape
+            cells = np.where(rows < 0, rows + m, rows) * n + np.where(cols < 0, cols + n, cols)
+            _accum(a, _scatter_add(g.ravel(), cells, a.data.size).reshape(a.shape))
 
     return _make(out_data, (a,), bw)
 
@@ -506,11 +490,12 @@ def instance_norm(x, gamma=None, beta=None, act=None) -> Tensor:
 
     so it takes sum(gm) and sum(gm xc) as read-only reductions and never
     forms the normalized input; the gradient of gamma is istd sum(gm xc).
-    The activation's mask comes from the output: y > 0 exactly where its
-    input is (ReLU), and y >= 0 where its input is >= 0 (LeakyReLU), except
-    for an input so small and negative that its scaled value rounds to -0,
-    which the cells with y == 0 recompute. Gradients match the expression
-    with one array per step to round-off, not bit for bit.
+    ReLU's mask comes from its output, which is > 0 exactly where its input
+    is. LeakyReLU's comes from its input: the forward keeps `keep = y >= 0`
+    before it scales the negative cells in place, so a -0 input counts as
+    kept and an input whose scaled value rounds to -0 does not, as in the
+    unfused op. Gradients match the expression with one array per step to
+    round-off, not bit for bit.
     """
     x = _as_tensor(x)
     if x.ndim < 2:
@@ -535,6 +520,7 @@ def instance_norm(x, gamma=None, beta=None, act=None) -> Tensor:
     if act == "relu":
         np.maximum(y, 0.0, out=y)
     elif act == "leaky_relu":
+        keep = y >= 0.0
         np.maximum(y, LEAKY_SLOPE * y, out=y)
 
     def bw(g):
@@ -543,7 +529,7 @@ def instance_norm(x, gamma=None, beta=None, act=None) -> Tensor:
             gm = np.greater(y, 0.0, out=np.empty(y.shape))
             gm *= g
         elif act == "leaky_relu":
-            gm = _leaky_relu_grad(g, y, rows, mean, istd, gamma, beta)
+            gm = np.where(keep, g, g * LEAKY_SLOPE)
         else:
             gm = g
         xc = np.subtract(rows, mean)
@@ -563,23 +549,6 @@ def instance_norm(x, gamma=None, beta=None, act=None) -> Tensor:
             _accum(x, dx.reshape(x.data.shape))
 
     return _make(out_data, inputs, bw)
-
-
-def _leaky_relu_grad(g, y, rows, mean, istd, gamma, beta):
-    """g times LeakyReLU's slope at its input, read off its output y: 1 where
-    y >= 0, except where y == 0 comes from a negative input whose scaled
-    value rounded to -0; there the input is recomputed as the forward formed
-    it."""
-    gm = np.greater_equal(y, 0.0, out=np.empty(y.shape))
-    np.maximum(gm, LEAKY_SLOPE, out=gm)
-    gm *= g
-    r, ch = np.nonzero(y == 0.0)
-    if r.size:
-        pre = (rows[r, ch] - mean[ch]) * istd[ch]
-        if gamma is not None:
-            pre = pre * gamma.data[ch] + beta.data[ch]
-        gm[r, ch] = np.where(pre >= 0.0, g[r, ch], g[r, ch] * LEAKY_SLOPE)
-    return gm
 
 
 def norm_max(f, idx, weight, gamma, beta) -> Tensor:
@@ -730,26 +699,18 @@ def covariance_norm(x, weight, gamma, beta) -> Tensor:
     return _make(out_data, (weight, gamma, beta), bw)
 
 
-def grouped_neighbor_conv(x, width: int, weight) -> Tensor:
-    """Non-overlapping convolution along the neighbor axis; no bias, as it
-    feeds a norm.
+def grouped_neighbor_conv(x, weight) -> Tensor:
+    """The second stage of the annular and angle paths: one linear layer
+    over all G groups of a node at once; no bias, as it feeds a norm.
 
-    (N, k, d_in) -> (N, k/width, d_out); each output position sees one window
-    of `width` consecutive distance-sorted neighbors across all channels.
+    x is (N, G, d) and weight (G * d, d_out); the output, (N, d_out), is
+    matmul(reshape(x, (N, G * d)), weight), bit for bit.
     """
     x = _as_tensor(x)
     if x.ndim != 3:
-        raise ShapeMismatch(f"grouped_neighbor_conv needs (N,k,d), got {x.shape}")
-    n, k, d = x.shape
-    if width <= 0 or k % width != 0:
-        raise ShapeMismatch(f"neighbor axis {k} not divisible by kernel width {width}")
-    weight = _as_tensor(weight)
-    if weight.shape[0] != width * d:
-        raise ShapeMismatch(
-            f"conv weight expects input width {width * d}, got {weight.shape[0]}")
-    groups = k // width
-    flat = reshape(x, (n * groups, width * d))
-    return reshape(matmul(flat, weight), (n, groups, weight.shape[1]))
+        raise ShapeMismatch(f"grouped_neighbor_conv needs (N,G,d), got {x.shape}")
+    n, groups, d = x.shape
+    return matmul(reshape(x, (n, groups * d)), weight)
 
 
 def neighbor_linear(f, idx, weight) -> Tensor:

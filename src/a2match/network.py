@@ -315,9 +315,8 @@ def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
     h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, g, k // g),
                            w.param(f"{name}/conv1/W"))
     h = _norm_act(h, w, f"{name}/bn1", "relu")
-    h = ad.grouped_neighbor_conv(h, g, w.param(f"{name}/conv2/W"))
-    h = _norm_act(h, w, f"{name}/bn2", "relu")
-    return ad.reshape(h, (n, h.shape[-1]))
+    return _norm_act(ad.grouped_neighbor_conv(h, w.param(f"{name}/conv2/W")), w,
+                     f"{name}/bn2", "relu")
 
 
 def angle_aggregate(graph: LocalGraph, w: ModelWeights, name) -> Tensor:
@@ -332,10 +331,9 @@ def angle_aggregate(graph: LocalGraph, w: ModelWeights, name) -> Tensor:
     h = ad.covariance_norm(graph.neighbor_cos.reshape(n * cfg.g, cfg.k // cfg.g),
                            w.param(f"{name}/conv1/W"), w.param(f"{name}/bn1/gamma"),
                            w.param(f"{name}/bn1/beta"))
-    h = ad.grouped_neighbor_conv(ad.reshape(h, (n, cfg.g, h.shape[-1])), cfg.g,
+    h = ad.grouped_neighbor_conv(ad.reshape(h, (n, cfg.g, h.shape[-1])),
                                  w.param(f"{name}/conv2/W"))
-    h = _norm_act(h, w, f"{name}/bn2", "relu")
-    return ad.reshape(h, (n, h.shape[-1]))
+    return _norm_act(h, w, f"{name}/bn2", "relu")
 
 
 def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: str) -> Tensor:

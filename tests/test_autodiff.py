@@ -476,22 +476,38 @@ def test_softmax_in_place_has_the_bits_of_the_expression():
 
 
 def test_grouped_neighbor_conv_shapes_and_average_kernel():
+    # One linear layer over all G groups: (N, G, d) -> (N, d_out).
     rng = np.random.default_rng(7)
     x = constant(rng.standard_normal((4, 9, 2)))
-    w = constant(np.full((3 * 2, 5), 1.0 / 6.0))
-    out = ad.grouped_neighbor_conv(x, 3, w)
-    assert out.shape == (4, 3, 5)
-    const = ad.grouped_neighbor_conv(constant(np.full((4, 9, 2), 2.0)), 3, w)
+    w = constant(np.full((9 * 2, 5), 1.0 / 18.0))
+    out = ad.grouped_neighbor_conv(x, w)
+    assert out.shape == (4, 5)
+    const = ad.grouped_neighbor_conv(constant(np.full((4, 9, 2), 2.0)), w)
     assert np.allclose(const.data, 2.0)
     with pytest.raises(ShapeMismatch):
-        ad.grouped_neighbor_conv(x, 4, w)
+        ad.grouped_neighbor_conv(constant(x.data.reshape(4, 18)), w)
+    with pytest.raises(ShapeMismatch):
+        ad.grouped_neighbor_conv(constant(x.data[:, :3]), w)
 
 
 def test_grouped_neighbor_conv_gradcheck():
     rng = np.random.default_rng(8)
-    x = rand_tensor(rng, (4, 9, 8))
+    x = rand_tensor(rng, (4, 3, 8))
     w = rand_tensor(rng, (3 * 8, 6))
-    check_op(lambda: ad.grouped_neighbor_conv(x, 3, w), [x, w], rtol=1e-5)
+    check_op(lambda: ad.grouped_neighbor_conv(x, w), [x, w], rtol=1e-5)
+
+
+def test_grouped_neighbor_conv_is_matmul_of_the_flattened_groups_bit_for_bit():
+    rng = np.random.default_rng(9)
+    n, groups, d = 7, 4, 5
+    x = rng.standard_normal((n, groups, d))
+    x[0, 1, :] = -0.0
+    w = rng.standard_normal((groups * d, 3))
+    g = rng.standard_normal((n, 3))
+    g[2] = -0.0
+    got = _out_and_grads(ad.grouped_neighbor_conv, (x, w), g)
+    ref = _out_and_grads(lambda x, w: ad.matmul(ad.reshape(x, (n, groups * d)), w), (x, w), g)
+    _assert_same_bits(got, ref)
 
 
 def test_backward_sum_gives_ones_and_product_rule():
