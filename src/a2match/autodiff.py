@@ -5,25 +5,25 @@ arithmetic with trailing-axis / singleton-axis broadcasting for affine
 parameters, concat/reshape/gather, activations, instance normalization (with
 the ReLU or LeakyReLU that follows it), softmax, pairwise L2 distances,
 `grouped_neighbor_conv`, one linear layer over a node's groups,
-`neighbor_linear`, a linear layer over windows of edge features [f_i, f_i - f_j] that never builds
-them, and two ops that fuse a linear layer with its norm: `norm_max`, the
-max path whole (that linear layer over single edges, instance norm over all
-edges and the max over the neighbors), and `covariance_norm`, a linear layer
-of a constant input of few columns with its norm and ReLU. An op may also
-be a whole algorithm: `transport.sinkhorn` records one backward closure for
-all of its iterations. No op keeps state between calls.
+`neighbor_linear`, a linear layer over windows of edge features
+[f_i, f_i - f_j] that never builds them, and two ops that fuse a linear
+layer with its norm: `norm_max`, the max path whole (that linear layer over
+single edges, instance norm over all edges and the max over the neighbors),
+and `covariance_norm`, a linear layer of a constant input of few columns
+with its norm and ReLU. An op may also be a whole algorithm:
+`transport.sinkhorn` records one backward closure for all of its
+iterations. No op keeps state between calls.
 
 The norms take their statistics and gradients from low-dimensional sums
 rather than passes over wide tensors. instance_norm's forward has the bits
 of the unfused expression in one buffer; its backward is affine in the
-centred input; it reads a ReLU's mask off its output and keeps a
-LeakyReLU's sign mask from the forward. norm_max
-works in node space: per-node sums give the edge mean and variance, and its
-backward sends each node its share of the edge gradient through per-channel
-coefficients. covariance_norm takes its variance from the covariance of its
-input. Their gradients, and norm_max's and covariance_norm's outputs, match
-the unfused ops to round-off, not bit for bit; the docstrings bound where
-the sums cancel.
+centred input; it reads a ReLU's mask off its output and keeps a LeakyReLU's
+sign mask from the forward. norm_max works in node space: per-node sums give
+the edge mean and variance, and its backward sends each node its share of
+the edge gradient through per-channel coefficients. covariance_norm takes
+its variance from the covariance of its input. Their gradients, and
+norm_max's and covariance_norm's outputs, match the unfused ops to
+round-off, not bit for bit; the docstrings bound where the sums cancel.
 
 Every scatter-add (`gather_rows`'s backward, neighbor_linear's, all window
 positions in one call, norm_max's sum over in-edges, and `gather_pairs`'
@@ -529,7 +529,10 @@ def instance_norm(x, gamma=None, beta=None, act=None) -> Tensor:
             gm = np.greater(y, 0.0, out=np.empty(y.shape))
             gm *= g
         elif act == "leaky_relu":
-            gm = np.where(keep, g, g * LEAKY_SLOPE)
+            # The bits of np.where(keep, g, g * LEAKY_SLOPE), as g * 1.0 is
+            # g, at a fraction of np.where's cost on a random mask.
+            gm = np.maximum(keep, LEAKY_SLOPE)
+            gm *= g
         else:
             gm = g
         xc = np.subtract(rows, mean)

@@ -6,7 +6,8 @@ parameters serves 2D keypoints and 3D points alike; only the input encoders
 are per-modality. Neighbor lists are sorted by ascending distance; the
 annular convolutions collapse each distance group and then the group axis,
 and the angle path runs the same two-stage convolution over per-neighbor
-direction cosines. Every normalization is `autodiff.instance_norm` over one
+direction cosines. The second stage sees all g groups at once, so it is one
+linear layer over a node's flattened groups (`autodiff.grouped_neighbor_conv`). Every normalization is `autodiff.instance_norm` over one
 scene, so training and inference run the very same network, and no call
 leaves state behind; it applies the ReLU (annular and angle paths) or
 LeakyReLU (encoder, fusion heads) that follows it in its own buffer. Every

@@ -29,6 +29,9 @@ from .geometry import (
 
 MIN_POINTS = 10
 MAX_POINTS = 1024
+# Bearing distance by which inject_outliers keeps a replacement keypoint
+# clear of every visible point: twice the default labeling tolerance.
+REPLACEMENT_GUARD = 2e-3
 
 
 class InvalidConfig(ValueError):
@@ -193,12 +196,14 @@ def generate_scene(cfg: SynthConfig) -> ScenePair:
     return ScenePair(k, pose, uv, kp_colors, world, pt_colors, gt)
 
 
-def inject_outliers(pair: ScenePair, ratio: float, seed: int,
-                    gt_tolerance: float = 1e-3) -> ScenePair:
+def inject_outliers(pair: ScenePair, ratio: float, seed: int) -> ScenePair:
     """Replace ceil(ratio * |gt|) matched keypoints with unmatched detections.
 
     The replaced subset is a prefix of a seed-fixed permutation, so the
-    surviving ground truth is nested (monotone) across ratios.
+    surviving ground truth is nested (monotone) across ratios. Each
+    replacement is drawn clear of every visible point by REPLACEMENT_GUARD;
+    only the replaced keypoints' pairs leave the ground truth, and every
+    other pair survives as it was.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must lie in [0,1], got {ratio}")
@@ -215,10 +220,10 @@ def inject_outliers(pair: ScenePair, ratio: float, seed: int,
     pt_bearings = pt_bearings[visible]
     uv, kp_colors = pair.keypoints.copy(), pair.kp_colors.copy()
     for i in sorted(replace_idx):
-        uv[i], _ = _clear_keypoint(rng, k, pt_bearings, 2.0 * gt_tolerance)
+        uv[i], _ = _clear_keypoint(rng, k, pt_bearings, REPLACEMENT_GUARD)
         kp_colors[i] = rng.uniform(0.0, 1.0, 3)
 
-    gt = label_ground_truth(uv, pair.points, pair.query_pose, k, gt_tolerance)
+    gt = CorrespondenceSet([p for p in pair.gt_matches.pairs if p[0] not in replace_idx])
     return dataclasses.replace(pair, keypoints=uv, kp_colors=kp_colors, gt_matches=gt)
 
 

@@ -68,15 +68,10 @@ class LossReport:
     n_candidates: int
 
 
-def matching_loss(plan: ScoreMatrix, gt, m: int, n: int) -> Tensor:
-    """Mean negative log plan probability over gt and dustbin target cells.
-
-    The cells are the gt pairs in order, then each unmatched row's dustbin
-    column and each unmatched column's dustbin row, both ascending.
-    """
-    p = plan.values
-    if p.shape != (m + 1, n + 1):
-        raise IndexOutOfBounds(f"plan shape {p.shape} does not fit M={m}, N={n}")
+def matching_cells(gt, m: int, n: int):
+    """(rows, cols) of the matching loss's target cells in an (m+1) x (n+1)
+    plan: the gt pairs in order, then each unmatched row's dustbin column
+    and each unmatched column's dustbin row, both ascending."""
     gt_i = np.array(gt.indices_2d(), dtype=np.intp)
     gt_j = np.array(gt.indices_3d(), dtype=np.intp)
     bad = np.flatnonzero((gt_i < 0) | (gt_i >= m) | (gt_j < 0) | (gt_j >= n))
@@ -84,12 +79,19 @@ def matching_loss(plan: ScoreMatrix, gt, m: int, n: int) -> Tensor:
         raise IndexOutOfBounds(f"ground-truth pair ({gt_i[bad[0]]},{gt_j[bad[0]]}) out of bounds")
     free_i = np.setdiff1d(np.arange(m), gt_i)
     free_j = np.setdiff1d(np.arange(n), gt_j)
-    rows = np.concatenate([gt_i, free_i, np.full(len(free_j), m)])
-    cols = np.concatenate([gt_j, np.full(len(free_i), n), free_j])
-    n_m = len(rows)
+    return (np.concatenate([gt_i, free_i, np.full(len(free_j), m)]),
+            np.concatenate([gt_j, np.full(len(free_i), n), free_j]))
+
+
+def matching_loss(plan: ScoreMatrix, gt, m: int, n: int) -> Tensor:
+    """Mean negative log plan probability over the `matching_cells`."""
+    p = plan.values
+    if p.shape != (m + 1, n + 1):
+        raise IndexOutOfBounds(f"plan shape {p.shape} does not fit M={m}, N={n}")
+    rows, cols = matching_cells(gt, m, n)
     picked = ad.gather_pairs(p, rows, cols)
     logs = ad.log(ad.clamp_min(picked, LOG_FLOOR))
-    return ad.scale(ad.sum_all(logs), -1.0 / n_m)
+    return ad.scale(ad.sum_all(logs), -1.0 / len(rows))
 
 
 def balance_weights(labels) -> np.ndarray:
@@ -200,8 +202,7 @@ def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig, *,
         matching_loss=l_match.item(),
         rejection_loss=l_rej.item() if l_rej is not None else 0.0,
         total=total.item(),
-        n_matching=len(pair.gt_matches) + (m - len(set(pair.gt_matches.indices_2d())))
-        + (n - len(set(pair.gt_matches.indices_3d()))),
+        n_matching=len(matching_cells(pair.gt_matches, m, n)[0]),
         n_candidates=len(candidates),
     )
     return total, report, candidates

@@ -882,3 +882,18 @@ def test_neighbor_linear_gradcheck(width):
     idx = _neighbor_windows(rng, n, groups, width)
     weight = rand_tensor(rng, (width * 2 * d, 4))
     check_op(lambda: ad.neighbor_linear(f, idx, weight), [f, weight], rtol=1e-5)
+
+
+def test_gather_pairs_backward_has_the_bits_of_add_at():
+    # The cells go to _scatter_add as flat indices, so this compares with
+    # np.add.at on the (row, col) pairs themselves: repeated cells,
+    # negative indices and signed zeros get the gradient it gave them.
+    rng = np.random.default_rng(43)
+    p = rng.standard_normal((5, 6))
+    rows = np.array([0, 0, 4, -1, 2, 2, 3, 0])
+    cols = np.array([1, 1, 5, 5, -6, 0, 2, 1])
+    g = np.array([-0.0, -0.0, 1.5, 2.25, -0.0, 5e-324, 0.0, -1.5])
+    got = _out_and_grads(lambda a: ad.gather_pairs(a, rows, cols), (p,), g)
+    ref = np.zeros_like(p)
+    np.add.at(ref, (rows, cols), g)
+    _assert_same_bits(got, [p[rows, cols], ref])

@@ -17,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "a2match").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
-TAPE_INTERNALS = {"_active_tape", "_tape_stack", "_wrap"}
+TAPE_INTERNALS = {"_TAPES", "_active_tape", "_records", "_tape_stack", "_wrap"}
 
 
 def unused_imports(path):

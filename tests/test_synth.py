@@ -112,6 +112,18 @@ def test_inject_monotone_in_ratio_fixed_seed():
         prev = out.gt_matches.pair_set()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_inject_keeps_every_untouched_pair_of_a_wider_tolerance_scene(seed):
+    # Only the replaced keypoints' pairs leave the ground truth, whatever
+    # tolerance labeled the scene; relabeling at 1e-3 would drop most of
+    # these 6 px noisy pairs.
+    pair = generate_scene(SynthConfig(gt_tolerance=4e-3, pixel_noise_sigma=6.0, seed=seed))
+    out = inject_outliers(pair, 0.25, seed=seed)
+    replaced = set(np.flatnonzero(np.any(out.keypoints != pair.keypoints, axis=1)).tolist())
+    assert len(replaced) == math.ceil(0.25 * len(pair.gt_matches))
+    assert out.gt_matches.pairs == [p for p in pair.gt_matches.pairs if p[0] not in replaced]
+
+
 def test_scene_file_round_trip_byte_identical(tmp_path):
     pair = generate_scene(SynthConfig(n_points=20, seed=14))
     path = tmp_path / "scene.json"

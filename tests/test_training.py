@@ -374,6 +374,22 @@ def test_scene_loss_is_finite_and_nonnegative():
     assert report.rejection_loss >= 0.0
 
 
+@pytest.mark.parametrize("fixed,records", [(False, 241), (True, 279)])
+def test_scene_step_tape_records_pinned(fixed, records):
+    # Most of a small step's time is a fixed cost per taped op, so an op
+    # added to every step shows here. A fresh d=32 model finds no mutual-NN
+    # candidates on this scene; the fixed candidates add the classifier's
+    # 38 records.
+    w = ModelWeights.initialize(NetworkConfig(d=32), seed=0)
+    pair = generate_scene(SynthConfig(n_points=48, seed=1))
+    frozen = training._fixed_candidates(pair) if fixed else None
+    with Tape() as tape:
+        loss, report, _ = scene_loss(pair, w, TrainConfig(), frozen_candidates=frozen)
+        tape.backward(loss)
+    assert report.n_candidates == (12 if fixed else 0)
+    assert len(tape) == records
+
+
 def test_scene_step_peak_memory_n256():
     # One n=256, d=128 scene step, forward and backward. Layers that build
     # the (n*k, 2d) edge windows and multiply them peaked at 828 MiB; the
