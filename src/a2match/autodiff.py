@@ -92,8 +92,7 @@ _CANCEL = 1.0 / 64
 
 
 class Tape:
-    """Ordered (output, backward) records of executed ops; backward replays
-    them exactly once in reverse."""
+    """The (output, backward) records of executed ops, replayed once in reverse."""
 
     def __init__(self):
         self._records = []

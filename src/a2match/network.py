@@ -7,11 +7,12 @@ are per-modality. Neighbor lists are sorted by ascending distance; the
 annular convolutions collapse each distance group and then the group axis,
 and the angle path runs the same two-stage convolution over per-neighbor
 direction cosines. The second stage sees all g groups at once, so it is one
-linear layer over a node's flattened groups (`autodiff.grouped_neighbor_conv`). Every normalization is `autodiff.instance_norm` over one
-scene, so training and inference run the very same network, and no call
-leaves state behind; it applies the ReLU (annular and angle paths) or
-LeakyReLU (encoder, fusion heads) that follows it in its own buffer. Every
-layer reads its sizes from the NetworkConfig of the weights it is given.
+linear layer over a node's flattened groups (`autodiff.grouped_neighbor_conv`).
+Every normalization is `autodiff.instance_norm` over one scene, so training
+and inference run the very same network, and no call leaves state behind;
+it applies the ReLU (annular and angle paths) or LeakyReLU (encoder, fusion
+heads) that follows it in its own buffer. Every layer reads its sizes from
+the NetworkConfig of the weights it is given.
 
 The max path and the annular path's first convolution see the edge features
 e_ij = [f_i, f_i - f_j] of Dynamic Graph CNN (Wang et al., ACM TOG 2019) only

@@ -29,8 +29,8 @@ from .geometry import (
 
 MIN_POINTS = 10
 MAX_POINTS = 1024
-# Bearing distance by which inject_outliers keeps a replacement keypoint
-# clear of every visible point: twice the default labeling tolerance.
+# inject_outliers' bearing clearance of a replacement keypoint from every
+# visible point; twice the default labeling tolerance.
 REPLACEMENT_GUARD = 2e-3
 
 
