@@ -121,12 +121,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.array(data, dtype=np.float64)
-        self.data = arr
+        self.data = np.array(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        # Leaves carry a zero grad so untouched parameters read as zero
-        # gradient; an op output's grad is its first addend.
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        # No tensor holds a grad until one reaches it; parameters get theirs
+        # from `ModelWeights.zero_grad`, an op output its first addend.
+        self.grad = None
 
     @classmethod
     def _wrap(cls, data, requires_grad):
@@ -659,8 +658,8 @@ def _first_at(flipped, idx, best):
 
 
 def covariance_norm(x, weight, gamma, beta) -> Tensor:
-    """relu(instance_norm(x @ weight, gamma, beta)) for an array x (R, w)
-    of few columns, a constant, from the w x w covariance of x.
+    """relu(instance_norm(x @ weight, gamma, beta)) for a constant x (..., w)
+    of few columns, over all R rows of x, from their w x w covariance.
 
     Centred, z = (x - mean(x)) @ weight has zero mean and per-channel
     variance diag(weight^T Sigma weight), Sigma = cov(x). With istd = 1 /
@@ -674,13 +673,14 @@ def covariance_norm(x, weight, gamma, beta) -> Tensor:
     """
     x = np.asarray(x, dtype=np.float64)
     weight, gamma, beta = _as_tensor(weight), _as_tensor(gamma), _as_tensor(beta)
-    if x.ndim != 2 or weight.ndim != 2 or weight.shape[0] != x.shape[1]:
+    if x.ndim < 2 or weight.ndim != 2 or weight.shape[0] != x.shape[-1]:
         raise ShapeMismatch(f"covariance_norm shapes {x.shape} x {weight.shape}")
     if gamma.shape != weight.shape[1:] or beta.shape != weight.shape[1:]:
         raise ShapeMismatch(f"covariance_norm needs gamma, beta {weight.shape[1:]}, got "
                             f"{gamma.shape} and {beta.shape}")
-    xc = x - x.mean(axis=0)
-    sigma_w = ((xc.T @ xc) / len(x)) @ weight.data
+    rows = x.reshape(-1, x.shape[-1])
+    xc = rows - rows.mean(axis=0)
+    sigma_w = ((xc.T @ xc) / len(rows)) @ weight.data
     istd = 1.0 / np.sqrt(np.maximum(np.einsum("wd,wd->d", weight.data, sigma_w), 0.0) + NORM_EPS)
     scale = istd * gamma.data
     out_data = xc @ (weight.data * scale)
@@ -688,7 +688,7 @@ def covariance_norm(x, weight, gamma, beta) -> Tensor:
     np.maximum(out_data, 0.0, out=out_data)
 
     def bw(g):
-        gz = g * (out_data > 0.0)
+        gz = g.reshape(out_data.shape) * (out_data > 0.0)
         if beta.requires_grad:
             _accum(beta, gz.sum(axis=0))
         h = xc.T @ gz
@@ -698,7 +698,7 @@ def covariance_norm(x, weight, gamma, beta) -> Tensor:
         if weight.requires_grad:
             _accum(weight, scale * (h - (istd * istd * wh) * sigma_w))
 
-    return _make(out_data, (weight, gamma, beta), bw)
+    return _make(out_data.reshape(*x.shape[:-1], -1), (weight, gamma, beta), bw)
 
 
 def grouped_neighbor_conv(x, weight) -> Tensor:

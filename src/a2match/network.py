@@ -251,6 +251,8 @@ class ModelWeights:
         return self.params[name]
 
     def zero_grad(self):
+        """Give each parameter a zero grad: the only place one is allocated,
+        so initialized or loaded weights hold none."""
         for p in self.params.values():
             p.grad = np.zeros_like(p.data)
 
@@ -326,15 +328,15 @@ def angle_aggregate(graph: LocalGraph, w: ModelWeights, name) -> Tensor:
 
     The first stage's input is constant, k/g cosines per group, so
     `autodiff.covariance_norm` runs its convolution, norm and ReLU from the
-    (k/g) x (k/g) covariance of the cosines.
+    (k/g) x (k/g) covariance of the cosines and hands its (N, g, d) output
+    straight to the second stage.
     """
     cfg = w.config
     n = graph.neighbor_cos.shape[0]
-    h = ad.covariance_norm(graph.neighbor_cos.reshape(n * cfg.g, cfg.k // cfg.g),
+    h = ad.covariance_norm(graph.neighbor_cos.reshape(n, cfg.g, cfg.k // cfg.g),
                            w.param(f"{name}/conv1/W"), w.param(f"{name}/bn1/gamma"),
                            w.param(f"{name}/bn1/beta"))
-    h = ad.grouped_neighbor_conv(ad.reshape(h, (n, cfg.g, h.shape[-1])),
-                                 w.param(f"{name}/conv2/W"))
+    h = ad.grouped_neighbor_conv(h, w.param(f"{name}/conv2/W"))
     return _norm_act(h, w, f"{name}/bn2", "relu")
 
 

@@ -25,7 +25,7 @@ from .posemetrics import (
     rotation_error,
     translation_error,
 )
-from .rejection import classify, filter_correspondences
+from .rejection import check_threshold, classify, filter_correspondences
 from .synth import ScenePair
 from .transport import ScoreMatrix, augment_dustbins, cost_matrix, mutual_nn, sinkhorn
 
@@ -64,6 +64,7 @@ def classify_candidates(pair: ScenePair, corrs: CorrespondenceSet,
 def match_scene(pair: ScenePair, weights: ModelWeights, *, threshold: float = 0.5,
                 use_rejection: bool = True) -> MatchResult:
     """Initial (mutual-NN transport) and final (filtered) correspondences."""
+    check_threshold(threshold)
     initial = mutual_nn(scene_plan(pair, weights))
     if not use_rejection or len(initial) == 0:
         return MatchResult(initial, CorrespondenceSet(list(initial.pairs)))

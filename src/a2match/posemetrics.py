@@ -322,8 +322,9 @@ def pnp_ransac(uv, xyz, k: CameraIntrinsics, cfg: RansacConfig) -> PoseEstimate:
             ratio = count / n
             if 0.0 < ratio < 1.0:
                 denom = math.log(max(1.0 - ratio ** 4, 1e-16))
-                needed = min(cfg.max_iterations,
-                             int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
+                if denom < 0.0:   # 0 where ratio^4 rounds away against 1
+                    needed = min(cfg.max_iterations,
+                                 int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
             elif ratio >= 1.0:
                 needed = it
 

@@ -44,10 +44,15 @@ def classify(bearings_p, bearings_q, w: ModelWeights) -> Tensor:
     return ad.gather_rows(ad.sigmoid(ad.reshape(logit, (n,))), inverse)
 
 
-def filter_correspondences(init: CorrespondenceSet, probs, t: float) -> CorrespondenceSet:
-    """Keep candidate i iff p_i > t; order preserved."""
+def check_threshold(t: float):
+    """Raise ValueError unless t is an acceptance threshold, in [0, 1]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold must lie in [0,1], got {t}")
+
+
+def filter_correspondences(init: CorrespondenceSet, probs, t: float) -> CorrespondenceSet:
+    """Keep candidate i iff p_i > t; order preserved."""
+    check_threshold(t)
     p = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
     if len(p) != len(init):
         raise ValueError(f"{len(p)} probabilities for {len(init)} candidates")

@@ -63,9 +63,7 @@ def parse_run_config(obj: dict) -> RunConfig:
     built = {}
     for name, cls in SECTIONS.items():
         built[name] = _build_section(name, cls, obj.get(name, {}))
-    cfg = RunConfig(**built)
-    cfg.synth.validate()
-    return cfg
+    return RunConfig(**built)
 
 
 def load_run_config(path=None) -> RunConfig:

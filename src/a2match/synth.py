@@ -53,7 +53,7 @@ class SynthConfig:
     image_height: float = 3072.0
     gt_tolerance: float = 1e-3
 
-    def validate(self):
+    def __post_init__(self):
         if not MIN_POINTS <= self.n_points <= MAX_POINTS:
             raise InvalidConfig(
                 f"n_points must lie in [{MIN_POINTS},{MAX_POINTS}], got {self.n_points}")
@@ -134,7 +134,6 @@ def _clear_keypoint(rng, k: CameraIntrinsics, bearings, guard):
 
 def generate_scene(cfg: SynthConfig) -> ScenePair:
     """Build one scene pair, fully determined by cfg.seed."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     k = CameraIntrinsics(cfg.focal, cfg.focal, cfg.image_width / 2.0, cfg.image_height / 2.0)
     pose = RigidPose(_random_rotation(rng), rng.uniform(-2.0, 2.0, 3))

@@ -5,8 +5,9 @@ A scene's loss runs the chain inference runs, `pipeline.scene_plan` then
 the same way. The matching loss is the negative log-likelihood of the
 transport plan at the ground-truth cells plus the dustbin cells of
 unmatched points; the rejection loss is class-balanced binary cross-entropy
-on the classifier probabilities. Candidate selection (mutual NN) is
-discrete, so gradients treat the selected set as fixed; the
+on the classifier probabilities. A scene's total is their sum, or the
+matching loss alone when there are no candidates. Candidate selection
+(mutual NN) is discrete, so gradients treat the selected set as fixed; the
 finite-difference checker freezes it explicitly at the base point for the
 same reason.
 """
@@ -43,14 +44,10 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 30
     seed: int = 0
-    match_weight: float = 1.0
-    rejection_weight: float = 1.0
 
     def __post_init__(self):
-        for name in ("learning_rate", "match_weight", "rejection_weight"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -141,8 +138,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def adam_step(weights: ModelWeights, grads: dict, state: AdamState, cfg: TrainConfig):
-    """One in-place Adam update; deterministic given state.
+def adam_step(weights: ModelWeights, state: AdamState, cfg: TrainConfig):
+    """One in-place Adam update from each parameter's grad; deterministic
+    given state.
 
     Per parameter, with c1 = 1 - beta1^t and c2 = 1 - beta2^t:
     m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g and
@@ -156,7 +154,7 @@ def adam_step(weights: ModelWeights, grads: dict, state: AdamState, cfg: TrainCo
     size = max(p.data.size for p in weights.params.values())
     buf = np.empty((2, size))
     for name, p in weights.params.items():
-        g = grads[name]
+        g = p.grad
         m = state.m[name]
         v = state.v[name]
         # Views, so that a 0-d parameter gets a 0-d array to write into.
@@ -195,9 +193,7 @@ def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig, *,
         probs = classify_candidates(pair, candidates, weights)
         l_rej = rejection_loss(probs, labels, balance_weights(labels))
 
-    total = ad.scale(l_match, train_cfg.match_weight)
-    if l_rej is not None:
-        total = ad.add(total, ad.scale(l_rej, train_cfg.rejection_weight))
+    total = l_match if l_rej is None else ad.add(l_match, l_rej)
     report = LossReport(
         matching_loss=l_match.item(),
         rejection_loss=l_rej.item() if l_rej is not None else 0.0,
@@ -248,7 +244,7 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
             inv = 1.0 / len(batch_idx)
             for p in weights.params.values():
                 p.grad *= inv
-            adam_step(weights, {k: p.grad for k, p in weights.params.items()}, state, cfg)
+            adam_step(weights, state, cfg)
         mean = sums / len(dataset)
         reports.append(LossReport(mean[0], mean[1], mean[2], n_m_total, n_c_total))
         epoch_seconds.append(time.perf_counter() - t0)
@@ -293,19 +289,12 @@ def _fixed_candidates(pair):
     gradient reaches the classifier. Mix ground-truth pairs with wrong pairs so both
     cross-entropy terms carry gradient.
     """
-    n = len(pair.points)
-    pairs = [(i, j, 0.5) for i, j, _ in list(pair.gt_matches)[:8]]
-    for i, j, _ in list(pair.gt_matches)[:4]:
-        pairs.append((i, (j + 3) % n, 0.5))
-    if len(pairs) < 2:
-        pairs = [(0, 0, 0.5), (1, 1, 0.5), (2, 3, 0.5)]
-    seen = set()
-    unique = []
-    for i, j, s in pairs:
-        if (i, j) not in seen:
-            seen.add((i, j))
-            unique.append((i, j, s))
-    return CorrespondenceSet(unique)
+    gt = [(i, j) for i, j, _ in list(pair.gt_matches)[:8]]
+    cells = gt + [(i, (j + 3) % len(pair.points)) for i, j in gt[:4]]
+    if len(cells) < 2:
+        cells = [(0, 0), (1, 1), (2, 3)]
+    # dict.fromkeys drops repeated cells and keeps first-seen order.
+    return CorrespondenceSet([(i, j, 0.5) for i, j in dict.fromkeys(cells)])
 
 
 def grad_check(pair, weights: ModelWeights, sample: int = 64,

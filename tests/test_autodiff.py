@@ -148,11 +148,9 @@ def _max_over_axis_1(a):
 
 def _out_and_grads(build, arrays, g):
     """Output of build(*leaves) and each leaf's gradient of sum(out * g), as
-    the backward hands them over: the leaves start from no grad, since adding
-    to a zero grad would turn each -0 into +0."""
+    the backward hands them over. A new Tensor holds no grad, so nothing
+    adds the addends to a zero grad, which would turn each -0 into +0."""
     leaves = [Tensor(x.copy(), requires_grad=True) for x in arrays]
-    for t in leaves:
-        t.grad = None
     with Tape() as tape:
         out = build(*leaves)
         tape.backward(ad.sum_all(ad.mul(out, constant(g))))
@@ -451,6 +449,24 @@ def test_covariance_norm_equals_conv_norm_relu():
                                            ga, be, "relu"),
         (weight, gamma, beta), g)
     _assert_close(got, ref, _NORM_RTOL)
+
+
+def test_covariance_norm_normalizes_over_every_axis_but_the_last():
+    # The angle path's (N, g, k/g) call has the bits of the (N*g, k/g) call
+    # reshaped, in its output and in every gradient.
+    rng = np.random.default_rng(33)
+    x = np.concatenate([_cosine_rows(rng), _cosine_rows(rng)]).reshape(6, 4, 3)
+    weight = rng.standard_normal((3, 5))
+    gamma = np.array([1.2, -0.8, 0.0, 0.5, -2.0])
+    beta = rng.standard_normal(5)
+    g = rng.standard_normal((6, 4, 5))
+    got = _out_and_grads(lambda w, ga, be: ad.covariance_norm(x, w, ga, be),
+                         (weight, gamma, beta), g)
+    ref = _out_and_grads(lambda w, ga, be: ad.reshape(ad.covariance_norm(x.reshape(24, 3), w,
+                                                                          ga, be), (6, 4, 5)),
+                         (weight, gamma, beta), g)
+    assert got[0].shape == (6, 4, 5)
+    _assert_same_bits(got, ref)
 
 
 def test_covariance_norm_gradcheck():

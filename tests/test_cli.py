@@ -164,17 +164,18 @@ def test_run_config_rejects_non_finite_and_out_of_range_values():
     nan, inf = float("nan"), float("inf")
     bad = {
         ("train", "learning_rate"): (nan, inf, -inf, -1e-3),
-        ("train", "match_weight"): (nan, inf, -1.0),
-        ("train", "rejection_weight"): (nan, inf, -1.0),
         ("ransac", "inlier_threshold"): (nan, inf, 0.0, -0.005),
     }
     for (section, key), values in bad.items():
         for value in values:
             with pytest.raises(InvalidConfig, match=key):
                 parse_run_config({section: {key: value}})
-    cfg = parse_run_config({"train": {"learning_rate": 0.0, "match_weight": 0.0,
-                                      "rejection_weight": 0.0}})
-    assert cfg.train.learning_rate == cfg.train.match_weight == 0.0
+    # The loss has no weights: these names are unknown keys like any other.
+    for key in ("match_weight", "rejection_weight"):
+        with pytest.raises(InvalidConfig, match=f"unknown config key: train.{key}"):
+            parse_run_config({"train": {key: 1.0}})
+    cfg = parse_run_config({"train": {"learning_rate": 0.0}})
+    assert cfg.train.learning_rate == 0.0
 
 
 @pytest.mark.parametrize("section,key,value", [

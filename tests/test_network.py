@@ -28,6 +28,7 @@ from a2match.network import (
 )
 from a2match.synth import SynthConfig, generate_scene
 from a2match.transport import ScoreMatrix, augment_dustbins, cost_matrix, sinkhorn
+from a2match.weights_io import load_weights, save_weights
 
 CFG8 = NetworkConfig(d=8)
 
@@ -464,6 +465,28 @@ def test_forward_peak_memory_n512():
     finally:
         tracemalloc.stop()
     assert peak_mb < 13.5
+
+
+def test_weights_hold_no_gradient_until_zero_grad(tmp_path):
+    # Inference never reads a gradient, so initialized and loaded weights
+    # hold none; zero_grad is the one place that allocates them. A d=128
+    # model's values take 13.1 MiB; with a zero grad per parameter, a
+    # loaded model held 26.3 MiB.
+    cfg = NetworkConfig(d=128)
+    path = tmp_path / "w.a2gw"
+    save_weights(path, ModelWeights.initialize(cfg, seed=0))
+    tracemalloc.start()
+    try:
+        loaded = load_weights(path)
+        held_mb = tracemalloc.get_traced_memory()[0] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert held_mb < 16.0
+    for w in (ModelWeights.initialize(cfg, seed=0), loaded):
+        assert all(p.grad is None for p in w.params.values())
+        w.zero_grad()
+        for p in w.params.values():
+            assert p.grad.shape == p.data.shape and not np.any(p.grad)
 
 
 def test_forward_features_and_plan_pinned():

@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from a2match.geometry import EPS_DEPTH, CorrespondenceSet, RigidPose, pixel_bearings, project
+from a2match.geometry import (
+    EPS_DEPTH,
+    CameraIntrinsics,
+    CorrespondenceSet,
+    RigidPose,
+    pixel_bearings,
+    project,
+)
 from a2match.pipeline import localize_oracle
 from a2match.posemetrics import (
     EmptyList,
@@ -469,3 +476,16 @@ def test_ransac_budget_edges_run():
     est = pnp_ransac(uv, xyz, pair.intrinsics, RansacConfig(max_iterations=1,
                                                             refine_iterations=0))
     assert est.iterations == 1 and est.success and est.inlier_mask.all()
+
+
+def test_ransac_with_few_inliers_among_many_pairs_keeps_its_budget():
+    # Random pairs: the first hypothesis has a handful of inliers among
+    # 60,000, so 1 - ratio^4 rounds to 1.0, whose log once divided the
+    # stopping rule by zero.
+    rng = np.random.default_rng(0)
+    n = 60_000
+    uv = rng.uniform(0.0, 1.0, (n, 2)) * [640.0, 480.0]
+    xyz = rng.standard_normal((n, 3))
+    est = pnp_ransac(uv, xyz, CameraIntrinsics(500.0, 500.0, 320.0, 240.0),
+                     RansacConfig(max_iterations=1))
+    assert est.iterations == 1

@@ -5,7 +5,7 @@ from a2match.autodiff import Tape, constant
 from a2match import autodiff as ad
 from a2match.geometry import CorrespondenceSet, pixel_bearings, world_bearings
 from a2match.network import ModelWeights, NetworkConfig
-from a2match.pipeline import classify_candidates
+from a2match.pipeline import classify_candidates, localize_scene, match_scene
 from a2match.rejection import EmptyBatch, classify, filter_correspondences
 from a2match.synth import SynthConfig, generate_scene
 
@@ -142,3 +142,19 @@ def test_filter_validates():
         filter_correspondences(make_set(3), np.ones(3), 1.5)
     with pytest.raises(ValueError):
         filter_correspondences(make_set(3), np.ones(2), 0.5)
+
+
+@pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
+def test_match_scene_rejects_a_bad_threshold_whatever_the_candidates(threshold):
+    # A fresh d=32 model finds no candidates on this scene; one whose
+    # dustbin score is -20 finds some. Both refuse the threshold up front.
+    pair = generate_scene(SynthConfig(n_points=48, seed=1))
+    none = ModelWeights.initialize(NetworkConfig(d=32), seed=0)
+    some = ModelWeights.initialize(NetworkConfig(d=32), seed=0)
+    some.param("ot/alpha_bin").data[...] = -20.0
+    assert len(match_scene(pair, none).initial) == 0
+    assert len(match_scene(pair, some).initial) > 0
+    for w in (none, some):
+        for run in (match_scene, localize_scene):
+            with pytest.raises(ValueError, match="threshold must lie in"):
+                run(pair, w, threshold=threshold)
