@@ -1,4 +1,4 @@
-"""Dense float64 tensors with taped reverse-mode differentiation.
+"""Dense float32 and float64 tensors with taped reverse-mode differentiation.
 
 Covers exactly what the matching network needs: 2D matmul, elementwise
 arithmetic with trailing-axis / singleton-axis broadcasting for affine
@@ -49,6 +49,17 @@ promise equivariance put their rows in a canonical order first
 (`canonical_order`), run on the sorted arrays and gather the outputs back:
 a permuted input becomes the very same arrays, so its outputs are the same
 bits, permuted.
+
+Dtypes follow numpy 2's promotion rules (NEP 50). A Tensor keeps a float32
+array as float32 and makes everything else float64. Each kernel allocates
+its buffers in its input's dtype, so the network body and the classifier
+compute in the float32 of the weights, or in float64 on a promoted copy of
+them. `pairwise_l2` widens its inputs to float64, so the cost and everything
+after it are float64. `_accum` hands each tensor a gradient of its own
+dtype, so that op's backward narrows what it hands the features.
+`norm_max` and `covariance_norm`, whose variances come from sums that can
+cancel, accumulate those per-channel sums in float64 from buffers of their
+input's dtype; instance_norm sums centred squares in its input's dtype.
 
 `pairwise_l2` takes squared distances in Gram form, |a|^2 + |b|^2 - 2 a.b:
 one BLAS product and two vectors of row norms, with no M x N x d tensor.
@@ -121,7 +132,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.array(data, dtype=np.float64)
+        data = np.asarray(data)
+        # float32, the weights' dtype, stays float32; all else is float64.
+        self.data = np.array(data, dtype=np.float32 if data.dtype == np.float32 else np.float64)
         self.requires_grad = bool(requires_grad)
         # No tensor holds a grad until one reaches it; parameters get theirs
         # from `ModelWeights.zero_grad`, an op output its first addend.
@@ -155,7 +168,10 @@ def constant(data) -> Tensor:
 
 
 def _accum(t: Tensor, g):
-    # Never in place: g may be another tensor's grad, or a view of one.
+    # Never in place: g may be another tensor's grad, or a view of one. The
+    # grad takes the tensor's dtype: a float64 op narrows a float32 input's.
+    if g.dtype != t.data.dtype:
+        g = g.astype(t.data.dtype)
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -357,7 +373,7 @@ def _scatter_add(src, target, n, fan_out=1):
     loop, which differs between loops (and array lengths) for NaN + -NaN.
     """
     target = np.asarray(target, dtype=np.intp).ravel()
-    out = np.zeros((n,) + src.shape[1:])
+    out = np.zeros((n,) + src.shape[1:], dtype=src.dtype)
     if not target.size:
         return out
     order = np.argsort(target, kind="stable")
@@ -365,7 +381,7 @@ def _scatter_add(src, target, n, fan_out=1):
     starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
     degree = np.diff(np.r_[starts, target.size])
     first = starts[np.argsort(-degree, kind="stable")]
-    acc = np.zeros((first.size,) + src.shape[1:])
+    acc = np.zeros((first.size,) + src.shape[1:], dtype=src.dtype)
     # Before pass q, the targets with at most q sources are done.
     done = np.cumsum(np.bincount(degree))
     for q in range(degree.max()):
@@ -409,12 +425,21 @@ def _unary(a, fwd, dfn):
 
 
 def leaky_relu(a) -> Tensor:
+    # The mask holds 1 or LEAKY_SLOPE in x's dtype, as np.where(x >= 0.0,
+    # 1.0, LEAKY_SLOPE) does in float64.
     return _unary(a, lambda x: np.maximum(x, LEAKY_SLOPE * x),
-                  lambda g, x, y: g * np.where(x >= 0.0, 1.0, LEAKY_SLOPE))
+                  lambda g, x, y: g * np.maximum(x >= 0.0, LEAKY_SLOPE, dtype=x.dtype))
+
+
+def _sigmoid(x):
+    # exp(-x) overflows to inf below -88 in float32, and 1 / inf is the 0
+    # that the probability rounds to.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a) -> Tensor:
-    return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)), lambda g, x, y: g * y * (1.0 - y))
+    return _unary(a, _sigmoid, lambda g, x, y: g * y * (1.0 - y))
 
 
 def exp(a) -> Tensor:
@@ -503,7 +528,7 @@ def instance_norm(x, gamma=None, beta=None, act=None) -> Tensor:
                          f"got {act!r}")
     c = x.shape[-1]
     rows = x.data.reshape(-1, c)
-    out_data = np.empty(x.shape)
+    out_data = np.empty(x.shape, dtype=rows.dtype)
     y = out_data.reshape(-1, c)
     mean, istd = _norm_stats(rows, y)
     np.subtract(rows, mean, out=y)
@@ -524,12 +549,12 @@ def instance_norm(x, gamma=None, beta=None, act=None) -> Tensor:
     def bw(g):
         g = g.reshape(-1, c)
         if act == "relu":
-            gm = np.greater(y, 0.0, out=np.empty(y.shape))
+            gm = np.greater(y, 0.0, out=np.empty(y.shape, dtype=y.dtype))
             gm *= g
         elif act == "leaky_relu":
             # The bits of np.where(keep, g, g * LEAKY_SLOPE), as g * 1.0 is
             # g, at a fraction of np.where's cost on a random mask.
-            gm = np.maximum(keep, LEAKY_SLOPE)
+            gm = np.maximum(keep, LEAKY_SLOPE, dtype=y.dtype)
             gm *= g
         else:
             gm = g
@@ -562,30 +587,38 @@ def norm_max(f, idx, weight, gamma, beta) -> Tensor:
     decreasing where gamma < 0, so the output is the normalized edge
     s_i - t_j whose t_j is the smallest (gamma > 0) or largest (gamma < 0)
     over p. Ties go to the first such p, and where gamma == 0, where every
-    edge normalizes to beta, to p = 0. That edge is formed as s_i - t_j, so
-    its raw value has the bits of the edge.
+    edge normalizes to beta, to p = 0. That edge is normalized from its
+    centred value s'_i - t'_j below.
 
-    The statistics come from per-node sums, with indeg_j the in-degree of j,
-    s' = s - mean(s) and t' = t - t_w, t_w the indeg-weighted mean of t: the
-    edge mean is mean(s) - t_w and the edge variance
+    The statistics come from per-node sums, with indeg_j the in-degree of
+    j. s and t are centred on their mean and indeg-weighted mean, each
+    rounded to s's dtype, s' = s - s_m and t' = t - t_w; mu, the mean of the
+    centred edges s'_i - t'_j, is what that rounding left (0 in float64).
+    The edge mean is s_m - t_w + mu and the edge variance
 
-        (k sum_i s'_i^2 - 2 sum_i s'_i T'_i + sum_j indeg_j t'_j^2) / (N k),
+        (k sum_i s'_i^2 - 2 sum_i s'_i T'_i + sum_j indeg_j t'_j^2) / (N k) - mu^2,
 
-    T'_i = sum_p t'_j. Where the edges' spread is small against s and t this
-    cancels: the computed variance is within a few (N + k^2) u times the
-    largest s_i^2 or t_j^2 of its channel (u = 2^-53), so istd's relative
-    error is about that over 2 (variance + NORM_EPS). A negative variance
-    is taken as 0, so istd never exceeds 1 / sqrt(NORM_EPS).
+    T'_i = sum_p t'_j. The means and these sums accumulate in float64, so
+    with u the unit round-off of s's dtype (2^-24 in float32), the only
+    rounding they see is that of the centred buffers: s'_i and t'_j within
+    u |s'_i| and u |t'_j|, T'_i within k^2 u max|t'|, all relative to the
+    s and t the products give. So the variance is within a few k u (max|s'|
+    + max|t'|)^2 of theirs, whatever offset s and t share: it cancels only
+    where the edges' spread is small against the spread of s and t over the
+    nodes. With R = (max|s'| + max|t'|)^2 / (variance + NORM_EPS) per
+    channel, each normalized output xhat is within a few k u R (1 + |xhat|)
+    of its exact value. A negative variance is taken as 0, so istd never
+    exceeds 1 / sqrt(NORM_EPS).
 
     The backward uses that instance norm's edge gradient is istd gamma g at
     each output's edge plus a dense part a + b (s'_i - t'_j), with per-
-    channel a = -istd mean(gamma g) and b = -istd^2 mean(gamma g xhat) over
-    the N k edges. Summed over each node's out-edges and in-edges that needs
-    T', one _scatter_add of s' over the in-edges and one bincount of istd
-    gamma g into the chosen t_j. The (N, k, d) gather of t lives only for
-    its min and sum, and again in the backward to find the first minimizer;
-    the tape keeps (N, d) arrays, and no squared deviations, normalized
-    edges or dense edge gradient are formed.
+    channel b = -istd^2 mean(gamma g xhat) and a = -istd mean(gamma g) - b mu
+    over the N k edges. Summed over each node's out-edges and in-edges that
+    needs T', one _scatter_add of s' over the in-edges and one bincount of
+    istd gamma g into the chosen t_j. The (N, k, d) gather of t' lives only
+    for its min and sum, and again in the backward to find the first
+    minimizer; the tape keeps (N, d) arrays, and no squared deviations,
+    normalized edges or dense edge gradient are formed.
     """
     f, weight = _as_tensor(f), _as_tensor(weight)
     gamma, beta = _as_tensor(gamma), _as_tensor(beta)
@@ -600,29 +633,34 @@ def norm_max(f, idx, weight, gamma, beta) -> Tensor:
     n, k = idx.shape
     s = f.data @ w_self
     t = f.data @ w_nbr
-    # Per (i, channel), the smallest sign * t_j over p, j = idx[i, p], and
-    # their sum; where gamma == 0, t_j at p = 0. sign * best is that t_j.
-    sign = np.where(gamma.data < 0, -1.0, 1.0)
-    flipped = t * sign
+    dtype = s.dtype
+    indeg = np.bincount(idx.ravel(), minlength=n).astype(dtype)
+    s_mean = s.mean(axis=0, dtype=np.float64)
+    t_mean = np.einsum("i,ic->c", indeg, t, dtype=np.float64) / (n * k)
+    s_off, t_off = s_mean.astype(dtype), t_mean.astype(dtype)
+    sc = s - s_off
+    tc = t - t_off
+    mu = (s_mean - s_off) - (t_mean - t_off)
+    # Per (i, channel), the smallest sign * t'_j over p, j = idx[i, p], and
+    # their sum; where gamma == 0, t'_j at p = 0. sign * best is that t'_j.
+    sign = np.where(gamma.data < 0, -1.0, 1.0).astype(dtype)
+    flipped = tc * sign
     gathered = flipped[idx]
     best = gathered.min(axis=1)
     total = gathered.sum(axis=1)
     del gathered
     zero = gamma.data == 0
-    best[:, zero] = t[idx[:, 0]][:, zero]
-    extreme = s - sign * best
-
-    indeg = np.bincount(idx.ravel(), minlength=n).astype(np.float64)
-    s_mean = s.mean(axis=0)
-    t_mean = (indeg @ t) / (n * k)
-    sc = s - s_mean
-    tc = t - t_mean
+    best[:, zero] = tc[idx[:, 0]][:, zero]
     total *= sign
-    total -= k * t_mean
-    var = (k * np.einsum("ic,ic->c", sc, sc) - 2.0 * np.einsum("ic,ic->c", sc, total)
-           + indeg @ (tc * tc)) / (n * k)
-    istd = 1.0 / np.sqrt(np.maximum(var, 0.0) + NORM_EPS)
-    xs = (extreme - (s_mean - t_mean)) * istd
+
+    var = (k * np.einsum("ic,ic->c", sc, sc, dtype=np.float64)
+           - 2.0 * np.einsum("ic,ic->c", sc, total, dtype=np.float64)
+           + np.einsum("i,ic,ic->c", indeg, tc, tc, dtype=np.float64)) / (n * k) - mu * mu
+    istd = (1.0 / np.sqrt(np.maximum(var, 0.0) + NORM_EPS)).astype(dtype)
+    mu = mu.astype(dtype)
+    xs = sc - sign * best
+    xs -= mu
+    xs *= istd
     out_data = xs * gamma.data + beta.data
 
     def bw(g):
@@ -632,8 +670,8 @@ def norm_max(f, idx, weight, gamma, beta) -> Tensor:
             _accum(beta, g.sum(axis=0))
         if f.requires_grad or weight.requires_grad:
             top = g * (istd * gamma.data)
-            a = -(top.sum(axis=0) / (n * k))
             b = -istd * (np.einsum("ic,ic->c", top, xs) / (n * k))
+            a = -(top.sum(axis=0) / (n * k)) - b * mu
             g_self = top + k * a
             g_self += b * (k * sc - total)
             into = _scatter_add(sc, idx, n, fan_out=k)
@@ -667,21 +705,29 @@ def covariance_norm(x, weight, gamma, beta) -> Tensor:
     gamma) + beta): one (R, w) @ (w, d) product, and no (R, d) statistics
     pass. A variance that rounds below 0 is taken as 0.
 
+    x is cast to the weight's dtype. The mean, the covariance and the
+    variances accumulate in float64, so the only rounding they see is that
+    of the centred input, relative u (2^-24 in float32) per entry: each
+    variance is within about 2u |W|^T S |W| of the exact one, S = mean(|x -
+    mean(x)| |x - mean(x)|^T), whatever the number of rows. It cancels only
+    where a column of W leans on directions in which x hardly varies.
+
     Backward, with gz the gradient at the ReLU's input and H = (x -
     mean(x))^T gz: dW = gamma istd (H - istd^2 diag(W^T H) Sigma W),
     dgamma = istd diag(W^T H) and dbeta = sum(gz).
     """
-    x = np.asarray(x, dtype=np.float64)
     weight, gamma, beta = _as_tensor(weight), _as_tensor(gamma), _as_tensor(beta)
+    x = np.asarray(x, dtype=weight.data.dtype)
     if x.ndim < 2 or weight.ndim != 2 or weight.shape[0] != x.shape[-1]:
         raise ShapeMismatch(f"covariance_norm shapes {x.shape} x {weight.shape}")
     if gamma.shape != weight.shape[1:] or beta.shape != weight.shape[1:]:
         raise ShapeMismatch(f"covariance_norm needs gamma, beta {weight.shape[1:]}, got "
                             f"{gamma.shape} and {beta.shape}")
     rows = x.reshape(-1, x.shape[-1])
-    xc = rows - rows.mean(axis=0)
-    sigma_w = ((xc.T @ xc) / len(rows)) @ weight.data
+    xc = rows - rows.mean(axis=0, dtype=np.float64).astype(x.dtype)
+    sigma_w = (np.einsum("rv,rw->vw", xc, xc, dtype=np.float64) / len(rows)) @ weight.data
     istd = 1.0 / np.sqrt(np.maximum(np.einsum("wd,wd->d", weight.data, sigma_w), 0.0) + NORM_EPS)
+    istd, sigma_w = istd.astype(x.dtype), sigma_w.astype(x.dtype)
     scale = istd * gamma.data
     out_data = xc @ (weight.data * scale)
     out_data += beta.data
@@ -780,7 +826,7 @@ def _linear_backward(g_self, g_nbr, f, weight, w_self, w_nbr):
     if weight.requires_grad:
         gw_self = f.data.T @ g_self
         gw_nbr = (f.data.T @ g_nbr).reshape(d, width, d_out).transpose(1, 0, 2)
-        gw = np.empty((width, 2, d, d_out))
+        gw = np.empty((width, 2, d, d_out), dtype=weight.data.dtype)
         gw[:, 0] = gw_self
         gw[:, 1] = gw_self - gw_nbr
         _accum(weight, gw.reshape(weight.shape))
@@ -828,17 +874,22 @@ def pairwise_l2(a, b) -> Tensor:
     of that expression, u = 2^-53, while squares stay in float64's normal
     range. A BLAS product's bits may depend on where a row sits, so
     permuting the rows permutes D only up to round-off.
+
+    The op widens float32 inputs to float64, so D and everything after it
+    (the dustbins, Sinkhorn, the losses) is float64, and `_accum` narrows
+    the inputs' gradients back to their dtype.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeMismatch(f"pairwise_l2 shapes {a.shape} x {b.shape}")
-    out_data = np.sqrt(_squared_distances(a.data, b.data)[0])
+    a64, b64 = a.data.astype(np.float64, copy=False), b.data.astype(np.float64, copy=False)
+    out_data = np.sqrt(_squared_distances(a64, b64)[0])
 
     def bw(g):
         coef = g / np.maximum(out_data, 1e-12)
         if a.requires_grad:
-            _accum(a, coef.sum(axis=1)[:, None] * a.data - coef @ b.data)
+            _accum(a, coef.sum(axis=1)[:, None] * a64 - coef @ b64)
         if b.requires_grad:
-            _accum(b, coef.sum(axis=0)[:, None] * b.data - coef.T @ a.data)
+            _accum(b, coef.sum(axis=0)[:, None] * b64 - coef.T @ a64)
 
     return _make(out_data, (a, b), bw)

@@ -195,8 +195,7 @@ def cmd_gradcheck(args) -> int:
                                     inlier_fraction=0.75)
     pair = generate_scene(scene_cfg)
     weights = ModelWeights.initialize(net_cfg, seed=cfg.train.seed)
-    report = grad_check(pair, weights, sample=args.samples,
-                        train_cfg=cfg.train, seed=cfg.train.seed)
+    report = grad_check(pair, weights, sample=args.samples, seed=cfg.train.seed)
     for module in sorted(report.per_module):
         print(f"{module:24s} worst rel err {report.per_module[module]:.3e}")
     print(f"checked {len(report.entries)} sampled parameters; "

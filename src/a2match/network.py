@@ -143,11 +143,14 @@ def build_knn_graph(positions, k: int) -> LocalGraph:
 
 
 class ModelWeights:
-    """Named float64 parameters and the NetworkConfig they were made for:
+    """Named float32 parameters and the NetworkConfig they were made for:
     the one config every layer reads.
 
     Parameters follow `layout`, so initialization from a seed and the
-    serialized record stream are both reproducible.
+    serialized record stream are both reproducible. The network body and the
+    classifier compute in the parameters' dtype, float32, which is also the
+    dtype the A2GW file stores; `astype(np.float64)` gives a copy that runs
+    the same code in float64, as the gradient checker does.
     """
 
     def __init__(self, config: NetworkConfig, params: dict):
@@ -225,7 +228,8 @@ class ModelWeights:
     @classmethod
     def initialize(cls, config: NetworkConfig, seed: int = 0) -> "ModelWeights":
         """He-uniform weight matrices drawn in layout order; zero biases and
-        betas, unit gammas."""
+        betas, unit gammas. Values are drawn in float64 and stored as
+        float32."""
         rng = np.random.default_rng(seed)
         params: dict = {}
         for name, shape in cls.layout(config):
@@ -244,8 +248,18 @@ class ModelWeights:
                 data = np.array(-np.sqrt(2.0 * config.d))
             else:
                 data = np.zeros(shape)
-            params[name] = Tensor(data, requires_grad=True)
+            params[name] = Tensor(data.astype(np.float32), requires_grad=True)
         return cls(config, params)
+
+    @property
+    def dtype(self):
+        """The parameters' dtype, in which the network body computes."""
+        return next(iter(self.params.values())).data.dtype
+
+    def astype(self, dtype) -> "ModelWeights":
+        """A copy whose parameters hold this model's values as `dtype`."""
+        return ModelWeights(self.config, {name: Tensor(p.data.astype(dtype), requires_grad=True)
+                                          for name, p in self.params.items()})
 
     def param(self, name: str) -> Tensor:
         return self.params[name]
@@ -271,9 +285,10 @@ def _lin_norm_act(x, w: ModelWeights, name):
 
 
 def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
-    """Per-point features: bearing MLP output plus color MLP output."""
-    b = np.asarray(bearings, dtype=np.float64).reshape(-1, 2)
-    c = np.asarray(colors, dtype=np.float64).reshape(-1, 3)
+    """Per-point features: bearing MLP output plus color MLP output, in the
+    weights' dtype."""
+    b = np.asarray(bearings, dtype=w.dtype).reshape(-1, 2)
+    c = np.asarray(colors, dtype=w.dtype).reshape(-1, 3)
     if len(b) == 0 or len(c) == 0:
         raise EmptyInput("encode needs at least one point")
     if len(b) != len(c):

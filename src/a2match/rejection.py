@@ -9,7 +9,8 @@ four channels; the transport score is not an input. The bearings come from
 the caller, which takes them from the rows the network read
 (`pipeline.classify_candidates`), so this module never sees a pose.
 `classify` runs on its candidate rows in canonical order and gathers the
-probabilities back, so they are bit-exactly permutation equivariant.
+probabilities back, so they are bit-exactly permutation equivariant. Like
+the network body, it computes in the weights' dtype.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def classify(bearings_p, bearings_q, w: ModelWeights) -> Tensor:
     if n == 0:
         raise EmptyBatch("classifier needs at least one candidate")
     order, inverse = ad.canonical_order(x)
-    x = constant(x[order])
+    x = constant(x[order].astype(w.dtype))
 
     h = ad.add(ad.matmul(x, w.param("clf/proj/W")), w.param("clf/proj/b"))
     for r in range(CLASSIFIER_UNITS):

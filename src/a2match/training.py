@@ -152,7 +152,7 @@ def adam_step(weights: ModelWeights, state: AdamState, cfg: TrainConfig):
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     size = max(p.data.size for p in weights.params.values())
-    buf = np.empty((2, size))
+    buf = np.empty((2, size), dtype=weights.dtype)
     for name, p in weights.params.items():
         g = p.grad
         m = state.m[name]
@@ -174,8 +174,7 @@ def adam_step(weights: ModelWeights, state: AdamState, cfg: TrainConfig):
 # --- per-scene loss -----------------------------------------------------------
 
 
-def scene_loss(pair, weights: ModelWeights, train_cfg: TrainConfig, *,
-               frozen_candidates=None):
+def scene_loss(pair, weights: ModelWeights, *, frozen_candidates=None):
     """Total loss of one scene; returns (loss, report, candidates).
 
     frozen_candidates pins the discrete mutual-NN selection so repeated
@@ -234,7 +233,7 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
             for sid in batch_idx:
                 pair = dataset[int(sid)]
                 with Tape() as tape:
-                    loss, rep, _ = scene_loss(pair, weights, cfg)
+                    loss, rep, _ = scene_loss(pair, weights)
                     tape.backward(loss)
                 sums += (rep.matching_loss, rep.rejection_loss, rep.total)
                 n_m_total += rep.n_matching
@@ -297,23 +296,22 @@ def _fixed_candidates(pair):
     return CorrespondenceSet([(i, j, 0.5) for i, j in dict.fromkeys(cells)])
 
 
-def grad_check(pair, weights: ModelWeights, sample: int = 64,
-               train_cfg: TrainConfig = None, seed: int = 0) -> GradCheckReport:
+def grad_check(pair, weights: ModelWeights, sample: int = 64, seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients with central differences on sampled entries.
 
     Sampling is stratified over parameter groups (encoder, max path, annular,
     angle, fusion, cross attention, dustbin score, classifier) so every
-    distinct backward rule is exercised. A loss evaluation changes no state
-    and every perturbed entry is put back, so the parameter values come back
-    as they were given; only their grads are overwritten.
+    distinct backward rule is exercised. The check runs the network's own
+    code on a float64 copy of the weights, whose differences resolve
+    FD_STEP; the given weights are left as they are.
     """
-    train_cfg = train_cfg or TrainConfig()
+    weights = weights.astype(np.float64)
     rng = np.random.default_rng(seed)
 
     candidates = _fixed_candidates(pair)
     weights.zero_grad()
     with Tape() as tape:
-        loss, _, _ = scene_loss(pair, weights, train_cfg, frozen_candidates=candidates)
+        loss, _, _ = scene_loss(pair, weights, frozen_candidates=candidates)
         tape.backward(loss)
     analytic = {k: p.grad.copy() for k, p in weights.params.items()}
 
@@ -334,7 +332,7 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64,
         picks.append((name, int(rng.integers(weights.params[name].data.size))))
 
     def loss_at() -> float:
-        total, _, _ = scene_loss(pair, weights, train_cfg, frozen_candidates=candidates)
+        total, _, _ = scene_loss(pair, weights, frozen_candidates=candidates)
         return total.item()
 
     def measure(p, idx, step) -> float:

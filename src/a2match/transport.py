@@ -20,6 +20,11 @@ Sinkhorn run on their inputs in input order with plain numpy sums and BLAS
 products, so permuting the inputs permutes the cost and the plan only up
 to round-off: the canonical order of `network.forward_features` ends at
 its features.
+
+The float64 boundary sits at the cost: the network computes its features in
+the weights' float32, and `autodiff.pairwise_l2` widens them, so the cost,
+the dustbins, Sinkhorn and the plan are float64. Sinkhorn needs that: its
+scalings reach e^+-330, beyond float32's range of about e^+-88.
 """
 
 from __future__ import annotations

@@ -15,12 +15,12 @@ each name once; load returns them in that order whatever the file's, so a
 re-save of a loaded file has the bytes of a save of the same weights. Older
 versions are rejected, not converted: version 1 also held batch-norm running
 buffers ("buffers/" records), version 2 48 biases that changed no output.
-Values are stored in 32-bit and widened back to 64-bit on load, so
-load(save(w)) reproduces every value at float32 precision exactly. Every
-value must be a finite float32: save refuses NaN, inf and float64 values
-beyond float32's range, and load rejects a file holding NaN or inf. The
-header holds every field of NetworkConfig, so the reloaded network is the
-saved one.
+Values are stored as float32, the dtype `ModelWeights` holds, and load
+returns them as float32, so load(save(w)) is w bit for bit. Every value
+must be a finite float32: save refuses NaN and inf, and rounds float64
+values (of a promoted copy) to float32, refusing those beyond its range;
+load rejects a file holding NaN or inf. The header holds every field of
+NetworkConfig, so the reloaded network is the saved one.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def load_weights(path) -> ModelWeights:
         payload = np.frombuffer(r.take(4 * count), dtype="<f4")
         if not np.isfinite(payload).all():
             raise WeightsFormatError(f"record {name} holds a non-finite value")
-        params[name] = Tensor(payload.astype(np.float64).reshape(dims), requires_grad=True)
+        params[name] = Tensor(payload.astype(np.float32).reshape(dims), requires_grad=True)
     if r.off != len(r.blob):
         raise WeightsFormatError(f"{len(r.blob) - r.off} trailing bytes")
 

@@ -252,6 +252,41 @@ def test_norm_max_where_the_edge_variance_cancels():
     assert np.array_equal(g_beta, g.sum(axis=0))
 
 
+def test_norm_max_float32_within_its_bound_under_a_common_offset():
+    # s and t share an offset near 1e3 and spread about 1 over the nodes.
+    # Inputs and weights are multiples of 1/8 below 2^10, so the products are
+    # exact in float32 and the float32 and float64 ops see the same s and t;
+    # all that differs is the op's own rounding. Its docstring bounds each
+    # normalized output within a few k u R (1 + |xhat|), u = 2^-24 and R =
+    # (max|s'| + max|t'|)^2 / (variance + NORM_EPS) per channel, which 4 k u
+    # R (1 + |xhat|) covers; the op stays within 0.3% of it. Centred on
+    # float32 means, with float32 sums of the raw t, it was off by 1.1e-4
+    # here, 2.4 times that bound.
+    rng = np.random.default_rng(41)
+    n, k, d_in, c = 48, 9, 8, 6
+    f = np.round(rng.standard_normal((n, d_in)) * 8) / 8
+    f[:, 0] = 1000.0
+    idx = rng.integers(0, n, (n, k))
+    weight = np.round(rng.standard_normal((2 * d_in, c)) * 2) / 8
+    weight[0], weight[d_in] = 0.0, 1.0     # W1 and W2 rows of the offset column
+    gamma = np.array([1.0, -1.0, 0.5, -0.5, 2.0, 0.0])
+    beta = np.zeros(c)
+    out32, out64 = (ad.norm_max(constant(f.astype(dt)), idx, constant(weight.astype(dt)),
+                                constant(gamma.astype(dt)), constant(beta.astype(dt))).data
+                    for dt in (np.float32, np.float64))
+    assert out32.dtype == np.float32
+    w_self = weight[:d_in] + weight[d_in:]
+    s, t = f @ w_self, f @ weight[d_in:]
+    assert np.abs(s - 1000.0).max() < 8 and np.abs(t - 1000.0).max() < 8
+    edges = s[:, None, :] - t[idx]
+    indeg = np.bincount(idx.ravel(), minlength=n)
+    spread = np.abs(s - s.mean(axis=0)).max(axis=0) + np.abs(t - indeg @ t / (n * k)).max(axis=0)
+    r = spread ** 2 / (edges.var(axis=(0, 1)) + ad.NORM_EPS)
+    xhat = np.divide(out64, gamma, out=np.zeros_like(out64), where=gamma != 0)
+    bound = 4 * k * 2.0 ** -24 * r * (1 + np.abs(xhat)) * np.abs(gamma)
+    assert np.all(np.abs(out32 - out64) <= bound)
+
+
 def test_norm_max_one_hot_gradient():
     # Each (row, channel) output sends one unit to beta and its normalized
     # maximum to gamma; a negative gamma turns the maximum into the raw minimum.

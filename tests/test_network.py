@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from a2match import autodiff as ad
-from a2match import network, transport
+from a2match import network, training, transport
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.geometry import neighbor_cosine
 from a2match.network import (
@@ -228,7 +228,7 @@ def test_maxpool_equals_edge_mlp_oracle():
     # The edge MLP written out: explicit [f_i, f_i - f_j] edges, linear,
     # instance norm over all N*k edges, LeakyReLU per edge, max over k.
     rng = np.random.default_rng(15)
-    w = small_weights()
+    w = small_weights().astype(np.float64)
     name = "blk0/self/max1"
     w.param(f"{name}/norm/gamma").data[:] = rng.uniform(-1.5, 1.5, 8)
     w.param(f"{name}/norm/beta").data[:] = rng.standard_normal(8)
@@ -297,7 +297,7 @@ def test_angle_feature_rotation_invariant_through_convs():
 def test_self_attention_block_shape_and_equivariance():
     rng = np.random.default_rng(10)
     cfg = NetworkConfig(d=8, k=6, g=3)
-    w = small_weights(cfg=cfg)
+    w = small_weights(cfg=cfg).astype(np.float64)
     pos = rand_positions(rng, 13)
     feats = rng.standard_normal((13, 8))
     g = build_knn_graph(pos, 6)
@@ -343,7 +343,7 @@ def test_cross_attention_rows_sum_to_one():
 def test_block_gradients_against_finite_differences():
     rng = np.random.default_rng(13)
     cfg = NetworkConfig(d=8, k=6, g=3)
-    w = small_weights(cfg=cfg)
+    w = small_weights(cfg=cfg).astype(np.float64)
     pos = rand_positions(rng, 10)
     g = build_knn_graph(pos, 6)
     feats = rng.standard_normal((10, 8))
@@ -455,7 +455,8 @@ def test_forward_peak_memory_n512():
     # normalizing only its maxima (`autodiff.norm_max`), the peak was
     # 11.9 MiB; normalizing all n*k edges before the max peaked at 28.8 MiB.
     # With the max path, each norm and its activation, and the softmax each
-    # writing one buffer, the peak is 10.8 MiB.
+    # writing one buffer, the peak was 10.8 MiB; with float32 weights and
+    # network body it is 7.2 MiB.
     w = ModelWeights.initialize(NetworkConfig(d=128), seed=0)
     pair = scene(512, n=512)
     tracemalloc.start()
@@ -464,14 +465,14 @@ def test_forward_peak_memory_n512():
         peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak_mb < 13.5
+    assert peak_mb < 9.0
 
 
 def test_weights_hold_no_gradient_until_zero_grad(tmp_path):
     # Inference never reads a gradient, so initialized and loaded weights
     # hold none; zero_grad is the one place that allocates them. A d=128
-    # model's values take 13.1 MiB; with a zero grad per parameter, a
-    # loaded model held 26.3 MiB.
+    # model's float32 values take 6.6 MiB; as float64 they took 13.1 MiB,
+    # and with a zero grad per parameter a loaded model held 26.3 MiB.
     cfg = NetworkConfig(d=128)
     path = tmp_path / "w.a2gw"
     save_weights(path, ModelWeights.initialize(cfg, seed=0))
@@ -481,12 +482,52 @@ def test_weights_hold_no_gradient_until_zero_grad(tmp_path):
         held_mb = tracemalloc.get_traced_memory()[0] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert held_mb < 16.0
+    assert held_mb < 8.2
     for w in (ModelWeights.initialize(cfg, seed=0), loaded):
         assert all(p.grad is None for p in w.params.values())
         w.zero_grad()
         for p in w.params.values():
             assert p.grad.shape == p.data.shape and not np.any(p.grad)
+
+
+@pytest.mark.parametrize("n,d", [(64, 16), (512, 128)])
+def test_float32_body_tracks_float64(n, d):
+    # The same weights promoted to float64 run the same code in float64.
+    # Each side's features agree within 2e-5 of its largest |feature|
+    # (measured: 1.7e-6 at n=64, 4.1e-6 at n=512).
+    #
+    # Gradients: a max over near-tied neighbors, or a ReLU or LeakyReLU
+    # input within round-off of 0, can go the other way in float32. The two
+    # choices agree to round-off in the forward, but the gradient reaches
+    # another node or none, so per-parameter errors upstream of such a flip
+    # are not round-off: in float64 alone, moving the weights by a relative
+    # 1e-6 moves single parameters' gradients by 1.5e-2 (n=64) and 9.6e-2
+    # (n=512) of their largest entry, and the whole gradient by 7.3e-4 and
+    # 3.2e-3 in L2. Float32 moves the whole gradient by 4.2e-6 and 3.2e-4
+    # in L2 (bounds 2e-5 and 5e-3), and at n=64 each parameter's by at most
+    # 2.2e-5 of its largest entry (bound 1e-4).
+    w = ModelWeights.initialize(NetworkConfig(d=d), seed=d)
+    wide = w.astype(np.float64)
+    pair = generate_scene(SynthConfig(n_points=n, seed=n))
+    frozen = training._fixed_candidates(pair)
+    grads = []
+    for weights, dtype in ((w, np.float32), (wide, np.float64)):
+        weights.zero_grad()
+        with Tape() as tape:
+            loss, _, _ = training.scene_loss(pair, weights, frozen_candidates=frozen)
+            tape.backward(loss)
+        grads.append({k: p.grad for k, p in weights.params.items()})
+        assert {g.dtype for g in grads[-1].values()} == {np.dtype(dtype)}
+    for f32, f64 in zip(forward(pair, w), forward(pair, wide)):
+        assert f32.data.dtype == np.float32 and f64.data.dtype == np.float64
+        assert np.abs(f32.data - f64.data).max() <= 2e-5 * np.abs(f64.data).max()
+    narrow, wide_g = grads
+    diff = sum(np.sum((narrow[k] - g) ** 2) for k, g in wide_g.items())
+    bound = 2e-5 if n == 64 else 5e-3
+    assert diff <= bound ** 2 * sum(np.sum(g * g) for g in wide_g.values())
+    if n == 64:
+        for k, g in wide_g.items():
+            assert np.abs(narrow[k] - g).max() <= 1e-4 * np.abs(g).max(), k
 
 
 def test_forward_features_and_plan_pinned():
@@ -500,9 +541,9 @@ def test_forward_features_and_plan_pinned():
     plan = sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), w.param("ot/alpha_bin")))
     assert f_p.shape == f_q.shape == (64, 16) and plan.values.shape == (65, 65)
     assert [hashlib.sha256(x.data.tobytes()).hexdigest() for x in (f_p, f_q, plan.values)] == [
-        "a5eccd7db5fa9eff1b98c1fa40db339d8b825bd26c19351473bd729a8e0e930f",
-        "416af2e9fa91040205306793e772d8e9c8b609c48807b11e2141d5da650117af",
-        "18d1f231282514a7dcd1fab316221db933202fe3ec18d82716255368a68d32a8",
+        "648233288ec82a8d5c995de04f68e9c3044a68251a76b6dbf62b5ad9ba3673fb",
+        "9063a0f712b0ffc85d42a9a6a1c6a3b5bc2fb27561dad7839ae7cfcf30810fcb",
+        "fd04a0eb466e2f9372656f699fbea046a06f1e8529836809a679dda56c94f994",
     ]
 
 

@@ -68,7 +68,7 @@ def test_context_norm_shift_invariance_at_sublayer():
 
 
 def test_classify_gradcheck_through_context_norm():
-    w = ModelWeights.initialize(CFG, seed=5)
+    w = ModelWeights.initialize(CFG, seed=5).astype(np.float64)
     b = batch_of(8, seed=6)
     target = np.linspace(0.2, 0.8, 8)
 

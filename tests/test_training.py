@@ -139,7 +139,7 @@ def test_adam_zero_gradient_keeps_weights():
 def test_adam_first_step_closed_form():
     # bias-corrected first step: delta = lr * g / (|g| + eps) ~ lr * sign(g)
     cfg = NetworkConfig(d=8)
-    w = ModelWeights.initialize(cfg, seed=1)
+    w = ModelWeights.initialize(cfg, seed=1).astype(np.float64)
     name = "clf/head/b"
     g = np.array([0.37])
     before = w.param(name).data.copy()
@@ -213,7 +213,7 @@ def test_adam_step_has_the_bits_of_the_expression():
         steps.append(grads)
 
     def run(step):
-        w = ModelWeights.initialize(cfg, seed=4)
+        w = ModelWeights.initialize(cfg, seed=4).astype(np.float64)
         state = AdamState.for_weights(w)
         for grads in steps:
             _set_grads(w, grads)
@@ -250,8 +250,7 @@ def test_every_parameter_moves_the_loss(d):
                                       pixel_noise_sigma=0.5, seed=d))
     w.zero_grad()
     with Tape() as tape:
-        loss, _, _ = scene_loss(pair, w, TrainConfig(),
-                                frozen_candidates=training._fixed_candidates(pair))
+        loss, _, _ = scene_loss(pair, w, frozen_candidates=training._fixed_candidates(pair))
         tape.backward(loss)
     peak = {name: np.abs(w.param(name).grad).max() for name, _ in ModelWeights.layout(cfg)}
     largest = max(peak.values())
@@ -339,11 +338,11 @@ def test_train_weights_and_reports_pinned():
     for name in sorted(w.params):
         h.update(name.encode())
         h.update(w.params[name].data.tobytes())
-    assert h.hexdigest() == "10bc60eb464b39e2f2163f03bd53ee5c5a087cb79c90cab3ecf00c5ba63b6d40"
+    assert h.hexdigest() == "c7458868c602ba7c33851554402bb6e8fcb1d592226e775a7c936d4238f6ea0c"
     assert [(r.matching_loss.hex(), r.rejection_loss.hex(), r.total.hex(), r.n_matching,
              r.n_candidates) for r in reports] == [
-        ("0x1.cb6557ee4b441p+1", "0x1.8f80051550ce4p+0", "0x1.4992ad3c79d59p+2", 126, 57),
-        ("0x1.756dd42742ce7p+1", "0x1.6365ddaed1a47p+0", "0x1.1390617f55d05p+2", 126, 36),
+        ("0x1.cb65585ec5528p+1", "0x1.8f8018b5b38e4p+0", "0x1.4992b25ccf8cdp+2", 126, 57),
+        ("0x1.756dd9f57c819p+1", "0x1.6365e1ba0628bp+0", "0x1.139065693fcafp+2", 126, 36),
     ]
 
 
@@ -361,7 +360,7 @@ def test_loss_leaves_the_next_forward_unchanged():
     w = ModelWeights.initialize(small_net(), seed=2)
     pair = small_scene(40)
     before = forward(pair, w)
-    scene_loss(pair, w, TrainConfig())
+    scene_loss(pair, w)
     after_loss = forward(pair, w)
     train([pair, small_scene(41)], TrainConfig(learning_rate=0.0, epochs=1, batch_size=2),
           weights=w)
@@ -374,7 +373,7 @@ def test_loss_leaves_the_next_forward_unchanged():
 def test_scene_loss_is_finite_and_nonnegative():
     w = ModelWeights.initialize(small_net(), seed=5)
     with Tape() as tape:
-        loss, report, _ = scene_loss(small_scene(30), w, TrainConfig())
+        loss, report, _ = scene_loss(small_scene(30), w)
         tape.backward(loss)
     assert np.isfinite(loss.item())
     assert report.matching_loss >= 0.0
@@ -394,10 +393,42 @@ def test_scene_step_tape_records_pinned(fixed, records):
     pair = generate_scene(SynthConfig(n_points=48, seed=1))
     frozen = training._fixed_candidates(pair) if fixed else None
     with Tape() as tape:
-        loss, report, _ = scene_loss(pair, w, TrainConfig(), frozen_candidates=frozen)
+        loss, report, _ = scene_loss(pair, w, frozen_candidates=frozen)
         tape.backward(loss)
     assert report.n_candidates == (12 if fixed else 0)
     assert len(tape) == records
+
+
+def test_scene_step_dtypes():
+    # The step of test_scene_step_tape_records_pinned with its candidates:
+    # the network body (encoder through cross-attention) and the classifier
+    # compute in the weights' float32; pairwise_l2 widens the features, so
+    # the cost, the plan and the losses are float64. Records are told apart
+    # by the op that made them: the body ends before the cost, the matching
+    # loss ends with a scale, and the classifier ends by gathering its
+    # probabilities back into candidate order. The rejection loss clamps and
+    # takes the log of those float32 probabilities before it widens; the
+    # total is float64.
+    w = ModelWeights.initialize(NetworkConfig(d=32), seed=0)
+    pair = generate_scene(SynthConfig(n_points=48, seed=1))
+    w.zero_grad()
+    with Tape() as tape:
+        loss, _, _ = scene_loss(pair, w, frozen_candidates=training._fixed_candidates(pair))
+        tape.backward(loss)
+    records = [(bw.__qualname__.split(".")[0], out) for out, bw in tape._records]
+    ops = [op for op, _ in records]
+    cost = ops.index("pairwise_l2")
+    clf = ops.index("scale", cost) + 1
+    clf_end = len(ops) - ops[::-1].index("gather_rows")
+    assert 0 < cost < clf < clf_end < len(ops)
+
+    def dtypes(part):
+        return {(out.data.dtype.name, out.grad.dtype.name) for _, out in part}
+
+    assert dtypes(records[:cost]) == dtypes(records[clf:clf_end]) == {("float32", "float32")}
+    assert dtypes(records[cost:clf]) == dtypes(records[-1:]) == {("float64", "float64")}
+    assert loss.data.dtype == np.float64
+    assert {p.grad.dtype for p in w.params.values()} == {np.dtype(np.float32)}
 
 
 def test_scene_step_peak_memory_n256():
@@ -407,18 +438,20 @@ def test_scene_step_peak_memory_n256():
     # the max path's edges and each norm's normalized input and activation
     # recomputed in the backward rather than kept on the tape, the peak was
     # 189.5 MiB; with the sorted scatter-add and instance_norm's backward in
-    # three buffers it is 188.8 MiB (the peak lies outside those backwards).
+    # three buffers it was 188.8 MiB (the peak lies outside those backwards),
+    # and 168 MiB once parameters held no gradient until zero_grad. With a
+    # float32 network body it is 87.3 MiB.
     w = ModelWeights.initialize(NetworkConfig(d=128), seed=0)
     pair = generate_scene(SynthConfig(n_points=256, seed=256))
     tracemalloc.start()
     try:
         with Tape() as tape:
-            loss, _, _ = scene_loss(pair, w, TrainConfig())
+            loss, _, _ = scene_loss(pair, w)
             tape.backward(loss)
         peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak_mb < 236
+    assert peak_mb < 109
 
 
 def test_training_from_fresh_weights_yields_a_matcher():
