@@ -442,16 +442,11 @@ def sigmoid(a) -> Tensor:
     return _unary(a, _sigmoid, lambda g, x, y: g * y * (1.0 - y))
 
 
-def exp(a) -> Tensor:
-    return _unary(a, np.exp, lambda g, x, y: g * y)
-
-
-def log(a) -> Tensor:
-    return _unary(a, np.log, lambda g, x, y: g / x)
-
-
-def clamp_min(a, floor: float) -> Tensor:
-    return _unary(a, lambda x: np.maximum(x, floor), lambda g, x, y: g * (x >= floor))
+def softplus(a) -> Tensor:
+    # log(1 + e^x) as max(x, 0) + log1p(e^-|x|), and its derivative
+    # sigmoid(x) as e^(x - y): neither exp can overflow.
+    return _unary(a, lambda x: np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))),
+                  lambda g, x, y: g * np.exp(x - y))
 
 
 def sum_all(a) -> Tensor:

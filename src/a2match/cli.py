@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import ModelWeights, NetworkConfig, TooFewPoints
-from .pipeline import localize_scene, match_scene
-from .posemetrics import outlier_sweep
+from .pipeline import localize_scene, match_scene, outlier_sweep
 from .runconfig import InvalidConfig, load_run_config
 from .svgplot import render_sweep_svg
 from .synth import generate_scene, load_scene, save_scene

@@ -1,11 +1,13 @@
 """End-to-end inference: network forward, transport matching, outlier
-rejection, and PnP localization for one scene pair.
+rejection, and PnP localization for one scene pair, and the outlier sweep
+that evaluates it over a scene set.
 
 The scene-scoring chain has one home here. `scene_plan` runs the network,
-the feature cost, the dustbins and Sinkhorn; `classify_candidates` scores a
-candidate set on the very bearings the network read. Inference
-(`match_scene`) and training (`training.scene_loss`) both call the two, so
-a change to the chain or to its input frame is made once.
+the feature cost, the dustbins and Sinkhorn, and returns the plan's logs;
+`classify_candidates` gives a candidate set's inlier logits on the very
+bearings the network read. Inference (`match_scene`, which filters on the
+logits' sigmoid) and training (`training.scene_loss`) both call the two,
+so a change to the chain or to its input frame is made once.
 """
 
 from __future__ import annotations
@@ -14,19 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, sigmoid
 from .geometry import CorrespondenceSet, project
 from .network import ModelWeights, forward, scene_inputs
 from .posemetrics import (
     PoseEstimate,
     RansacConfig,
     TooFewCorrespondences,
+    error_quantiles,
     pnp_ransac,
+    reprojection_auc,
     rotation_error,
     translation_error,
 )
 from .rejection import check_threshold, classify, filter_correspondences
-from .synth import ScenePair
+from .synth import ScenePair, inject_outliers
 from .transport import ScoreMatrix, augment_dustbins, cost_matrix, mutual_nn, sinkhorn
 
 
@@ -48,14 +52,14 @@ class LocalizeResult:
 
 
 def scene_plan(pair: ScenePair, weights: ModelWeights) -> ScoreMatrix:
-    """Dustbin transport plan of a scene pair, (M+1, N+1)."""
+    """Log dustbin transport plan of a scene pair, (M+1, N+1)."""
     f_p, f_q = forward(pair, weights)
     return sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), weights.param("ot/alpha_bin")))
 
 
 def classify_candidates(pair: ScenePair, corrs: CorrespondenceSet,
                         weights: ModelWeights) -> Tensor:
-    """Inlier probability of each candidate, read off the network's input rows."""
+    """Inlier logit of each candidate, read off the network's input rows."""
     bp, _, bq, _ = scene_inputs(pair)
     return classify(bp[np.array(corrs.indices_2d(), dtype=np.intp)],
                     bq[np.array(corrs.indices_3d(), dtype=np.intp)], weights)
@@ -68,7 +72,7 @@ def match_scene(pair: ScenePair, weights: ModelWeights, *, threshold: float = 0.
     initial = mutual_nn(scene_plan(pair, weights))
     if not use_rejection or len(initial) == 0:
         return MatchResult(initial, CorrespondenceSet(list(initial.pairs)))
-    probs = classify_candidates(pair, initial, weights)
+    probs = sigmoid(classify_candidates(pair, initial, weights))
     return MatchResult(initial, filter_correspondences(initial, probs, threshold))
 
 
@@ -116,3 +120,46 @@ def match_f1(final: CorrespondenceSet, gt: CorrespondenceSet):
     recall = tp / len(truth) if truth else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
+
+
+@dataclass
+class SweepRow:
+    ratio: float
+    auc1: float
+    auc5: float
+    auc10: float
+    n_queries: int
+    median_rot_deg: float
+    median_trans: float
+
+
+def outlier_sweep(weights, scenes, ratios, *, ransac_cfg=None,
+                  threshold: float = 0.5, seed: int = 0, use_oracle: bool = False):
+    """Inject outliers at each ratio, run the pipeline, summarize AUC/medians.
+
+    use_oracle bypasses the network and feeds ground-truth matches straight
+    to PnP (the harness upper bound).
+    """
+    ransac_cfg = ransac_cfg or RansacConfig()
+
+    def run_cell(r_idx, ratio, s_idx):
+        cell_seed = (seed * 1000003 + r_idx * 8191 + s_idx) % 2 ** 63
+        injected = inject_outliers(scenes[s_idx], ratio, seed=cell_seed)
+        if use_oracle:
+            return localize_oracle(injected, ransac_cfg)
+        return localize_scene(injected, weights, threshold=threshold,
+                              ransac_cfg=ransac_cfg)
+
+    rows = []
+    for r_idx, ratio in enumerate(ratios):
+        if not 0.0 <= ratio <= 1.0:
+            raise ValueError(f"ratio must lie in [0,1], got {ratio}")
+        results = [run_cell(r_idx, ratio, s) for s in range(len(scenes))]
+        reproj = [res.mean_reproj_px for res in results]
+        rots = [res.rotation_error_deg for res in results]
+        trans = [res.translation_error for res in results]
+        auc1, auc5, auc10 = reprojection_auc(reproj)
+        rows.append(SweepRow(float(ratio), auc1, auc5, auc10, len(scenes),
+                             error_quantiles(rots, (50.0,))[0],
+                             error_quantiles(trans, (50.0,))[0]))
+    return rows

@@ -390,49 +390,3 @@ def error_quantiles(errors, percentiles=(25.0, 50.0, 75.0)):
             t = pos - lo
             out.append(float((1.0 - t) * e[lo] + t * e[hi]))
     return tuple(out)
-
-
-@dataclass
-class SweepRow:
-    ratio: float
-    auc1: float
-    auc5: float
-    auc10: float
-    n_queries: int
-    median_rot_deg: float
-    median_trans: float
-
-
-def outlier_sweep(weights, scenes, ratios, *, ransac_cfg=None,
-                  threshold: float = 0.5, seed: int = 0, use_oracle: bool = False):
-    """Inject outliers at each ratio, run the pipeline, summarize AUC/medians.
-
-    use_oracle bypasses the network and feeds ground-truth matches straight
-    to PnP (the harness upper bound).
-    """
-    from .pipeline import localize_oracle, localize_scene
-    from .synth import inject_outliers
-
-    ransac_cfg = ransac_cfg or RansacConfig()
-
-    def run_cell(r_idx, ratio, s_idx):
-        cell_seed = (seed * 1000003 + r_idx * 8191 + s_idx) % 2 ** 63
-        injected = inject_outliers(scenes[s_idx], ratio, seed=cell_seed)
-        if use_oracle:
-            return localize_oracle(injected, ransac_cfg)
-        return localize_scene(injected, weights, threshold=threshold,
-                              ransac_cfg=ransac_cfg)
-
-    rows = []
-    for r_idx, ratio in enumerate(ratios):
-        if not 0.0 <= ratio <= 1.0:
-            raise ValueError(f"ratio must lie in [0,1], got {ratio}")
-        results = [run_cell(r_idx, ratio, s) for s in range(len(scenes))]
-        reproj = [res.mean_reproj_px for res in results]
-        rots = [res.rotation_error_deg for res in results]
-        trans = [res.translation_error for res in results]
-        auc1, auc5, auc10 = reprojection_auc(reproj)
-        rows.append(SweepRow(float(ratio), auc1, auc5, auc10, len(scenes),
-                             error_quantiles(rots, (50.0,))[0],
-                             error_quantiles(trans, (50.0,))[0]))
-    return rows

@@ -3,14 +3,15 @@
 A pointwise residual MLP made set-aware by context normalization, which is
 `autodiff.instance_norm` without affine parameters: per channel mean and
 variance across the candidate axis; the residual linear layers that feed it
-have no bias, which it would cancel. It ends in a sigmoid inlier
-probability. Input is the concatenated 2D/3D bearing pair per candidate,
-four channels; the transport score is not an input. The bearings come from
-the caller, which takes them from the rows the network read
+have no bias, which it would cancel. It ends in an inlier logit, which the
+loss reads as it is and `pipeline.match_scene` turns into a probability.
+Input is the concatenated 2D/3D bearing pair per candidate, four channels;
+the transport score is not an input. The bearings come from the caller,
+which takes them from the rows the network read
 (`pipeline.classify_candidates`), so this module never sees a pose.
 `classify` runs on its candidate rows in canonical order and gathers the
-probabilities back, so they are bit-exactly permutation equivariant. Like
-the network body, it computes in the weights' dtype.
+logits back, so they are bit-exactly permutation equivariant. Like the
+network body, it computes in the weights' dtype.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ class EmptyBatch(Exception):
 
 
 def classify(bearings_p, bearings_q, w: ModelWeights) -> Tensor:
-    """Inlier probability per candidate, in (0,1), from its (n, 2) 2D and 3D
-    bearings."""
+    """Inlier logit per candidate from its (n, 2) 2D and 3D bearings."""
     x = np.concatenate([bearings_p, bearings_q], axis=1)
     n = len(x)
     if n == 0:
@@ -42,7 +42,7 @@ def classify(bearings_p, bearings_q, w: ModelWeights) -> Tensor:
         lin = ad.matmul(h, w.param(f"clf/res{r}/lin/W"))
         h = ad.add(h, ad.instance_norm(lin, act="leaky_relu"))
     logit = ad.add(ad.matmul(h, w.param("clf/head/W")), w.param("clf/head/b"))
-    return ad.gather_rows(ad.sigmoid(ad.reshape(logit, (n,))), inverse)
+    return ad.gather_rows(ad.reshape(logit, (n,)), inverse)
 
 
 def check_threshold(t: float):

@@ -3,13 +3,14 @@
 A scene's loss runs the chain inference runs, `pipeline.scene_plan` then
 `pipeline.classify_candidates`, so training and inference score a scene
 the same way. The matching loss is the negative log-likelihood of the
-transport plan at the ground-truth cells plus the dustbin cells of
-unmatched points; the rejection loss is class-balanced binary cross-entropy
-on the classifier probabilities. A scene's total is their sum, or the
-matching loss alone when there are no candidates. Candidate selection
-(mutual NN) is discrete, so gradients treat the selected set as fixed; the
-finite-difference checker freezes it explicitly at the base point for the
-same reason.
+transport plan, read off Sinkhorn's log plan, at the ground-truth cells
+plus the dustbin cells of unmatched points; the rejection loss is
+class-balanced binary cross-entropy on the classifier logits. Neither
+takes the log of a probability, so neither needs a floor that would stop
+a gradient. A scene's total is their sum, or the matching loss alone when
+there are no candidates. Candidate selection (mutual NN) is discrete, so
+gradients treat the selected set as fixed; the finite-difference checker
+freezes it explicitly at the base point for the same reason.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from .geometry import CorrespondenceSet
 from .network import ModelWeights, NetworkConfig
 from .pipeline import classify_candidates, scene_plan
 from .transport import ScoreMatrix, mutual_nn
-
-# Probability floor inside both losses; prevents -inf at initialization.
-LOG_FLOOR = 1e-12
 
 
 class IndexOutOfBounds(Exception):
@@ -80,15 +78,15 @@ def matching_cells(gt, m: int, n: int):
             np.concatenate([gt_j, np.full(len(free_i), n), free_j]))
 
 
-def matching_loss(plan: ScoreMatrix, gt, m: int, n: int) -> Tensor:
-    """Mean negative log plan probability over the `matching_cells`."""
-    p = plan.values
+def matching_loss(log_plan: ScoreMatrix, gt, m: int, n: int) -> Tensor:
+    """Mean negative log plan entry over the `matching_cells`."""
+    if not log_plan.log_domain:
+        raise ValueError("matching_loss expects a log plan")
+    p = log_plan.values
     if p.shape != (m + 1, n + 1):
         raise IndexOutOfBounds(f"plan shape {p.shape} does not fit M={m}, N={n}")
     rows, cols = matching_cells(gt, m, n)
-    picked = ad.gather_pairs(p, rows, cols)
-    logs = ad.log(ad.clamp_min(picked, LOG_FLOOR))
-    return ad.scale(ad.sum_all(logs), -1.0 / len(rows))
+    return ad.scale(ad.sum_all(ad.gather_pairs(p, rows, cols)), -1.0 / len(rows))
 
 
 def balance_weights(labels) -> np.ndarray:
@@ -102,20 +100,17 @@ def balance_weights(labels) -> np.ndarray:
     return np.where(y > 0.5, w_pos, w_neg)
 
 
-def rejection_loss(probs: Tensor, labels, weights) -> Tensor:
-    """Weighted binary cross-entropy over candidate probabilities."""
+def rejection_loss(logits: Tensor, labels, weights) -> Tensor:
+    """Weighted binary cross-entropy over candidate logits z with labels y:
+    the mean of w (softplus(z) - y z), which is -w log sigmoid(z) for y = 1
+    and -w log(1 - sigmoid(z)) for y = 0."""
     y = np.asarray(labels, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    n = probs.shape[0]
+    n = logits.shape[0]
     if len(y) != n or len(w) != n:
-        raise LengthMismatch(f"{n} probabilities, {len(y)} labels, {len(w)} weights")
-    yc, wc = constant(y), constant(w)
-    ones = constant(np.ones(n))
-    pos = ad.mul(yc, ad.log(ad.clamp_min(probs, LOG_FLOOR)))
-    neg_p = ad.sub(ones, probs)
-    neg = ad.mul(ad.sub(ones, yc), ad.log(ad.clamp_min(neg_p, LOG_FLOOR)))
-    term = ad.mul(wc, ad.add(pos, neg))
-    return ad.scale(ad.sum_all(term), -1.0 / n)
+        raise LengthMismatch(f"{n} logits, {len(y)} labels, {len(w)} weights")
+    term = ad.sub(ad.softplus(logits), ad.mul(constant(y), logits))
+    return ad.scale(ad.sum_all(ad.mul(constant(w), term)), 1.0 / n)
 
 
 # --- optimizer ----------------------------------------------------------------
@@ -189,8 +184,8 @@ def scene_loss(pair, weights: ModelWeights, *, frozen_candidates=None):
     if len(candidates) > 0:
         gt_set = pair.gt_matches.pair_set()
         labels = np.array([1.0 if (i, j) in gt_set else 0.0 for i, j, _ in candidates])
-        probs = classify_candidates(pair, candidates, weights)
-        l_rej = rejection_loss(probs, labels, balance_weights(labels))
+        logits = classify_candidates(pair, candidates, weights)
+        l_rej = rejection_loss(logits, labels, balance_weights(labels))
 
     total = l_match if l_rej is None else ad.add(l_match, l_rej)
     report = LossReport(

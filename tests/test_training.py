@@ -26,11 +26,13 @@ from a2match.training import (
     scene_loss,
     train,
 )
-from a2match.transport import ScoreMatrix, mutual_nn
+from a2match.transport import ScoreMatrix, augment_dustbins, mutual_nn, sinkhorn
 
 
 def plan_of(p):
-    return ScoreMatrix(constant(np.asarray(p, dtype=float)), False)
+    """The log plan of plan probabilities p; a 0 becomes -inf."""
+    with np.errstate(divide="ignore"):
+        return ScoreMatrix(constant(np.log(np.asarray(p, dtype=float))), True)
 
 
 def test_matching_loss_perfect_plan_is_zero():
@@ -64,6 +66,9 @@ def test_matching_loss_all_dustbins_zero():
 def test_matching_loss_bounds_check():
     with pytest.raises(IndexOutOfBounds):
         matching_loss(plan_of(np.zeros((3, 3))), CorrespondenceSet([(5, 0, 1.0)]), 2, 2)
+    with pytest.raises(ValueError, match="log plan"):
+        matching_loss(ScoreMatrix(constant(np.ones((3, 3))), False), CorrespondenceSet([]),
+                      2, 2)
 
 
 def test_matching_loss_cells_match_per_point_oracle():
@@ -95,20 +100,58 @@ def test_matching_loss_monotone_when_mass_moves_to_target():
 
 
 def test_rejection_loss_examples():
-    p = constant(np.array([1.0 - 1e-15, 1e-15]))
-    loss = rejection_loss(p, [1.0, 0.0], [1.0, 1.0])
+    # Logits of +-35 are probabilities 1 - 6e-16 and 6e-16.
+    z = constant(np.array([35.0, -35.0]))
+    loss = rejection_loss(z, [1.0, 0.0], [1.0, 1.0])
     assert loss.item() < 1e-10
 
-    single = rejection_loss(constant(np.array([0.5])), [1.0], [1.0])
+    single = rejection_loss(constant(np.array([0.0])), [1.0], [1.0])
     assert abs(single.item() - np.log(2.0)) < 1e-12
 
 
 def test_rejection_loss_all_positive_labels_only_positive_term():
-    probs = constant(np.array([0.3, 0.8]))
+    p = np.array([0.3, 0.8])
     labels = [1.0, 1.0]
-    loss = rejection_loss(probs, labels, [1.0, 1.0])
-    expect = -np.mean(np.log([0.3, 0.8]))
+    loss = rejection_loss(constant(np.log(p / (1.0 - p))), labels, [1.0, 1.0])
+    expect = -np.mean(np.log(p))
     assert abs(loss.item() - expect) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rejection_loss_keeps_the_gradient_of_a_confident_wrong_logit(dtype):
+    # A label-0 candidate at logit 17: its float32 probability rounds to 1,
+    # so a loss taken from 1 - p has no gradient. From the logit the loss is
+    # 17 and the gradient 1.
+    z = Tensor(np.array([17.0], dtype=dtype), requires_grad=True)
+    with Tape() as tape:
+        loss = rejection_loss(z, [0.0], [1.0])
+        tape.backward(loss)
+    assert loss.item() == pytest.approx(17.0, rel=1e-7)
+    assert z.grad.dtype == dtype and float(z.grad[0]) == pytest.approx(1.0, rel=1e-7)
+
+
+def test_matching_loss_gradient_reaches_a_cell_of_negligible_mass():
+    # GT cell (0, 1) costs 40 against 0 and 10 elsewhere, so the plan gives
+    # it about e^-40 of mass, far below 1e-12; its loss term is -log P01 / 3
+    # and P01 barely moves the plan, so d loss / d cost[0, 1] is 1/3.
+    cost = 10.0 * (1.0 - np.eye(3))
+    cost[0, 1] = 40.0
+    gt = CorrespondenceSet([(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)])
+    c = Tensor(cost, requires_grad=True)
+
+    def loss_val():
+        return matching_loss(sinkhorn(augment_dustbins(c, constant(np.array(-5.0)))), gt, 3, 3)
+
+    with Tape() as tape:
+        tape.backward(loss_val())
+    h = 1e-5
+    c.data[0, 1] = 40.0 + h
+    f_plus = loss_val().item()
+    c.data[0, 1] = 40.0 - h
+    f_minus = loss_val().item()
+    numeric = (f_plus - f_minus) / (2 * h)
+    assert c.grad[0, 1] == pytest.approx(1.0 / 3.0, rel=1e-6)
+    assert numeric == pytest.approx(c.grad[0, 1], rel=1e-6)
 
 
 def test_rejection_loss_validates_lengths():
@@ -338,11 +381,11 @@ def test_train_weights_and_reports_pinned():
     for name in sorted(w.params):
         h.update(name.encode())
         h.update(w.params[name].data.tobytes())
-    assert h.hexdigest() == "c7458868c602ba7c33851554402bb6e8fcb1d592226e775a7c936d4238f6ea0c"
+    assert h.hexdigest() == "d1abf1d81799691bafeca6757c08c0373b19b78016fc98fab21f86e131e5bb13"
     assert [(r.matching_loss.hex(), r.rejection_loss.hex(), r.total.hex(), r.n_matching,
              r.n_candidates) for r in reports] == [
-        ("0x1.cb65585ec5528p+1", "0x1.8f8018b5b38e4p+0", "0x1.4992b25ccf8cdp+2", 126, 57),
-        ("0x1.756dd9f57c819p+1", "0x1.6365e1ba0628bp+0", "0x1.139065693fcafp+2", 126, 36),
+        ("0x1.cb65585ec5528p+1", "0x1.8f800672747c9p+0", "0x1.4992adcbffc86p+2", 126, 57),
+        ("0x1.756dd9f57c819p+1", "0x1.6365de2222223p+0", "0x1.1390648346c95p+2", 126, 36),
     ]
 
 
@@ -380,15 +423,17 @@ def test_scene_loss_is_finite_and_nonnegative():
     assert report.rejection_loss >= 0.0
 
 
-@pytest.mark.parametrize("fixed,records", [(False, 232), (True, 269)])
+@pytest.mark.parametrize("fixed,records", [(False, 230), (True, 261)])
 def test_scene_step_tape_records_pinned(fixed, records):
     # Most of a small step's time is a fixed cost per taped op, so an op
     # added to every step shows here. A fresh d=32 model finds no mutual-NN
-    # candidates on this scene; the fixed candidates add the classifier's
-    # 38 records. The counts were 241 and 279 while each of the 8 angle
+    # candidates on this scene; the fixed candidates add 31 records, the
+    # classifier's and its loss's. The counts were 241 and 279 while each of the 8 angle
     # calls reshaped covariance_norm's output (8 records) and the total
     # scaled the matching and rejection losses by weights of 1.0 (1 and 2
-    # records).
+    # records), then 232 and 269 while the matching loss clamped and took
+    # the log of plan probabilities (2 records) and the rejection loss did
+    # so to sigmoid probabilities (12 records from the logit on, now 6).
     w = ModelWeights.initialize(NetworkConfig(d=32), seed=0)
     pair = generate_scene(SynthConfig(n_points=48, seed=1))
     frozen = training._fixed_candidates(pair) if fixed else None
@@ -406,9 +451,8 @@ def test_scene_step_dtypes():
     # the cost, the plan and the losses are float64. Records are told apart
     # by the op that made them: the body ends before the cost, the matching
     # loss ends with a scale, and the classifier ends by gathering its
-    # probabilities back into candidate order. The rejection loss clamps and
-    # takes the log of those float32 probabilities before it widens; the
-    # total is float64.
+    # logits back into candidate order. The rejection loss takes the softplus
+    # of those float32 logits before it widens; the total is float64.
     w = ModelWeights.initialize(NetworkConfig(d=32), seed=0)
     pair = generate_scene(SynthConfig(n_points=48, seed=1))
     w.zero_grad()

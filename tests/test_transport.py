@@ -68,8 +68,7 @@ def taped_sinkhorn(s: ScoreMatrix, iters: int) -> ScoreMatrix:
     for _ in range(iters):
         u = ad.sub(la, _taped_logsumexp(ad.add(scores, v), axis=1))
         v = ad.sub(lb, _taped_logsumexp(ad.add(scores, ad.reshape(u, (m1, 1))), axis=0))
-    log_plan = ad.add(ad.add(scores, ad.reshape(u, (m1, 1))), v)
-    return ScoreMatrix(ad.exp(log_plan), log_domain=False)
+    return ScoreMatrix(ad.add(ad.add(scores, ad.reshape(u, (m1, 1))), v), log_domain=True)
 
 
 def test_cost_matrix_examples():
@@ -127,7 +126,7 @@ def test_sinkhorn_marginals_on_random_scores():
     plan = sinkhorn(ScoreMatrix(constant(rng.standard_normal((9, 12))), True), 100)
     row, col = marginal_residuals(plan)
     assert row < 1e-6 and col < 1e-6
-    p = plan.values.data
+    p = np.exp(plan.values.data)
     # row marginal oracle: each real row sums to 1, dustbin row to N
     assert np.max(np.abs(p[:8].sum(axis=1) - 1.0)) < 1e-6
     assert abs(p[8].sum() - 11.0) < 1e-6
@@ -167,7 +166,7 @@ def test_sinkhorn_near_permutation_matches_hungarian():
         for i, j in enumerate(perm):
             base[i, j] += 8.0
         plan = sinkhorn(augment_dustbins(constant(-base), constant(np.array(-12.0))), 100)
-        main = plan.values.data[:4, :4]
+        main = np.exp(plan.values.data[:4, :4])
         got = {(i, j) for i, j, _ in mutual_nn(plan)}
         ri, ci = linear_sum_assignment(-base)
         assert got == set(zip(ri.tolist(), ci.tolist()))
@@ -177,9 +176,8 @@ def test_sinkhorn_near_permutation_matches_hungarian():
 def test_sinkhorn_validates_inputs():
     with pytest.raises(ValueError):
         sinkhorn(ScoreMatrix(constant(np.zeros((3, 3))), True), 0)
-    exp_plan = sinkhorn(ScoreMatrix(constant(np.zeros((3, 3))), True), 5)
     with pytest.raises(ValueError):
-        sinkhorn(exp_plan, 5)
+        sinkhorn(ScoreMatrix(constant(np.ones((3, 3))), False), 5)
 
 
 def test_mutual_nn_identity_dominant():
@@ -292,10 +290,11 @@ def taped_scaling_sinkhorn(s: ScoreMatrix, iters: int) -> ScoreMatrix:
         p[t] = 1.0 / (kernel @ beta)
         q[t] = 1.0 / ((a * p[t]) @ kernel)
         beta = b * q[t]
-    plan = kernel * (a * p[-1]).reshape(m1, 1) * beta
+    log_plan = np.subtract(x, (row_max.ravel() - np.log(a * p[-1])).reshape(m1, 1))
+    log_plan -= 0.0 - np.log(beta)
 
     def bw(g):
-        gs = g * plan
+        gs = g
         gu, gv = gs.sum(axis=1), gs.sum(axis=0)
         left, right = np.empty((m1, 2 * iters)), np.empty((2 * iters, n1))
         for t in range(iters - 1, -1, -1):
@@ -311,7 +310,7 @@ def taped_scaling_sinkhorn(s: ScoreMatrix, iters: int) -> ScoreMatrix:
                 gv = -beta * (c @ kernel)
         ad._accum(scores, gs - kernel * (left @ right))
 
-    return ScoreMatrix(ad._make(plan, (scores,), bw), log_domain=False)
+    return ScoreMatrix(ad._make(log_plan, (scores,), bw), log_domain=True)
 
 
 def _plan_and_grads(op, cost, iters, loss_kind, weights, alpha_bin=0.3):
@@ -361,16 +360,18 @@ def test_sinkhorn_op_matches_taped_loop_bitwise(shape, iters, loss_kind):
 
 
 def _assert_matches_taped_loop(cost, iters, loss_kind, weights, alpha_bin=0.3, tol=1e-12):
-    """Plan and gradients within tol of the largest plan entry and of the
-    largest addend |g * plan| of the score gradient: the gradients of
-    contested cells and of alpha_bin cancel to far below either."""
+    """Exponentiated plan and gradients within tol of the largest plan entry
+    and of the largest addend |g| of the score gradient, g being the log
+    plan's gradient: the gradients of contested cells and of alpha_bin
+    cancel to far below either."""
     plan, g_scores, g_alpha = _plan_and_grads(sinkhorn, cost, iters, loss_kind, weights,
                                               alpha_bin)
     ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_sinkhorn, cost, iters, loss_kind,
                                                       weights, alpha_bin)
-    assert np.abs(plan.data - ref_plan.data).max() <= tol * np.abs(ref_plan.data).max()
+    p, ref_p = np.exp(plan.data), np.exp(ref_plan.data)
+    assert np.abs(p - ref_p).max() <= tol * ref_p.max()
     if loss_kind == "dustbins":
-        addend = np.abs(weights * ref_plan.data).max()
+        addend = np.abs(weights).max()
         assert np.abs(g_scores - ref_scores).max() <= tol * addend
         assert abs(g_alpha - ref_alpha) <= tol * addend
     else:
@@ -423,8 +424,8 @@ def test_sinkhorn_plan_finite_with_exact_columns_on_either_path(m, n, log_range,
         with Tape() as tape:
             plan = sinkhorn(ScoreMatrix(scores, True))
             tape.backward(ad.sum_all(ad.mul(plan.values, constant(weights))))
-    p = plan.values.data
-    assert np.all(np.isfinite(p)) and np.all(np.isfinite(scores.grad))
+    assert np.all(np.isfinite(plan.values.data)) and np.all(np.isfinite(scores.grad))
+    p = np.exp(plan.values.data)
     b = np.append(np.ones(n), m)
     assert np.abs(p.sum(axis=0) - b).max() <= 1e-9 * (m + n)
 
@@ -442,7 +443,7 @@ def test_sinkhorn_nan_and_minus_inf_scores():
             with Tape() as tape:
                 plan = sinkhorn(ScoreMatrix(scores, True))
                 tape.backward(ad.sum_all(ad.mul(plan.values, constant(weights))))
-        p = plan.values.data
+        p = np.exp(plan.values.data)
         if np.isnan(bad):
             assert np.all(np.isnan(p))
         else:
