@@ -431,17 +431,6 @@ def leaky_relu(a) -> Tensor:
                   lambda g, x, y: g * np.maximum(x >= 0.0, LEAKY_SLOPE, dtype=x.dtype))
 
 
-def _sigmoid(x):
-    # exp(-x) overflows to inf below -88 in float32, and 1 / inf is the 0
-    # that the probability rounds to.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a) -> Tensor:
-    return _unary(a, _sigmoid, lambda g, x, y: g * y * (1.0 - y))
-
-
 def softplus(a) -> Tensor:
     # log(1 + e^x) as max(x, 0) + log1p(e^-|x|), and its derivative
     # sigmoid(x) as e^(x - y): neither exp can overflow.

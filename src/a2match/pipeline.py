@@ -6,8 +6,8 @@ The scene-scoring chain has one home here. `scene_plan` runs the network,
 the feature cost, the dustbins and Sinkhorn, and returns the plan's logs;
 `classify_candidates` gives a candidate set's inlier logits on the very
 bearings the network read. Inference (`match_scene`, which filters on the
-logits' sigmoid) and training (`training.scene_loss`) both call the two,
-so a change to the chain or to its input frame is made once.
+logits' sigmoid in numpy) and training (`training.scene_loss`) both call
+the two, so a change to the chain or to its input frame is made once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, sigmoid
+from .autodiff import Tensor
 from .geometry import CorrespondenceSet, project
 from .network import ModelWeights, forward, scene_inputs
 from .posemetrics import (
@@ -72,7 +72,11 @@ def match_scene(pair: ScenePair, weights: ModelWeights, *, threshold: float = 0.
     initial = mutual_nn(scene_plan(pair, weights))
     if not use_rejection or len(initial) == 0:
         return MatchResult(initial, CorrespondenceSet(list(initial.pairs)))
-    probs = sigmoid(classify_candidates(pair, initial, weights))
+    z = classify_candidates(pair, initial, weights).data
+    # exp(-z) overflows to inf below -88 in float32, and 1 / inf is the 0
+    # that the probability rounds to.
+    with np.errstate(over="ignore"):
+        probs = 1.0 / (1.0 + np.exp(-z))
     return MatchResult(initial, filter_correspondences(initial, probs, threshold))
 
 

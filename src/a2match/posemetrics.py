@@ -358,11 +358,11 @@ def translation_error(est: RigidPose, gt: RigidPose) -> float:
 AUC_THRESHOLDS = (1.0, 5.0, 10.0)
 
 
-def reprojection_auc(per_query_errors, thresholds=AUC_THRESHOLDS):
-    """Mean of max(0, 1 - e/tau) per threshold, as percentages."""
+def reprojection_auc(per_query_errors):
+    """Mean of max(0, 1 - e/tau) per tau in AUC_THRESHOLDS, as percentages."""
     e = np.asarray(per_query_errors, dtype=np.float64)
     out = []
-    for tau in thresholds:
+    for tau in AUC_THRESHOLDS:
         with np.errstate(invalid="ignore"):
             frac = np.where(np.isinf(e), 0.0, np.maximum(0.0, 1.0 - e / tau))
         out.append(float(frac.mean() * 100.0))

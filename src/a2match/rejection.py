@@ -4,7 +4,7 @@ A pointwise residual MLP made set-aware by context normalization, which is
 `autodiff.instance_norm` without affine parameters: per channel mean and
 variance across the candidate axis; the residual linear layers that feed it
 have no bias, which it would cancel. It ends in an inlier logit, which the
-loss reads as it is and `pipeline.match_scene` turns into a probability.
+loss reads as it is and `pipeline.match_scene` turns into a numpy probability.
 Input is the concatenated 2D/3D bearing pair per candidate, four channels;
 the transport score is not an input. The bearings come from the caller,
 which takes them from the rows the network read
@@ -52,9 +52,9 @@ def check_threshold(t: float):
 
 
 def filter_correspondences(init: CorrespondenceSet, probs, t: float) -> CorrespondenceSet:
-    """Keep candidate i iff p_i > t; order preserved."""
+    """Keep candidate i iff p_i > t, compared in p's dtype; order preserved."""
     check_threshold(t)
-    p = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
+    p = np.asarray(probs)
     if len(p) != len(init):
         raise ValueError(f"{len(p)} probabilities for {len(init)} candidates")
     kept = [pair for pair, pi in zip(init.pairs, p) if pi > t]

@@ -32,6 +32,8 @@ MAX_POINTS = 1024
 # inject_outliers' bearing clearance of a replacement keypoint from every
 # visible point; twice the default labeling tolerance.
 REPLACEMENT_GUARD = 2e-3
+# Share of the image's half-extent that point bearings are drawn within.
+BEARING_MARGIN = 0.92
 
 
 class InvalidConfig(ValueError):
@@ -95,9 +97,9 @@ def _random_rotation(rng) -> np.ndarray:
     ])
 
 
-def _bearing_window(cfg: SynthConfig, margin=0.92):
-    bx = margin * (cfg.image_width / 2.0) / cfg.focal
-    by = margin * (cfg.image_height / 2.0) / cfg.focal
+def _bearing_window(cfg: SynthConfig):
+    bx = BEARING_MARGIN * (cfg.image_width / 2.0) / cfg.focal
+    by = BEARING_MARGIN * (cfg.image_height / 2.0) / cfg.focal
     return bx, by
 
 
@@ -120,16 +122,23 @@ def _clearance(b, bearings) -> float:
     return float(np.min(np.hypot(*(bearings - b).T), initial=np.inf))
 
 
-def _clear_keypoint(rng, k: CameraIntrinsics, bearings, guard):
-    """A pixel drawn uniformly over the image, [0, 2 cx] x [0, 2 cy], whose
-    bearing lies farther than guard from every row of bearings; returns the
-    pixel and its bearing."""
+def _place_clear(draw, bearing_of, bearings, guard, x=None):
+    """The first of x, when given, and then fresh draw()s whose bearing lies
+    farther than guard from every row of bearings, with that bearing."""
+    x = draw() if x is None else x
     for _ in range(1000):
-        uv = (rng.uniform(0.0, 2.0 * k.cx), rng.uniform(0.0, 2.0 * k.cy))
-        b = pixel_bearings(k, uv)[0]
+        b = bearing_of(x)
         if _clearance(b, bearings) > guard:
-            return uv, b
-    raise InvalidConfig("could not place a keypoint clear of all points")
+            return x, b
+        x = draw()
+    raise InvalidConfig("could not place an outlier clear of every bearing on the other side")
+
+
+def _clear_keypoint(rng, k: CameraIntrinsics, bearings, guard):
+    """A pixel drawn uniformly over [0, 2 cx] x [0, 2 cy] whose bearing lies
+    farther than guard from every row of bearings, with that bearing."""
+    return _place_clear(lambda: (rng.uniform(0.0, 2.0 * k.cx), rng.uniform(0.0, 2.0 * k.cy)),
+                        lambda uv: pixel_bearings(k, uv)[0], bearings, guard)
 
 
 def generate_scene(cfg: SynthConfig) -> ScenePair:
@@ -170,14 +179,8 @@ def generate_scene(cfg: SynthConfig) -> ScenePair:
     # otherwise labeling could pair them with a noisy detection.
     kp_bearings = np.concatenate([pixel_bearings(k, uv_in), kp_out_bearings], axis=0)
     for i in range(n - n_in):
-        b = cam_out[i, :2] / cam_out[i, 2]
-        for _ in range(1000):
-            if _clearance(b, kp_bearings) > guard:
-                break
-            cam_out[i] = _sample_camera_points(rng, cfg, 1)[0]
-            b = cam_out[i, :2] / cam_out[i, 2]
-        else:
-            raise InvalidConfig("could not place an outlier point clear of all keypoints")
+        cam_out[i], _ = _place_clear(lambda: _sample_camera_points(rng, cfg, 1)[0],
+                                     lambda c: c[:2] / c[2], kp_bearings, guard, cam_out[i])
     world_out = _camera_to_world(cam_out, pose)
 
     uv = np.concatenate([uv_in, uv_out], axis=0)

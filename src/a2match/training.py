@@ -4,13 +4,13 @@ A scene's loss runs the chain inference runs, `pipeline.scene_plan` then
 `pipeline.classify_candidates`, so training and inference score a scene
 the same way. The matching loss is the negative log-likelihood of the
 transport plan, read off Sinkhorn's log plan, at the ground-truth cells
-plus the dustbin cells of unmatched points; the rejection loss is
-class-balanced binary cross-entropy on the classifier logits. Neither
-takes the log of a probability, so neither needs a floor that would stop
-a gradient. A scene's total is their sum, or the matching loss alone when
-there are no candidates. Candidate selection (mutual NN) is discrete, so
-gradients treat the selected set as fixed; the finite-difference checker
-freezes it explicitly at the base point for the same reason.
+plus the dustbin cells of unmatched points, from the plan and the ground
+truth alone; the rejection loss is class-balanced binary cross-entropy on
+the classifier logits. Neither takes the log of a probability, so neither
+needs a floor that would stop a gradient. A scene's total is their sum, or
+the matching loss alone when there are no candidates. Candidate selection
+(mutual NN) is discrete, so gradients treat the selected set as fixed; the
+finite-difference checker freezes it at the base point for the same reason.
 """
 
 from __future__ import annotations
@@ -78,14 +78,12 @@ def matching_cells(gt, m: int, n: int):
             np.concatenate([gt_j, np.full(len(free_i), n), free_j]))
 
 
-def matching_loss(log_plan: ScoreMatrix, gt, m: int, n: int) -> Tensor:
-    """Mean negative log plan entry over the `matching_cells`."""
+def matching_loss(log_plan: ScoreMatrix, gt) -> Tensor:
+    """Mean negative entry of an (M+1, N+1) log plan over its `matching_cells`."""
     if not log_plan.log_domain:
         raise ValueError("matching_loss expects a log plan")
     p = log_plan.values
-    if p.shape != (m + 1, n + 1):
-        raise IndexOutOfBounds(f"plan shape {p.shape} does not fit M={m}, N={n}")
-    rows, cols = matching_cells(gt, m, n)
+    rows, cols = matching_cells(gt, p.shape[0] - 1, p.shape[1] - 1)
     return ad.scale(ad.sum_all(ad.gather_pairs(p, rows, cols)), -1.0 / len(rows))
 
 
@@ -175,9 +173,8 @@ def scene_loss(pair, weights: ModelWeights, *, frozen_candidates=None):
     frozen_candidates pins the discrete mutual-NN selection so repeated
     forward evaluations (finite differences) see a smooth function.
     """
-    m, n = len(pair.keypoints), len(pair.points)
     plan = scene_plan(pair, weights)
-    l_match = matching_loss(plan, pair.gt_matches, m, n)
+    l_match = matching_loss(plan, pair.gt_matches)
 
     candidates = frozen_candidates if frozen_candidates is not None else mutual_nn(plan)
     l_rej = None
@@ -192,7 +189,7 @@ def scene_loss(pair, weights: ModelWeights, *, frozen_candidates=None):
         matching_loss=l_match.item(),
         rejection_loss=l_rej.item() if l_rej is not None else 0.0,
         total=total.item(),
-        n_matching=len(matching_cells(pair.gt_matches, m, n)[0]),
+        n_matching=len(matching_cells(pair.gt_matches, len(pair.keypoints), len(pair.points))[0]),
         n_candidates=len(candidates),
     )
     return total, report, candidates

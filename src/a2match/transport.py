@@ -211,7 +211,11 @@ def _kernel(x, f, g):
 
 
 def marginal_residuals(plan: ScoreMatrix):
-    """Max |row/column sum - prescribed marginal| of a plan or a log plan."""
+    """Max |row/column sum - prescribed marginal| of a plan or a log plan.
+
+    The row maximum includes the dustbin row, whose mass is N, so on network
+    plans it is the dustbin's residual: with fresh d=128 weights at n=256
+    (scene seed 1), 3.3e-6, while every real row is within 1.4e-8."""
     p = np.exp(plan.values.data) if plan.log_domain else plan.values.data
     m, n = p.shape[0] - 1, p.shape[1] - 1
     a, b = _masses(m, n)

@@ -649,7 +649,6 @@ def test_unary_op_gradients():
     rng = np.random.default_rng(11)
     x = Tensor(rng.uniform(0.2, 2.0, (4, 3)), requires_grad=True)
     other = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    check_op(lambda: ad.sigmoid(x), [x], rtol=1e-5)
     wide = Tensor(rng.uniform(-30.0, 30.0, (4, 3)), requires_grad=True)
     check_op(lambda: ad.softplus(wide), [wide], rtol=1e-5)
     check_op(lambda: ad.pairwise_l2(x, other), [x, other], rtol=1e-4)

@@ -23,7 +23,7 @@ def test_classify_outputs_finite_logits():
     z = classify(*batch_of(12), w).data
     assert z.shape == (12,)
     assert np.all(np.isfinite(z))
-    p = ad.sigmoid(constant(z)).data
+    p = 1.0 / (1.0 + np.exp(-z))
     assert np.all((p > 0) & (p < 1))
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from a2match import synth
 from a2match.geometry import label_ground_truth
 from a2match.synth import (
     InvalidConfig,
@@ -154,6 +155,30 @@ def test_scene_format_and_draw_order_pinned():
         "ee562f3d51a8153b08e167948779270ed1cec79cfc02014235781b014ad4ce90")
     assert hashlib.sha256(dump_scene(injected).encode()).hexdigest() == (
         "339c501c9a8ceaab4761e2e37fe7dd654769a818f5a9fe53419b42bf82d1a334")
+
+
+def test_redraw_order_pinned(monkeypatch):
+    # An n=1024 scene whose outlier keypoints and outlier points both redraw
+    # candidates that sit within the guard, and an injection that redraws
+    # too: the hashes pin the order of the redraws' random draws.
+    failed = {}
+
+    def counting(b, bearings, clearance=synth._clearance):
+        d = clearance(b, bearings)
+        failed.setdefault(id(bearings), [bearings, 0])[1] += d <= 2e-3
+        return d
+
+    monkeypatch.setattr(synth, "_clearance", counting)
+    pair = generate_scene(SynthConfig(n_points=1024, seed=8))
+    redraws = [count for _, count in failed.values()]
+    failed.clear()
+    injected = inject_outliers(pair, 0.5, seed=7)
+    assert (redraws, [count for _, count in failed.values()]) == ([5, 5], [4])
+    assert (len(pair.gt_matches), len(injected.gt_matches)) == (717, 358)
+    assert hashlib.sha256(dump_scene(pair).encode()).hexdigest() == (
+        "3bd641c2074039fcbddbfb516ac444de33b298013c7f81d50ac58bb153fb4cba")
+    assert hashlib.sha256(dump_scene(injected).encode()).hexdigest() == (
+        "81cb99fc14e9a3b1ff931077eb3b05696fadfa5561d3cecaa7cd012039d7f95b")
 
 
 def _corrupt(obj, key, row, col, value):
