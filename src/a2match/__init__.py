@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .geometry import (  # noqa: F401
     CameraIntrinsics,
     CorrespondenceSet,
-    PointBehindCamera,
     RigidPose,
     label_ground_truth,
     neighbor_cosine,

@@ -79,14 +79,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class ShapeMismatch(Exception):
-    pass
-
-
-class NonScalarLoss(Exception):
-    pass
-
-
 # The active tapes, innermost last; ops record on the innermost.
 _TAPES = []
 
@@ -121,7 +113,7 @@ class Tape:
 
     def backward(self, loss):
         if loss.data.size != 1:
-            raise NonScalarLoss(f"loss must be scalar, got shape {loss.shape}")
+            raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         _accum(loss, np.ones_like(loss.data))
         for out, backward in reversed(self._records):
             if out.grad is not None:
@@ -220,7 +212,7 @@ def matmul(a, b) -> Tensor:
     """2D matrix product, a.data @ b.data through BLAS, forward and backward."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul shapes {a.shape} x {b.shape}")
+        raise ValueError(f"matmul shapes {a.shape} x {b.shape}")
     out_data = a.data @ b.data
 
     def bw(g):
@@ -235,7 +227,7 @@ def matmul(a, b) -> Tensor:
 def transpose2d(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
-        raise ShapeMismatch(f"transpose2d needs a matrix, got {a.shape}")
+        raise ValueError(f"transpose2d needs a matrix, got {a.shape}")
     out_data = np.ascontiguousarray(a.data.T)
 
     def bw(g):
@@ -255,7 +247,7 @@ def _check_broadcast(a_shape, b_shape):
         bs == as_ or bs == 1 for bs, as_ in zip(b_shape, a_shape)
     ):
         return
-    raise ShapeMismatch(f"cannot broadcast {b_shape} onto {a_shape}")
+    raise ValueError(f"cannot broadcast {b_shape} onto {a_shape}")
 
 
 def _reduce_to_shape(g, shape):
@@ -312,11 +304,11 @@ def scale(a, s: float) -> Tensor:
 def concat_last_axis(*tensors) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     if len(tensors) < 2:
-        raise ShapeMismatch("concat_last_axis needs at least two tensors")
+        raise ValueError("concat_last_axis needs at least two tensors")
     lead = tensors[0].data.shape[:-1]
     for t in tensors[1:]:
         if t.data.shape[:-1] != lead:
-            raise ShapeMismatch(
+            raise ValueError(
                 f"concat_last_axis leading shapes differ: {[t.shape for t in tensors]}")
     widths = [t.data.shape[-1] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=-1)
@@ -394,11 +386,11 @@ def _scatter_add(src, target, n, fan_out=1):
 def gather_pairs(a, rows, cols) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
-        raise ShapeMismatch(f"gather_pairs needs a matrix, got {a.shape}")
+        raise ValueError(f"gather_pairs needs a matrix, got {a.shape}")
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     if rows.shape != cols.shape:
-        raise ShapeMismatch("gather_pairs index shapes differ")
+        raise ValueError("gather_pairs index shapes differ")
     out_data = a.data[rows, cols]
 
     def bw(g):
@@ -506,7 +498,7 @@ def instance_norm(x, gamma=None, beta=None, act=None) -> Tensor:
     """
     x = _as_tensor(x)
     if x.ndim < 2:
-        raise ShapeMismatch(f"instance_norm needs ndim >= 2, got {x.shape}")
+        raise ValueError(f"instance_norm needs ndim >= 2, got {x.shape}")
     if act not in (None, "relu", "leaky_relu"):
         raise ValueError(f"instance_norm activation must be None, 'relu' or 'leaky_relu', "
                          f"got {act!r}")
@@ -608,12 +600,12 @@ def norm_max(f, idx, weight, gamma, beta) -> Tensor:
     gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 2:
-        raise ShapeMismatch(f"norm_max needs idx (N,k), got {idx.shape}")
+        raise ValueError(f"norm_max needs idx (N,k), got {idx.shape}")
     w_self, w_nbr = _neighbor_weights(f, idx[:, :, None], weight)
     c = weight.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeMismatch(f"norm_max needs gamma, beta ({c},), got {gamma.shape} "
-                            f"and {beta.shape}")
+        raise ValueError(f"norm_max needs gamma, beta ({c},), got {gamma.shape} "
+                         f"and {beta.shape}")
     n, k = idx.shape
     s = f.data @ w_self
     t = f.data @ w_nbr
@@ -703,10 +695,10 @@ def covariance_norm(x, weight, gamma, beta) -> Tensor:
     weight, gamma, beta = _as_tensor(weight), _as_tensor(gamma), _as_tensor(beta)
     x = np.asarray(x, dtype=weight.data.dtype)
     if x.ndim < 2 or weight.ndim != 2 or weight.shape[0] != x.shape[-1]:
-        raise ShapeMismatch(f"covariance_norm shapes {x.shape} x {weight.shape}")
+        raise ValueError(f"covariance_norm shapes {x.shape} x {weight.shape}")
     if gamma.shape != weight.shape[1:] or beta.shape != weight.shape[1:]:
-        raise ShapeMismatch(f"covariance_norm needs gamma, beta {weight.shape[1:]}, got "
-                            f"{gamma.shape} and {beta.shape}")
+        raise ValueError(f"covariance_norm needs gamma, beta {weight.shape[1:]}, got "
+                         f"{gamma.shape} and {beta.shape}")
     rows = x.reshape(-1, x.shape[-1])
     xc = rows - rows.mean(axis=0, dtype=np.float64).astype(x.dtype)
     sigma_w = (np.einsum("rv,rw->vw", xc, xc, dtype=np.float64) / len(rows)) @ weight.data
@@ -740,7 +732,7 @@ def grouped_neighbor_conv(x, weight) -> Tensor:
     """
     x = _as_tensor(x)
     if x.ndim != 3:
-        raise ShapeMismatch(f"grouped_neighbor_conv needs (N,G,d), got {x.shape}")
+        raise ValueError(f"grouped_neighbor_conv needs (N,G,d), got {x.shape}")
     n, groups, d = x.shape
     return matmul(reshape(x, (n, groups * d)), weight)
 
@@ -786,13 +778,13 @@ def _neighbor_weights(f, idx, weight):
     w_self = sum_p (W1_p + W2_p), (d, d_out), and w_nbr = [W2_0 | W2_1 | ...],
     (d, width * d_out)."""
     if f.ndim != 2 or idx.ndim != 3 or idx.shape[0] != f.shape[0]:
-        raise ShapeMismatch(f"neighbor_linear needs f (N,d) and idx (N,G,width), "
-                            f"got {f.shape} and {idx.shape}")
+        raise ValueError(f"neighbor_linear needs f (N,d) and idx (N,G,width), "
+                         f"got {f.shape} and {idx.shape}")
     d = f.shape[1]
     width = idx.shape[2]
     if weight.ndim != 2 or weight.shape[0] != width * 2 * d:
-        raise ShapeMismatch(f"neighbor_linear weight expects {width * 2 * d} rows, got "
-                            f"{weight.shape}")
+        raise ValueError(f"neighbor_linear weight expects {width * 2 * d} rows, got "
+                         f"{weight.shape}")
     d_out = weight.shape[1]
     w = weight.data.reshape(width, 2, d, d_out)
     return w.sum(axis=(0, 1)), w[:, 1].transpose(1, 0, 2).reshape(d, width * d_out)
@@ -865,7 +857,7 @@ def pairwise_l2(a, b) -> Tensor:
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(f"pairwise_l2 shapes {a.shape} x {b.shape}")
+        raise ValueError(f"pairwise_l2 shapes {a.shape} x {b.shape}")
     a64, b64 = a.data.astype(np.float64, copy=False), b.data.astype(np.float64, copy=False)
     out_data = np.sqrt(_squared_distances(a64, b64)[0])
 

@@ -2,9 +2,10 @@
 
 Subcommands: synth, train, match, localize, sweep, gradcheck. Exit codes:
 0 success (including a reported localization failure), 1 verification
-failure, 2 usage or configuration error. All seeded commands produce
-byte-identical primary outputs across runs; the training CSV's wall-clock
-column is the one inherently non-reproducible field.
+failure, 2 a usage error, `InvalidConfig` (input the program cannot run on)
+or an OS file error. All seeded commands produce byte-identical primary
+outputs across runs; the training CSV's wall-clock column is the one
+inherently non-reproducible field.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import ModelWeights, NetworkConfig, TooFewPoints
+from .network import ModelWeights, NetworkConfig
 from .pipeline import localize_scene, match_scene, outlier_sweep
 from .runconfig import InvalidConfig, load_run_config
 from .svgplot import render_sweep_svg
 from .synth import generate_scene, load_scene, save_scene
 from .training import grad_check, train
-from .weights_io import WeightsFormatError, load_weights, save_weights
+from .weights_io import load_weights, save_weights
 
 GRADCHECK_TOLERANCE = 1e-3
 
@@ -266,8 +267,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidConfig, WeightsFormatError, TooFewPoints, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+    except (InvalidConfig, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,10 +18,6 @@ import numpy as np
 EPS_DEPTH = 1e-6
 
 
-class PointBehindCamera(Exception):
-    """3D point has depth <= EPS_DEPTH in the camera frame."""
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -113,8 +109,8 @@ def world_bearings(pose: RigidPose, xyz, allow_behind=False):
     """(N,2) bearings plus visibility mask of (N,3) world points.
 
     With allow_behind=False any point at depth <= EPS_DEPTH raises
-    PointBehindCamera; with allow_behind=True such points get a False mask
-    entry and zero bearing.
+    ValueError; with allow_behind=True such points get a False mask entry
+    and zero bearing.
     """
     P = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     R, t = pose.rotation, pose.translation
@@ -124,7 +120,7 @@ def world_bearings(pose: RigidPose, xyz, allow_behind=False):
     pz = R[2, 0] * x + R[2, 1] * y + R[2, 2] * z + t[2]
     visible = pz > EPS_DEPTH
     if not allow_behind and not np.all(visible):
-        raise PointBehindCamera(f"{int((~visible).sum())} points at depth <= {EPS_DEPTH}")
+        raise ValueError(f"{int((~visible).sum())} points at depth <= {EPS_DEPTH}")
     out = np.zeros((len(P), 2), dtype=np.float64)
     safe = np.where(visible, pz, 1.0)
     out[:, 0] = np.where(visible, px / safe, 0.0)

@@ -51,7 +51,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, constant
 from .geometry import pixel_bearings, unit_vectors, world_bearings
-from .synth import MAX_POINTS, MIN_POINTS, ScenePair
+from .synth import MAX_POINTS, MIN_POINTS, InvalidConfig, ScenePair
 
 # Each modality has its own input encoder.
 MODALITIES = ("2d", "3d")
@@ -63,14 +63,6 @@ CLASSIFIER_UNITS = 6
 # the scaled squares, and a relative one for round-off.
 _SQ_ABS = 2.0 ** -1060
 _SQ_SLACK = 2.0 ** -40
-
-
-class TooFewPoints(Exception):
-    pass
-
-
-class EmptyInput(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,7 @@ def build_knn_graph(positions, k: int) -> LocalGraph:
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     n = len(pos)
     if n <= k:
-        raise TooFewPoints(f"need more than k={k} points, got {n}")
+        raise ValueError(f"need more than k={k} points, got {n}")
     # Candidates come from squared differences, cheaper than hypot, of the
     # positions scaled by 2^-e so that every coordinate lies in (-1, 1): no
     # square overflows, and squares lose at most _SQ_ABS to underflow.
@@ -290,9 +282,9 @@ def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
     b = np.asarray(bearings, dtype=w.dtype).reshape(-1, 2)
     c = np.asarray(colors, dtype=w.dtype).reshape(-1, 3)
     if len(b) == 0 or len(c) == 0:
-        raise EmptyInput("encode needs at least one point")
+        raise ValueError("encode needs at least one point")
     if len(b) != len(c):
-        raise ad.ShapeMismatch(f"bearing/color counts differ: {len(b)} vs {len(c)}")
+        raise ValueError(f"bearing/color counts differ: {len(b)} vs {len(c)}")
     if modality not in MODALITIES:
         raise ValueError(f"modality must be '2d' or '3d', got {modality!r}")
 
@@ -330,7 +322,7 @@ def annular_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Te
     n, k = graph.neighbor_idx.shape
     g = w.config.g
     if k % g != 0:
-        raise ad.ShapeMismatch(f"neighbor count {k} not divisible by {g} groups")
+        raise ValueError(f"neighbor count {k} not divisible by {g} groups")
     h = ad.neighbor_linear(f, graph.neighbor_idx.reshape(n, g, k // g),
                            w.param(f"{name}/conv1/W"))
     h = _norm_act(h, w, f"{name}/bn1", "relu")
@@ -379,9 +371,9 @@ def self_attention_block(f: Tensor, graph: LocalGraph, w: ModelWeights, block: s
 def cross_attention(f_a: Tensor, f_b: Tensor, w: ModelWeights, block: str) -> Tensor:
     """Attend from side a over side b and add an MLP update to f_a."""
     if f_a.shape[0] == 0 or f_b.shape[0] == 0:
-        raise EmptyInput("cross_attention needs non-empty inputs")
+        raise ValueError("cross_attention needs non-empty inputs")
     if f_a.shape[1] != f_b.shape[1]:
-        raise ad.ShapeMismatch(f"feature widths differ: {f_a.shape} vs {f_b.shape}")
+        raise ValueError(f"feature widths differ: {f_a.shape} vs {f_b.shape}")
     p = f"{block}/cross"
     q = ad.matmul(f_a, w.param(f"{p}/Wq/W"))
     kk = ad.matmul(f_b, w.param(f"{p}/Wk/W"))
@@ -420,7 +412,7 @@ def _canonical_side(bearings, colors):
     b = np.asarray(bearings, dtype=np.float64).reshape(-1, 2)
     c = np.asarray(colors, dtype=np.float64).reshape(-1, 3)
     if len(b) != len(c):
-        raise ad.ShapeMismatch(f"bearing/color counts differ: {len(b)} vs {len(c)}")
+        raise ValueError(f"bearing/color counts differ: {len(b)} vs {len(c)}")
     order, inverse = ad.canonical_order(np.concatenate([b, c], axis=1))
     return b[order], c[order], inverse
 
@@ -443,8 +435,8 @@ def forward(pair: ScenePair, w: ModelWeights):
     m, n = len(pair.keypoints), len(pair.points)
     for count, side in ((m, "keypoint"), (n, "point")):
         if not MIN_POINTS <= count <= MAX_POINTS:
-            raise ValueError(f"{side} count {count} outside [{MIN_POINTS},{MAX_POINTS}]")
+            raise InvalidConfig(f"{side} count {count} outside [{MIN_POINTS},{MAX_POINTS}]")
         if count <= k:
-            raise TooFewPoints(f"{side} count {count} must exceed k={k}")
+            raise InvalidConfig(f"{side} count {count} must exceed k={k}")
     bp, cp, bq, cq = scene_inputs(pair)
     return forward_features(bp, cp, bq, cq, w)

@@ -22,7 +22,6 @@ from .network import ModelWeights, forward, scene_inputs
 from .posemetrics import (
     PoseEstimate,
     RansacConfig,
-    TooFewCorrespondences,
     error_quantiles,
     pnp_ransac,
     reprojection_auc,
@@ -84,10 +83,7 @@ def _localize_from_pairs(pair: ScenePair, corrs: CorrespondenceSet,
                          ransac_cfg: RansacConfig, n_initial: int) -> LocalizeResult:
     uv = pair.keypoints[np.array(corrs.indices_2d(), dtype=np.intp)]
     xyz = pair.points[np.array(corrs.indices_3d(), dtype=np.intp)]
-    try:
-        est = pnp_ransac(uv, xyz, pair.intrinsics, ransac_cfg)
-    except TooFewCorrespondences:
-        est = PoseEstimate(None, np.zeros(len(corrs), dtype=bool), False)
+    est = pnp_ransac(uv, xyz, pair.intrinsics, ransac_cfg)
     if not est.success:
         return LocalizeResult(est, n_initial, len(corrs), np.inf, np.inf, np.inf, True)
 
@@ -146,8 +142,9 @@ def outlier_sweep(weights, scenes, ratios, *, ransac_cfg=None,
     """
     ransac_cfg = ransac_cfg or RansacConfig()
 
-    def run_cell(r_idx, ratio, s_idx):
-        cell_seed = (seed * 1000003 + r_idx * 8191 + s_idx) % 2 ** 63
+    def run_cell(ratio, s_idx):
+        # Seeded per scene alone, so the surviving GT nests across ratios.
+        cell_seed = (seed * 1000003 + s_idx) % 2 ** 63
         injected = inject_outliers(scenes[s_idx], ratio, seed=cell_seed)
         if use_oracle:
             return localize_oracle(injected, ransac_cfg)
@@ -155,10 +152,10 @@ def outlier_sweep(weights, scenes, ratios, *, ransac_cfg=None,
                               ransac_cfg=ransac_cfg)
 
     rows = []
-    for r_idx, ratio in enumerate(ratios):
+    for ratio in ratios:
         if not 0.0 <= ratio <= 1.0:
             raise ValueError(f"ratio must lie in [0,1], got {ratio}")
-        results = [run_cell(r_idx, ratio, s) for s in range(len(scenes))]
+        results = [run_cell(ratio, s) for s in range(len(scenes))]
         reproj = [res.mean_reproj_px for res in results]
         rots = [res.rotation_error_deg for res in results]
         trans = [res.translation_error for res in results]

@@ -37,14 +37,6 @@ from .geometry import (
 )
 
 
-class TooFewCorrespondences(Exception):
-    pass
-
-
-class EmptyList(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class RansacConfig:
     max_iterations: int = 500
@@ -69,10 +61,13 @@ class RansacConfig:
 
 @dataclass
 class PoseEstimate:
+    """pnp_ransac's result. A failed one (success False) has no pose; fewer
+    than four pairs give one with no inliers and 0 iterations."""
+
     pose: RigidPose
     inlier_mask: np.ndarray
     success: bool
-    iterations: int = 0   # RANSAC hypotheses drawn
+    iterations: int   # RANSAC hypotheses drawn
 
 
 # Hypotheses drawn, solved and scored per numpy call by pnp_ransac. Scoring
@@ -275,6 +270,10 @@ def pnp_ransac(uv, xyz, k: CameraIntrinsics, cfg: RansacConfig) -> PoseEstimate:
     refined again on the new set, up to _REFIT_ROUNDS refinements in all:
     a hypothesis fitted on a few wrong pairs can move to a pose whose
     inliers are the true set only after a second fit.
+
+    Fewer than four pairs, no hypothesis with four inliers, or a refined
+    pose with fewer than four give a failed estimate (`success` False, no
+    pose); with fewer than four pairs nothing is drawn, so `iterations` is 0.
     """
     bearings = pixel_bearings(k, uv)
     world = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
@@ -282,7 +281,7 @@ def pnp_ransac(uv, xyz, k: CameraIntrinsics, cfg: RansacConfig) -> PoseEstimate:
     if len(world) != n:
         raise ValueError(f"{n} pixels for {len(world)} world points")
     if n < 4:
-        raise TooFewCorrespondences(f"need at least 4 correspondences, got {n}")
+        return PoseEstimate(None, np.zeros(n, dtype=bool), False, 0)
     rays = np.concatenate([bearings, np.ones((n, 1))], axis=1)
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
 
@@ -378,7 +377,7 @@ def error_quantiles(errors, percentiles=(25.0, 50.0, 75.0)):
     e = np.sort(np.asarray(errors, dtype=np.float64))
     n = e.size
     if n == 0:
-        raise EmptyList("quantiles of an empty list are undefined")
+        raise ValueError("quantiles of an empty list are undefined")
     out = []
     for q in percentiles:
         pos = (q / 100.0) * (n - 1)

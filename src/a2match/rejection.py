@@ -24,16 +24,12 @@ from .geometry import CorrespondenceSet
 from .network import CLASSIFIER_UNITS, ModelWeights
 
 
-class EmptyBatch(Exception):
-    pass
-
-
 def classify(bearings_p, bearings_q, w: ModelWeights) -> Tensor:
     """Inlier logit per candidate from its (n, 2) 2D and 3D bearings."""
     x = np.concatenate([bearings_p, bearings_q], axis=1)
     n = len(x)
     if n == 0:
-        raise EmptyBatch("classifier needs at least one candidate")
+        raise ValueError("classifier needs at least one candidate")
     order, inverse = ad.canonical_order(x)
     x = constant(x[order].astype(w.dtype))
 

@@ -9,12 +9,11 @@ fail with an error naming the offending key.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 from .network import NetworkConfig
 from .posemetrics import RansacConfig
-from .synth import InvalidConfig, SynthConfig
+from .synth import InvalidConfig, SynthConfig, read_json
 from .training import TrainConfig
 
 SECTIONS = {
@@ -69,9 +68,4 @@ def parse_run_config(obj: dict) -> RunConfig:
 def load_run_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_run_config(obj)
+    return parse_run_config(read_json(path, "config"))

@@ -37,7 +37,8 @@ BEARING_MARGIN = 0.92
 
 
 class InvalidConfig(ValueError):
-    """A configuration or scene file the program cannot run on."""
+    """A flag, configuration, scene or weights file the program cannot run
+    on, or a scene too small for the network; the CLI exits 2 on it."""
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,19 @@ class SynthConfig:
         if not 0.0 < self.depth_near < self.depth_far:
             raise InvalidConfig(
                 f"depth range must satisfy 0 < near < far, got ({self.depth_near},{self.depth_far})")
+        if self.depth_near <= EPS_DEPTH:
+            # A scene point at depth <= EPS_DEPTH fails load_scene.
+            raise InvalidConfig(f"depth_near must exceed {EPS_DEPTH}, got {self.depth_near}")
         if self.focal <= 0.0 or self.image_width <= 0.0 or self.image_height <= 0.0:
             raise InvalidConfig("camera dimensions must be positive")
         if self.gt_tolerance <= 0.0:
             raise InvalidConfig(f"gt_tolerance must be > 0, got {self.gt_tolerance}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InvalidConfig(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -314,10 +322,17 @@ def save_scene(path, pair: ScenePair):
         f.write(dump_scene(pair))
 
 
-def load_scene(path) -> ScenePair:
+def read_json(path, what: str):
+    """The JSON value held in file `path`. A file that is not UTF-8 JSON,
+    or that nests too deep to parse, raises InvalidConfig naming the `what`
+    file."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"scene file {path} is not valid JSON: {exc}") from exc
-    return scene_from_dict(obj)
+            return json.load(f)
+        # ValueError: bad JSON, bad UTF-8, or an integer of over 4300 digits.
+        except (ValueError, RecursionError) as exc:
+            raise InvalidConfig(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_scene(path) -> ScenePair:
+    return scene_from_dict(read_json(path, "scene"))

@@ -28,14 +28,6 @@ from .pipeline import classify_candidates, scene_plan
 from .transport import ScoreMatrix, mutual_nn
 
 
-class IndexOutOfBounds(Exception):
-    pass
-
-
-class LengthMismatch(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -71,7 +63,7 @@ def matching_cells(gt, m: int, n: int):
     gt_j = np.array(gt.indices_3d(), dtype=np.intp)
     bad = np.flatnonzero((gt_i < 0) | (gt_i >= m) | (gt_j < 0) | (gt_j >= n))
     if len(bad):
-        raise IndexOutOfBounds(f"ground-truth pair ({gt_i[bad[0]]},{gt_j[bad[0]]}) out of bounds")
+        raise ValueError(f"ground-truth pair ({gt_i[bad[0]]},{gt_j[bad[0]]}) out of bounds")
     free_i = np.setdiff1d(np.arange(m), gt_i)
     free_j = np.setdiff1d(np.arange(n), gt_j)
     return (np.concatenate([gt_i, free_i, np.full(len(free_j), m)]),
@@ -106,7 +98,7 @@ def rejection_loss(logits: Tensor, labels, weights) -> Tensor:
     w = np.asarray(weights, dtype=np.float64)
     n = logits.shape[0]
     if len(y) != n or len(w) != n:
-        raise LengthMismatch(f"{n} logits, {len(y)} labels, {len(w)} weights")
+        raise ValueError(f"{n} logits, {len(y)} labels, {len(w)} weights")
     term = ad.sub(ad.softplus(logits), ad.mul(constant(y), logits))
     return ad.scale(ad.sum_all(ad.mul(constant(w), term)), 1.0 / n)
 

@@ -20,35 +20,32 @@ returns them as float32, so load(save(w)) is w bit for bit. Every value
 must be a finite float32: save refuses NaN and inf, and rounds float64
 values (of a promoted copy) to float32, refusing those beyond its range;
 load rejects a file holding NaN or inf. The header holds every field of
-NetworkConfig, so the reloaded network is the saved one.
+NetworkConfig, so the reloaded network is the saved one. Every file load
+rejects (bad magic, another version, a truncated or malformed record,
+records that do not match the header) and every value save refuses raises
+`synth.InvalidConfig`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from .autodiff import Tensor
 from .network import ModelWeights, NetworkConfig
+from .synth import InvalidConfig
 
 MAGIC = b"A2GW"
 VERSION = 3
-
-
-class WeightsFormatError(Exception):
-    pass
-
-
-class VersionMismatch(WeightsFormatError):
-    pass
 
 
 def _write_record(out, name: str, arr: np.ndarray):
     with np.errstate(over="ignore"):  # caught below: beyond float32 is inf
         payload = np.ascontiguousarray(arr, dtype="<f4")
     if not np.isfinite(payload).all():
-        raise WeightsFormatError(f"record {name} holds a value that is not a finite float32")
+        raise InvalidConfig(f"record {name} holds a value that is not a finite float32")
     encoded = name.encode("utf-8")
     out.append(struct.pack("<H", len(encoded)))
     out.append(encoded)
@@ -77,7 +74,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.blob):
-            raise WeightsFormatError("truncated weights file")
+            raise InvalidConfig("truncated weights file")
         chunk = self.blob[self.off:self.off + n]
         self.off += n
         return chunk
@@ -90,41 +87,43 @@ def load_weights(path) -> ModelWeights:
     with open(path, "rb") as f:
         r = _Reader(f.read())
     if r.take(4) != MAGIC:
-        raise WeightsFormatError("not a weights file (bad magic)")
+        raise InvalidConfig("not a weights file (bad magic)")
     (version,) = r.unpack("<H")
     if version != VERSION:
-        raise VersionMismatch(f"unsupported weights version {version}, expected {VERSION}")
+        raise InvalidConfig(f"unsupported weights version {version}, expected {VERSION}")
     d, k, g, n_blocks, flags = r.unpack("<IIIII")
     if flags != 0:
-        raise WeightsFormatError(f"reserved flags word is {flags:#x}, expected 0")
+        raise InvalidConfig(f"reserved flags word is {flags:#x}, expected 0")
     try:
         cfg = NetworkConfig(d=d, k=k, g=g, n_blocks=n_blocks)
     except ValueError as exc:
-        raise WeightsFormatError(f"invalid network header: {exc}") from exc
+        raise InvalidConfig(f"invalid network header: {exc}") from exc
     (n_records,) = r.unpack("<I")
 
     params: dict = {}
     for _ in range(n_records):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"record name is not UTF-8: {exc}") from exc
         if name in params:
-            raise WeightsFormatError(f"record {name} appears twice")
+            raise InvalidConfig(f"record {name} appears twice")
         (rank,) = r.unpack("<B")
         dims = tuple(r.unpack("<" + "I" * rank)) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
-        payload = np.frombuffer(r.take(4 * count), dtype="<f4")
+        payload = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4")
         if not np.isfinite(payload).all():
-            raise WeightsFormatError(f"record {name} holds a non-finite value")
+            raise InvalidConfig(f"record {name} holds a non-finite value")
         params[name] = Tensor(payload.astype(np.float32).reshape(dims), requires_grad=True)
     if r.off != len(r.blob):
-        raise WeightsFormatError(f"{len(r.blob) - r.off} trailing bytes")
+        raise InvalidConfig(f"{len(r.blob) - r.off} trailing bytes")
 
     expected = dict(ModelWeights.layout(cfg))
     if set(expected) != set(params):
-        raise WeightsFormatError(
+        raise InvalidConfig(
             f"parameter records do not match config: {set(expected) ^ set(params)}")
     for name, p in params.items():
         if p.data.shape != expected[name]:
-            raise WeightsFormatError(f"shape of {name} is {p.data.shape}, "
-                                     f"expected {expected[name]}")
+            raise InvalidConfig(f"shape of {name} is {p.data.shape}, "
+                                f"expected {expected[name]}")
     return ModelWeights(cfg, {name: params[name] for name in expected})

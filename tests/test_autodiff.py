@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from a2match import autodiff as ad
-from a2match.autodiff import (
-    NonScalarLoss,
-    ShapeMismatch,
-    Tape,
-    Tensor,
-    constant,
-)
+from a2match.autodiff import Tape, Tensor, constant
 
 
 def fd_grad(fn, x: np.ndarray, h=1e-6):
@@ -60,9 +54,9 @@ def test_matmul_identity():
 def test_add_zero_and_shape_errors():
     x = np.arange(6, dtype=float).reshape(2, 3)
     assert np.array_equal(ad.add(constant(x), constant(np.zeros((2, 3)))).data, x)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="cannot broadcast"):
         ad.add(constant(np.zeros((2, 3))), constant(np.zeros((3, 2))))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="matmul shapes"):
         ad.matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 3))))
 
 
@@ -336,9 +330,9 @@ def test_norm_max_gradcheck():
     beta = rand_tensor(rng, (3,))
     check_op(lambda: ad.norm_max(f, idx, weight, gamma, beta),
              [f, weight, gamma, beta], rtol=1e-4)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=r"norm_max needs idx \(N,k\)"):
         ad.norm_max(f, idx[:, :, None], weight, gamma, beta)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="norm_max needs gamma, beta"):
         ad.norm_max(f, idx, weight, constant(np.ones(2)), beta)
 
 
@@ -514,7 +508,7 @@ def test_covariance_norm_gradcheck():
     beta = Tensor(np.array([0.3, 0.2, 0.1, -0.1]), requires_grad=True)
     check_op(lambda: ad.covariance_norm(x, weight, gamma, beta), [weight, gamma, beta],
              rtol=1e-4)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="covariance_norm shapes"):
         ad.covariance_norm(x[:, :2], weight, gamma, beta)
 
 
@@ -535,9 +529,9 @@ def test_grouped_neighbor_conv_shapes_and_average_kernel():
     assert out.shape == (4, 5)
     const = ad.grouped_neighbor_conv(constant(np.full((4, 9, 2), 2.0)), w)
     assert np.allclose(const.data, 2.0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=r"grouped_neighbor_conv needs \(N,G,d\)"):
         ad.grouped_neighbor_conv(constant(x.data.reshape(4, 18)), w)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="matmul shapes"):
         ad.grouped_neighbor_conv(constant(x.data[:, :3]), w)
 
 
@@ -578,7 +572,7 @@ def test_backward_requires_scalar_loss():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
         y = ad.scale(x, 2.0)
-        with pytest.raises(NonScalarLoss):
+        with pytest.raises(ValueError, match="loss must be scalar"):
             tape.backward(y)
 
 
@@ -933,9 +927,9 @@ def test_neighbor_linear_equals_edge_window_oracle():
         self_rows = weight.reshape(width, 2, d, 5)[:, 0].sum(axis=(0, 1))
         np.testing.assert_allclose(ones.data, np.broadcast_to(self_rows, ones.shape),
                                    rtol=1e-12)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="neighbor_linear weight expects"):
             ad.neighbor_linear(constant(f), idx, constant(weight[1:]))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="neighbor_linear needs f"):
             ad.neighbor_linear(constant(f[1:]), idx, constant(weight))
 
 

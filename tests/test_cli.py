@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from a2match.cli import main
+from a2match.geometry import EPS_DEPTH
 from a2match.network import ModelWeights, NetworkConfig, forward_features, scene_inputs
 from a2match.runconfig import (
     FIELD_TYPES,
@@ -20,8 +21,6 @@ from a2match.synth import SynthConfig, generate_scene, save_scene, scene_to_dict
 from a2match.training import scene_loss
 from a2match.weights_io import (
     VERSION,
-    VersionMismatch,
-    WeightsFormatError,
     _write_record,
     load_weights,
     save_weights,
@@ -78,16 +77,16 @@ def test_weights_magic_and_version_checks(tmp_path):
     blob = bytearray(Path(path).read_bytes())
     bad = tmp_path / "bad.a2w"
     bad.write_bytes(b"XXXX" + bytes(blob[4:]))
-    with pytest.raises(WeightsFormatError):
+    with pytest.raises(InvalidConfig, match=r"not a weights file \(bad magic\)"):
         load_weights(bad)
     ver = bytearray(blob)
     ver[4:6] = struct.pack("<H", 9)
     bad.write_bytes(bytes(ver))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(InvalidConfig, match="unsupported weights version 9, expected 3"):
         load_weights(bad)
     trunc = tmp_path / "trunc.a2w"
     trunc.write_bytes(bytes(blob[:100]))
-    with pytest.raises(WeightsFormatError):
+    with pytest.raises(InvalidConfig, match="truncated weights file"):
         load_weights(trunc)
 
 
@@ -130,7 +129,8 @@ def test_weights_header_without_a_config_fails_to_load(tmp_path, capsys, offset,
     blob[offset:offset + 4] = struct.pack("<I", value)
     bad = tmp_path / "bad.a2w"
     bad.write_bytes(bytes(blob))
-    with pytest.raises(WeightsFormatError):
+    message = "reserved flags word" if offset == 22 else "invalid network header"
+    with pytest.raises(InvalidConfig, match=message):
         load_weights(bad)
     scene, _ = scene_file(tmp_path)
     capsys.readouterr()
@@ -162,11 +162,18 @@ def test_run_config_sections_applied(tmp_path):
     assert cfg.synth.n_points == 12
 
 
-def test_run_config_rejects_non_finite_and_out_of_range_values():
+def test_run_config_rejects_non_finite_and_out_of_range_values(tmp_path, capsys):
     nan, inf = float("nan"), float("inf")
     bad = {
         ("train", "learning_rate"): (nan, inf, -inf, -1e-3),
         ("ransac", "inlier_threshold"): (nan, inf, 0.0, -0.005),
+        ("synth", "focal"): (nan, inf),
+        ("synth", "depth_far"): (inf,),
+        ("synth", "depth_near"): (1e-8, EPS_DEPTH),
+        ("synth", "pixel_noise_sigma"): (nan, inf),
+        ("synth", "gt_tolerance"): (nan, inf),
+        ("synth", "image_width"): (nan, inf),
+        ("synth", "image_height"): (nan, inf),
     }
     for (section, key), values in bad.items():
         for value in values:
@@ -178,6 +185,13 @@ def test_run_config_rejects_non_finite_and_out_of_range_values():
             parse_run_config({"train": {key: 1.0}})
     cfg = parse_run_config({"train": {"learning_rate": 0.0}})
     assert cfg.train.learning_rate == 0.0
+    # Scenes this close to the camera would fail load_scene: a2 synth refuses.
+    path = write_config(tmp_path, {"synth": {"depth_near": 1e-8, "depth_far": 2e-7}})
+    out = tmp_path / "s"
+    assert main(["synth", "--config", path, "--out", str(out), "--count", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid 'synth' config: depth_near must exceed 1e-06, got 1e-08\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -508,7 +522,7 @@ def test_cmd_match_rejects_version_1_weights(tmp_path, capsys):
         _write_record(out, name, value)
     v1 = tmp_path / "v1.a2w"
     v1.write_bytes(bytes(blob) + b"".join(out))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(InvalidConfig, match="unsupported weights version 1, expected 3"):
         load_weights(v1)
     spath, _ = scene_file(tmp_path, seed=8)
     capsys.readouterr()
@@ -534,7 +548,7 @@ def test_cmd_match_rejects_version_2_weights(tmp_path, capsys):
     body = blob[6:26] + struct.pack("<I", n_records) + b"".join(records)
     v2 = tmp_path / "v2.a2w"
     v2.write_bytes(blob[:4] + struct.pack("<H", 2) + body)
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(InvalidConfig, match="unsupported weights version 2, expected 3"):
         load_weights(v2)
     spath, _ = scene_file(tmp_path, seed=8)
     capsys.readouterr()
@@ -544,7 +558,7 @@ def test_cmd_match_rejects_version_2_weights(tmp_path, capsys):
     # Nor do its records pass for the current version's.
     relabeled = tmp_path / "relabeled.a2w"
     relabeled.write_bytes(blob[:4] + struct.pack("<H", VERSION) + body)
-    with pytest.raises(WeightsFormatError, match="do not match config"):
+    with pytest.raises(InvalidConfig, match="do not match config"):
         load_weights(relabeled)
 
 
@@ -569,7 +583,7 @@ def test_cmd_match_rejects_repeated_weights_record(tmp_path, capsys):
     blob[26:30] = struct.pack("<I", len(w.params) + 1)
     dup = tmp_path / "dup.a2w"
     dup.write_bytes(bytes(blob) + b"".join(extra))
-    with pytest.raises(WeightsFormatError, match=f"record {first} appears twice"):
+    with pytest.raises(InvalidConfig, match=f"record {first} appears twice"):
         load_weights(dup)
     spath, _ = scene_file(tmp_path, seed=8)
     capsys.readouterr()
@@ -602,7 +616,7 @@ def test_cmd_match_rejects_non_finite_weights(tmp_path, capsys, value):
     bad = tmp_path / "bad.a2w"
     bad.write_bytes(bytes(blob))
     last = list(w.params)[-1]
-    with pytest.raises(WeightsFormatError, match=f"record {last} holds a non-finite"):
+    with pytest.raises(InvalidConfig, match=f"record {last} holds a non-finite"):
         load_weights(bad)
     spath, _ = scene_file(tmp_path, seed=8)
     capsys.readouterr()
@@ -611,13 +625,50 @@ def test_cmd_match_rejects_non_finite_weights(tmp_path, capsys, value):
     assert out == "" and last in err
 
 
+def _one_record(name: bytes, dims):
+    """A weights file with a valid header and one record, `name` with `dims`
+    and no payload."""
+    def write(blob):
+        return (blob[:26] + struct.pack("<I", 1) + struct.pack("<H", len(name)) + name
+                + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims))
+    return write
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    # 65536^4 values overflow a 64-bit count to 0.
+    ("--weights", _one_record(b"enc/2d/b/proj/W", [65536] * 4), "truncated weights file"),
+    ("--weights", _one_record(b"\xff\xfe", [1]), "record name is not UTF-8"),
+    ("--scene", b'{"intrinsics": "\xe9"}', "is not valid JSON: 'utf-8' codec"),
+    ("--scene", DEEP.encode(), "is not valid JSON: maximum recursion depth"),
+    ("--config", b'{"synth": {}, "x": "\xe9"}', "is not valid JSON: 'utf-8' codec"),
+    ("--config", ('{"synth": ' + DEEP + "}").encode(), "is not valid JSON: maximum recursion"),
+], ids=["weights-count-overflow", "weights-name-not-utf8", "scene-not-utf8", "scene-too-deep",
+        "config-not-utf8", "config-too-deep"])
+def test_cmd_malformed_file_exits_2(tmp_path, capsys, flag, content, message):
+    wpath, _ = make_weights_file(tmp_path)
+    spath, _ = scene_file(tmp_path)
+    bad = tmp_path / "bad"
+    bad.write_bytes(content(Path(wpath).read_bytes()) if callable(content) else content)
+    args = {"--weights": wpath, "--scene": spath, "--config": write_config(tmp_path, {})}
+    args[flag] = str(bad)
+    capsys.readouterr()
+    assert main(["localize", *(x for item in args.items() for x in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39, -1e39])
 def test_save_weights_refuses_values_float32_cannot_hold(tmp_path, value):
     # A float64 copy can hold values that the float32 records cannot.
     w = ModelWeights.initialize(NetworkConfig(d=8, k=6, g=3), seed=0).astype(np.float64)
     name = list(w.params)[3]
     w.params[name].data.flat[0] = value
-    with pytest.raises(WeightsFormatError, match=f"record {name} "):
+    with pytest.raises(InvalidConfig, match=f"record {name} "):
         save_weights(tmp_path / "w.a2w", w)
     assert not (tmp_path / "w.a2w").exists()
 

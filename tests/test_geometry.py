@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from a2match.geometry import (
     CameraIntrinsics,
-    PointBehindCamera,
     RigidPose,
     label_ground_truth,
     neighbor_cosine,
@@ -64,7 +63,7 @@ def test_bearing_from_world_hand_computed():
 
 
 def test_point_behind_camera_raises():
-    with pytest.raises(PointBehindCamera):
+    with pytest.raises(ValueError, match="1 points at depth <= 1e-06"):
         world_bearings(IDENTITY, [[0.0, 0.0, 2.0], [0.0, 0.0, -1.0]])
     b, visible = world_bearings(IDENTITY, [[0.0, 0.0, 2.0], [1.0, 2.0, -1.0]],
                                 allow_behind=True)

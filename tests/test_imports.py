@@ -9,9 +9,15 @@ ops written elsewhere go through `autodiff._make`.
 
 Only `network.py`, `pipeline.py` and `synth.py` read a scene's `query_pose`,
 and `network.py` reads it once.
+
+Every exception class the package defines is named in one of its `except`
+clauses: rejected input raises `InvalidConfig`, which `cli.main` reports,
+and misuse raises `ValueError`, so a class that nothing catches tells
+nothing apart.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,3 +113,55 @@ def test_only_the_network_inputs_read_the_query_pose():
     assert {name for name, lines in readers.items() if lines} <= {
         "network.py", "pipeline.py", "synth.py"}
     assert len(readers["network.py"]) == 1
+
+
+def _name(node):
+    """The name an expression ends in (`x` for `x` and `a.x`), else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def exception_classes(paths):
+    """Names of the classes the modules at `paths` define that derive from a
+    builtin exception or from another such class of theirs."""
+    classes = [node for path in paths
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+
+    def is_exception(name):
+        builtin = getattr(builtins, name or "", None)
+        return name in found or isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    found = set()
+    while True:
+        more = {c.name for c in classes if any(is_exception(_name(b)) for b in c.bases)}
+        if more == found:
+            return found
+        found = more
+
+
+def caught_names(paths):
+    """Names of the exceptions that the `except` clauses of `paths` name."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names |= {_name(t) for t in types}
+    return names
+
+
+def test_exception_scan_finds_classes_and_handlers(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import json\n\n\nclass B(A):\n    pass\n\n\nclass A(ValueError):\n"
+                      "    pass\n\n\nclass D(object):\n    pass\n\n\ntry:\n    pass\n"
+                      "except (A, OSError):\n    pass\nexcept json.JSONDecodeError:\n    pass\n",
+                      encoding="utf-8")
+    assert exception_classes([module]) == {"A", "B"}
+    assert caught_names([module]) == {"A", "OSError", "JSONDecodeError"}
+
+
+def test_every_exception_class_is_caught_in_the_package():
+    uncaught = sorted(exception_classes(PACKAGE) - caught_names(PACKAGE))
+    assert not uncaught, "exception classes no except clause names: " + ", ".join(uncaught)

@@ -10,11 +10,9 @@ from a2match import network, training, transport
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.geometry import neighbor_cosine
 from a2match.network import (
-    EmptyInput,
     LocalGraph,
     ModelWeights,
     NetworkConfig,
-    TooFewPoints,
     annular_aggregate,
     angle_aggregate,
     build_knn_graph,
@@ -151,7 +149,7 @@ def test_knn_ranks_like_a_stable_argsort_of_hypot(case):
 
 
 def test_knn_too_few_points():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ValueError, match="need more than k=9 points, got 5"):
         build_knn_graph(np.zeros((5, 2)), k=9)
 
 
@@ -197,7 +195,7 @@ def test_encode_zeroed_color_params_ignores_colors():
 
 def test_encode_empty_raises():
     w = small_weights()
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="encode needs at least one point"):
         encode(np.zeros((0, 2)), np.zeros((0, 3)), w, "2d")
 
 

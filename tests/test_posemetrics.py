@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from a2match import pipeline
 from a2match.geometry import (
     EPS_DEPTH,
     CameraIntrinsics,
@@ -15,9 +16,7 @@ from a2match.geometry import (
 )
 from a2match.pipeline import localize_oracle, outlier_sweep
 from a2match.posemetrics import (
-    EmptyList,
     RansacConfig,
-    TooFewCorrespondences,
     _refine_pose,
     error_quantiles,
     pnp_ransac,
@@ -303,8 +302,11 @@ def test_pnp_with_outliers_exact_mask():
 def test_pnp_too_few_correspondences():
     pair = noiseless_scene(3)
     uv, xyz = gt_correspondences(pair)
-    with pytest.raises(TooFewCorrespondences):
-        pnp_ransac(uv[:3], xyz[:3], pair.intrinsics, RansacConfig())
+    # Fewer than four pairs: a failed estimate, and nothing drawn.
+    for n in range(4):
+        est = pnp_ransac(uv[:n], xyz[:n], pair.intrinsics, RansacConfig())
+        assert not est.success and est.pose is None and est.iterations == 0
+        assert est.inlier_mask.dtype == bool and est.inlier_mask.tolist() == [False] * n
     with pytest.raises(ValueError):
         pnp_ransac(uv, xyz[:-1], pair.intrinsics, RansacConfig())
 
@@ -366,7 +368,7 @@ def test_error_quantiles_examples():
     assert error_quantiles([7.0, 7.0, 7.0]) == (7.0, 7.0, 7.0)
     q = error_quantiles([1.0, 2.0, np.inf, np.inf])
     assert q[0] <= q[1] <= q[2]
-    with pytest.raises(EmptyList):
+    with pytest.raises(ValueError, match="quantiles of an empty list are undefined"):
         error_quantiles([])
 
 
@@ -453,6 +455,26 @@ def test_outlier_sweep_oracle_shape():
     assert rows[2].auc10 == 0.0
     assert rows[0].median_rot_deg < 1e-4
     assert not np.isfinite(rows[2].median_rot_deg)
+
+
+def test_outlier_sweep_ground_truth_nests_across_ratios(monkeypatch):
+    # inject_outliers replaces a prefix of a seed-fixed permutation; with the
+    # seed fixed per scene, a higher ratio keeps a subset of the GT pairs
+    # that a lower one keeps.
+    scenes = [noiseless_scene(600 + i, n=60) for i in range(4)]
+    scene_of = {id(s.points): i for i, s in enumerate(scenes)}
+    gts = [[] for _ in scenes]
+
+    def recording_oracle(pair, ransac_cfg=None):
+        gts[scene_of[id(pair.points)]].append(pair.gt_matches.pair_set())
+        return localize_oracle(pair, ransac_cfg)
+
+    monkeypatch.setattr(pipeline, "localize_oracle", recording_oracle)
+    pipeline.outlier_sweep(None, scenes, [0.0, 0.25, 0.5, 0.75], use_oracle=True, seed=3)
+    for per_ratio in gts:
+        assert [len(gt) for gt in per_ratio] == [60, 45, 30, 15]
+        for lower, higher in zip(per_ratio, per_ratio[1:]):
+            assert higher <= lower
 
 
 def test_ransac_config_validation():

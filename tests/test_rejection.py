@@ -6,7 +6,7 @@ from a2match import autodiff as ad
 from a2match.geometry import CorrespondenceSet, pixel_bearings, world_bearings
 from a2match.network import ModelWeights, NetworkConfig
 from a2match.pipeline import classify_candidates, localize_scene, match_scene
-from a2match.rejection import EmptyBatch, classify, filter_correspondences
+from a2match.rejection import classify, filter_correspondences
 from a2match.synth import SynthConfig, generate_scene
 
 CFG = NetworkConfig(d=8)
@@ -29,7 +29,7 @@ def test_classify_outputs_finite_logits():
 
 def test_classify_empty_batch_raises():
     w = ModelWeights.initialize(CFG, seed=0)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(ValueError, match="classifier needs at least one candidate"):
         classify(*batch_of(0), w)
 
 
@@ -110,7 +110,7 @@ def test_classify_candidates_reads_per_candidate_bearings():
     bq = np.array([world_bearings(pair.query_pose, pair.points[j])[0][0]
                    for j in corrs.indices_3d()])
     assert np.array_equal(classify_candidates(pair, corrs, w).data, classify(bp, bq, w).data)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(ValueError, match="classifier needs at least one candidate"):
         classify_candidates(pair, CorrespondenceSet([]), w)
 
 
