@@ -105,12 +105,11 @@ def pixel_bearings(k: CameraIntrinsics, uv) -> np.ndarray:
     return (np.asarray(uv, dtype=np.float64).reshape(-1, 2) - (k.cx, k.cy)) / (k.fx, k.fy)
 
 
-def world_bearings(pose: RigidPose, xyz, allow_behind=False):
+def world_bearings(pose: RigidPose, xyz):
     """(N,2) bearings plus visibility mask of (N,3) world points.
 
-    With allow_behind=False any point at depth <= EPS_DEPTH raises
-    ValueError; with allow_behind=True such points get a False mask entry
-    and zero bearing.
+    A point at depth <= EPS_DEPTH has no bearing: its mask entry is False
+    and its row is zero. A `synth.ScenePair` holds no such point.
     """
     P = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     R, t = pose.rotation, pose.translation
@@ -119,8 +118,6 @@ def world_bearings(pose: RigidPose, xyz, allow_behind=False):
     py = R[1, 0] * x + R[1, 1] * y + R[1, 2] * z + t[1]
     pz = R[2, 0] * x + R[2, 1] * y + R[2, 2] * z + t[2]
     visible = pz > EPS_DEPTH
-    if not allow_behind and not np.all(visible):
-        raise ValueError(f"{int((~visible).sum())} points at depth <= {EPS_DEPTH}")
     out = np.zeros((len(P), 2), dtype=np.float64)
     safe = np.where(visible, pz, 1.0)
     out[:, 0] = np.where(visible, px / safe, 0.0)
@@ -134,7 +131,7 @@ def project(k: CameraIntrinsics, pose: RigidPose, xyz):
     Points at depth <= EPS_DEPTH have no image; their rows hold the
     principal point and their mask entries are False.
     """
-    b, visible = world_bearings(pose, xyz, allow_behind=True)
+    b, visible = world_bearings(pose, xyz)
     return b * (k.fx, k.fy) + (k.cx, k.cy), visible
 
 
@@ -151,10 +148,11 @@ def label_ground_truth(uv, xyz, pose: RigidPose, k: CameraIntrinsics,
     if len(uv) == 0 or len(xyz) == 0:
         return CorrespondenceSet([])
     bk = pixel_bearings(k, uv)
-    bp, visible = world_bearings(pose, xyz, allow_behind=True)
+    bp, visible = world_bearings(pose, xyz)
     dx = bk[:, 0][:, None] - bp[:, 0][None, :]
     dy = bk[:, 1][:, None] - bp[:, 1][None, :]
-    dist = np.sqrt(dx * dx + dy * dy)
+    with np.errstate(over="ignore"):  # a distance beyond float64 is inf: no match
+        dist = np.sqrt(dx * dx + dy * dy)
     dist[:, ~visible] = np.inf
     nearest = np.argmin(dist, axis=1)
     rows = np.flatnonzero(dist[np.arange(len(nearest)), nearest] < tol)

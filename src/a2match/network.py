@@ -51,7 +51,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, constant
 from .geometry import pixel_bearings, unit_vectors, world_bearings
-from .synth import MAX_POINTS, MIN_POINTS, InvalidConfig, ScenePair
+from .synth import InvalidConfig, ScenePair
 
 # Each modality has its own input encoder.
 MODALITIES = ("2d", "3d")
@@ -422,7 +422,8 @@ def scene_inputs(pair: ScenePair):
 
     The one place the 3D side's frame is chosen; the classifier reads its
     candidates' rows of these arrays. That frame is still the query's
-    ground-truth pose, which inference should not read.
+    ground-truth pose, which inference should not read. The `ScenePair`
+    contract puts every point in front of it, so every bearing is defined.
     """
     bp = pixel_bearings(pair.intrinsics, pair.keypoints)
     bq, _ = world_bearings(pair.query_pose, pair.points)
@@ -430,12 +431,11 @@ def scene_inputs(pair: ScenePair):
 
 
 def forward(pair: ScenePair, w: ModelWeights):
-    """Enhanced per-point features (M x d, N x d) for a scene pair."""
+    """Enhanced per-point features (M x d, N x d) for a scene pair, whose
+    sides must each hold more than k points for the kNN graph."""
     k = w.config.k
     m, n = len(pair.keypoints), len(pair.points)
     for count, side in ((m, "keypoint"), (n, "point")):
-        if not MIN_POINTS <= count <= MAX_POINTS:
-            raise InvalidConfig(f"{side} count {count} outside [{MIN_POINTS},{MAX_POINTS}]")
         if count <= k:
             raise InvalidConfig(f"{side} count {count} must exceed k={k}")
     bp, cp, bq, cq = scene_inputs(pair)

@@ -1,4 +1,6 @@
-"""Deterministic synthetic scene pairs with known ground truth.
+"""Deterministic synthetic scene pairs with known ground truth, and the
+scene file. `ScenePair` states the scene contract; building one by any
+route checks it, so every scene in memory is one the loader accepts.
 
 Points are sampled directly inside the camera frustum (in camera
 coordinates, then back-transformed to world), so every generated point is
@@ -80,10 +82,25 @@ class SynthConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise InvalidConfig(f"{f.name} must be finite, got {value}")
+        # Labeling squares bearing differences of up to this extent.
+        ew, eh = self.image_width / self.focal, self.image_height / self.focal
+        if not math.isfinite(ew * ew + eh * eh):
+            raise InvalidConfig(f"bearing extent (image_width, image_height) / focal = "
+                                f"({ew:g}, {eh:g}) overflows float64 when squared")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenePair:
+    """A query image's keypoints, the 3D points to match them to, and the
+    ground truth. Construction checks the scene contract, raising
+    InvalidConfig on a breach: each side holds MIN_POINTS to MAX_POINTS
+    rows; every coordinate and colour is finite; colours lie in [0,1];
+    every point lies at depth above EPS_DEPTH under query_pose; every gt
+    match indexes an existing keypoint and point (several may share one).
+    The gt indices are stored as ints. The arrays are not copied: writing
+    into them bypasses the check.
+    """
+
     intrinsics: CameraIntrinsics
     query_pose: RigidPose
     keypoints: np.ndarray    # (M,2) pixels
@@ -91,6 +108,29 @@ class ScenePair:
     points: np.ndarray       # (N,3) world coordinates
     pt_colors: np.ndarray    # (N,3) RGB in [0,1]
     gt_matches: CorrespondenceSet
+
+    def __post_init__(self):
+        for key, xy, colors in (("keypoints", self.keypoints, self.kp_colors),
+                                ("points", self.points, self.pt_colors)):
+            if not (np.isfinite(xy).all() and np.isfinite(colors).all()):
+                raise InvalidConfig(f"scene {key} hold a non-finite value")
+            if not MIN_POINTS <= len(xy) <= MAX_POINTS:
+                raise InvalidConfig(
+                    f"scene has {len(xy)} {key}, outside [{MIN_POINTS},{MAX_POINTS}]")
+            if np.any(colors < 0.0) or np.any(colors > 1.0):
+                raise InvalidConfig(f"scene {key} colours must lie in [0,1]")
+        _, visible = world_bearings(self.query_pose, self.points)
+        if not visible.all():
+            raise InvalidConfig(f"scene point {int(np.argmin(visible))} lies at depth "
+                                f"<= {EPS_DEPTH} in the camera frame of the pose")
+        gt = np.array([p[:2] for p in self.gt_matches], dtype=np.float64).reshape(-1, 2)
+        bad = ~((gt >= 0) & (gt < (len(self.keypoints), len(self.points)))
+                & (gt == np.floor(gt))).all(axis=1)
+        if bad.any():
+            i, j = gt[bad][0]
+            raise InvalidConfig(f"gt match ({i:g},{j:g}) out of bounds")
+        object.__setattr__(self, "gt_matches", CorrespondenceSet(
+            [(int(i), int(j), s) for i, j, s in self.gt_matches]))
 
 
 def _random_rotation(rng) -> np.ndarray:
@@ -226,8 +266,7 @@ def inject_outliers(pair: ScenePair, ratio: float, seed: int) -> ScenePair:
     replace_idx = {pair.gt_matches.pairs[m][0] for m in order[:n_replace]}
 
     k = pair.intrinsics
-    pt_bearings, visible = world_bearings(pair.query_pose, pair.points, allow_behind=True)
-    pt_bearings = pt_bearings[visible]
+    pt_bearings, _ = world_bearings(pair.query_pose, pair.points)
     uv, kp_colors = pair.keypoints.copy(), pair.kp_colors.copy()
     for i in sorted(replace_idx):
         uv[i], _ = _clear_keypoint(rng, k, pt_bearings, REPLACEMENT_GUARD)
@@ -246,11 +285,9 @@ def scene_to_dict(pair: ScenePair) -> dict:
     Keys: "intrinsics" {fx, fy, cx, cy}; "pose" {rotation: 9 numbers, row
     major, translation: 3 numbers}, the world-to-camera transform; "keypoints"
     rows [u, v, r, g, b]; "points" rows [x, y, z, r, g, b]; "gt_matches" rows
-    [keypoint index, point index]. scene_from_dict accepts a scene when every
-    number is finite, fx and fy are positive, the rotation is orthonormal,
-    colours lie in [0,1], each side has MIN_POINTS to MAX_POINTS rows, every
-    point lies at depth above EPS_DEPTH in the camera frame of the pose and
-    every gt match indexes existing rows.
+    [keypoint index, point index]. scene_from_dict accepts a dict of this
+    shape whose camera is valid (`CameraIntrinsics`, `RigidPose`) and whose
+    scene keeps the `ScenePair` contract.
     """
     return {
         "intrinsics": {"fx": pair.intrinsics.fx, "fy": pair.intrinsics.fy,
@@ -264,7 +301,7 @@ def scene_to_dict(pair: ScenePair) -> dict:
 
 
 def _rows(obj: dict, key: str, width: int) -> np.ndarray:
-    """obj[key] as a finite float64 array of rows of exactly `width` numbers."""
+    """obj[key] as a float64 array of rows of exactly `width` numbers."""
     try:
         rows = np.array(obj[key], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
@@ -273,21 +310,7 @@ def _rows(obj: dict, key: str, width: int) -> np.ndarray:
         rows = rows.reshape(0, width)
     if rows.ndim != 2 or rows.shape[1] != width:
         raise InvalidConfig(f"scene {key} must be rows of exactly {width} numbers")
-    if not np.isfinite(rows).all():
-        raise InvalidConfig(f"scene {key} hold a non-finite value")
     return rows
-
-
-def _colored_points(obj: dict, key: str, width: int):
-    """Positions and colours of the rows of obj[key], each ending in RGB."""
-    rows = _rows(obj, key, width)
-    if not MIN_POINTS <= len(rows) <= MAX_POINTS:
-        raise InvalidConfig(
-            f"scene has {len(rows)} {key}, outside [{MIN_POINTS},{MAX_POINTS}]")
-    colors = rows[:, width - 3:]
-    if np.any(colors < 0.0) or np.any(colors > 1.0):
-        raise InvalidConfig(f"scene {key} colours must lie in [0,1]")
-    return rows[:, :width - 3].copy(), colors.copy()
 
 
 def scene_from_dict(obj: dict) -> ScenePair:
@@ -298,19 +321,10 @@ def scene_from_dict(obj: dict) -> ScenePair:
                          np.array(obj["pose"]["translation"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"scene camera is invalid: {exc}") from exc
-    uv, kp_colors = _colored_points(obj, "keypoints", 5)
-    xyz, pt_colors = _colored_points(obj, "points", 6)
-    _, visible = world_bearings(pose, xyz, allow_behind=True)
-    if not visible.all():
-        raise InvalidConfig(f"scene point {int(np.argmin(visible))} lies at depth "
-                            f"<= {EPS_DEPTH} in the camera frame of the pose")
-    gt = _rows(obj, "gt_matches", 2)
-    bad = ~((gt >= 0) & (gt < (len(uv), len(xyz))) & (gt == np.floor(gt))).all(axis=1)
-    if bad.any():
-        i, j = gt[bad][0]
-        raise InvalidConfig(f"gt match ({i:g},{j:g}) out of bounds")
-    pairs = [(i, j, 1.0) for i, j in gt.astype(np.int64).tolist()]
-    return ScenePair(k, pose, uv, kp_colors, xyz, pt_colors, CorrespondenceSet(pairs))
+    kps, pts = _rows(obj, "keypoints", 5), _rows(obj, "points", 6)
+    pairs = [(i, j, 1.0) for i, j in _rows(obj, "gt_matches", 2).tolist()]
+    return ScenePair(k, pose, kps[:, :2].copy(), kps[:, 2:].copy(),
+                     pts[:, :3].copy(), pts[:, 3:].copy(), CorrespondenceSet(pairs))
 
 
 def dump_scene(pair: ScenePair) -> str:
@@ -322,15 +336,20 @@ def save_scene(path, pair: ScenePair):
         f.write(dump_scene(pair))
 
 
+def _float_sized_int(text: str) -> int:
+    float(value := int(text))  # OverflowError beyond the float range
+    return value
+
+
 def read_json(path, what: str):
     """The JSON value held in file `path`. A file that is not UTF-8 JSON,
-    or that nests too deep to parse, raises InvalidConfig naming the `what`
-    file."""
+    that nests too deep to parse or that holds an integer too large for a
+    float raises InvalidConfig naming the `what` file."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            return json.load(f)
+            return json.load(f, parse_int=_float_sized_int)
         # ValueError: bad JSON, bad UTF-8, or an integer of over 4300 digits.
-        except (ValueError, RecursionError) as exc:
+        except (ValueError, OverflowError, RecursionError) as exc:
             raise InvalidConfig(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 

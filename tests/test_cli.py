@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -167,13 +168,13 @@ def test_run_config_rejects_non_finite_and_out_of_range_values(tmp_path, capsys)
     bad = {
         ("train", "learning_rate"): (nan, inf, -inf, -1e-3),
         ("ransac", "inlier_threshold"): (nan, inf, 0.0, -0.005),
-        ("synth", "focal"): (nan, inf),
+        ("synth", "focal"): (nan, inf, 1e-300),
         ("synth", "depth_far"): (inf,),
         ("synth", "depth_near"): (1e-8, EPS_DEPTH),
         ("synth", "pixel_noise_sigma"): (nan, inf),
         ("synth", "gt_tolerance"): (nan, inf),
-        ("synth", "image_width"): (nan, inf),
-        ("synth", "image_height"): (nan, inf),
+        ("synth", "image_width"): (nan, inf, 1e308),
+        ("synth", "image_height"): (nan, inf, 1e308),
     }
     for (section, key), values in bad.items():
         for value in values:
@@ -191,6 +192,19 @@ def test_run_config_rejects_non_finite_and_out_of_range_values(tmp_path, capsys)
     assert main(["synth", "--config", path, "--out", str(out), "--count", "1"]) == 2
     assert capsys.readouterr().err == (
         "error: invalid 'synth' config: depth_near must exceed 1e-06, got 1e-08\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("synth", [{"focal": 1e-300}, {"image_width": 1e308}])
+def test_cmd_synth_bearing_extent_overflow_exits_2(tmp_path, capsys, synth):
+    # Labeling would square bearing differences beyond the float64 range;
+    # the run stops at the config, before any scene or warning.
+    cfg = write_config(tmp_path, {"synth": synth})
+    out = tmp_path / "s"
+    assert main(["synth", "--config", cfg, "--out", str(out), "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: invalid 'synth' config: bearing extent")
     assert not out.exists()
 
 
@@ -555,10 +569,15 @@ def test_cmd_match_rejects_version_2_weights(tmp_path, capsys):
     assert main(["match", "--weights", str(v2), "--scene", spath]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "version 2" in err
-    # Nor do its records pass for the current version's.
+    # Nor do its records pass for the current version's, whatever the count
+    # says: the first bias stands where the layout puts the next weight.
     relabeled = tmp_path / "relabeled.a2w"
     relabeled.write_bytes(blob[:4] + struct.pack("<H", VERSION) + body)
-    with pytest.raises(InvalidConfig, match="do not match config"):
+    with pytest.raises(InvalidConfig, match="file holds 183 records, the header's"):
+        load_weights(relabeled)
+    recounted = blob[:4] + struct.pack("<H", VERSION) + blob[6:30] + b"".join(records)
+    relabeled.write_bytes(recounted)
+    with pytest.raises(InvalidConfig, match="record 1 is not enc/2d/bearing/res0/lin/W"):
         load_weights(relabeled)
 
 
@@ -583,29 +602,43 @@ def test_cmd_match_rejects_repeated_weights_record(tmp_path, capsys):
     blob[26:30] = struct.pack("<I", len(w.params) + 1)
     dup = tmp_path / "dup.a2w"
     dup.write_bytes(bytes(blob) + b"".join(extra))
-    with pytest.raises(InvalidConfig, match=f"record {first} appears twice"):
+    with pytest.raises(InvalidConfig, match="file holds 136 records, the header's"):
         load_weights(dup)
     spath, _ = scene_file(tmp_path, seed=8)
     capsys.readouterr()
     assert main(["match", "--weights", str(dup), "--scene", spath]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "appears twice" in err
+    assert out == "" and "136 records" in err
+    # Repeated in place of the second record, the count is right.
+    names = list(w.params)
+    twice = []
+    for name in [first, first, *names[2:]]:
+        _write_record(twice, name, w.params[name].data)
+    dup.write_bytes(Path(wpath).read_bytes()[:30] + b"".join(twice))
+    with pytest.raises(InvalidConfig, match=f"record 1 is not {names[1]} of shape"):
+        load_weights(dup)
 
 
-def test_weights_records_in_any_order_resave_to_the_same_bytes(tmp_path):
+def test_weights_records_out_of_layout_order_rejected(tmp_path):
+    # A file loads only with its records in layout order, which is what
+    # save writes, so a loaded file re-saves to its own bytes.
     wpath, w = make_weights_file(tmp_path)
     blob = Path(wpath).read_bytes()
+    save_weights(tmp_path / "again.a2w", load_weights(wpath))
+    assert (tmp_path / "again.a2w").read_bytes() == blob
     names = list(w.params)
+    order = np.random.default_rng(0).permutation(len(names))
     records = []
-    for i in np.random.default_rng(0).permutation(len(names)):
+    for i in order:
         _write_record(records, names[i], w.params[names[i]].data)
     shuffled = tmp_path / "shuffled.a2w"
     shuffled.write_bytes(blob[:30] + b"".join(records))
-    assert shuffled.read_bytes() != blob
-    loaded = load_weights(shuffled)
-    assert list(loaded.params) == names
-    save_weights(tmp_path / "again.a2w", loaded)
-    assert (tmp_path / "again.a2w").read_bytes() == blob
+    first = int(np.flatnonzero(order != np.arange(len(names)))[0])
+    shape = w.params[names[first]].data.shape
+    with pytest.raises(InvalidConfig, match=re.escape(
+            f"record {first} is not {names[first]} of shape {shape}: "
+            "records follow the layout order")):
+        load_weights(shuffled)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -627,9 +660,9 @@ def test_cmd_match_rejects_non_finite_weights(tmp_path, capsys, value):
 
 def _one_record(name: bytes, dims):
     """A weights file with a valid header and one record, `name` with `dims`
-    and no payload."""
+    and no payload, in place of the first of the layout."""
     def write(blob):
-        return (blob[:26] + struct.pack("<I", 1) + struct.pack("<H", len(name)) + name
+        return (blob[:30] + struct.pack("<H", len(name)) + name
                 + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims))
     return write
 
@@ -638,9 +671,11 @@ DEEP = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.mark.parametrize("flag, content, message", [
-    # 65536^4 values overflow a 64-bit count to 0.
-    ("--weights", _one_record(b"enc/2d/b/proj/W", [65536] * 4), "truncated weights file"),
-    ("--weights", _one_record(b"\xff\xfe", [1]), "record name is not UTF-8"),
+    # 65536^4 values overflow a 64-bit count to 0; the head comparison
+    # rejects the record before any count is taken.
+    ("--weights", _one_record(b"enc/2d/b/proj/W", [65536] * 4),
+     "record 0 is not enc/2d/bearing/proj/W"),
+    ("--weights", _one_record(b"\xff\xfe", [1]), "record 0 is not enc/2d/bearing/proj/W"),
     ("--scene", b'{"intrinsics": "\xe9"}', "is not valid JSON: 'utf-8' codec"),
     ("--scene", DEEP.encode(), "is not valid JSON: maximum recursion depth"),
     ("--config", b'{"synth": {}, "x": "\xe9"}', "is not valid JSON: 'utf-8' codec"),
@@ -660,6 +695,36 @@ def test_cmd_malformed_file_exits_2(tmp_path, capsys, flag, content, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+BIG = "1" + "0" * 400  # a JSON integer beyond the float64 range
+
+
+@pytest.mark.parametrize("target", ["config-focal", "scene-fx", "scene-point"])
+def test_cmd_integer_too_large_for_a_float_exits_2(tmp_path, capsys, target):
+    out = tmp_path / "out"
+    if target == "config-focal":
+        path = write_config(tmp_path, {"synth": {"focal": "BIG"}})
+        args = ["synth", "--config", path, "--out", str(out)]
+    else:
+        wpath, _ = make_weights_file(tmp_path)
+        path, pair = scene_file(tmp_path)
+        obj = scene_to_dict(pair)
+        if target == "scene-fx":
+            obj["intrinsics"]["fx"] = "BIG"
+        else:
+            obj["points"][0][1] = "BIG"
+        Path(path).write_text(json.dumps(obj), encoding="utf-8")
+        args = ["match", "--weights", wpath, "--scene", path, "--out", str(out)]
+    text = Path(path).read_text(encoding="utf-8")
+    Path(path).write_text(text.replace('"BIG"', BIG), encoding="utf-8")
+    capsys.readouterr()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {target.split('-')[0]} file ")
+    assert captured.err.endswith("int too large to convert to float\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39, -1e39])

@@ -62,11 +62,8 @@ def test_bearing_from_world_hand_computed():
     assert b.tolist() == [[1.0, 0.0]]
 
 
-def test_point_behind_camera_raises():
-    with pytest.raises(ValueError, match="1 points at depth <= 1e-06"):
-        world_bearings(IDENTITY, [[0.0, 0.0, 2.0], [0.0, 0.0, -1.0]])
-    b, visible = world_bearings(IDENTITY, [[0.0, 0.0, 2.0], [1.0, 2.0, -1.0]],
-                                allow_behind=True)
+def test_point_behind_camera_is_masked():
+    b, visible = world_bearings(IDENTITY, [[0.0, 0.0, 2.0], [1.0, 2.0, -1.0]])
     assert b.tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert visible.tolist() == [True, False]
 

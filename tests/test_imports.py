@@ -10,6 +10,9 @@ ops written elsewhere go through `autodiff._make`.
 Only `network.py`, `pipeline.py` and `synth.py` read a scene's `query_pose`,
 and `network.py` reads it once.
 
+Only `synth.py` reads `MIN_POINTS` and `MAX_POINTS`: the scene's count rule
+is stated once, by `ScenePair`.
+
 Every exception class the package defines is named in one of its `except`
 clauses: rejected input raises `InvalidConfig`, which `cli.main` reports,
 and misuse raises `ValueError`, so a class that nothing catches tells
@@ -67,17 +70,18 @@ def test_no_unused_imports():
     assert not found, "imported but never used:\n" + "\n".join(found)
 
 
-def tape_internals_read(path):
-    """(line, name) of every attribute or name in TAPE_INTERNALS that `path` reads."""
+def names_read(path, names):
+    """(line, name) of every attribute or name in `names` that `path` reads
+    or imports."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in TAPE_INTERNALS:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             found.append((node.lineno, node.attr))
-        elif isinstance(node, ast.Name) and node.id in TAPE_INTERNALS:
+        elif isinstance(node, ast.Name) and node.id in names:
             found.append((node.lineno, node.id))
         elif isinstance(node, ast.ImportFrom):
-            found += [(node.lineno, a.name) for a in node.names if a.name in TAPE_INTERNALS]
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
     return sorted(found)
 
 
@@ -86,14 +90,14 @@ def test_tape_scan_finds_internals(tmp_path):
     module.write_text("from . import autodiff as ad\nfrom .autodiff import _tape_stack\n"
                       "tape = ad._active_tape()\nout = ad.Tensor._wrap(1, True)\n"
                       "ad._make(out, (), None)\n", encoding="utf-8")
-    assert tape_internals_read(module) == [(2, "_tape_stack"), (3, "_active_tape"),
+    assert names_read(module, TAPE_INTERNALS) == [(2, "_tape_stack"), (3, "_active_tape"),
                                            (4, "_wrap")]
 
 
 def test_only_autodiff_touches_tape_internals():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in PACKAGE if path.name != "autodiff.py"
-             for line, name in tape_internals_read(path)]
+             for line, name in names_read(path, TAPE_INTERNALS)]
     assert not found, "tape internals read outside autodiff.py:\n" + "\n".join(found)
 
 
@@ -113,6 +117,13 @@ def test_only_the_network_inputs_read_the_query_pose():
     assert {name for name, lines in readers.items() if lines} <= {
         "network.py", "pipeline.py", "synth.py"}
     assert len(readers["network.py"]) == 1
+
+
+def test_only_synth_reads_the_count_bounds():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in PACKAGE if path.name != "synth.py"
+             for line, name in names_read(path, {"MIN_POINTS", "MAX_POINTS"})]
+    assert not found, "count bounds read outside synth.py:\n" + "\n".join(found)
 
 
 def _name(node):

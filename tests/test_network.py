@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from a2match import autodiff as ad
 from a2match import network, training, transport
 from a2match.autodiff import Tape, Tensor, constant
-from a2match.geometry import neighbor_cosine
+from a2match.geometry import CorrespondenceSet, neighbor_cosine
 from a2match.network import (
     LocalGraph,
     ModelWeights,
@@ -24,7 +25,7 @@ from a2match.network import (
     scene_inputs,
     self_attention_block,
 )
-from a2match.synth import SynthConfig, generate_scene
+from a2match.synth import InvalidConfig, SynthConfig, generate_scene
 from a2match.transport import ScoreMatrix, augment_dustbins, cost_matrix, sinkhorn
 from a2match.weights_io import load_weights, save_weights
 
@@ -630,9 +631,21 @@ def test_layers_take_no_config_and_no_training_flag():
 
 
 def test_forward_count_preconditions():
-    cfg = NetworkConfig(d=8, k=9, g=3)
+    # The kNN graph needs more than k points a side; the ScenePair contract
+    # allows as few as MIN_POINTS, so k = 12 leaves room on both sides.
+    cfg = NetworkConfig(d=8, k=12, g=3)
     w = small_weights(cfg=cfg)
-    pair = scene(24, n=12)
-    pair.keypoints = pair.keypoints[:8]
-    with pytest.raises(ValueError):
-        forward(pair, w)
+    pair = scene(24, n=16)
+
+    def first(m, n):
+        return dataclasses.replace(
+            pair, keypoints=pair.keypoints[:m], kp_colors=pair.kp_colors[:m],
+            points=pair.points[:n], pt_colors=pair.pt_colors[:n],
+            gt_matches=CorrespondenceSet([p for p in pair.gt_matches if p[0] < m and p[1] < n]))
+
+    with pytest.raises(InvalidConfig, match="keypoint count 12 must exceed k=12"):
+        forward(first(12, 16), w)
+    with pytest.raises(InvalidConfig, match="point count 10 must exceed k=12"):
+        forward(first(16, 10), w)
+    f_p, f_q = forward(first(13, 13), w)
+    assert f_p.data.shape == f_q.data.shape == (13, 8)

@@ -380,22 +380,24 @@ def test_oracle_localization_upper_bound():
     assert res.rotation_error_deg < 1e-4
 
 
-def test_oracle_reprojection_inf_for_point_behind_estimated_camera():
+def test_oracle_reprojection_inf_for_point_behind_estimated_camera(monkeypatch):
+    # Every scene point lies in front of the GT camera, so the estimate is
+    # moved: its camera steps forward until GT point 0 sits at depth -1.
     pair = noiseless_scene(43)
-    R, t = pair.query_pose.rotation, pair.query_pose.translation
-    behind = (np.array([[0.1, -0.2, -3.0]]) - t) @ R  # camera-frame depth -3
-    m, n = len(pair.keypoints), len(pair.points)
-    extra = dataclasses.replace(
-        pair,
-        keypoints=np.concatenate([pair.keypoints, [[100.0, 200.0]]]),
-        kp_colors=np.concatenate([pair.kp_colors, [[0.5, 0.5, 0.5]]]),
-        points=np.concatenate([pair.points, behind]),
-        pt_colors=np.concatenate([pair.pt_colors, [[0.5, 0.5, 0.5]]]),
-        gt_matches=CorrespondenceSet(pair.gt_matches.pairs + [(m, n, 1.0)]))
-    res = localize_oracle(extra, RansacConfig(seed=0))
+    j = pair.gt_matches.indices_3d()[0]
+
+    def stepped(*args, solve=pnp_ransac):
+        est = solve(*args)
+        R, t = est.pose.rotation, est.pose.translation
+        depth = (R @ pair.points[j] + t)[2]
+        return dataclasses.replace(est, pose=RigidPose(R, t - [0.0, 0.0, depth + 1.0]))
+
+    monkeypatch.setattr(pipeline, "pnp_ransac", stepped)
+    res = localize_oracle(pair, RansacConfig(seed=0))
     assert not res.failed
     assert res.rotation_error_deg < 1e-4
-    assert not res.estimate.inlier_mask[-1] and res.estimate.inlier_mask[:-1].all()
+    _, visible = project(pair.intrinsics, res.estimate.pose, pair.points)
+    assert not visible[j] and visible.any()
     assert res.mean_reproj_px == np.inf
 
 

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from a2match import synth
-from a2match.geometry import label_ground_truth
+from a2match.geometry import EPS_DEPTH, CorrespondenceSet, RigidPose, label_ground_truth
 from a2match.synth import (
     InvalidConfig,
     SynthConfig,
@@ -69,6 +72,56 @@ def test_counts_validated():
         generate_scene(SynthConfig(inlier_fraction=1.2))
     with pytest.raises(InvalidConfig):
         generate_scene(SynthConfig(depth_near=3.0, depth_far=2.0))
+
+
+def _widest_side():
+    """The largest square image side, at focal 1, whose bearing extent
+    squares within the float64 range, as SynthConfig requires."""
+    w = math.sqrt(sys.float_info.max / 2.0)
+    while not math.isfinite(w * w + w * w):
+        w = math.nextafter(w, 0.0)
+    while math.isfinite((up := math.nextafter(w, math.inf)) * up + up * up):
+        w = up
+    return w
+
+
+WIDEST = _widest_side()
+
+
+def test_bearing_extent_bound():
+    SynthConfig(focal=1.0, image_width=WIDEST, image_height=WIDEST)
+    with pytest.raises(InvalidConfig, match="overflows float64 when squared"):
+        SynthConfig(focal=1.0, image_width=math.nextafter(WIDEST, math.inf),
+                    image_height=WIDEST)
+
+
+EDGE_CONFIGS = {
+    "n-10": SynthConfig(n_points=10, seed=1),
+    "n-1024": SynthConfig(n_points=1024, seed=2),
+    "no-inliers": SynthConfig(inlier_fraction=0.0, seed=3),
+    "all-inliers": SynthConfig(inlier_fraction=1.0, seed=4),
+    "near-eps-depth": SynthConfig(depth_near=math.nextafter(EPS_DEPTH, math.inf), seed=5),
+    "widest-extent": SynthConfig(focal=1.0, image_width=WIDEST, image_height=WIDEST, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CONFIGS)
+def test_generated_scene_is_a_loadable_scene(name):
+    # Generation and injection either refuse the config or build a scene
+    # that the scene file carries unchanged.
+    def reloads(pair):
+        assert dump_scene(scene_from_dict(scene_to_dict(pair))) == dump_scene(pair)
+
+    try:
+        pair = generate_scene(EDGE_CONFIGS[name])
+    except InvalidConfig:
+        return
+    reloads(pair)
+    try:
+        injected = inject_outliers(pair, 0.5, seed=7)
+    except InvalidConfig:
+        return
+    reloads(injected)
 
 
 def test_inject_ratio_zero_is_identity():
@@ -221,6 +274,32 @@ def test_scene_from_dict_accepts_boundary_values():
     assert pair.keypoints.shape == (10, 2) and pair.pt_colors.shape == (10, 3)
     assert pair.kp_colors[0].tolist() == [0.0, 1.0, 0.0]
     assert len(pair.gt_matches) == 0
+
+
+def test_scene_pair_checks_every_construction():
+    pair = generate_scene(SynthConfig(n_points=15, seed=18))
+    behind = RigidPose(pair.query_pose.rotation, pair.query_pose.translation - [0, 0, 1e3])
+    nan_points = pair.points.copy()
+    nan_points[2, 1] = np.nan
+    for edit, message in [
+        (dict(keypoints=pair.keypoints[:9], kp_colors=pair.kp_colors[:9],
+              gt_matches=CorrespondenceSet([])), "scene has 9 keypoints, outside [10,1024]"),
+        (dict(points=nan_points), "scene points hold a non-finite value"),
+        (dict(kp_colors=pair.kp_colors + 1.0), "scene keypoints colours must lie in [0,1]"),
+        (dict(pt_colors=-pair.pt_colors), "scene points colours must lie in [0,1]"),
+        (dict(query_pose=behind), "scene point 0 lies at depth <= 1e-06"),
+        (dict(gt_matches=CorrespondenceSet([(0, 15, 1.0)])), "gt match (0,15) out of bounds"),
+    ]:
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            dataclasses.replace(pair, **edit)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.points = pair.points[:10]
+    # Several pairs may share a keypoint, as the pose benchmark's wrong
+    # pairs do; indices that are integral floats are stored as ints.
+    shared = dataclasses.replace(pair, gt_matches=CorrespondenceSet(
+        [(0, 1, 1.0), (0.0, 2.0, 0.5), (0, 1, 1.0)]))
+    assert shared.gt_matches.pairs == [(0, 1, 1.0), (0, 2, 0.5), (0, 1, 1.0)]
+    assert all(type(i) is int for p in shared.gt_matches for i in p[:2])
 
 
 def test_load_scene_rejects_malformed_json(tmp_path):
