@@ -68,15 +68,17 @@ def cmd_synth(args) -> int:
         raise InvalidConfig(f"--count must be >= 0, got {args.count}")
     cfg = load_run_config(args.config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     for i in range(args.count):
         scene_cfg = dataclasses.replace(cfg.synth, seed=cfg.synth.seed + i)
         pair = generate_scene(scene_cfg)
+        # Made once a scene exists, so a config no scene keeps leaves none.
+        out_dir.mkdir(parents=True, exist_ok=True)
         name = f"scene_{i:04d}.json"
         save_scene(out_dir / name, pair)
         files.append(name)
     manifest = {"count": args.count, "seed": cfg.synth.seed, "files": files}
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(_json_dump(manifest), encoding="utf-8")
     print(f"wrote {args.count} scenes to {out_dir}")
     return 0

@@ -136,7 +136,7 @@ def project(k: CameraIntrinsics, pose: RigidPose, xyz):
 
 
 def label_ground_truth(uv, xyz, pose: RigidPose, k: CameraIntrinsics,
-                       tol: float = 1e-3) -> CorrespondenceSet:
+                       tol: float) -> CorrespondenceSet:
     """Label (i,j) pairs of pixel rows and world-point rows whose bearing
     distance is below tol.
 

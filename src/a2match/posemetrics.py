@@ -37,26 +37,27 @@ from .geometry import (
 )
 
 
+# Probability that RANSAC's stopping rule asks to have drawn at least one
+# all-inlier sample.
+CONFIDENCE = 0.999
+# Gauss-Newton steps per refinement of the best RANSAC model, at most.
+REFINE_ITERATIONS = 10
+
+
 @dataclass(frozen=True)
 class RansacConfig:
     max_iterations: int = 500
     inlier_threshold: float = 0.005   # normalized-coordinate reprojection distance
-    confidence: float = 0.999
     seed: int = 0
-    refine_iterations: int = 10
 
     def __post_init__(self):
         if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0.0):
             raise ValueError(
                 f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0,1), got {self.confidence}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_iterations <= 0:
             raise ValueError(f"max_iterations must be > 0, got {self.max_iterations}")
-        if self.refine_iterations < 0:
-            raise ValueError(f"refine_iterations must be >= 0, got {self.refine_iterations}")
 
 
 @dataclass
@@ -217,9 +218,10 @@ def _exp_so3(w):
     return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
 
 
-def _refine_pose(R, t, world, bearings, iterations):
-    """Gauss-Newton on normalized reprojection residuals."""
-    for _ in range(iterations):
+def _refine_pose(R, t, world, bearings):
+    """Gauss-Newton on normalized reprojection residuals, REFINE_ITERATIONS
+    steps at most."""
+    for _ in range(REFINE_ITERATIONS):
         rot = world @ R.T
         cam = rot + t
         z = cam[:, 2]
@@ -323,7 +325,7 @@ def pnp_ransac(uv, xyz, k: CameraIntrinsics, cfg: RansacConfig) -> PoseEstimate:
                 denom = math.log(max(1.0 - ratio ** 4, 1e-16))
                 if denom < 0.0:   # 0 where ratio^4 rounds away against 1
                     needed = min(cfg.max_iterations,
-                                 int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
+                                 int(math.ceil(math.log(1.0 - CONFIDENCE) / denom)))
             elif ratio >= 1.0:
                 needed = it
 
@@ -333,7 +335,7 @@ def pnp_ransac(uv, xyz, k: CameraIntrinsics, cfg: RansacConfig) -> PoseEstimate:
     R, t = best_model
     fitted = _reproj_errors(R[None], t[None], world, bearings)[0] < cfg.inlier_threshold
     for _ in range(_REFIT_ROUNDS):
-        R, t = _refine_pose(R, t, world[fitted], bearings[fitted], cfg.refine_iterations)
+        R, t = _refine_pose(R, t, world[fitted], bearings[fitted])
         mask = _reproj_errors(R[None], t[None], world, bearings)[0] < cfg.inlier_threshold
         if int(mask.sum()) < 4 or np.array_equal(mask, fitted):
             break

@@ -8,6 +8,12 @@ visible without rejection loops. Inlier keypoints are exact projections
 plus optional Gaussian pixel noise; outliers on both sides are resampled
 until they sit clear of everything else in bearing space, so the labeling
 rule cannot accidentally pair them.
+
+Every generated scene is seen by one camera (CAMERA: a 4096 x 3072 image
+at focal 4096), holds points at depths DEPTH_NEAR to DEPTH_FAR and is
+labeled at GT_TOLERANCE; SynthConfig sets only what varies between scenes.
+A scene file carries its own intrinsics, so the loader accepts any valid
+camera.
 """
 
 from __future__ import annotations
@@ -31,11 +37,22 @@ from .geometry import (
 
 MIN_POINTS = 10
 MAX_POINTS = 1024
-# inject_outliers' bearing clearance of a replacement keypoint from every
-# visible point; twice the default labeling tolerance.
-REPLACEMENT_GUARD = 2e-3
+# The one camera of every generated scene: a 4096 x 3072 px image at focal
+# 4096 px. The long focal keeps 1px detector jitter well inside the 0.001
+# normalized labeling tolerance (1px ~ 0.00024 here).
+FOCAL, IMAGE_WIDTH, IMAGE_HEIGHT = 4096.0, 4096.0, 3072.0
+CAMERA = CameraIntrinsics(FOCAL, FOCAL, IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0)
+# Camera-frame depth range of the generated points.
+DEPTH_NEAR, DEPTH_FAR = 4.0, 12.0
+# Bearing distance below which labeling pairs a keypoint with a point.
+GT_TOLERANCE = 1e-3
+# Bearing clearance of every outlier, generated or injected, from every
+# bearing on the other side: twice the labeling tolerance.
+OUTLIER_GUARD = 2.0 * GT_TOLERANCE
 # Share of the image's half-extent that point bearings are drawn within.
 BEARING_MARGIN = 0.92
+_BEARING_WINDOW = (BEARING_MARGIN * (IMAGE_WIDTH / 2.0) / FOCAL,
+                   BEARING_MARGIN * (IMAGE_HEIGHT / 2.0) / FOCAL)
 
 
 class InvalidConfig(ValueError):
@@ -45,18 +62,19 @@ class InvalidConfig(ValueError):
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """What varies between generated scenes: the point count, the inlier
+    share, the inlier keypoints' pixel noise and the seed.
+
+    Every scene shares the module's camera (CAMERA), depth range
+    (DEPTH_NEAR to DEPTH_FAR) and labeling tolerance (GT_TOLERANCE). No
+    workload varies them, and fixed, they cannot give a scene the loader
+    rejects or an outlier that no draw can place clear of the guard.
+    """
+
     n_points: int = 100
     inlier_fraction: float = 0.7
     pixel_noise_sigma: float = 1.0
-    depth_near: float = 4.0
-    depth_far: float = 12.0
     seed: int = 0
-    # Long-focal default keeps 1px detector jitter well inside the 0.001
-    # normalized labeling tolerance (1px ~ 0.00024 here).
-    focal: float = 4096.0
-    image_width: float = 4096.0
-    image_height: float = 3072.0
-    gt_tolerance: float = 1e-3
 
     def __post_init__(self):
         if not MIN_POINTS <= self.n_points <= MAX_POINTS:
@@ -64,29 +82,11 @@ class SynthConfig:
                 f"n_points must lie in [{MIN_POINTS},{MAX_POINTS}], got {self.n_points}")
         if not 0.0 <= self.inlier_fraction <= 1.0:
             raise InvalidConfig(f"inlier_fraction must lie in [0,1], got {self.inlier_fraction}")
-        if self.pixel_noise_sigma < 0.0:
-            raise InvalidConfig(f"pixel_noise_sigma must be >= 0, got {self.pixel_noise_sigma}")
-        if not 0.0 < self.depth_near < self.depth_far:
+        if not 0.0 <= self.pixel_noise_sigma < math.inf:
             raise InvalidConfig(
-                f"depth range must satisfy 0 < near < far, got ({self.depth_near},{self.depth_far})")
-        if self.depth_near <= EPS_DEPTH:
-            # A scene point at depth <= EPS_DEPTH fails load_scene.
-            raise InvalidConfig(f"depth_near must exceed {EPS_DEPTH}, got {self.depth_near}")
-        if self.focal <= 0.0 or self.image_width <= 0.0 or self.image_height <= 0.0:
-            raise InvalidConfig("camera dimensions must be positive")
-        if self.gt_tolerance <= 0.0:
-            raise InvalidConfig(f"gt_tolerance must be > 0, got {self.gt_tolerance}")
+                f"pixel_noise_sigma must be finite and >= 0, got {self.pixel_noise_sigma}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise InvalidConfig(f"{f.name} must be finite, got {value}")
-        # Labeling squares bearing differences of up to this extent.
-        ew, eh = self.image_width / self.focal, self.image_height / self.focal
-        if not math.isfinite(ew * ew + eh * eh):
-            raise InvalidConfig(f"bearing extent (image_width, image_height) / focal = "
-                                f"({ew:g}, {eh:g}) overflows float64 when squared")
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,9 @@ def _random_rotation(rng) -> np.ndarray:
     ])
 
 
-def _bearing_window(cfg: SynthConfig):
-    bx = BEARING_MARGIN * (cfg.image_width / 2.0) / cfg.focal
-    by = BEARING_MARGIN * (cfg.image_height / 2.0) / cfg.focal
-    return bx, by
-
-
-def _sample_camera_points(rng, cfg: SynthConfig, count):
-    bx_max, by_max = _bearing_window(cfg)
-    z = rng.uniform(cfg.depth_near, cfg.depth_far, count)
+def _sample_camera_points(rng, count):
+    bx_max, by_max = _BEARING_WINDOW
+    z = rng.uniform(DEPTH_NEAR, DEPTH_FAR, count)
     bx = rng.uniform(-bx_max, bx_max, count)
     by = rng.uniform(-by_max, by_max, count)
     return np.stack([bx * z, by * z, z], axis=1)
@@ -170,36 +164,35 @@ def _clearance(b, bearings) -> float:
     return float(np.min(np.hypot(*(bearings - b).T), initial=np.inf))
 
 
-def _place_clear(draw, bearing_of, bearings, guard, x=None):
+def _place_clear(draw, bearing_of, bearings, x=None):
     """The first of x, when given, and then fresh draw()s whose bearing lies
-    farther than guard from every row of bearings, with that bearing."""
+    farther than OUTLIER_GUARD from every row of bearings, with that bearing."""
     x = draw() if x is None else x
     for _ in range(1000):
         b = bearing_of(x)
-        if _clearance(b, bearings) > guard:
+        if _clearance(b, bearings) > OUTLIER_GUARD:
             return x, b
         x = draw()
     raise InvalidConfig("could not place an outlier clear of every bearing on the other side")
 
 
-def _clear_keypoint(rng, k: CameraIntrinsics, bearings, guard):
+def _clear_keypoint(rng, k: CameraIntrinsics, bearings):
     """A pixel drawn uniformly over [0, 2 cx] x [0, 2 cy] whose bearing lies
-    farther than guard from every row of bearings, with that bearing."""
+    farther than OUTLIER_GUARD from every row of bearings, with that bearing."""
     return _place_clear(lambda: (rng.uniform(0.0, 2.0 * k.cx), rng.uniform(0.0, 2.0 * k.cy)),
-                        lambda uv: pixel_bearings(k, uv)[0], bearings, guard)
+                        lambda uv: pixel_bearings(k, uv)[0], bearings)
 
 
 def generate_scene(cfg: SynthConfig) -> ScenePair:
     """Build one scene pair, fully determined by cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
-    k = CameraIntrinsics(cfg.focal, cfg.focal, cfg.image_width / 2.0, cfg.image_height / 2.0)
+    k = CAMERA
     pose = RigidPose(_random_rotation(rng), rng.uniform(-2.0, 2.0, 3))
 
     n = cfg.n_points
     n_in = int(round(cfg.inlier_fraction * n))
-    guard = 2.0 * cfg.gt_tolerance
 
-    cam_in = _sample_camera_points(rng, cfg, n_in)
+    cam_in = _sample_camera_points(rng, n_in)
     world_in = _camera_to_world(cam_in, pose)
     colors_in = rng.uniform(0.0, 1.0, (n_in, 3))
 
@@ -210,7 +203,7 @@ def generate_scene(cfg: SynthConfig) -> ScenePair:
     if cfg.pixel_noise_sigma > 0.0:
         uv_in = uv_in + rng.normal(0.0, cfg.pixel_noise_sigma, uv_in.shape)
 
-    cam_out = _sample_camera_points(rng, cfg, n - n_in)
+    cam_out = _sample_camera_points(rng, n - n_in)
     colors_out_pts = rng.uniform(0.0, 1.0, (n - n_in, 3))
     colors_out_kps = rng.uniform(0.0, 1.0, (n - n_in, 3))
 
@@ -221,14 +214,14 @@ def generate_scene(cfg: SynthConfig) -> ScenePair:
     uv_out = np.empty((n - n_in, 2))
     kp_out_bearings = np.empty((n - n_in, 2))
     for i in range(n - n_in):
-        uv_out[i], kp_out_bearings[i] = _clear_keypoint(rng, k, point_bearings, guard)
+        uv_out[i], kp_out_bearings[i] = _clear_keypoint(rng, k, point_bearings)
 
     # Outlier 3D points must also stay clear of every inlier keypoint bearing,
     # otherwise labeling could pair them with a noisy detection.
     kp_bearings = np.concatenate([pixel_bearings(k, uv_in), kp_out_bearings], axis=0)
     for i in range(n - n_in):
-        cam_out[i], _ = _place_clear(lambda: _sample_camera_points(rng, cfg, 1)[0],
-                                     lambda c: c[:2] / c[2], kp_bearings, guard, cam_out[i])
+        cam_out[i], _ = _place_clear(lambda: _sample_camera_points(rng, 1)[0],
+                                     lambda c: c[:2] / c[2], kp_bearings, cam_out[i])
     world_out = _camera_to_world(cam_out, pose)
 
     uv = np.concatenate([uv_in, uv_out], axis=0)
@@ -242,7 +235,7 @@ def generate_scene(cfg: SynthConfig) -> ScenePair:
     uv, kp_colors = uv[perm_k], kp_colors[perm_k]
     world, pt_colors = world[perm_p], pt_colors[perm_p]
 
-    gt = label_ground_truth(uv, world, pose, k, cfg.gt_tolerance)
+    gt = label_ground_truth(uv, world, pose, k, GT_TOLERANCE)
     return ScenePair(k, pose, uv, kp_colors, world, pt_colors, gt)
 
 
@@ -251,7 +244,7 @@ def inject_outliers(pair: ScenePair, ratio: float, seed: int) -> ScenePair:
 
     The replaced subset is a prefix of a seed-fixed permutation, so the
     surviving ground truth is nested (monotone) across ratios. Each
-    replacement is drawn clear of every visible point by REPLACEMENT_GUARD;
+    replacement is drawn clear of every visible point by OUTLIER_GUARD;
     only the replaced keypoints' pairs leave the ground truth, and every
     other pair survives as it was.
     """
@@ -269,7 +262,7 @@ def inject_outliers(pair: ScenePair, ratio: float, seed: int) -> ScenePair:
     pt_bearings, _ = world_bearings(pair.query_pose, pair.points)
     uv, kp_colors = pair.keypoints.copy(), pair.kp_colors.copy()
     for i in sorted(replace_idx):
-        uv[i], _ = _clear_keypoint(rng, k, pt_bearings, REPLACEMENT_GUARD)
+        uv[i], _ = _clear_keypoint(rng, k, pt_bearings)
         kp_colors[i] = rng.uniform(0.0, 1.0, 3)
 
     gt = CorrespondenceSet([p for p in pair.gt_matches.pairs if p[0] not in replace_idx])

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from a2match.cli import main
-from a2match.geometry import EPS_DEPTH
 from a2match.network import ModelWeights, NetworkConfig, forward_features, scene_inputs
 from a2match.runconfig import (
     FIELD_TYPES,
@@ -168,44 +167,49 @@ def test_run_config_rejects_non_finite_and_out_of_range_values(tmp_path, capsys)
     bad = {
         ("train", "learning_rate"): (nan, inf, -inf, -1e-3),
         ("ransac", "inlier_threshold"): (nan, inf, 0.0, -0.005),
-        ("synth", "focal"): (nan, inf, 1e-300),
-        ("synth", "depth_far"): (inf,),
-        ("synth", "depth_near"): (1e-8, EPS_DEPTH),
-        ("synth", "pixel_noise_sigma"): (nan, inf),
-        ("synth", "gt_tolerance"): (nan, inf),
-        ("synth", "image_width"): (nan, inf, 1e308),
-        ("synth", "image_height"): (nan, inf, 1e308),
+        ("synth", "pixel_noise_sigma"): (nan, inf, -1.0),
     }
     for (section, key), values in bad.items():
         for value in values:
             with pytest.raises(InvalidConfig, match=key):
                 parse_run_config({section: {key: value}})
-    # The loss has no weights: these names are unknown keys like any other.
-    for key in ("match_weight", "rejection_weight"):
-        with pytest.raises(InvalidConfig, match=f"unknown config key: train.{key}"):
-            parse_run_config({"train": {key: 1.0}})
     cfg = parse_run_config({"train": {"learning_rate": 0.0}})
     assert cfg.train.learning_rate == 0.0
-    # Scenes this close to the camera would fail load_scene: a2 synth refuses.
-    path = write_config(tmp_path, {"synth": {"depth_near": 1e-8, "depth_far": 2e-7}})
+    # A finite noise this wide overflows keypoints, so the first scene breaks
+    # the scene contract: a2 synth exits 2 before it makes --out.
+    path = write_config(tmp_path, {"synth": {"pixel_noise_sigma": 1e308}})
     out = tmp_path / "s"
     assert main(["synth", "--config", path, "--out", str(out), "--count", "1"]) == 2
-    assert capsys.readouterr().err == (
-        "error: invalid 'synth' config: depth_near must exceed 1e-06, got 1e-08\n")
+    assert capsys.readouterr().err == "error: scene keypoints hold a non-finite value\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("synth", [{"focal": 1e-300}, {"image_width": 1e308}])
-def test_cmd_synth_bearing_extent_overflow_exits_2(tmp_path, capsys, synth):
-    # Labeling would square bearing differences beyond the float64 range;
-    # the run stops at the config, before any scene or warning.
-    cfg = write_config(tmp_path, {"synth": synth})
-    out = tmp_path / "s"
-    assert main(["synth", "--config", cfg, "--out", str(out), "--count", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: invalid 'synth' config: bearing extent")
-    assert not out.exists()
+# Every key a run config may set, section by section. A new knob is a
+# deliberate edit here.
+SETTABLE_KEYS = {
+    "synth": ["n_points", "inlier_fraction", "pixel_noise_sigma", "seed"],
+    "network": ["d", "k", "g", "n_blocks"],
+    "train": ["learning_rate", "batch_size", "epochs", "seed"],
+    "ransac": ["max_iterations", "inlier_threshold", "seed"],
+}
+# Names a run config cannot set: values every run shares (module constants
+# of synth and posemetrics) and weights the loss does not have.
+UNSETTABLE_KEYS = [("synth", "focal"), ("synth", "image_width"), ("synth", "image_height"),
+                   ("synth", "depth_near"), ("synth", "depth_far"), ("synth", "gt_tolerance"),
+                   ("ransac", "confidence"), ("ransac", "refine_iterations"),
+                   ("train", "match_weight"), ("train", "rejection_weight")]
+
+
+def test_run_config_settable_keys_pinned(tmp_path, capsys):
+    assert {name: [f.name for f in dataclasses.fields(cls)]
+            for name, cls in SECTIONS.items()} == SETTABLE_KEYS
+    assert sum(map(len, SETTABLE_KEYS.values())) == 15
+    for section, key in UNSETTABLE_KEYS:
+        cfg = write_config(tmp_path, {section: {key: 1}})
+        out = tmp_path / "s"
+        assert main(["synth", "--config", cfg, "--out", str(out), "--count", "1"]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key: {section}.{key}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -233,8 +237,8 @@ def test_run_config_field_types():
     for cls in SECTIONS.values():
         for f in dataclasses.fields(cls):
             assert f.type in FIELD_TYPES, f"{cls.__name__}.{f.name}"
-    cfg = parse_run_config({"train": {"learning_rate": 0}, "synth": {"depth_far": 20}})
-    assert cfg.train.learning_rate == 0 and cfg.synth.depth_far == 20
+    cfg = parse_run_config({"train": {"learning_rate": 0}, "synth": {"pixel_noise_sigma": 2}})
+    assert cfg.train.learning_rate == 0 and cfg.synth.pixel_noise_sigma == 2
 
 
 @pytest.mark.parametrize("section,command", [
@@ -260,8 +264,7 @@ def test_cmd_negative_seed_exits_2(tmp_path, capsys, section, command):
 
 @pytest.mark.parametrize("key,value,message", [
     ("max_iterations", -3, "max_iterations must be > 0, got -3"),
-    ("max_iterations", 0, "max_iterations must be > 0, got 0"),
-    ("refine_iterations", -1, "refine_iterations must be >= 0, got -1")])
+    ("max_iterations", 0, "max_iterations must be > 0, got 0")])
 def test_cmd_localize_bad_ransac_budget_exits_2(tmp_path, capsys, key, value, message):
     with pytest.raises(InvalidConfig, match=message):
         parse_run_config({"ransac": {key: value}})
@@ -700,11 +703,11 @@ def test_cmd_malformed_file_exits_2(tmp_path, capsys, flag, content, message):
 BIG = "1" + "0" * 400  # a JSON integer beyond the float64 range
 
 
-@pytest.mark.parametrize("target", ["config-focal", "scene-fx", "scene-point"])
+@pytest.mark.parametrize("target", ["config-noise", "scene-fx", "scene-point"])
 def test_cmd_integer_too_large_for_a_float_exits_2(tmp_path, capsys, target):
     out = tmp_path / "out"
-    if target == "config-focal":
-        path = write_config(tmp_path, {"synth": {"focal": "BIG"}})
+    if target == "config-noise":
+        path = write_config(tmp_path, {"synth": {"pixel_noise_sigma": "BIG"}})
         args = ["synth", "--config", path, "--out", str(out)]
     else:
         wpath, _ = make_weights_file(tmp_path)

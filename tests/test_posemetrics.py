@@ -16,6 +16,7 @@ from a2match.geometry import (
 )
 from a2match.pipeline import localize_oracle, outlier_sweep
 from a2match.posemetrics import (
+    CONFIDENCE,
     RansacConfig,
     _refine_pose,
     error_quantiles,
@@ -153,14 +154,14 @@ def scalar_pnp_ransac(uv, xyz, k, cfg):
             if 0.0 < ratio < 1.0:
                 denom = math.log(max(1.0 - ratio ** 4, 1e-16))
                 needed = min(cfg.max_iterations,
-                             int(math.ceil(math.log(1.0 - cfg.confidence) / denom)))
+                             int(math.ceil(math.log(1.0 - CONFIDENCE) / denom)))
             elif ratio >= 1.0:
                 needed = it
     if best_model is None or best_count < 4:
         return None, None, np.zeros(n, dtype=bool), False, it
     R, t = best_model
     mask = _scalar_reproj_errors(R, t, world, bearings) < cfg.inlier_threshold
-    R, t = _refine_pose(R, t, world[mask], bearings[mask], cfg.refine_iterations)
+    R, t = _refine_pose(R, t, world[mask], bearings[mask])
     mask = _scalar_reproj_errors(R, t, world, bearings) < cfg.inlier_threshold
     return R, t, mask, int(mask.sum()) >= 4, it
 
@@ -482,12 +483,10 @@ def test_outlier_sweep_ground_truth_nests_across_ratios(monkeypatch):
 def test_ransac_config_validation():
     with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=0.0)
-    with pytest.raises(ValueError):
-        RansacConfig(confidence=1.5)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("max_iterations", 0), ("max_iterations", -3), ("refine_iterations", -1)])
+    ("max_iterations", 0), ("max_iterations", -3)])
 def test_ransac_config_rejects_bad_budgets(field, value):
     with pytest.raises(ValueError, match=field):
         RansacConfig(**{field: value})
@@ -496,8 +495,7 @@ def test_ransac_config_rejects_bad_budgets(field, value):
 def test_ransac_budget_edges_run():
     pair = noiseless_scene(8, n=30)
     uv, xyz = gt_correspondences(pair)
-    est = pnp_ransac(uv, xyz, pair.intrinsics, RansacConfig(max_iterations=1,
-                                                            refine_iterations=0))
+    est = pnp_ransac(uv, xyz, pair.intrinsics, RansacConfig(max_iterations=1))
     assert est.iterations == 1 and est.success and est.inlier_mask.all()
 
 
