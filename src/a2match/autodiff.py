@@ -757,11 +757,13 @@ def neighbor_linear(f, idx, weight) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     w_self, w_nbr = _neighbor_weights(f, idx, weight)
     n = f.shape[0]
-    _, groups, width = idx.shape
+    width = idx.shape[2]
     d_out = weight.shape[1]
     nbr = (f.data @ w_nbr).reshape(n, width, d_out)
-    out_data = np.repeat((f.data @ w_self)[:, None, :], groups, axis=1)
-    for p in range(width):
+    # The first position's gather is a fresh array: the output is formed in it.
+    out_data = nbr[idx[:, :, 0], 0]
+    np.subtract((f.data @ w_self)[:, None, :], out_data, out=out_data)
+    for p in range(1, width):
         out_data -= nbr[idx[:, :, p], p]
 
     def bw(g):

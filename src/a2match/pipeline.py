@@ -50,10 +50,13 @@ class LocalizeResult:
     failed: bool
 
 
-def scene_plan(pair: ScenePair, weights: ModelWeights) -> ScoreMatrix:
-    """Log dustbin transport plan of a scene pair, (M+1, N+1)."""
+def scene_plan(pair: ScenePair, weights: ModelWeights,
+               sinkhorn_iters: int | None = None) -> ScoreMatrix:
+    """Log dustbin transport plan of a scene pair, (M+1, N+1). Sinkhorn
+    stops at its tolerance unless given sinkhorn_iters to run."""
     f_p, f_q = forward(pair, weights)
-    return sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), weights.param("ot/alpha_bin")))
+    return sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), weights.param("ot/alpha_bin")),
+                    sinkhorn_iters)
 
 
 def classify_candidates(pair: ScenePair, corrs: CorrespondenceSet,

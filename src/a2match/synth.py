@@ -82,9 +82,11 @@ class SynthConfig:
                 f"n_points must lie in [{MIN_POINTS},{MAX_POINTS}], got {self.n_points}")
         if not 0.0 <= self.inlier_fraction <= 1.0:
             raise InvalidConfig(f"inlier_fraction must lie in [0,1], got {self.inlier_fraction}")
-        if not 0.0 <= self.pixel_noise_sigma < math.inf:
-            raise InvalidConfig(
-                f"pixel_noise_sigma must be finite and >= 0, got {self.pixel_noise_sigma}")
+        # Noise wider than the image is no detector's; far wider, it
+        # overflows the keypoints.
+        if not 0.0 <= self.pixel_noise_sigma <= IMAGE_WIDTH:
+            raise InvalidConfig(f"pixel_noise_sigma must lie in [0,{IMAGE_WIDTH:g}] pixels, "
+                                f"got {self.pixel_noise_sigma}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 

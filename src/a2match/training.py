@@ -10,7 +10,9 @@ the classifier logits. Neither takes the log of a probability, so neither
 needs a floor that would stop a gradient. A scene's total is their sum, or
 the matching loss alone when there are no candidates. Candidate selection
 (mutual NN) is discrete, so gradients treat the selected set as fixed; the
-finite-difference checker freezes it at the base point for the same reason.
+finite-difference checker freezes it at the base point for the same reason,
+and holds Sinkhorn at the iteration count its base-point plan ran, since a
+count that moves with the scores would make the differences jump.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class LossReport:
     total: float
     n_matching: int
     n_candidates: int
+    sinkhorn_iters: int
 
 
 def matching_cells(gt, m: int, n: int):
@@ -159,13 +162,14 @@ def adam_step(weights: ModelWeights, state: AdamState, cfg: TrainConfig):
 # --- per-scene loss -----------------------------------------------------------
 
 
-def scene_loss(pair, weights: ModelWeights, *, frozen_candidates=None):
+def scene_loss(pair, weights: ModelWeights, *, frozen_candidates=None, sinkhorn_iters=None):
     """Total loss of one scene; returns (loss, report, candidates).
 
-    frozen_candidates pins the discrete mutual-NN selection so repeated
-    forward evaluations (finite differences) see a smooth function.
+    frozen_candidates pins the discrete mutual-NN selection, and
+    sinkhorn_iters Sinkhorn's iteration count, so repeated forward
+    evaluations (finite differences) see a smooth function.
     """
-    plan = scene_plan(pair, weights)
+    plan = scene_plan(pair, weights, sinkhorn_iters)
     l_match = matching_loss(plan, pair.gt_matches)
 
     candidates = frozen_candidates if frozen_candidates is not None else mutual_nn(plan)
@@ -183,6 +187,7 @@ def scene_loss(pair, weights: ModelWeights, *, frozen_candidates=None):
         total=total.item(),
         n_matching=len(matching_cells(pair.gt_matches, len(pair.keypoints), len(pair.points))[0]),
         n_candidates=len(candidates),
+        sinkhorn_iters=plan.iterations,
     )
     return total, report, candidates
 
@@ -194,7 +199,8 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
     net_cfg is used only when no weights are given: fresh weights of that
     config (default NetworkConfig()) are initialized from cfg.seed. Given
     weights carry their own config. Returns (weights, reports, epoch_seconds)
-    with one LossReport per epoch holding epoch-mean losses and summed counts.
+    with one LossReport per epoch holding epoch-mean losses and summed counts,
+    Sinkhorn iterations included.
     """
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
@@ -209,8 +215,7 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
         t0 = time.perf_counter()
         order = rng.permutation(len(dataset))
         sums = np.zeros(3)
-        n_m_total = 0
-        n_c_total = 0
+        counts = np.zeros(3, dtype=np.int64)
         for start in range(0, len(order), cfg.batch_size):
             batch_idx = order[start:start + cfg.batch_size]
             weights.zero_grad()
@@ -220,8 +225,7 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
                     loss, rep, _ = scene_loss(pair, weights)
                     tape.backward(loss)
                 sums += (rep.matching_loss, rep.rejection_loss, rep.total)
-                n_m_total += rep.n_matching
-                n_c_total += rep.n_candidates
+                counts += (rep.n_matching, rep.n_candidates, rep.sinkhorn_iters)
             # Each grad is a fresh array owned by its parameter (zero_grad
             # or an _accum sum), so it is scaled in place.
             inv = 1.0 / len(batch_idx)
@@ -229,7 +233,7 @@ def train(dataset, cfg: TrainConfig, net_cfg: NetworkConfig = None,
                 p.grad *= inv
             adam_step(weights, state, cfg)
         mean = sums / len(dataset)
-        reports.append(LossReport(mean[0], mean[1], mean[2], n_m_total, n_c_total))
+        reports.append(LossReport(*mean.tolist(), *counts.tolist()))
         epoch_seconds.append(time.perf_counter() - t0)
     return weights, reports, epoch_seconds
 
@@ -295,8 +299,9 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64, seed: int = 0) -> 
     candidates = _fixed_candidates(pair)
     weights.zero_grad()
     with Tape() as tape:
-        loss, _, _ = scene_loss(pair, weights, frozen_candidates=candidates)
+        loss, report, _ = scene_loss(pair, weights, frozen_candidates=candidates)
         tape.backward(loss)
+    iters = report.sinkhorn_iters
     analytic = {k: p.grad.copy() for k, p in weights.params.items()}
 
     groups: dict = {}
@@ -316,7 +321,8 @@ def grad_check(pair, weights: ModelWeights, sample: int = 64, seed: int = 0) -> 
         picks.append((name, int(rng.integers(weights.params[name].data.size))))
 
     def loss_at() -> float:
-        total, _, _ = scene_loss(pair, weights, frozen_candidates=candidates)
+        total, _, _ = scene_loss(pair, weights, frozen_candidates=candidates,
+                                 sinkhorn_iters=iters)
         return total.item()
 
     def measure(p, idx, step) -> float:

@@ -167,7 +167,7 @@ def test_run_config_rejects_non_finite_and_out_of_range_values(tmp_path, capsys)
     bad = {
         ("train", "learning_rate"): (nan, inf, -inf, -1e-3),
         ("ransac", "inlier_threshold"): (nan, inf, 0.0, -0.005),
-        ("synth", "pixel_noise_sigma"): (nan, inf, -1.0),
+        ("synth", "pixel_noise_sigma"): (nan, inf, -1.0, 1e308),
     }
     for (section, key), values in bad.items():
         for value in values:
@@ -175,13 +175,22 @@ def test_run_config_rejects_non_finite_and_out_of_range_values(tmp_path, capsys)
                 parse_run_config({section: {key: value}})
     cfg = parse_run_config({"train": {"learning_rate": 0.0}})
     assert cfg.train.learning_rate == 0.0
-    # A finite noise this wide overflows keypoints, so the first scene breaks
-    # the scene contract: a2 synth exits 2 before it makes --out.
+    # A finite noise this wide would overflow the keypoints: a2 synth names
+    # the field and exits 2 before it makes --out. At the bound, one image
+    # width, it writes a scene that a2 match loads.
     path = write_config(tmp_path, {"synth": {"pixel_noise_sigma": 1e308}})
     out = tmp_path / "s"
     assert main(["synth", "--config", path, "--out", str(out), "--count", "1"]) == 2
-    assert capsys.readouterr().err == "error: scene keypoints hold a non-finite value\n"
+    assert capsys.readouterr().err == (
+        "error: invalid 'synth' config: pixel_noise_sigma must lie in [0,4096] pixels, "
+        "got 1e+308\n")
     assert not out.exists()
+    path = write_config(tmp_path, {"synth": {"pixel_noise_sigma": 4096.0}})
+    assert main(["synth", "--config", path, "--out", str(out), "--count", "1"]) == 0
+    wpath, _ = make_weights_file(tmp_path)
+    capsys.readouterr()
+    assert main(["match", "--weights", wpath, "--scene", str(out / "scene_0000.json")]) == 0
+    assert {"initial", "final"} <= set(json.loads(capsys.readouterr().out))
 
 
 # Every key a run config may set, section by section. A new knob is a
@@ -422,12 +431,12 @@ def test_classifier_branch_pinned(tmp_path):
     payload = json.loads(out.read_text())
     assert (len(payload["initial"]), len(payload["final"])) == (11, 4)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "98ef5f4193924f40b423ad511a6775d2b8c21c5f6709bb162ad4b6b2d42b9ff9")
+        "2a6a6b7318a1b1dca8535d74373195ee5da3fad927e5194c5dcbde0ea52b3fc1")
     loss, report, candidates = scene_loss(pair, w)
     assert len(candidates) == 11
     fingerprint = repr((candidates.pairs, loss.item(), report.rejection_loss))
     assert hashlib.sha256(fingerprint.encode()).hexdigest() == (
-        "1144bb6c3bceb05a5a8a7d7b73b352e19989cb65353c1c0b3842382fecf9db74")
+        "ca61e0fed31187918901a274619b5353bd4ff0f0530df3f0b654f00f57f11c4b")
 
 
 def test_cmd_localize_robust_and_deterministic(tmp_path):

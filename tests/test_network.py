@@ -509,12 +509,17 @@ def test_float32_body_tracks_float64(n, d):
     wide = w.astype(np.float64)
     pair = generate_scene(SynthConfig(n_points=n, seed=n))
     frozen = training._fixed_candidates(pair)
+    # The float64 side runs Sinkhorn for the float32 side's count, so a stop
+    # one iteration apart cannot pass for a precision difference.
+    iters = None
     grads = []
     for weights, dtype in ((w, np.float32), (wide, np.float64)):
         weights.zero_grad()
         with Tape() as tape:
-            loss, _, _ = training.scene_loss(pair, weights, frozen_candidates=frozen)
+            loss, report, _ = training.scene_loss(pair, weights, frozen_candidates=frozen,
+                                                  sinkhorn_iters=iters)
             tape.backward(loss)
+        iters = report.sinkhorn_iters
         grads.append({k: p.grad for k, p in weights.params.items()})
         assert {g.dtype for g in grads[-1].values()} == {np.dtype(dtype)}
     for f32, f64 in zip(forward(pair, w), forward(pair, wide)):
@@ -534,7 +539,7 @@ def test_forward_features_and_plan_pinned():
     # a kernel change that moves any output bit changes them. Taken on x86-64
     # (AVX-512) with numpy 2.4 and its OpenBLAS 0.3.31; a build with other
     # BLAS or exp/log kernels may differ. The scores span 19 nats, so
-    # Sinkhorn keeps its first kernel.
+    # Sinkhorn keeps its first kernel, and it stops after 9 iterations.
     w = ModelWeights.initialize(NetworkConfig(d=16), seed=5)
     f_p, f_q = forward(generate_scene(SynthConfig(n_points=64, seed=2025)), w)
     plan = sinkhorn(augment_dustbins(cost_matrix(f_p, f_q), w.param("ot/alpha_bin")))
@@ -542,8 +547,47 @@ def test_forward_features_and_plan_pinned():
     assert [hashlib.sha256(x.data.tobytes()).hexdigest() for x in (f_p, f_q, plan.values)] == [
         "648233288ec82a8d5c995de04f68e9c3044a68251a76b6dbf62b5ad9ba3673fb",
         "9063a0f712b0ffc85d42a9a6a1c6a3b5bc2fb27561dad7839ae7cfcf30810fcb",
-        "37f1fbbf204b2d495b3f8f36e973b4f25ce075e834f80a374791e83347c120d6",
+        "5e5e81e9fdc2aa4bc86c70633284ef1b461610359e0e870e685501d26e2b836f",
     ]
+    assert plan.iterations == 9
+
+
+def _plan_and_grad(x, weights, iters):
+    scores = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        plan = sinkhorn(ScoreMatrix(scores, True), iters)
+        tape.backward(ad.sum_all(ad.mul(plan.values, weights)))
+    return plan, scores.grad
+
+
+@pytest.mark.parametrize("seed,counts", [(1, (31, 33, 34)), (7, (33, 32, 32)),
+                                         (11, (34, 37, 33))])
+def test_sinkhorn_counts_pinned_on_benchmark_shapes(seed, counts):
+    # The benchmark's localize inputs: fresh d=128 weights and one scene
+    # each at n = 100, 256 and 512, all drawn from one seed. A change to the
+    # loop or its stop rule shows as a changed count. Each plan stopped at
+    # the tolerance, every row relative to its mass (the dustbin's is N),
+    # with exact columns, and it has the bits and gradient of the run given
+    # its count.
+    w = ModelWeights.initialize(NetworkConfig(d=128), seed=seed)
+    rng = np.random.default_rng(seed)
+    got = []
+    for n in (100, 256, 512):
+        pair = generate_scene(SynthConfig(n_points=n, seed=int(rng.integers(2 ** 31))))
+        f_p, f_q = forward(pair, w)
+        x = augment_dustbins(cost_matrix(f_p, f_q), w.param("ot/alpha_bin")).values.data
+        weights = constant(np.random.default_rng(n).standard_normal(x.shape))
+        plan, grad = _plan_and_grad(x, weights, None)
+        fixed, fixed_grad = _plan_and_grad(x, weights, plan.iterations)
+        got.append(plan.iterations)
+        assert fixed.iterations == plan.iterations < transport.SINKHORN_ITERS
+        assert np.array_equal(plan.values.data, fixed.values.data)
+        assert np.array_equal(grad, fixed_grad)
+        p = np.exp(plan.values.data)
+        mass = np.append(np.ones(n), n)
+        assert np.abs(p.sum(axis=1) / mass - 1.0).max() <= transport.SINKHORN_TOL
+        assert np.abs(p.sum(axis=0) - mass).max() <= 1e-9 * (2 * n)
+    assert tuple(got) == counts
 
 
 def test_sinkhorn_forms_one_kernel_each_way_on_network_scores(monkeypatch):

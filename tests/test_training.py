@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from a2match import autodiff as ad
-from a2match import training
+from a2match import pipeline, training
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.cli import GRADCHECK_TOLERANCE
 from a2match.geometry import CorrespondenceSet
@@ -24,7 +24,7 @@ from a2match.training import (
     scene_loss,
     train,
 )
-from a2match.transport import ScoreMatrix, augment_dustbins, mutual_nn, sinkhorn
+from a2match.transport import SINKHORN_ITERS, ScoreMatrix, augment_dustbins, mutual_nn, sinkhorn
 
 
 def plan_of(p):
@@ -129,22 +129,24 @@ def test_rejection_loss_keeps_the_gradient_of_a_confident_wrong_logit(dtype):
 def test_matching_loss_gradient_reaches_a_cell_of_negligible_mass():
     # GT cell (0, 1) costs 40 against 0 and 10 elsewhere, so the plan gives
     # it about e^-40 of mass, far below 1e-12; its loss term is -log P01 / 3
-    # and P01 barely moves the plan, so d loss / d cost[0, 1] is 1/3.
+    # and P01 barely moves the plan, so d loss / d cost[0, 1] is 1/3. The
+    # differences hold Sinkhorn at the count the base plan ran.
     cost = 10.0 * (1.0 - np.eye(3))
     cost[0, 1] = 40.0
     gt = CorrespondenceSet([(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)])
     c = Tensor(cost, requires_grad=True)
 
-    def loss_val():
-        return matching_loss(sinkhorn(augment_dustbins(c, constant(np.array(-5.0)))), gt)
+    def plan(iters=None):
+        return sinkhorn(augment_dustbins(c, constant(np.array(-5.0))), iters)
 
     with Tape() as tape:
-        tape.backward(loss_val())
+        base = plan()
+        tape.backward(matching_loss(base, gt))
     h = 1e-5
     c.data[0, 1] = 40.0 + h
-    f_plus = loss_val().item()
+    f_plus = matching_loss(plan(base.iterations), gt).item()
     c.data[0, 1] = 40.0 - h
-    f_minus = loss_val().item()
+    f_minus = matching_loss(plan(base.iterations), gt).item()
     numeric = (f_plus - f_minus) / (2 * h)
     assert c.grad[0, 1] == pytest.approx(1.0 / 3.0, rel=1e-6)
     assert numeric == pytest.approx(c.grad[0, 1], rel=1e-6)
@@ -308,6 +310,25 @@ def test_grad_check_fresh_model_passes():
     assert {"enc", "clf", "ot"} <= set(report.per_module)
 
 
+def test_grad_check_holds_the_base_sinkhorn_count(monkeypatch):
+    # The base point's plan stops at its tolerance; every perturbed
+    # evaluation runs that plan's count, so no difference straddles a
+    # change of count.
+    calls = []
+    inner = pipeline.sinkhorn
+
+    def recording(s, iters=None):
+        plan = inner(s, iters)
+        calls.append((iters, plan.iterations))
+        return plan
+
+    monkeypatch.setattr(pipeline, "sinkhorn", recording)
+    grad_check(small_scene(), ModelWeights.initialize(small_net(), seed=0), sample=4, seed=0)
+    (first, ran), *rest = calls
+    assert first is None and 1 < ran < SINKHORN_ITERS
+    assert len(rest) >= 8 and set(rest) == {(ran, ran)}
+
+
 def test_grad_check_detects_corrupted_backward(corrupted_matmul_backward):
     cfg = small_net()
     w = ModelWeights.initialize(cfg, seed=0)
@@ -377,11 +398,11 @@ def test_train_weights_and_reports_pinned():
     for name in sorted(w.params):
         h.update(name.encode())
         h.update(w.params[name].data.tobytes())
-    assert h.hexdigest() == "d1abf1d81799691bafeca6757c08c0373b19b78016fc98fab21f86e131e5bb13"
+    assert h.hexdigest() == "aee146afe9c2984bdc8ac412d2438c36b1d68d9a266d33e4254a9600031cb90b"
     assert [(r.matching_loss.hex(), r.rejection_loss.hex(), r.total.hex(), r.n_matching,
-             r.n_candidates) for r in reports] == [
-        ("0x1.cb65585ec5528p+1", "0x1.8f800672747c9p+0", "0x1.4992adcbffc86p+2", 126, 57),
-        ("0x1.756dd9f57c819p+1", "0x1.6365de2222223p+0", "0x1.1390648346c95p+2", 126, 36),
+             r.n_candidates, r.sinkhorn_iters) for r in reports] == [
+        ("0x1.cb65dd9249fecp+1", "0x1.8f800672747c9p+0", "0x1.4992f065c21e8p+2", 126, 57, 71),
+        ("0x1.756ce4b606f4fp+1", "0x1.6365de2222223p+0", "0x1.138fe9e38c030p+2", 126, 36, 68),
     ]
 
 
@@ -497,7 +518,8 @@ def test_scene_step_peak_memory_n256():
 def test_training_from_fresh_weights_yields_a_matcher():
     # A short seeded run: d=32, 24 new n=48 scenes per epoch for 20 epochs,
     # Adam restarting each epoch. Held out, mutual NN then finds most GT
-    # pairs and few wrong ones (197 found, 196 right when measured), and the
+    # pairs and few wrong ones (216 found, 207 right of 272 when measured),
+    # the same pairs as plans run for all SINKHORN_ITERS iterations, and the
     # full pipeline localizes. The task still leaks the GT pose into the
     # network's inputs (`network.scene_inputs`), so this shows that training
     # works, not how well the matcher generalizes.
@@ -511,6 +533,7 @@ def test_training_from_fresh_weights_yields_a_matcher():
     found = correct = truth = 0
     for pair in held_out:
         got = mutual_nn(scene_plan(pair, w)).pair_set()
+        assert got == mutual_nn(scene_plan(pair, w, SINKHORN_ITERS)).pair_set()
         found += len(got)
         correct += len(got & pair.gt_matches.pair_set())
         truth += len(pair.gt_matches)

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from a2match import autodiff as ad
+from a2match import transport
 from a2match.autodiff import Tape, Tensor, constant
 from a2match.transport import (
+    SINKHORN_ITERS,
+    SINKHORN_TOL,
     ScoreMatrix,
     _masses,
     augment_dustbins,
@@ -325,7 +328,7 @@ def _plan_and_grads(op, cost, iters, loss_kind, weights, alpha_bin=0.3):
         else:
             loss = ad.sum_all(ad.mul(c, c))
         tape.backward(loss)
-    return plan.values, scores.values.grad, alpha.grad
+    return plan, scores.values.grad, alpha.grad
 
 
 def _score_range(cost, alpha_bin=0.3):
@@ -338,23 +341,27 @@ def _inputs(shape, iters):
     return rng.random(shape) * 4.0, rng.standard_normal((shape[0] + 1, shape[1] + 1))
 
 
-@pytest.mark.parametrize("iters", [1, 100])
+@pytest.mark.parametrize("iters", [1, 100, None])
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 33)])
 @pytest.mark.parametrize("loss_kind", ["dustbins", "plan_free"])
 def test_sinkhorn_op_matches_taped_loop_bitwise(shape, iters, loss_kind):
     # Scores that keep their first kernel get the bits of the single-kernel
-    # loop, as the pinned plans and training runs do.
-    cost, weights = _inputs(shape, iters)
+    # loop, as the pinned plans and training runs do. A plan that stopped at
+    # its tolerance (iters None) gets those of the loop run for the count it
+    # reports.
+    cost, weights = _inputs(shape, iters or 0)
     plan, g_scores, g_alpha = _plan_and_grads(sinkhorn, cost, iters, loss_kind, weights)
-    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_scaling_sinkhorn, cost, iters,
+    ran = plan.iterations
+    assert ran == iters if iters else 1 < ran < SINKHORN_ITERS
+    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_scaling_sinkhorn, cost, ran,
                                                       loss_kind, weights)
-    assert np.array_equal(_bits(plan.data), _bits(ref_plan.data))
+    assert np.array_equal(_bits(plan.values.data), _bits(ref_plan.values.data))
     if loss_kind == "dustbins":
         assert np.array_equal(_bits(g_alpha), _bits(ref_alpha))
         assert np.array_equal(_bits(g_scores), _bits(ref_scores))
         assert np.any(g_scores[-1] != 0.0) and np.any(g_scores[:, -1] != 0.0)
     else:
-        assert plan.grad is None and ref_plan.grad is None
+        assert plan.values.grad is None and ref_plan.values.grad is None
         assert g_scores is None and ref_scores is None
         assert g_alpha is None and ref_alpha is None
 
@@ -363,12 +370,14 @@ def _assert_matches_taped_loop(cost, iters, loss_kind, weights, alpha_bin=0.3, t
     """Exponentiated plan and gradients within tol of the largest plan entry
     and of the largest addend |g| of the score gradient, g being the log
     plan's gradient: the gradients of contested cells and of alpha_bin
-    cancel to far below either."""
+    cancel to far below either. The taped loop runs the count the op
+    reports, which is iters unless iters is None."""
     plan, g_scores, g_alpha = _plan_and_grads(sinkhorn, cost, iters, loss_kind, weights,
                                               alpha_bin)
-    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_sinkhorn, cost, iters, loss_kind,
-                                                      weights, alpha_bin)
-    p, ref_p = np.exp(plan.data), np.exp(ref_plan.data)
+    assert iters in (None, plan.iterations)
+    ref_plan, ref_scores, ref_alpha = _plan_and_grads(taped_sinkhorn, cost, plan.iterations,
+                                                      loss_kind, weights, alpha_bin)
+    p, ref_p = np.exp(plan.values.data), np.exp(ref_plan.values.data)
     assert np.abs(p - ref_p).max() <= tol * ref_p.max()
     if loss_kind == "dustbins":
         addend = np.abs(weights).max()
@@ -379,13 +388,13 @@ def _assert_matches_taped_loop(cost, iters, loss_kind, weights, alpha_bin=0.3, t
         assert g_alpha is None and ref_alpha is None
 
 
-@pytest.mark.parametrize("iters", [1, 3, 100])
+@pytest.mark.parametrize("iters", [1, 3, 100, None])
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 33)])
 @pytest.mark.parametrize("loss_kind", ["dustbins", "plan_free"])
 def test_sinkhorn_scaling_path_matches_taped_loop(shape, iters, loss_kind):
     # Each input at its own few nats, then stretched to 600 nats.
     for span in (None, 600.0):
-        cost, weights = _inputs(shape, iters)
+        cost, weights = _inputs(shape, iters or 0)
         if span is not None:
             cost *= span / cost.max()
             assert _score_range(cost) > span
@@ -404,8 +413,46 @@ def test_sinkhorn_contested_column_matches_taped_loop():
         cost[:, 3] = rng.random(m)
         weights = rng.standard_normal((m + 1, n + 1))
         assert 0.99 * span < _score_range(cost, -span / 2) <= span
-        for iters in (1, 3, 100):
+        for iters in (1, 3, 100, None):
             _assert_matches_taped_loop(cost, iters, "dustbins", weights, -span / 2)
+
+
+@pytest.mark.parametrize("span", [600.0, 5000.0])
+def test_sinkhorn_stops_on_absorption_path_with_fixed_count_bits(span, monkeypatch):
+    # Column offsets spread over `span` nats leave the plan that of the
+    # few-nat scores z, since a column's scaling absorbs its offset, but
+    # they put most columns' kernel entries below e^-330, so the loop forms
+    # new kernels. It still stops after a few iterations, and its plan and
+    # gradients are those of the run given that count, bit for bit, and
+    # those of the taped log-domain loop at that count to round-off.
+    rng = np.random.default_rng(16)
+    z = rng.standard_normal((31, 26))
+    x = z + np.linspace(0.0, span, 26)
+    assert span < np.ptp(x) < span + 10.0
+    weights = rng.standard_normal(x.shape)
+    formed = []
+    kernel = transport._kernel
+    monkeypatch.setattr(transport, "_kernel", lambda *args: formed.append(1) or kernel(*args))
+
+    def run(op, iters):
+        scores = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            plan = op(ScoreMatrix(scores, True), iters)
+            kernels = len(formed)
+            tape.backward(ad.sum_all(ad.mul(plan.values, constant(weights))))
+        return plan, scores.grad, kernels
+
+    stopped, g_stopped, kernels = run(sinkhorn, None)
+    ran = stopped.iterations
+    fixed, g_fixed, _ = run(sinkhorn, ran)
+    ref, g_ref, _ = run(taped_sinkhorn, ran)
+    assert kernels >= 2 and 1 < ran < 20 and fixed.iterations == ran
+    assert np.array_equal(_bits(stopped.values.data), _bits(fixed.values.data))
+    assert np.array_equal(_bits(g_stopped), _bits(g_fixed))
+    p, ref_p = np.exp(stopped.values.data), np.exp(ref.values.data)
+    assert np.abs(p - ref_p).max() <= 1e-12 * ref_p.max()
+    assert np.abs(g_stopped - g_ref).max() <= 1e-12 * np.abs(weights).max()
+    assert np.abs(p.sum(axis=1) / np.append(np.ones(30), 25.0) - 1.0).max() <= SINKHORN_TOL
 
 
 @settings(max_examples=80, deadline=None)
@@ -463,12 +510,13 @@ def test_sinkhorn_records_one_op_whatever_iters():
 
 def test_sinkhorn_backward_peak_memory():
     # The taped loop keeps two 257 x 257 buffers per op for 100 iterations
-    # (about 310 MB); the op keeps only the potentials.
+    # (about 310 MB); the op keeps only the potentials. These scores would
+    # stop after 6 iterations, so the cap is given.
     scores = Tensor(np.random.default_rng(11).standard_normal((257, 257)), requires_grad=True)
     tracemalloc.start()
     try:
         with Tape() as tape:
-            plan = sinkhorn(ScoreMatrix(scores, True))
+            plan = sinkhorn(ScoreMatrix(scores, True), SINKHORN_ITERS)
             tape.backward(ad.sum_all(ad.mul(plan.values, plan.values)))
         peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
