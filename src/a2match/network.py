@@ -1,9 +1,9 @@
 """Bearing-space graph attention: encoder, kNN graphs, annular and angle
 aggregation, self/cross attention.
 
-Both sides live in the 2D bearing plane, so one set of attention block
-parameters serves 2D keypoints and 3D points alike; only the input encoders
-are per-modality. Neighbor lists are sorted by ascending distance; the
+Both sides live in the 2D bearing plane, so one encoder and one set of
+attention blocks serve 2D keypoints and 3D points alike: swapped sides give
+swapped features. Neighbor lists are sorted by ascending distance; the
 annular convolutions collapse each distance group and then the group axis,
 and the angle path runs the same two-stage convolution over per-neighbor
 direction cosines. The second stage sees all g groups at once, so it is one
@@ -53,8 +53,6 @@ from .autodiff import Tensor, constant
 from .geometry import pixel_bearings, unit_vectors, world_bearings
 from .synth import InvalidConfig, ScenePair
 
-# Each modality has its own input encoder.
-MODALITIES = ("2d", "3d")
 # Residual units of the correspondence classifier (`rejection.classify`).
 CLASSIFIER_UNITS = 6
 
@@ -159,7 +157,7 @@ class ModelWeights:
         The rule: a linear layer whose output only feeds an instance norm
         has no bias, which the norm subtracts again (Ioffe & Szegedy, ICML
         2015, sec. 3.2), and no parameter exists that the outputs do not
-        depend on. So neither have the encoder projections, whose output
+        depend on. So neither have the encoder's projections, whose output
         reaches the attention block only through such layers, nor
         cross/mlp/lin2, which adds one constant to both sides. The biases of
         cross/mlp/lin1, clf/proj and clf/head feed a nonlinearity or the logit.
@@ -176,13 +174,12 @@ class ModelWeights:
             layout.append((f"{name}/beta", (c,)))
 
         d, k, g = config.d, config.k, config.g
-        for key in MODALITIES:
-            for channel, width in (("bearing", 2), ("color", 3)):
-                base = f"enc/{key}/{channel}"
-                linear(f"{base}/proj", width, d)
-                for r in range(3):
-                    linear(f"{base}/res{r}/lin", d, d)
-                    norm(f"{base}/res{r}/norm", d)
+        for channel, width in (("bearing", 2), ("color", 3)):
+            base = f"enc/{channel}"
+            linear(f"{base}/proj", width, d)
+            for r in range(3):
+                linear(f"{base}/res{r}/lin", d, d)
+                norm(f"{base}/res{r}/norm", d)
 
         # The annular and angle norms keep the names bn1/bn2 from when they
         # were batch norms.
@@ -276,20 +273,18 @@ def _lin_norm_act(x, w: ModelWeights, name):
     return _norm_act(ad.matmul(x, w.param(f"{name}/lin/W")), w, f"{name}/norm", "leaky_relu")
 
 
-def encode(bearings, colors, w: ModelWeights, modality: str) -> Tensor:
-    """Per-point features: bearing MLP output plus color MLP output, in the
-    weights' dtype."""
+def encode(bearings, colors, w: ModelWeights) -> Tensor:
+    """Per-point features of either side: bearing MLP output plus color MLP
+    output, in the weights' dtype."""
     b = np.asarray(bearings, dtype=w.dtype).reshape(-1, 2)
     c = np.asarray(colors, dtype=w.dtype).reshape(-1, 3)
     if len(b) == 0 or len(c) == 0:
         raise ValueError("encode needs at least one point")
     if len(b) != len(c):
         raise ValueError(f"bearing/color counts differ: {len(b)} vs {len(c)}")
-    if modality not in MODALITIES:
-        raise ValueError(f"modality must be '2d' or '3d', got {modality!r}")
 
     def stack(x, channel):
-        base = f"enc/{modality}/{channel}"
+        base = f"enc/{channel}"
         h = ad.matmul(constant(x), w.param(f"{base}/proj/W"))
         for r in range(3):
             h = ad.add(h, _lin_norm_act(h, w, f"{base}/res{r}"))
@@ -394,8 +389,8 @@ def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights
     cfg = w.config
     bearings_p, colors_p, back_p = _canonical_side(bearings_p, colors_p)
     bearings_q, colors_q, back_q = _canonical_side(bearings_q, colors_q)
-    f_p = encode(bearings_p, colors_p, w, "2d")
-    f_q = encode(bearings_q, colors_q, w, "3d")
+    f_p = encode(bearings_p, colors_p, w)
+    f_q = encode(bearings_q, colors_q, w)
     graph_p = build_knn_graph(bearings_p, cfg.k)
     graph_q = build_knn_graph(bearings_q, cfg.k)
     for t in range(cfg.n_blocks):

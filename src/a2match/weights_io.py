@@ -2,7 +2,7 @@
 
 Layout:
     magic           4 bytes  b"A2GW"
-    version         u16      currently 3
+    version         u16      currently 4
     d, k, g         u32 each
     n_blocks        u32
     flags           u32      reserved, must be 0
@@ -16,16 +16,16 @@ head (name, rank, dims): load walks the layout of the header's network and
 compares each head in the file with the bytes save would write, so a
 re-save of a loaded file has its bytes. Older versions are rejected, not
 converted: version 1 also held batch-norm running buffers ("buffers/"
-records), version 2 48 biases that changed no output. Values are stored as
-float32, the dtype `ModelWeights` holds, and load returns them as float32,
-so load(save(w)) is w bit for bit. Every value must be a finite float32:
-save refuses NaN and inf, and rounds float64 values (of a promoted copy) to
-float32, refusing those beyond its range; load rejects a file holding NaN
-or inf. The header holds every field of NetworkConfig, so the reloaded
-network is the saved one. Every file load rejects (bad magic, another
-version, a truncated file, a record count or record head that differs from
-the layout, trailing bytes) and every value save refuses raises
-`synth.InvalidConfig`.
+records), version 2 48 biases that changed no output, and version 3 held a
+second encoder stack (`enc/3d/*`). Values are stored as float32, the dtype
+`ModelWeights` holds, and load returns them as float32, so load(save(w)) is
+w bit for bit. Every value must be a finite float32: save refuses NaN and
+inf, and rounds float64 values (of a promoted copy) to float32, refusing
+those beyond its range; load rejects a file holding NaN or inf. The header
+holds every field of NetworkConfig, so the reloaded network is the saved
+one. Every file load rejects (bad magic, another version, a truncated file,
+a record count or record head that differs from the layout, trailing bytes)
+and every value save refuses raises `synth.InvalidConfig`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .network import ModelWeights, NetworkConfig
 from .synth import InvalidConfig
 
 MAGIC = b"A2GW"
-VERSION = 3
+VERSION = 4
 HEADER = struct.Struct("<4sH6I")
 
 

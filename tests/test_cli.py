@@ -82,7 +82,7 @@ def test_weights_magic_and_version_checks(tmp_path):
     ver = bytearray(blob)
     ver[4:6] = struct.pack("<H", 9)
     bad.write_bytes(bytes(ver))
-    with pytest.raises(InvalidConfig, match="unsupported weights version 9, expected 3"):
+    with pytest.raises(InvalidConfig, match="unsupported weights version 9, expected 4"):
         load_weights(bad)
     trunc = tmp_path / "trunc.a2w"
     trunc.write_bytes(bytes(blob[:100]))
@@ -417,7 +417,7 @@ def test_cmd_match_contract(tmp_path, capsys):
 def test_classifier_branch_pinned(tmp_path):
     # A fresh model's rows all prefer their dustbins, which leaves the
     # classifier idle. With the dustbin score lowered to -8 this scene has 11
-    # mutual-NN candidates, and the classifier keeps 4 at the default
+    # mutual-NN candidates, and the classifier keeps 8 at the default
     # threshold. SHA-256 of the `a2 match` output and of scene_loss's
     # candidates and losses; same platform caveat as
     # test_forward_features_and_plan_pinned.
@@ -429,14 +429,14 @@ def test_classifier_branch_pinned(tmp_path):
     assert main(["match", "--weights", str(tmp_path / "w.a2w"), "--scene", spath,
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert (len(payload["initial"]), len(payload["final"])) == (11, 4)
+    assert (len(payload["initial"]), len(payload["final"])) == (11, 8)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "2a6a6b7318a1b1dca8535d74373195ee5da3fad927e5194c5dcbde0ea52b3fc1")
+        "6052453607fd80829433fc953ac4488776b8bc7dfe7e5b938c9156d503d71a9f")
     loss, report, candidates = scene_loss(pair, w)
     assert len(candidates) == 11
     fingerprint = repr((candidates.pairs, loss.item(), report.rejection_loss))
     assert hashlib.sha256(fingerprint.encode()).hexdigest() == (
-        "ca61e0fed31187918901a274619b5353bd4ff0f0530df3f0b654f00f57f11c4b")
+        "0357439f867053e475334e504413675eb010e4e443f87480cea4fc1aa85e9403")
 
 
 def test_cmd_localize_robust_and_deterministic(tmp_path):
@@ -533,33 +533,30 @@ def test_cmd_localize_scene_not_above_k_exits_2(tmp_path, capsys):
     assert "must exceed k=12" in capsys.readouterr().err
 
 
-def test_cmd_match_rejects_version_1_weights(tmp_path, capsys):
-    # Version 1 stored batch-norm running buffers after the parameters.
-    wpath, w = make_weights_file(tmp_path)
-    blob = bytearray(Path(wpath).read_bytes())
-    blob[4:6] = struct.pack("<H", 1)
-    buffers = [(f"buffers/{name[:-len('/gamma')]}/{kind}", value)
-               for name in w.params if name.endswith(("/bn1/gamma", "/bn2/gamma"))
-               for kind, value in (("running_mean", np.zeros(8)), ("running_var", np.ones(8)),
-                                   ("count", np.ones(1)))]
-    blob[26:30] = struct.pack("<I", len(w.params) + len(buffers))
-    out = []
-    for name, value in buffers:
-        _write_record(out, name, value)
-    v1 = tmp_path / "v1.a2w"
-    v1.write_bytes(bytes(blob) + b"".join(out))
-    with pytest.raises(InvalidConfig, match="unsupported weights version 1, expected 3"):
-        load_weights(v1)
+# Version 1 also stored batch-norm running buffers after the parameters,
+# version 2 a bias after every weight matrix but the attention projections',
+# and version 3 a second encoder stack. The version is checked before any
+# record, so a current file under an old header stands for each.
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_cmd_match_rejects_old_weights_version(tmp_path, capsys, version):
+    wpath, _ = make_weights_file(tmp_path)
+    blob = Path(wpath).read_bytes()
+    old = tmp_path / f"v{version}.a2w"
+    old.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
+    message = f"unsupported weights version {version}, expected 4"
+    with pytest.raises(InvalidConfig, match=message):
+        load_weights(old)
     spath, _ = scene_file(tmp_path, seed=8)
     capsys.readouterr()
-    assert main(["match", "--weights", str(v1), "--scene", spath]) == 2
+    assert main(["match", "--weights", str(old), "--scene", spath]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "version 1" in err
+    assert out == "" and err == f"error: {message}\n"
 
 
-def test_cmd_match_rejects_version_2_weights(tmp_path, capsys):
-    # Version 2 held a bias after every weight matrix but the attention
-    # projections': 48 more records, none of which changed an output.
+def test_weights_with_version_2_biases_fail_the_layout(tmp_path):
+    # Version 2's records do not pass for the current version's, whatever
+    # the count says: the first bias stands where the layout puts the next
+    # weight.
     wpath, w = make_weights_file(tmp_path)
     blob = Path(wpath).read_bytes()
     records, n_records = [], 0
@@ -570,26 +567,13 @@ def test_cmd_match_rejects_version_2_weights(tmp_path, capsys):
         if name.endswith("/W") and "/cross/W" not in name and bias not in w.params:
             _write_record(records, bias, np.zeros(p.data.shape[1]))
             n_records += 1
-    assert n_records == len(w.params) + 48
-    body = blob[6:26] + struct.pack("<I", n_records) + b"".join(records)
-    v2 = tmp_path / "v2.a2w"
-    v2.write_bytes(blob[:4] + struct.pack("<H", 2) + body)
-    with pytest.raises(InvalidConfig, match="unsupported weights version 2, expected 3"):
-        load_weights(v2)
-    spath, _ = scene_file(tmp_path, seed=8)
-    capsys.readouterr()
-    assert main(["match", "--weights", str(v2), "--scene", spath]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "version 2" in err
-    # Nor do its records pass for the current version's, whatever the count
-    # says: the first bias stands where the layout puts the next weight.
+    assert n_records == len(w.params) + 40
     relabeled = tmp_path / "relabeled.a2w"
-    relabeled.write_bytes(blob[:4] + struct.pack("<H", VERSION) + body)
-    with pytest.raises(InvalidConfig, match="file holds 183 records, the header's"):
+    relabeled.write_bytes(blob[:26] + struct.pack("<I", n_records) + b"".join(records))
+    with pytest.raises(InvalidConfig, match="file holds 155 records, the header's"):
         load_weights(relabeled)
-    recounted = blob[:4] + struct.pack("<H", VERSION) + blob[6:30] + b"".join(records)
-    relabeled.write_bytes(recounted)
-    with pytest.raises(InvalidConfig, match="record 1 is not enc/2d/bearing/res0/lin/W"):
+    relabeled.write_bytes(blob[:30] + b"".join(records))
+    with pytest.raises(InvalidConfig, match="record 1 is not enc/bearing/res0/lin/W"):
         load_weights(relabeled)
 
 
@@ -597,12 +581,12 @@ def test_weights_layout_pinned_with_its_version():
     # What a weights file holds for the default network. A change to the
     # parameter records must come with a decision on the format version.
     layout = ModelWeights.layout(NetworkConfig())
-    assert len(layout) == 135
+    assert len(layout) == 115
     assert [name for name, _ in layout if name.endswith("/b")] == [
         "blk0/cross/mlp/lin1/b", "blk1/cross/mlp/lin1/b", "clf/proj/b", "clf/head/b"]
     assert hashlib.sha256(repr(layout).encode()).hexdigest() == (
-        "3a9744085fb527972a206f03c326ff7edbc177b54c0ff510dc5f05186c7b1026")
-    assert VERSION == 3
+        "3ac8a82565d287fad561d7c40874164c4b3474a9fc5cc8e22cacd1f63f93a3ee")
+    assert VERSION == 4
 
 
 def test_cmd_match_rejects_repeated_weights_record(tmp_path, capsys):
@@ -614,13 +598,13 @@ def test_cmd_match_rejects_repeated_weights_record(tmp_path, capsys):
     blob[26:30] = struct.pack("<I", len(w.params) + 1)
     dup = tmp_path / "dup.a2w"
     dup.write_bytes(bytes(blob) + b"".join(extra))
-    with pytest.raises(InvalidConfig, match="file holds 136 records, the header's"):
+    with pytest.raises(InvalidConfig, match="file holds 116 records, the header's"):
         load_weights(dup)
     spath, _ = scene_file(tmp_path, seed=8)
     capsys.readouterr()
     assert main(["match", "--weights", str(dup), "--scene", spath]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "136 records" in err
+    assert out == "" and "116 records" in err
     # Repeated in place of the second record, the count is right.
     names = list(w.params)
     twice = []
@@ -685,9 +669,9 @@ DEEP = "[" * 100_000 + "]" * 100_000
 @pytest.mark.parametrize("flag, content, message", [
     # 65536^4 values overflow a 64-bit count to 0; the head comparison
     # rejects the record before any count is taken.
-    ("--weights", _one_record(b"enc/2d/b/proj/W", [65536] * 4),
-     "record 0 is not enc/2d/bearing/proj/W"),
-    ("--weights", _one_record(b"\xff\xfe", [1]), "record 0 is not enc/2d/bearing/proj/W"),
+    ("--weights", _one_record(b"enc/b/proj/W", [65536] * 4),
+     "record 0 is not enc/bearing/proj/W"),
+    ("--weights", _one_record(b"\xff\xfe", [1]), "record 0 is not enc/bearing/proj/W"),
     ("--scene", b'{"intrinsics": "\xe9"}', "is not valid JSON: 'utf-8' codec"),
     ("--scene", DEEP.encode(), "is not valid JSON: maximum recursion depth"),
     ("--config", b'{"synth": {}, "x": "\xe9"}', "is not valid JSON: 'utf-8' codec"),

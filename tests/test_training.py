@@ -398,11 +398,11 @@ def test_train_weights_and_reports_pinned():
     for name in sorted(w.params):
         h.update(name.encode())
         h.update(w.params[name].data.tobytes())
-    assert h.hexdigest() == "aee146afe9c2984bdc8ac412d2438c36b1d68d9a266d33e4254a9600031cb90b"
+    assert h.hexdigest() == "6f13c9546eaf99efd0a22838dc4c746a4968821ca0aa03b8f756555a84ed0862"
     assert [(r.matching_loss.hex(), r.rejection_loss.hex(), r.total.hex(), r.n_matching,
              r.n_candidates, r.sinkhorn_iters) for r in reports] == [
-        ("0x1.cb65dd9249fecp+1", "0x1.8f800672747c9p+0", "0x1.4992f065c21e8p+2", 126, 57, 71),
-        ("0x1.756ce4b606f4fp+1", "0x1.6365de2222223p+0", "0x1.138fe9e38c030p+2", 126, 36, 68),
+        ("0x1.d4e1276a99053p+1", "0x1.d3d1348aaaaabp-1", "0x1.24eaba46a1d7fp+2", 126, 53, 86),
+        ("0x1.67f296858e139p+1", "0x1.ed15d5af50b33p-1", "0x1.e3380bf162407p+1", 126, 54, 81),
     ]
 
 
@@ -517,8 +517,9 @@ def test_scene_step_peak_memory_n256():
 
 def test_training_from_fresh_weights_yields_a_matcher():
     # A short seeded run: d=32, 24 new n=48 scenes per epoch for 20 epochs,
-    # Adam restarting each epoch. Held out, mutual NN then finds most GT
-    # pairs and few wrong ones (216 found, 207 right of 272 when measured),
+    # Adam restarting each epoch. On 64 held-out scenes (blocks of 8 spread
+    # P by up to 0.2), mutual NN then finds most GT pairs and few wrong ones
+    # (1956 found, 1937 right of 2176 when measured); on the first 8 it finds
     # the same pairs as plans run for all SINKHORN_ITERS iterations, and the
     # full pipeline localizes. The task still leaks the GT pose into the
     # network's inputs (`network.scene_inputs`), so this shows that training
@@ -529,11 +530,12 @@ def test_training_from_fresh_weights_yields_a_matcher():
         scenes = [generate_scene(SynthConfig(n_points=48, seed=24 * epoch + i))
                   for i in range(24)]
         w, _, _ = train(scenes, cfg, NetworkConfig(d=32), weights=w)
-    held_out = [generate_scene(SynthConfig(n_points=48, seed=50000 + i)) for i in range(8)]
+    held_out = [generate_scene(SynthConfig(n_points=48, seed=50000 + i)) for i in range(64)]
     found = correct = truth = 0
-    for pair in held_out:
+    for i, pair in enumerate(held_out):
         got = mutual_nn(scene_plan(pair, w)).pair_set()
-        assert got == mutual_nn(scene_plan(pair, w, SINKHORN_ITERS)).pair_set()
+        if i < 8:
+            assert got == mutual_nn(scene_plan(pair, w, SINKHORN_ITERS)).pair_set()
         found += len(got)
         correct += len(got & pair.gt_matches.pair_set())
         truth += len(pair.gt_matches)
