@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import ModelWeights, NetworkConfig
+from .network import ModelWeights
 from .pipeline import localize_scene, match_scene, outlier_sweep
 from .runconfig import InvalidConfig, load_run_config
 from .svgplot import render_sweep_svg
@@ -188,15 +188,10 @@ def cmd_gradcheck(args) -> int:
     if args.samples < 1:
         raise InvalidConfig(f"--samples must be >= 1, got {args.samples}")
     cfg = load_run_config(args.config)
-    if args.config is None:
-        # Small default width keeps the full check well under a minute.
-        net_cfg = NetworkConfig(d=32)
-    else:
-        net_cfg = cfg.network
     scene_cfg = dataclasses.replace(cfg.synth, n_points=16, pixel_noise_sigma=0.5,
                                     inlier_fraction=0.75)
     pair = generate_scene(scene_cfg)
-    weights = ModelWeights.initialize(net_cfg, seed=cfg.train.seed)
+    weights = ModelWeights.initialize(cfg.network, seed=cfg.train.seed)
     report = grad_check(pair, weights, sample=args.samples, seed=cfg.train.seed)
     for module in sorted(report.per_module):
         print(f"{module:24s} worst rel err {report.per_module[module]:.3e}")

@@ -33,13 +33,12 @@ scaled by a power of two, then ranks only the entries within a proven
 margin of each row's k-th smallest by (hypot distance, index), so the graph
 is the stable argsort of the hypot distances at every scale.
 
-`forward_features` sorts each side once into canonical order over (bearing
-x, bearing y, r, g, b), runs the network on the sorted arrays with plain
-BLAS and numpy sums, and gathers the features back into input order. A
-permuted input is therefore the very same computation, so the features are
-bit-exactly permutation equivariant, and kNN distance ties break the same
-way whatever the input order. The sub-layers on their own are equivariant
-only up to round-off.
+`forward_features` sorts each side's input rows once into canonical order,
+runs the network on the sorted rows with plain BLAS and numpy sums, and
+gathers the features back into input order. A permuted input is therefore
+the very same computation, so the features are bit-exactly permutation
+equivariant, and kNN distance ties break the same way whatever the input
+order. The sub-layers on their own are equivariant only up to round-off.
 """
 
 from __future__ import annotations
@@ -273,15 +272,13 @@ def _lin_norm_act(x, w: ModelWeights, name):
     return _norm_act(ad.matmul(x, w.param(f"{name}/lin/W")), w, f"{name}/norm", "leaky_relu")
 
 
-def encode(bearings, colors, w: ModelWeights) -> Tensor:
-    """Per-point features of either side: bearing MLP output plus color MLP
-    output, in the weights' dtype."""
-    b = np.asarray(bearings, dtype=w.dtype).reshape(-1, 2)
-    c = np.asarray(colors, dtype=w.dtype).reshape(-1, 3)
-    if len(b) == 0 or len(c) == 0:
+def encode(rows, w: ModelWeights) -> Tensor:
+    """Per-point features of either side from its (n, 5) input rows (see
+    `scene_inputs`): the bearing MLP's output on the first two columns plus
+    the color MLP's on the last three, in the weights' dtype."""
+    rows = np.asarray(rows, dtype=w.dtype)
+    if len(rows) == 0:
         raise ValueError("encode needs at least one point")
-    if len(b) != len(c):
-        raise ValueError(f"bearing/color counts differ: {len(b)} vs {len(c)}")
 
     def stack(x, channel):
         base = f"enc/{channel}"
@@ -290,7 +287,7 @@ def encode(bearings, colors, w: ModelWeights) -> Tensor:
             h = ad.add(h, _lin_norm_act(h, w, f"{base}/res{r}"))
         return h
 
-    return ad.add(stack(b, "bearing"), stack(c, "color"))
+    return ad.add(stack(rows[:, :2], "bearing"), stack(rows[:, 2:], "color"))
 
 
 def maxpool_aggregate(f: Tensor, graph: LocalGraph, w: ModelWeights, name) -> Tensor:
@@ -381,18 +378,20 @@ def cross_attention(f_a: Tensor, f_b: Tensor, w: ModelWeights, block: str) -> Te
     return ad.add(f_a, ad.matmul(ad.leaky_relu(h), w.param(f"{p}/mlp/lin2/W")))
 
 
-def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights):
-    """Run the full network on raw bearing/color arrays for both sides.
+def forward_features(rows_p, rows_q, w: ModelWeights):
+    """Run the full network on both sides' input rows (see `scene_inputs`).
 
-    Each side runs in canonical order; the features come back in input order.
+    Each side runs with its rows in canonical order; the features come back
+    in input order.
     """
     cfg = w.config
-    bearings_p, colors_p, back_p = _canonical_side(bearings_p, colors_p)
-    bearings_q, colors_q, back_q = _canonical_side(bearings_q, colors_q)
-    f_p = encode(bearings_p, colors_p, w)
-    f_q = encode(bearings_q, colors_q, w)
-    graph_p = build_knn_graph(bearings_p, cfg.k)
-    graph_q = build_knn_graph(bearings_q, cfg.k)
+    order_p, back_p = ad.canonical_order(rows_p)
+    order_q, back_q = ad.canonical_order(rows_q)
+    rows_p, rows_q = rows_p[order_p], rows_q[order_q]
+    f_p = encode(rows_p, w)
+    f_q = encode(rows_q, w)
+    graph_p = build_knn_graph(rows_p[:, :2], cfg.k)
+    graph_q = build_knn_graph(rows_q[:, :2], cfg.k)
     for t in range(cfg.n_blocks):
         blk = f"blk{t}"
         f_p = self_attention_block(f_p, graph_p, w, blk)
@@ -402,27 +401,21 @@ def forward_features(bearings_p, colors_p, bearings_q, colors_q, w: ModelWeights
     return ad.gather_rows(f_p, back_p), ad.gather_rows(f_q, back_q)
 
 
-def _canonical_side(bearings, colors):
-    """One side's bearings and colors in canonical order, and the way back."""
-    b = np.asarray(bearings, dtype=np.float64).reshape(-1, 2)
-    c = np.asarray(colors, dtype=np.float64).reshape(-1, 3)
-    if len(b) != len(c):
-        raise ValueError(f"bearing/color counts differ: {len(b)} vs {len(c)}")
-    order, inverse = ad.canonical_order(np.concatenate([b, c], axis=1))
-    return b[order], c[order], inverse
-
-
 def scene_inputs(pair: ScenePair):
-    """Bearing and color arrays for both sides of a scene pair.
+    """The network's input rows for both sides of a scene pair: float64
+    arrays of shape (M, 5) and (N, 5), one row [bearing x, bearing y, r, g,
+    b] per keypoint and per point.
 
-    The one place the 3D side's frame is chosen; the classifier reads its
-    candidates' rows of these arrays. That frame is still the query's
-    ground-truth pose, which inference should not read. The `ScenePair`
-    contract puts every point in front of it, so every bearing is defined.
+    The one place the network's inputs are chosen, the 3D side's frame
+    among them; the classifier reads its candidates' bearing columns. That
+    frame is still the query's ground-truth pose, which inference should
+    not read. The `ScenePair` contract puts every point in front of it, so
+    every bearing is defined.
     """
     bp = pixel_bearings(pair.intrinsics, pair.keypoints)
     bq, _ = world_bearings(pair.query_pose, pair.points)
-    return bp, pair.kp_colors, bq, pair.pt_colors
+    return (np.concatenate([bp, pair.kp_colors], axis=1),
+            np.concatenate([bq, pair.pt_colors], axis=1))
 
 
 def forward(pair: ScenePair, w: ModelWeights):
@@ -433,5 +426,4 @@ def forward(pair: ScenePair, w: ModelWeights):
     for count, side in ((m, "keypoint"), (n, "point")):
         if count <= k:
             raise InvalidConfig(f"{side} count {count} must exceed k={k}")
-    bp, cp, bq, cq = scene_inputs(pair)
-    return forward_features(bp, cp, bq, cq, w)
+    return forward_features(*scene_inputs(pair), w)

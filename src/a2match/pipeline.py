@@ -62,9 +62,9 @@ def scene_plan(pair: ScenePair, weights: ModelWeights,
 def classify_candidates(pair: ScenePair, corrs: CorrespondenceSet,
                         weights: ModelWeights) -> Tensor:
     """Inlier logit of each candidate, read off the network's input rows."""
-    bp, _, bq, _ = scene_inputs(pair)
-    return classify(bp[np.array(corrs.indices_2d(), dtype=np.intp)],
-                    bq[np.array(corrs.indices_3d(), dtype=np.intp)], weights)
+    rows_p, rows_q = scene_inputs(pair)
+    return classify(rows_p[np.array(corrs.indices_2d(), dtype=np.intp), :2],
+                    rows_q[np.array(corrs.indices_3d(), dtype=np.intp), :2], weights)
 
 
 def match_scene(pair: ScenePair, weights: ModelWeights, *, threshold: float = 0.5,

@@ -95,12 +95,13 @@ class SynthConfig:
 class ScenePair:
     """A query image's keypoints, the 3D points to match them to, and the
     ground truth. Construction checks the scene contract, raising
-    InvalidConfig on a breach: each side holds MIN_POINTS to MAX_POINTS
-    rows; every coordinate and colour is finite; colours lie in [0,1];
-    every point lies at depth above EPS_DEPTH under query_pose; every gt
-    match indexes an existing keypoint and point (several may share one).
-    The gt indices are stored as ints. The arrays are not copied: writing
-    into them bypasses the check.
+    InvalidConfig on a breach: keypoints are (M, 2), kp_colors (M, 3),
+    points (N, 3) and pt_colors (N, 3) arrays; each side holds MIN_POINTS
+    to MAX_POINTS rows; every coordinate and colour is finite; colours lie
+    in [0,1]; every point lies at depth above EPS_DEPTH under query_pose;
+    every gt match indexes an existing keypoint and point (several may
+    share one). The gt indices are stored as ints. The arrays are not
+    copied: writing into them bypasses the check.
     """
 
     intrinsics: CameraIntrinsics
@@ -112,8 +113,13 @@ class ScenePair:
     gt_matches: CorrespondenceSet
 
     def __post_init__(self):
-        for key, xy, colors in (("keypoints", self.keypoints, self.kp_colors),
-                                ("points", self.points, self.pt_colors)):
+        for key, xy, color_key, colors, width, rows in (
+                ("keypoints", self.keypoints, "kp_colors", self.kp_colors, 2, "M"),
+                ("points", self.points, "pt_colors", self.pt_colors, 3, "N")):
+            shape, color_shape = np.shape(xy), np.shape(colors)
+            if (shape, color_shape) != (shape[:1] + (width,), shape[:1] + (3,)):
+                raise InvalidConfig(f"scene {key} and {color_key} must be ({rows}, {width}) and "
+                                    f"({rows}, 3) arrays, got {shape} and {color_shape}")
             if not (np.isfinite(xy).all() and np.isfinite(colors).all()):
                 raise InvalidConfig(f"scene {key} hold a non-finite value")
             if not MIN_POINTS <= len(xy) <= MAX_POINTS:

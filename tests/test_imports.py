@@ -10,6 +10,9 @@ ops written elsewhere go through `autodiff._make`.
 Only `network.py`, `pipeline.py` and `synth.py` read a scene's `query_pose`,
 and `network.py` reads it once.
 
+Outside `synth.py`, only `network.py` reads a scene's `kp_colors` and
+`pt_colors`, each once: colour enters the network in one place.
+
 Only `synth.py` reads `MIN_POINTS` and `MAX_POINTS`: the scene's count rule
 is stated once, by `ScenePair`.
 
@@ -117,6 +120,16 @@ def test_only_the_network_inputs_read_the_query_pose():
     assert {name for name, lines in readers.items() if lines} <= {
         "network.py", "pipeline.py", "synth.py"}
     assert len(readers["network.py"]) == 1
+
+
+def test_only_the_network_inputs_read_the_colours():
+    # Besides the scene generator, only `network.scene_inputs` reads a
+    # scene's colours, once a side: it joins them to the bearings in the
+    # network's input rows, and nothing else takes colour from the scene.
+    readers = {path.name: names_read(path, {"kp_colors", "pt_colors"})
+               for path in PACKAGE if path.name != "synth.py"}
+    assert {name for name, found in readers.items() if found} == {"network.py"}
+    assert sorted(name for _, name in readers["network.py"]) == ["kp_colors", "pt_colors"]
 
 
 def test_only_synth_reads_the_count_bounds():

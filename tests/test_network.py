@@ -172,13 +172,10 @@ def test_angle_rotation_invariance():
 def test_encode_shape_and_pointwise():
     rng = np.random.default_rng(2)
     w = small_weights()
-    b = rng.uniform(-0.5, 0.5, (7, 2))
-    c = rng.uniform(0, 1, (7, 3))
-    out = encode(b, c, w)
+    rows = np.concatenate([rng.uniform(-0.5, 0.5, (7, 2)), rng.uniform(0, 1, (7, 3))], axis=1)
+    out = encode(rows, w)
     assert out.shape == (7, 8)
-    b2 = np.concatenate([b, b[:1]], axis=0)
-    c2 = np.concatenate([c, c[:1]], axis=0)
-    out2 = encode(b2, c2, w)
+    out2 = encode(np.concatenate([rows, rows[:1]], axis=0), w)
     assert np.array_equal(out2.data[-1], out2.data[0])
 
 
@@ -189,15 +186,15 @@ def test_encode_zeroed_color_params_ignores_colors():
         if name.startswith("enc/color"):
             p.data[...] = 0.0
     b = rng.uniform(-0.5, 0.5, (6, 2))
-    out1 = encode(b, rng.uniform(0, 1, (6, 3)), w)
-    out2 = encode(b, rng.uniform(0, 1, (6, 3)), w)
+    out1 = encode(np.concatenate([b, rng.uniform(0, 1, (6, 3))], axis=1), w)
+    out2 = encode(np.concatenate([b, rng.uniform(0, 1, (6, 3))], axis=1), w)
     assert np.array_equal(out1.data, out2.data)
 
 
 def test_encode_empty_raises():
     w = small_weights()
     with pytest.raises(ValueError, match="encode needs at least one point"):
-        encode(np.zeros((0, 2)), np.zeros((0, 3)), w)
+        encode(np.zeros((0, 5)), w)
 
 
 # --- aggregation --------------------------------------------------------------
@@ -404,23 +401,23 @@ def test_forward_full_permutation_equivariance_bit_exact():
     cfg = NetworkConfig(d=8, k=9, g=3)
     w = small_weights(cfg=cfg)
     pair = scene(21, n=20)
-    bp, cp, bq, cq = scene_inputs(pair)
-    f_p, f_q = forward_features(bp, cp, bq, cq, w)
+    rows_p, rows_q = scene_inputs(pair)
+    f_p, f_q = forward_features(rows_p, rows_q, w)
     rng = np.random.default_rng(22)
-    perm_p = rng.permutation(len(bp))
-    perm_q = rng.permutation(len(bq))
-    g_p, g_q = forward_features(bp[perm_p], cp[perm_p], bq[perm_q], cq[perm_q], w)
+    perm_p = rng.permutation(len(rows_p))
+    perm_q = rng.permutation(len(rows_q))
+    g_p, g_q = forward_features(rows_p[perm_p], rows_q[perm_q], w)
     assert np.array_equal(g_p.data, f_p.data[perm_p])
     assert np.array_equal(g_q.data, f_q.data[perm_q])
 
 
 def _assert_forward_equivariant(inputs, w, rng, trials):
-    bp, cp, bq, cq = inputs
-    f_p, f_q = forward_features(bp, cp, bq, cq, w)
+    rows_p, rows_q = inputs
+    f_p, f_q = forward_features(rows_p, rows_q, w)
     for _ in range(trials):
-        perm_p = rng.permutation(len(bp))
-        perm_q = rng.permutation(len(bq))
-        g_p, g_q = forward_features(bp[perm_p], cp[perm_p], bq[perm_q], cq[perm_q], w)
+        perm_p = rng.permutation(len(rows_p))
+        perm_q = rng.permutation(len(rows_q))
+        g_p, g_q = forward_features(rows_p[perm_p], rows_q[perm_q], w)
         assert np.array_equal(g_p.data, f_p.data[perm_p])
         assert np.array_equal(g_q.data, f_q.data[perm_q])
 
@@ -434,7 +431,8 @@ def test_forward_equivariant_bit_exact_with_tied_knn_distances():
     gx, gy = np.meshgrid(np.arange(6) * 0.125, np.arange(5) * 0.125)
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
     rng = np.random.default_rng(0)
-    inputs = (grid, rng.uniform(0, 1, (30, 3)), grid[::-1].copy(), rng.uniform(0, 1, (30, 3)))
+    inputs = (np.concatenate([grid, rng.uniform(0, 1, (30, 3))], axis=1),
+              np.concatenate([grid[::-1], rng.uniform(0, 1, (30, 3))], axis=1))
     _assert_forward_equivariant(inputs, w, rng, trials=20)
 
 
@@ -639,18 +637,18 @@ def test_forward_one_network_serves_both_sides():
     # sides swaps the features, and equal (bearing, color) rows get equal
     # features whichever side they come from, bit for bit.
     w = small_weights(cfg=NetworkConfig(d=8, k=9, g=3))
-    bp, cp, bq, cq = scene_inputs(scene(23, n=18))
-    f_p, f_q = forward_features(bp, cp, bq, cq, w)
-    g_q, g_p = forward_features(bq, cq, bp, cp, w)
+    rows_p, rows_q = scene_inputs(scene(23, n=18))
+    f_p, f_q = forward_features(rows_p, rows_q, w)
+    g_q, g_p = forward_features(rows_q, rows_p, w)
     assert np.array_equal(g_p.data, f_p.data)
     assert np.array_equal(g_q.data, f_q.data)
-    perm = np.random.default_rng(0).permutation(len(bp))
-    h_p, h_q = forward_features(bp, cp, bp[perm], cp[perm], w)
+    perm = np.random.default_rng(0).permutation(len(rows_p))
+    h_p, h_q = forward_features(rows_p, rows_p[perm], w)
     assert np.array_equal(h_q.data, h_p.data[perm])
     # The 3D side's first rows repeat 2D rows, encoded in one set.
-    m = len(bp)
-    bq, cq = np.concatenate([bp[:3], bq]), np.concatenate([cp[:3], cq])
-    e = encode(np.concatenate([bp, bq]), np.concatenate([cp, cq]), w).data
+    m = len(rows_p)
+    rows_q = np.concatenate([rows_p[:3], rows_q])
+    e = encode(np.concatenate([rows_p, rows_q]), w).data
     assert np.array_equal(e[m:m + 3], e[:3])
 
 

@@ -278,6 +278,21 @@ def test_scene_pair_checks_every_construction():
     assert all(type(i) is int for p in shared.gt_matches for i in p[:2])
 
 
+@pytest.mark.parametrize("key", ["keypoints", "kp_colors", "points", "pt_colors"])
+@pytest.mark.parametrize("wrong", ["width", "rows"])
+def test_scene_pair_checks_array_shapes(key, wrong):
+    # Only the shape is off: the widened array repeats its first column and
+    # the shortened one keeps over MIN_POINTS rows.
+    pair = generate_scene(SynthConfig(n_points=15, seed=18))
+    rows = getattr(pair, key)
+    bad = np.concatenate([rows, rows[:, :1]], axis=1) if wrong == "width" else rows[:-1]
+    fields = {f.name: getattr(pair, f.name) for f in dataclasses.fields(pair)}
+    for build in (lambda: dataclasses.replace(pair, **{key: bad}),
+                  lambda: synth.ScenePair(**{**fields, key: bad})):
+        with pytest.raises(InvalidConfig, match=rf"^scene .*\b{key}\b.* arrays, got"):
+            build()
+
+
 def test_load_scene_rejects_malformed_json(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text('{"intrinsics": ', encoding="utf-8")

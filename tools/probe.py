@@ -46,8 +46,10 @@ def offset_scene_inputs(pair):
     shift /= np.linalg.norm(shift)
     pose = pair.query_pose
     ref = RigidPose(rot @ pose.rotation, rot @ pose.translation + shift)
+    bp = pixel_bearings(pair.intrinsics, pair.keypoints)
     bq, _ = world_bearings(ref, pair.points)
-    return pixel_bearings(pair.intrinsics, pair.keypoints), pair.kp_colors, bq, pair.pt_colors
+    return (np.concatenate([bp, pair.kp_colors], axis=1),
+            np.concatenate([bq, pair.pt_colors], axis=1))
 
 
 def main():
